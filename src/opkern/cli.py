@@ -59,6 +59,17 @@ _HYPOTHESIS_ERRORS = (
 _TOLERANCE_ERRORS = (NotEquivalent, GramMismatch, SpectrumOutOfRange)
 
 
+def _sample_count(text: str) -> int:
+    """argparse type of ``--samples``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -330,13 +341,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw reproducible paths as CSV")
     common(p, "kernel spec JSON")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_sample_count, default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mc-verify", help="Monte-Carlo check of the conditional law")
     common(p, "joint spec JSON (k, l, t_coupling)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=_sample_count, default=200_000)
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("condition", help="exact conditional law for observed values")

@@ -11,9 +11,17 @@ The sesquilinear second moments then reproduce the kernel exactly:
 
 Randomness is counter-based (Philox keyed by the user seed) and normal
 variates come from the inverse normal CDF applied to 53-bit uniforms, so a
-sample index always maps to the same path regardless of how draws are
-batched or partitioned across workers.  Each sample consumes a fixed,
-block-aligned slice of the key stream.
+sample index always maps to the same row of ``Z``.  Each sample consumes a
+fixed, block-aligned slice of the key stream.
+
+Paths are BLAS GEMMs over tiles of ``_TILE`` rows of ``Z`` that start at
+multiples of ``_TILE`` in the absolute sample index; a tile only partly
+inside the requested range is still drawn and multiplied whole, and the
+needed rows are sliced out afterwards.  Every GEMM therefore sees the same
+inputs with the same shape however the draws are batched, so a path is
+bitwise independent of batching for a fixed BLAS build and thread count.
+Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
+ulp, as it can for every LAPACK-backed result.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .kernels import (
 _TINY = 1e-300
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 _MASK64 = (1 << 64) - 1
+_TILE = 512  # rows of normals per path GEMM
 
 
 def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.ndarray:
@@ -94,15 +103,21 @@ class PathBatch:
 
 def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatch:
     """Paths for sample indices ``start .. start + count - 1``."""
+    if start < 0 or count < 0:
+        raise ValueError(f"sample indices must be nonnegative (start={start}, count={count})")
     n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
-    z = standard_normal_rows(seed, start, count, r)
+    paths = np.zeros((count, n * d), dtype=np.complex128)
     if r:
-        # einsum (not BLAS matmul): its fixed sequential reduction makes a
-        # path bitwise independent of how draws are batched.
-        flat_paths = np.einsum("kr,rc->kc", z, fs.stacked.conj())
-    else:
-        flat_paths = np.zeros((count, n * d), dtype=np.complex128)
-    paths = flat_paths.reshape(count, n, d).astype(np.complex128)
+        # Columns interleave Re(stacked) and -Im(stacked), so one real GEMM
+        # writes z @ stacked.conj() in complex128 memory layout.
+        weights = np.stack([fs.stacked.real, -fs.stacked.imag], axis=-1).reshape(r, 2 * n * d)
+        flat = paths.view(np.float64)
+        stop = start + count
+        for tile in range(start - start % _TILE, stop, _TILE):
+            z = standard_normal_rows(seed, tile, _TILE, r)
+            lo, hi = max(start, tile), min(stop, tile + _TILE)
+            flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
+    paths = paths.reshape(count, n, d)
     paths.setflags(write=False)
     return PathBatch(label_set=fs.label_set, paths=paths, seed=seed, start=start)
 

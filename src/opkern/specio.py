@@ -182,16 +182,23 @@ def feature_system_to_json(fs) -> dict:
     }
 
 
+class _Echo:
+    """File stand-in whose ``write`` returns the text, so that a
+    ``csv.writer`` row call returns the quoted line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
 def path_batch_to_csv(batch: PathBatch) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["sample", "label", "coordinate", "re", "im"])
-    for k in range(batch.count):
-        for i, s in enumerate(batch.label_set.labels):
-            for p in range(batch.dim_h):
-                z = batch.paths[k, i, p]
-                writer.writerow([k, s, p, repr(float(z.real)), repr(float(z.imag))])
-    return out.getvalue()
+    quote = csv.writer(_Echo(), lineterminator="\n").writerow
+    # (label, coordinate) cells are the same for every sample: quote once.
+    prefixes = [quote([s, p])[:-1] for s in batch.label_set.labels for p in range(batch.dim_h)]
+    parts = [quote(["sample", "label", "coordinate", "re", "im"])]
+    for k, row in enumerate(batch.paths.reshape(batch.count, -1)):
+        cells = map(",".join, zip(prefixes, map(repr, row.real.tolist()), map(repr, row.imag.tolist())))
+        parts.append(f"{k}," + f"\n{k},".join(cells) + "\n")
+    return "".join(parts)
 
 
 def training_set_to_csv(train: TrainingSet) -> str:

@@ -229,6 +229,20 @@ class TestSample:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_nonpositive_samples_exit_two(self, command, spec, samples, specs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opkern.cli", command, "--spec", specs[spec], "--samples", samples],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--samples" in proc.stderr
+
+
 class TestMcVerify:
     def test_scalar_joint_passes(self, specs, tmp_path):
         out = tmp_path / "r.json"

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import opkern
 
 from opkern import (
     InvalidKernel,
@@ -87,6 +95,59 @@ class TestSampler:
         sampler = make_sampler(table, 11)
         batch = sampler.draw(8)
         np.testing.assert_array_equal(make_sampler(table, 11).path_at(6), batch.paths[6])
+
+    def test_negative_start_is_rejected(self):
+        sampler = make_sampler(random_pd_kernel(5, 2, 3), 11)
+        with pytest.raises(ValueError):
+            sampler.path_at(-1)
+        with pytest.raises(ValueError):
+            draw_paths(sampler.feature_system, 11, -3, 5)
+
+    def test_negative_count_is_rejected(self):
+        fs = kolmogorov_factorize(random_pd_kernel(5, 2, 3))
+        with pytest.raises(ValueError):
+            draw_paths(fs, 11, 0, -1)
+
+    def test_paths_match_einsum_reference(self):
+        # The GEMM sums in another order than the einsum formula it replaced.
+        fs = kolmogorov_factorize(random_pd_kernel(4, 6, 3))
+        batch = draw_paths(fs, 5, 700, 1000)
+        z = standard_normal_rows(5, 700, 1000, fs.dilation_dim)
+        ref = np.einsum("kr,rc->kc", z, fs.stacked.conj()).reshape(batch.paths.shape)
+        tol = 512 * np.finfo(np.float64).eps * np.max(np.abs(ref))
+        assert np.max(np.abs(batch.paths - ref)) <= tol
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_batch_invariance_across_tiles(self, threads):
+        # OPENBLAS_NUM_THREADS is read when numpy is imported, hence the
+        # subprocess.  Bytes must agree within one thread count only.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from opkern import draw_paths, kolmogorov_factorize, make_sampler, random_pd_kernel
+
+            table = random_pd_kernel(6, 40, 3)
+            fs = kolmogorov_factorize(table)
+            start, count = 3, 3000
+            whole = draw_paths(fs, 21, start, count).paths
+            rng = np.random.default_rng(0)
+            for _ in range(12):
+                cuts = rng.choice(np.arange(1, count), size=int(rng.integers(1, 40)), replace=False)
+                bounds = [0, *sorted(cuts.tolist()), count]
+                parts = [draw_paths(fs, 21, start + a, b - a).paths for a, b in zip(bounds, bounds[1:])]
+                assert np.concatenate(parts).tobytes() == whole.tobytes()
+            sampler = make_sampler(table, 21)
+            for index in (511, 512):
+                assert sampler.path_at(index).tobytes() == whole[index - start].tobytes()
+            print("ok")
+            """
+        )
+        src = str(Path(opkern.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_zero_kernel_paths_vanish(self):
         batch = make_sampler(zero_kernel(ONE_LABEL, 2), 1).draw(10)

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from opkern import (
+    LabelSet,
+    PathBatch,
     TrainingSet,
     identity_kernel,
     kolmogorov_factorize,
@@ -25,6 +29,19 @@ from opkern.specio import (
     training_set_to_csv,
 )
 from conftest import labels
+
+
+def reference_path_csv(batch):
+    """The per-value csv.writer loop that path_batch_to_csv must reproduce."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sample", "label", "coordinate", "re", "im"])
+    for k in range(batch.count):
+        for i, s in enumerate(batch.label_set.labels):
+            for p in range(batch.dim_h):
+                z = batch.paths[k, i, p]
+                writer.writerow([k, s, p, repr(float(z.real)), repr(float(z.imag))])
+    return out.getvalue()
 
 
 class TestComplexArrays:
@@ -156,6 +173,22 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[:3] == ["0", "s1", "0"]
         assert float(first[3]) == batch.paths[0, 0, 0].real
+
+    def test_path_csv_matches_per_value_writer(self):
+        rng = np.random.default_rng(8)
+        label_set = LabelSet.of(["a,b", 'q"x', "plain"])
+        values = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        values[0, 0] = [complex(-0.0, 5e-324), complex(1e22, -0.0)]
+        values[1, 1] = [complex(5e-324, 1e22), complex(-1e22, -5e-324)]
+        batch = PathBatch(label_set=label_set, paths=values, seed=0, start=0)
+        text = path_batch_to_csv(batch)
+        assert text == reference_path_csv(batch)
+        assert '0,"a,b",0,-0.0,5e-324\n0,"a,b",1,1e+22,-0.0\n' in text
+        assert '1,"q""x",1,-1e+22,-5e-324\n' in text
+
+    def test_sampled_path_csv_matches_per_value_writer(self):
+        batch = make_sampler(random_pd_kernel(2, 3, 2), 4).draw(50)
+        assert path_batch_to_csv(batch) == reference_path_csv(batch)
 
 
 class TestFeatureExport:
