@@ -86,31 +86,26 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _report(args, command: str, inputs: dict[str, str], params: dict, results: dict) -> dict:
+def _emit_text(args, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None:
+    """Write the JSON report of ``args.command``; ``--spec`` and every
+    ``extra_inputs`` path are listed with their SHA-256."""
+    inputs = {"spec": args.spec, **extra_inputs}
     payload = {
-        "command": command,
+        "command": args.command,
         "inputs": {name: {"path": path, "sha256": _sha256(path)} for name, path in inputs.items()},
         "params": params,
         "results": results,
     }
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return payload
-
-
-def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit_text(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_check_pd(args) -> int:
@@ -122,41 +117,38 @@ def cmd_check_pd(args) -> int:
         "n": table.n,
         "d": table.dim_h,
     }
-    _emit_json(args, _report(args, "check-pd", {"spec": args.spec}, {"tol": args.tol}, results))
+    _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK if report.pd else EXIT_TOLERANCE
 
 
 def cmd_factorize(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    tol = args.tol if args.tol is not None else 1e-10
-    fs = kolmogorov_factorize(table, tol)
-    results = specio.feature_system_to_json(fs)
-    _emit_json(args, _report(args, "factorize", {"spec": args.spec}, {"tol": tol}, results))
+    fs = kolmogorov_factorize(table, args.tol)
+    _emit_report(args, {"tol": args.tol}, specio.feature_system_to_json(fs))
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
     k1, k2, l1, l2, t_op = specio.system_from_spec(specio.load_json(args.spec))
-    tol = args.tol if args.tol is not None else 1e-8
     results: dict = {}
     try:
         sys_ = transfer.validate_system(k1, k2, l1, l2, t_op)
     except NotEquivalent as exc:
         results["system_identity_residual"] = exc.relative
         results["condition"] = "not_equivalent"
-        _emit_json(args, _report(args, "realize", {"spec": args.spec}, {"tol": tol}, results))
+        _emit_report(args, {"tol": args.tol}, results)
         return EXIT_TOLERANCE
     results["system_identity_residual"] = sys_.identity_residual
 
     real = transfer.construct_partial_isometry(sys_)
     try:
-        report = transfer.verify_realization(real, sys_, tol)
+        report = transfer.verify_realization(real, sys_, args.tol)
         action_ok = transfer.transitive_action_check(sys_, real)
     except NotInvertible as exc:
         results["condition"] = "rank_condition_failed"
         results["label"] = exc.label
         results["sigma_min"] = exc.sigma_min
-        _emit_json(args, _report(args, "realize", {"spec": args.spec}, {"tol": tol}, results))
+        _emit_report(args, {"tol": args.tol}, results)
         return EXIT_HYPOTHESIS
     results.update(
         {
@@ -171,7 +163,7 @@ def cmd_realize(args) -> int:
 
     dominated = True
     try:
-        rn_report = transfer.verify_rn_transfer_identity(sys_, tol)
+        rn_report = transfer.verify_rn_transfer_identity(real, sys_, args.tol)
         results["rn_spectrum"] = list(rn_report.spectrum)
         results["rn_vs_transfer"] = rn_report.max_deviation
         rn_ok = rn_report.passed
@@ -182,14 +174,13 @@ def cmd_realize(args) -> int:
         rn_ok = True
     results["dominated"] = dominated
 
-    _emit_json(args, _report(args, "realize", {"spec": args.spec}, {"tol": tol}, results))
+    _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK if (report.passed and action_ok and rn_ok) else EXIT_TOLERANCE
 
 
 def cmd_rn(args) -> int:
     lo, hi = specio.pair_from_spec(specio.load_json(args.spec))
-    tol = args.tol if args.tol is not None else 1e-9
-    rn = transfer.radon_nikodym(lo, hi, tol)
+    rn = transfer.radon_nikodym(lo, hi, args.tol)
     results = {
         "rn_spectrum": list(rn.spectrum),
         "reproduction_residual": rn.reproduction_residual,
@@ -197,7 +188,7 @@ def cmd_rn(args) -> int:
         "phi": specio.array_to_json(rn.phi),
         "sqrt_phi": specio.array_to_json(rn.sqrt_phi),
     }
-    _emit_json(args, _report(args, "rn", {"spec": args.spec}, {"tol": tol}, results))
+    _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK
 
 
@@ -213,20 +204,16 @@ def cmd_sample(args) -> int:
 def cmd_mc_verify(args) -> int:
     k, l, coupling, _ = specio.joint_from_spec(specio.load_json(args.spec))
     seed = _resolve_seed(args)
-    tol_sigma = args.tol if args.tol is not None else 5.0
     joint = gaussian.assemble_joint(k, l, coupling)
-    report = gaussian.mc_verify_conditional(joint, seed, args.samples, tol_sigma)
+    report = gaussian.mc_verify_conditional(joint, seed, args.samples, args.tol)
     results = {
         "mean_map_dev_se": report.mean_map_dev_se,
         "residual_cov_dev_se": report.residual_cov_dev_se,
         "samples": report.count,
-        "tol_sigma": tol_sigma,
+        "tol_sigma": args.tol,
         "passed": bool(report.passed),
     }
-    _emit_json(
-        args,
-        _report(args, "mc-verify", {"spec": args.spec}, {"seed": seed, "samples": args.samples}, results),
-    )
+    _emit_report(args, {"seed": seed, "samples": args.samples}, results)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
@@ -240,19 +227,16 @@ def cmd_condition(args) -> int:
         )
     if observed is None:
         raise SpecError("no observed values: provide --observed or an 'observed_l' field")
-    tol = args.tol if args.tol is not None else 1e-10
     joint = gaussian.assemble_joint(k, l, coupling)
-    law = gaussian.condition(joint, observed, tol)
+    law = gaussian.condition(joint, observed, args.tol)
     results = {
         "posterior_mean": specio.array_to_json(law.posterior_mean),
         "mean_map": specio.array_to_json(law.mean_map),
         "cond_cov_blocks": specio.array_to_json(law.cond_cov.blocks),
         "null_dim": law.null_dim,
     }
-    inputs = {"spec": args.spec}
-    if args.observed is not None:
-        inputs["observed"] = args.observed
-    _emit_json(args, _report(args, "condition", inputs, {"tol": tol}, results))
+    extra = {} if args.observed is None else {"observed": args.observed}
+    _emit_report(args, {"tol": args.tol}, results, **extra)
     return EXIT_OK
 
 
@@ -267,16 +251,19 @@ def cmd_krr_fit(args) -> int:
         "fitted": specio.array_to_json(fit.fitted),
         "m": train.size,
     }
-    inputs = {"spec": args.spec, "noise_spec": args.noise_spec, "train": args.train}
-    _emit_json(args, _report(args, "krr-fit", inputs, {}, results))
+    _emit_report(args, {}, results, noise_spec=args.noise_spec, train=args.train)
     return EXIT_OK
 
 
 def cmd_krr_predict(args) -> int:
     fit_payload = specio.load_json(args.fit)
-    inputs_field = fit_payload.get("inputs", {})
+    try:
+        hashes = {name: entry.get("sha256") for name, entry in fit_payload.get("inputs", {}).items()}
+        fit_coefficients = fit_payload["results"]["coefficients"]
+    except (AttributeError, KeyError, TypeError):
+        raise SpecError(f"{args.fit} is not a krr-fit report with results.coefficients") from None
     for name, path in (("spec", args.spec), ("noise_spec", args.noise_spec), ("train", args.train)):
-        recorded = inputs_field.get(name, {}).get("sha256")
+        recorded = hashes.get(name)
         if recorded is not None and recorded != _sha256(path):
             raise SpecError(
                 f"hash mismatch for {name}: the fit was produced from different inputs"
@@ -284,9 +271,7 @@ def cmd_krr_predict(args) -> int:
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
     noise = specio.kernel_from_spec(specio.load_json(args.noise_spec))
     train = specio.training_set_from_csv(Path(args.train).read_text(encoding="utf-8"))
-    coeffs = specio.json_to_array(
-        fit_payload["results"]["coefficients"], (train.size,)
-    )
+    coeffs = specio.json_to_array(fit_coefficients, (train.size,))
     dm = regression.design_matrices(kernel, noise, train)
     fit = regression.RegressionFit(
         coefficients=coeffs, fitted=dm.kernel_gram @ coeffs, design=dm, targets=train.targets
@@ -296,19 +281,15 @@ def cmd_krr_predict(args) -> int:
         raise SpecError("query file must be a JSON list of {label, a} objects")
     predictions = []
     for item in queries:
-        label = item.get("label")
+        if not isinstance(item, dict) or not isinstance(item.get("label"), str):
+            raise SpecError(f"query items must be {{label, a}} objects with a string label, got {item!r}")
+        label = item["label"]
         vec = specio.json_to_array(item.get("a"), (kernel.dim_h,))
         predictions.append(
             {"label": label, "value": specio.complex_to_pair(regression.predict(fit, label, vec))}
         )
-    inputs = {
-        "fit": args.fit,
-        "spec": args.spec,
-        "noise_spec": args.noise_spec,
-        "train": args.train,
-        "query": args.query,
-    }
-    _emit_json(args, _report(args, "krr-predict", inputs, {}, {"predictions": predictions}))
+    extra = {"fit": args.fit, "noise_spec": args.noise_spec, "train": args.train, "query": args.query}
+    _emit_report(args, {}, {"predictions": predictions}, **extra)
     return EXIT_OK
 
 
@@ -316,9 +297,9 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opkern", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_help):
+    def common(p, spec_help, tol=None):
         p.add_argument("--spec", required=True, help=spec_help)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=tol, help="tolerance override")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
 
@@ -327,15 +308,15 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_pd)
 
     p = sub.add_parser("factorize", help="factor a kernel through its flattened eigenbasis")
-    common(p, "kernel spec JSON")
+    common(p, "kernel spec JSON", 1e-10)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("realize", help="partial isometry, transfer function, and derivative checks")
-    common(p, "system spec JSON (k1, k2, l1, l2, t)")
+    common(p, "system spec JSON (k1, k2, l1, l2, t)", 1e-8)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("rn", help="Radon-Nikodym derivative of a dominated pair")
-    common(p, "pair spec JSON (l, k)")
+    common(p, "pair spec JSON (l, k)", 1e-9)
     p.set_defaults(func=cmd_rn)
 
     p = sub.add_parser("sample", help="draw reproducible paths as CSV")
@@ -345,13 +326,13 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mc-verify", help="Monte-Carlo check of the conditional law")
-    common(p, "joint spec JSON (k, l, t_coupling)")
+    common(p, "joint spec JSON (k, l, t_coupling)", 5.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_sample_count, default=200_000)
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("condition", help="exact conditional law for observed values")
-    common(p, "joint spec JSON (k, l, t_coupling[, observed_l])")
+    common(p, "joint spec JSON (k, l, t_coupling[, observed_l])", 1e-10)
     p.add_argument("--observed", default=None, help="JSON file with observed values")
     p.set_defaults(func=cmd_condition)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, NotPositiveDefinite, ShapeError
-from .kernels import RANK_RTOL, LabelSet, OperatorKernelTable, is_positive_definite
+from .kernels import RANK_RTOL, TINY, LabelSet, OperatorKernelTable, eig_extremes
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,14 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     eigenvalue is below ``-tol`` times the spectral norm, and checks the
     reconstruction residual against its guaranteed bound.
     """
-    report = is_positive_definite(table)
-    if report.min_eig < -tol * report.scale:
-        raise NotPositiveDefinite(
-            f"cannot factor: min eigenvalue {report.min_eig:.3e} < -{tol:g} * {report.scale:.3e}",
-            min_eig=report.min_eig,
-        )
     flat = table.flat
     w, u = np.linalg.eigh(flat)
+    min_eig, scale = eig_extremes(w)
+    if min_eig < -tol * scale:
+        raise NotPositiveDefinite(
+            f"cannot factor: min eigenvalue {min_eig:.3e} < -{tol:g} * {scale:.3e}",
+            min_eig=min_eig,
+        )
     keep = w > tol * max(w[-1], 0.0)
     lam = w[keep][::-1]
     vecs = u[:, keep][:, ::-1]
@@ -73,10 +73,13 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     stacked.setflags(write=False)
     lam.setflags(write=False)
 
-    residual = float(np.linalg.norm(stacked.conj().T @ stacked - flat, 2))
-    if residual > max(1e-10 * report.scale, 1e-300):
+    # The Frobenius norm bounds the spectral norm from above, so the SVD
+    # behind the spectral norm is needed only when Frobenius fails the bound.
+    defect = stacked.conj().T @ stacked - flat
+    bound = max(1e-10 * scale, TINY)
+    if np.linalg.norm(defect) > bound and (residual := float(np.linalg.norm(defect, 2))) > bound:
         raise InternalInvariantViolation(
-            f"factorization residual {residual:.3e} exceeds 1e-10 * {report.scale:.3e}"
+            f"factorization residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
         )
     return FeatureSystem(
         label_set=table.label_set,
@@ -134,7 +137,7 @@ def projection_chain(fs: FeatureSystem, chain, t: str, b, tol: float = 1e-9) -> 
             acc = fs.gram(s, prev) @ acc
             prev = s
         expected = fs.operator(chain[0]) @ acc
-        scale = max(start_norm, float(np.linalg.norm(expected)), 1e-300)
+        scale = max(start_norm, float(np.linalg.norm(expected)), TINY)
         gap = float(np.linalg.norm(vec - expected))
         if gap > tol * scale:
             raise InternalInvariantViolation(

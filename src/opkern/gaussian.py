@@ -42,12 +42,14 @@ from .errors import (
 from .kernels import (
     PD_RTOL,
     RANK_RTOL,
+    TINY,
     LabelSet,
     OperatorKernelTable,
+    block_layout,
+    gated_solve,
     is_positive_definite,
 )
 
-_TINY = 1e-300
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 _MASK64 = (1 << 64) - 1
 _TILE = 512  # rows of normals per path GEMM
@@ -176,11 +178,6 @@ def _coupling_array(label_set: LabelSet, dim_h: int, coupling) -> np.ndarray:
     return arr
 
 
-def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:
-    n, _, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-
-
 @dataclass
 class JointKernel:
     """Block table over H + H pairing two processes through a coupling.
@@ -215,7 +212,7 @@ class JointKernel:
 
     @property
     def t_gram(self) -> np.ndarray:
-        return _flatten_blocks(self.coupling)
+        return block_layout(self.coupling)
 
 
 def assemble_joint(
@@ -250,7 +247,7 @@ def assemble_joint(
             min_eig=m_report.min_eig,
         )
 
-    t_gram = _flatten_blocks(t_blocks)
+    t_gram = block_layout(t_blocks)
     schur_flat = k.flat - t_gram @ np.linalg.pinv(l.flat, rcond=RANK_RTOL, hermitian=True) @ t_gram.conj().T
     schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
     schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
@@ -318,19 +315,16 @@ def condition(
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
 
     l_gram = joint.l_gram
-    evals = np.linalg.eigvalsh(l_gram)
-    top = max(float(evals[-1]), 0.0)
-    invertible = float(evals[0]) > tol * top and top > 0.0
-    if invertible:
-        mean_map = np.linalg.solve(l_gram.conj().T, joint.t_gram.conj().T).conj().T
+    try:
+        x = gated_solve(l_gram, joint.t_gram.conj().T, tol, SingularL, "L Gram matrix")
+        mean_map = x.conj().T
         null_dim = 0
-    elif allow_singular:
+    except SingularL:
+        if not allow_singular:
+            raise
         mean_map = joint.t_gram @ np.linalg.pinv(l_gram, rcond=tol, hermitian=True)
-        null_dim = int(np.sum(evals <= tol * top))
-    else:
-        raise SingularL(
-            f"L Gram matrix is numerically singular (eigs in [{evals[0]:.3e}, {evals[-1]:.3e}])"
-        )
+        evals = np.linalg.eigvalsh(l_gram)
+        null_dim = int(np.sum(evals <= tol * max(float(evals[-1]), 0.0)))
     posterior = (mean_map @ observed.reshape(n * d)).reshape(n, d)
     return ConditionalLaw(
         mean_map=mean_map,
@@ -369,14 +363,11 @@ def conditional_cov_equal(
     k1._require_same_shape(k2)
     k1._require_same_shape(l1)
     k1._require_same_shape(l2)
-    t_gram = _flatten_blocks(_coupling_array(k1.label_set, k1.dim_h, coupling))
+    t_gram = block_layout(_coupling_array(k1.label_set, k1.dim_h, coupling))
 
     conds = []
     for k, l in ((k1, l1), (k2, l2)):
-        evals = np.linalg.eigvalsh(l.flat)
-        if float(evals[0]) <= RANK_RTOL * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
-            raise SingularL(f"L Gram matrix is numerically singular (min eig {evals[0]:.3e})")
-        x = np.linalg.solve(l.flat, t_gram.conj().T)
+        x = gated_solve(l.flat, t_gram.conj().T, RANK_RTOL, SingularL, "L Gram matrix")
         c = k.flat - t_gram @ x
         conds.append(0.5 * (c + c.conj().T))
 
@@ -386,7 +377,7 @@ def conditional_cov_equal(
         float(np.linalg.norm(k2.flat, 2)),
         float(np.linalg.norm(conds[0], 2)),
         float(np.linalg.norm(conds[1], 2)),
-        _TINY,
+        TINY,
     )
     common = OperatorKernelTable.from_flat(k1.label_set, k1.dim_h, 0.5 * (conds[0] + conds[1]))
     report = is_positive_definite(common)

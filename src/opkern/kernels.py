@@ -38,6 +38,8 @@ HERMITIAN_RTOL = 1e-12
 PD_RTOL = 1e-10
 #: Relative eigenvalue/singular-value cutoff for numerical ranks.
 RANK_RTOL = 1e-10
+#: Floor for scales used as divisors or bounds.
+TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class OperatorKernelTable:
         adjoint = blocks.transpose(1, 0, 3, 2).conj()
         scale = float(_block_frobenius(blocks).max())
         asym = float(_block_frobenius(blocks - adjoint).max())
-        if asym > HERMITIAN_RTOL * max(scale, 1e-300):
+        if asym > HERMITIAN_RTOL * max(scale, TINY):
             raise InvalidKernel(
                 f"block pattern is not Hermitian: asymmetry {asym:.3e} "
                 f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
@@ -176,9 +178,15 @@ def flatten(table: OperatorKernelTable) -> np.ndarray:
     ``(M + M^H) / 2``, which is exact for tables whose block pattern is
     already Hermitian.
     """
-    n, d = table.n, table.dim_h
-    flat = table.blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    flat = block_layout(table.blocks)
     return 0.5 * (flat + flat.conj().T)
+
+
+def block_layout(blocks: np.ndarray) -> np.ndarray:
+    """Place an ``(n, n, d, d)`` block array in the canonical ``(n*d, n*d)``
+    layout of :func:`flatten`, without symmetrizing."""
+    n, _, d, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,12 @@ class PDReport:
     tol: float
 
 
+
+def eig_extremes(evals: np.ndarray) -> tuple[float, float]:
+    """Smallest eigenvalue and spectral norm, from ascending Hermitian eigenvalues."""
+    return float(evals[0]), float(max(abs(evals[0]), abs(evals[-1])))
+
+
 def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -> PDReport:
     """Test positivity of a kernel table.
 
@@ -200,14 +214,25 @@ def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -
     of the quadratic form over all coefficient systems, up to the same
     tolerance relative to ``sum ||a_i||^2``.
     """
-    evals = np.linalg.eigvalsh(table.flat)
-    min_eig = float(evals[0])
-    scale = float(max(abs(evals[0]), abs(evals[-1])))
+    min_eig, scale = eig_extremes(np.linalg.eigvalsh(table.flat))
     if tol is None:
         tol = PD_RTOL * scale
     elif tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return PDReport(pd=min_eig >= -tol, min_eig=min_eig, scale=scale, tol=float(tol))
+
+
+def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what: str) -> np.ndarray:
+    """Solve ``gram x = rhs`` for a Hermitian ``gram`` that must be invertible.
+
+    Raises ``error`` when the smallest eigenvalue is at or below ``tol``
+    times the largest, or when no eigenvalue is positive; ``what`` names
+    the matrix in the message.
+    """
+    evals = np.linalg.eigvalsh(gram)
+    if float(evals[0]) <= tol * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
+        raise error(f"{what} is numerically singular (eigs in [{evals[0]:.3e}, {evals[-1]:.3e}])")
+    return np.linalg.solve(gram, rhs)
 
 
 def kernel_leq(lo: OperatorKernelTable, hi: OperatorKernelTable, tol: float | None = None) -> bool:

@@ -34,9 +34,7 @@ from .errors import (
     SingularL,
     SingularSystem,
 )
-from .kernels import PD_RTOL, RANK_RTOL, OperatorKernelTable
-
-_TINY = 1e-300
+from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, gated_solve
 
 
 @dataclass(frozen=True)
@@ -79,18 +77,22 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Pairwise scalarized kernel values of the training pairs, for K and L."""
+    """Pairwise scalarized kernel values of the training pairs, for K and L.
+
+    ``rows`` holds the position of each training label in the kernels'
+    label set.
+    """
 
     kernel_gram: np.ndarray
     noise_gram: np.ndarray
     training: TrainingSet
     kernel: OperatorKernelTable
     noise_kernel: OperatorKernelTable
+    rows: np.ndarray
 
 
-def _pair_gram(table: OperatorKernelTable, train: TrainingSet) -> np.ndarray:
-    idx = np.array([table.label_set.index(s) for s in train.labels])
-    blocks = table.blocks[np.ix_(idx, idx)]
+def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray) -> np.ndarray:
+    blocks = table.blocks[np.ix_(rows, rows)]
     gram = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), blocks, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
     evals = np.linalg.eigvalsh(gram)
@@ -114,12 +116,14 @@ def design_matrices(
         raise ShapeError(
             f"training vectors have length {train.vectors.shape[1]}, kernel expects {kernel.dim_h}"
         )
+    rows = np.array([kernel.label_set.index(s) for s in train.labels])
     return DesignMatrices(
-        kernel_gram=_pair_gram(kernel, train),
-        noise_gram=_pair_gram(noise_kernel, train),
+        kernel_gram=_pair_gram(kernel, train, rows),
+        noise_gram=_pair_gram(noise_kernel, train, rows),
         training=train,
         kernel=kernel,
         noise_kernel=noise_kernel,
+        rows=rows,
     )
 
 
@@ -139,14 +143,7 @@ def krr_fit(dm: DesignMatrices, y, tol: float = RANK_RTOL) -> RegressionFit:
     m = dm.training.size
     if y.shape != (m,):
         raise ShapeError(f"targets must be ({m},), got {y.shape}")
-    h = dm.noise_gram + dm.kernel_gram
-    evals = np.linalg.eigvalsh(h)
-    if float(evals[0]) <= tol * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
-        raise SingularSystem(
-            f"[L] + [K] is numerically singular (eigs in [{evals[0]:.3e}, {evals[-1]:.3e}]); "
-            "duplicated samples with rank-deficient kernels are the usual cause"
-        )
-    c = np.linalg.solve(h, y)
+    c = gated_solve(dm.noise_gram + dm.kernel_gram, y, tol, SingularSystem, "[L] + [K]")
     return RegressionFit(coefficients=c, fitted=dm.kernel_gram @ c, design=dm, targets=y)
 
 
@@ -161,9 +158,8 @@ def predict(fit: RegressionFit, s: str, a) -> complex:
     if a.shape != (table.dim_h,):
         raise ShapeError(f"expected vector of length {table.dim_h}, got {a.shape}")
     i = table.label_set.index(s)
-    train = fit.design.training
-    idx = np.array([table.label_set.index(t) for t in train.labels])
-    row = np.einsum("p,jpq,jq->j", a.conj(), table.blocks[i, idx], train.vectors)
+    dm = fit.design
+    row = np.einsum("p,jpq,jq->j", a.conj(), table.blocks[i, dm.rows], dm.training.vectors)
     return complex(row @ fit.coefficients)
 
 
@@ -187,12 +183,10 @@ def objective_value(
     m = train.size
     if y.shape != (m,) or g.shape != (m,):
         raise ShapeError(f"y and g must have shape ({m},)")
-    evals = np.linalg.eigvalsh(dm.noise_gram)
-    if float(evals[0]) <= RANK_RTOL * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
-        raise SingularL(f"[L] is numerically singular (min eig {evals[0]:.3e})")
     r = dm.kernel_gram @ g - y
-    value = complex(r.conj() @ np.linalg.solve(dm.noise_gram, r) + g.conj() @ dm.kernel_gram @ g)
-    scale = max(abs(value), float(np.linalg.norm(y) ** 2), _TINY)
+    l_inv_r = gated_solve(dm.noise_gram, r, RANK_RTOL, SingularL, "[L]")
+    value = complex(r.conj() @ l_inv_r + g.conj() @ dm.kernel_gram @ g)
+    scale = max(abs(value), float(np.linalg.norm(y) ** 2), TINY)
     if abs(value.imag) > 1e-12 * scale:
         raise InternalInvariantViolation(
             f"objective should be real; imaginary part {value.imag:.3e} at scale {scale:.3e}"
@@ -218,10 +212,5 @@ def gp_posterior_mean(
     if observed.shape != (n, d):
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
     total = kernel.flat + noise_kernel.flat
-    evals = np.linalg.eigvalsh(total)
-    if float(evals[0]) <= tol * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
-        raise SingularSystem(
-            f"K + L Gram is numerically singular (eigs in [{evals[0]:.3e}, {evals[-1]:.3e}])"
-        )
-    solved = np.linalg.solve(total, observed.reshape(n * d))
+    solved = gated_solve(total, observed.reshape(n * d), tol, SingularSystem, "K + L Gram")
     return (kernel.flat @ solved).reshape(n, d)

@@ -81,6 +81,23 @@ def _field(data: dict, name: str):
     return data[name]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    return value
+
+
+def _number(value, name: str, integer: bool = False):
+    """A JSON number as a float, or as an int when ``integer`` is set."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _points_from_params(params: dict, labels: LabelSet, d: int) -> dict[str, np.ndarray]:
     raw = _field(params, "points")
     if not isinstance(raw, dict):
@@ -89,10 +106,9 @@ def _points_from_params(params: dict, labels: LabelSet, d: int) -> dict[str, np.
 
 
 def kernel_from_spec(data: dict) -> OperatorKernelTable:
-    if not isinstance(data, dict):
-        raise SpecError("kernel spec must be a JSON object")
+    _object(data, "kernel spec")
     labels = LabelSet.of(_field(data, "labels"))
-    dim_h = int(_field(data, "dim_h"))
+    dim_h = _number(_field(data, "dim_h"), "dim_h", integer=True)
     if dim_h < 1:
         raise SpecError("dim_h must be >= 1")
     kind = _field(data, "kind")
@@ -102,9 +118,9 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
         blocks = json_to_array(_field(data, "blocks"), (n, n, dim_h, dim_h))
         return OperatorKernelTable(labels, blocks)
     if kind == "builder":
-        builder = _field(data, "builder")
+        builder = _object(_field(data, "builder"), "builder")
         name = _field(builder, "name")
-        params = builder.get("params", {})
+        params = _object(builder.get("params", {}), "builder params")
         if name == "identity":
             return identity_kernel(labels, dim_h)
         if name == "constant":
@@ -114,12 +130,16 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
             return cp_contraction_kernel(h, labels, _points_from_params(params, labels, dim_h))
         if name == "neumann_series":
             h = json_to_array(_field(params, "h"), (dim_h, dim_h))
-            tol = float(params.get("tol", 1e-12))
+            tol = _number(params.get("tol", 1e-12), "tol")
             return neumann_series_kernel(h, labels, _points_from_params(params, labels, dim_h), tol)
         if name == "random_pd":
-            seed = int(_field(params, "seed"))
+            seed = _number(_field(params, "seed"), "seed", integer=True)
+            if seed < 0:
+                raise SpecError(f"seed must be >= 0, got {seed}")
             rank = params.get("rank")
-            table = random_pd_kernel(seed, n, dim_h, None if rank is None else int(rank))
+            if rank is not None:
+                rank = _number(rank, "rank", integer=True)
+            table = random_pd_kernel(seed, n, dim_h, rank)
             if table.label_set != labels:
                 table = OperatorKernelTable(labels, table.blocks)
             return table
@@ -138,8 +158,7 @@ def kernel_to_spec(table: OperatorKernelTable) -> dict:
 
 def system_from_spec(data: dict):
     """Return the five raw components (k1, k2, l1, l2, t) of a system spec."""
-    if not isinstance(data, dict):
-        raise SpecError("system spec must be a JSON object")
+    _object(data, "system spec")
     tables = {name: kernel_from_spec(_field(data, name)) for name in ("k1", "k2", "l1", "l2")}
     d = tables["k1"].dim_h
     t_op = json_to_array(_field(data, "t"), (d, d))
@@ -148,15 +167,13 @@ def system_from_spec(data: dict):
 
 def pair_from_spec(data: dict):
     """Return (lo, hi) from a pair spec {"l": ..., "k": ...}."""
-    if not isinstance(data, dict):
-        raise SpecError("pair spec must be a JSON object")
+    _object(data, "pair spec")
     return kernel_from_spec(_field(data, "l")), kernel_from_spec(_field(data, "k"))
 
 
 def joint_from_spec(data: dict):
     """Return (k, l, coupling, observed_or_None) from a joint spec."""
-    if not isinstance(data, dict):
-        raise SpecError("joint spec must be a JSON object")
+    _object(data, "joint spec")
     k = kernel_from_spec(_field(data, "k"))
     l = kernel_from_spec(_field(data, "l"))
     n, d = k.n, k.dim_h

@@ -30,6 +30,11 @@ unique operator ``Phi`` on the dilation space of ``hi`` with
 is dominated (``K1 <= K2``) its square root agrees with the transfer
 function on the span of the ``V_K2(s) a``, after the canonical isometric
 identification of the two dilation spaces.
+
+A realization is built once per system and shared by every check:
+``real = construct_partial_isometry(sys)``, then
+``verify_realization(real, sys, tol)``, ``transitive_action_check(sys, real)``
+and ``verify_rn_transfer_identity(real, sys, tol)``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .dilation import FeatureSystem, kolmogorov_factorize
 from .errors import (
@@ -52,12 +56,11 @@ from .errors import (
 )
 from .kernels import (
     RANK_RTOL,
+    TINY,
     LabelSet,
     OperatorKernelTable,
     is_positive_definite,
 )
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def validate_system(
         float(np.linalg.norm(k2.flat, 2)),
         t_sq * float(np.linalg.norm(l1.flat, 2)),
         t_sq * float(np.linalg.norm(l2.flat, 2)),
-        _TINY,
+        TINY,
     )
     rel = residual / scale
     if residual > tol * scale:
@@ -192,7 +195,7 @@ def construct_partial_isometry(sys: SignedKernelSystem, tol: float = RANK_RTOL) 
 
     gram_g = g.conj().T @ g
     gram_f = f.conj().T @ f
-    gram_scale = max(float(np.linalg.norm(gram_g, 2)), float(np.linalg.norm(gram_f, 2)), _TINY)
+    gram_scale = max(float(np.linalg.norm(gram_g, 2)), float(np.linalg.norm(gram_f, 2)), TINY)
     gram_defect = float(np.linalg.norm(gram_g - gram_f, 2)) / gram_scale
     if gram_defect > 1e-9:
         raise GramMismatch(
@@ -215,6 +218,11 @@ def construct_partial_isometry(sys: SignedKernelSystem, tol: float = RANK_RTOL) 
         gram_defect=gram_defect,
     )
     return realization
+
+
+def _max_spectral_norm(blocks) -> float:
+    """Largest spectral norm among equally shaped blocks, in one batched SVD."""
+    return float(np.linalg.norm(np.stack(list(blocks)), 2, axis=(1, 2)).max())
 
 
 def transfer_function(
@@ -279,23 +287,15 @@ def verify_realization(
     labels = sys.label_set.labels
     t12 = {s: transfer_function(real, sys, s) for s in labels}
 
-    k1_stack_scale = max(float(np.linalg.norm(fs_k1.stacked, 2)), _TINY)
-    feature_dev = max(
-        float(np.linalg.norm(fs_k1.operator(s) - t12[s] @ fs_k2.operator(s), 2))
-        for s in labels
-    )
-    k1_flat_scale = max(float(np.linalg.norm(sys.k1.flat, 2)), _TINY)
-    recon_dev = max(
-        float(
-            np.linalg.norm(
-                sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t),
-                2,
-            )
-        )
+    k1_stack_scale = max(float(np.linalg.norm(fs_k1.stacked, 2)), TINY)
+    feature_dev = _max_spectral_norm(fs_k1.operator(s) - t12[s] @ fs_k2.operator(s) for s in labels)
+    k1_flat_scale = max(float(np.linalg.norm(sys.k1.flat, 2)), TINY)
+    recon_dev = _max_spectral_norm(
+        sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t)
         for s in labels
         for t in labels
     )
-    f_scale = max(float(np.linalg.norm(real.f_columns, 2)), _TINY)
+    f_scale = max(float(np.linalg.norm(real.f_columns, 2)), TINY)
     intertwine_dev = float(np.linalg.norm(real.f_columns - real.w @ real.g_columns, 2))
 
     report = RealizationReport(
@@ -315,29 +315,18 @@ def verify_realization(
     return replace(report, passed=passed)
 
 
-def transitive_action_check(
-    sys: SignedKernelSystem,
-    real: TransferRealization,
-    tol: float = 1e-8,
-) -> bool:
+def transitive_action_check(sys: SignedKernelSystem, real: TransferRealization) -> bool:
     """True when the vectors ``T12(s) V_K2(s) a`` span the dilation space of K1.
 
-    Column spaces are compared via principal angles; since the image
-    vectors already live in the K1 dilation space, the decisive part is
-    that their numerical rank reaches the full dilation dimension.
+    The image vectors already live in the K1 dilation space ``C^r``, so they
+    span it exactly when their numerical rank (relative cutoff
+    ``RANK_RTOL``) reaches ``r``.  Propagates :class:`NotInvertible`.
     """
     fs_k2 = real.features["k2"]
-    r_k1 = real.features["k1"].dilation_dim
     cols = np.hstack(
         [transfer_function(real, sys, s) @ fs_k2.operator(s) for s in sys.label_set.labels]
     )
-    basis = _orthonormal_range(cols, RANK_RTOL)
-    if basis.shape[1] != r_k1:
-        return False
-    if r_k1 == 0:
-        return True
-    angles = scipy.linalg.subspace_angles(basis, np.eye(r_k1, dtype=np.complex128))
-    return bool(np.all(angles <= tol))
+    return _orthonormal_range(cols, RANK_RTOL).shape[1] == real.features["k1"].dilation_dim
 
 
 @dataclass(frozen=True)
@@ -363,20 +352,31 @@ def radon_nikodym(
 ) -> RNDerivative:
     """Solve ``lo(s, t) = V_hi(s)^H Phi V_hi(t)`` for ``0 <= Phi <= I``.
 
-    Requires ``lo <= hi`` (within ``-tol`` times the flattened norm of
-    ``hi``); then ``Phi = (V^+)^H flat(lo) V^+`` on the dilation space of
-    ``hi`` is the unique solution.  Eigenvalues outside ``[-tol, 1 + tol]``
+    Factors ``hi`` first, so a non-positive ``hi`` raises
+    :class:`NotPositiveDefinite`.  Requires ``lo <= hi`` (within ``-tol``
+    times the flattened norm of ``hi``); then ``Phi = (V^+)^H flat(lo) V^+``
+    on the dilation space of ``hi`` is the unique solution.  Eigenvalues outside ``[-tol, 1 + tol]``
     raise :class:`SpectrumOutOfRange`; inside, they are clamped to [0, 1]
     before the principal square root is taken.
     """
     lo._require_same_shape(hi)
-    hi_scale = is_positive_definite(hi).scale
+    return _derivative(lo, hi, kolmogorov_factorize(hi), tol)
+
+
+def _derivative(
+    lo: OperatorKernelTable,
+    hi: OperatorKernelTable,
+    fs: FeatureSystem,
+    tol: float,
+) -> RNDerivative:
+    """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
+    # The largest kept eigenvalue is the flattened norm of the positive ``hi``.
+    hi_scale = float(fs.basis_eigs[0]) if fs.dilation_dim else 0.0
     diff_report = is_positive_definite(hi - lo, tol * hi_scale)
     if not diff_report.pd:
         raise NotDominated(
             f"domination fails: min eigenvalue of (hi - lo) is {diff_report.min_eig:.3e}"
         )
-    fs = kolmogorov_factorize(hi)
     pinv = np.linalg.pinv(fs.stacked, rcond=RANK_RTOL)
     phi = pinv.conj().T @ lo.flat @ pinv
     phi = 0.5 * (phi + phi.conj().T)
@@ -391,7 +391,7 @@ def radon_nikodym(
     sqrt_phi = (u * np.sqrt(clamped)) @ u.conj().T
 
     residual = float(np.linalg.norm(fs.stacked.conj().T @ phi_c @ fs.stacked - lo.flat, 2))
-    rel = residual / max(hi_scale, _TINY)
+    rel = residual / max(hi_scale, TINY)
     if rel > max(tol, 10 * RANK_RTOL):
         raise InternalInvariantViolation(
             f"derivative reproduces lo with relative residual {rel:.3e}"
@@ -414,7 +414,11 @@ class RNTransferReport:
     passed: bool
 
 
-def verify_rn_transfer_identity(sys: SignedKernelSystem, tol: float = 1e-8) -> RNTransferReport:
+def verify_rn_transfer_identity(
+    real: TransferRealization,
+    sys: SignedKernelSystem,
+    tol: float = 1e-8,
+) -> RNTransferReport:
     """Check ``sqrt(dK1/dK2) = T12`` on the span of the ``V_K2(s) a``.
 
     The transfer function maps into the dilation space of K1 while the
@@ -422,21 +426,20 @@ def verify_rn_transfer_identity(sys: SignedKernelSystem, tol: float = 1e-8) -> R
     canonical identification ``V_K1(s) a -> sqrt(Phi) V_K2(s) a`` (an
     isometry on the span, fitted by least squares).  The reported deviation
     is the worst ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` relative to
-    ``||stacked V_K2||``.  Requires ``K1 <= K2``; propagates
-    :class:`NotDominated` and :class:`NotInvertible`.
+    ``||stacked V_K2||``.  ``real`` is the realization of ``sys`` from
+    :func:`construct_partial_isometry`, whose K2 factorization the
+    derivative (at tolerance ``1e-9``) reuses.  Requires ``K1 <= K2``;
+    propagates :class:`NotDominated` and :class:`NotInvertible`.
     """
-    rn = radon_nikodym(sys.k1, sys.k2)
-    real = construct_partial_isometry(sys)
-    fs2 = rn.feature_system
-    fs1 = real.features["k1"]
+    fs1, fs2 = real.features["k1"], real.features["k2"]
+    rn = _derivative(sys.k1, sys.k2, fs2, 1e-9)
 
     ident = rn.sqrt_phi @ fs2.stacked @ np.linalg.pinv(fs1.stacked, rcond=RANK_RTOL)
-    scale = max(float(np.linalg.norm(fs2.stacked, 2)), _TINY)
-    dev = 0.0
-    for s in sys.label_set.labels:
-        t12 = transfer_function(real, sys, s)
-        lifted = ident @ t12 @ real.features["k2"].operator(s)
-        dev = max(dev, float(np.linalg.norm(rn.sqrt_phi @ fs2.operator(s) - lifted, 2)))
+    scale = max(float(np.linalg.norm(fs2.stacked, 2)), TINY)
+    dev = _max_spectral_norm(
+        rn.sqrt_phi @ fs2.operator(s) - ident @ transfer_function(real, sys, s) @ fs2.operator(s)
+        for s in sys.label_set.labels
+    )
     rel = dev / scale
     return RNTransferReport(max_deviation=rel, spectrum=rn.spectrum, passed=rel <= tol)
 
@@ -484,7 +487,7 @@ def generate_valid_system(
             # K1 = K2 - T^H (L2 - L1) T, with the increment shrunk so K1 > 0.
             lam_min = float(np.linalg.eigvalsh(k2_flat)[0])
             lam_bump = float(np.linalg.eigvalsh(bump)[-1])
-            factor = 0.5 * lam_min / max(lam_bump, _TINY)
+            factor = 0.5 * lam_min / max(lam_bump, TINY)
             delta_flat = factor * delta_flat
             bump = factor * bump
             l1_flat, l2_flat = base_flat, base_flat + delta_flat

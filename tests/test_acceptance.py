@@ -131,7 +131,7 @@ def test_criterion_04_radon_nikodym_vs_transfer():
         for case in range(25):
             n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
             sys_ = generate_valid_system(50_000 + case, n, d, dominated=True)
-            report = verify_rn_transfer_identity(sys_, tol=1e-8)
+            report = verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_, tol=1e-8)
             assert report.passed, f"case {case}: {report}"
             assert report.spectrum[0] >= -1e-9, f"case {case}: {report}"
             assert report.spectrum[1] <= 1.0 + 1e-9, f"case {case}: {report}"

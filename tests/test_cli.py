@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from opkern import OperatorKernelTable, identity_kernel, scalar_kernel
+from opkern import OperatorKernelTable, generate_valid_system, identity_kernel, scalar_kernel, transfer
 from opkern.cli import main
 from opkern.specio import array_to_json, kernel_to_spec, training_set_to_csv
 from opkern.regression import TrainingSet
@@ -119,6 +119,33 @@ class TestCheckPd:
         assert main(["check-pd", "--spec", str(tmp_path / "absent.json")]) == 2
 
 
+def builder_spec(name, params, dim_h=1):
+    return {"labels": ["a"], "dim_h": dim_h, "kind": "builder", "builder": {"name": name, "params": params}}
+
+
+class TestSpecValidation:
+    NEUMANN = {"h": [[[0.5, 0.0]]], "points": {"a": [[[1.0, 0.0]]]}}
+    CASES = {
+        "dim_h_string": builder_spec("identity", {}, dim_h="x"),
+        "dim_h_null": builder_spec("identity", {}, dim_h=None),
+        "dim_h_fraction": builder_spec("identity", {}, dim_h=1.5),
+        "builder_number": {**builder_spec("identity", {}), "builder": 5},
+        "params_list": builder_spec("identity", []),
+        "seed_string": builder_spec("random_pd", {"seed": "a"}),
+        "seed_negative": builder_spec("random_pd", {"seed": -1}),
+        "rank_fraction": builder_spec("random_pd", {"seed": 1, "rank": 1.5}),
+        "tol_string": builder_spec("neumann_series", {**NEUMANN, "tol": "x"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_spec_exits_two(self, case, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", self.CASES[case])
+        assert main(["check-pd", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:")
+        assert "Traceback" not in err
+
+
 class TestHypothesisExitCodes:
     def test_factorize_indefinite_exits_three(self, specs):
         assert main(["factorize", "--spec", specs["indefinite"]]) == 3
@@ -182,6 +209,25 @@ class TestRealize:
         code = main(["realize", "--spec", specs["degenerate_system"], "--out", str(out), "--no-timestamp"])
         assert code == 3
         assert json.loads(out.read_text())["results"]["condition"] == "rank_condition_failed"
+
+    def test_one_realization_and_four_factorizations(self, tmp_path, monkeypatch):
+        sys_ = generate_valid_system(3, 2, 2, dominated=True)
+        spec = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
+        spec["t"] = array_to_json(sys_.t_op)
+        path = write_json(tmp_path / "system.json", spec)
+        calls = {"construct_partial_isometry": 0, "kolmogorov_factorize": 0}
+        for name in calls:
+            original = getattr(transfer, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(transfer, name, counted)
+        out = tmp_path / "r.json"
+        assert main(["realize", "--spec", path, "--out", str(out), "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["results"]["dominated"] is True
+        assert calls == {"construct_partial_isometry": 1, "kolmogorov_factorize": 4}
 
 
 class TestRn:
@@ -286,6 +332,37 @@ class TestKrr:
         assert code == 0
         pred = json.loads(out.read_text())["results"]["predictions"][0]
         assert pred["value"] == pytest.approx([1.0, 0.0])
+
+    @pytest.fixture
+    def predict_args(self, specs, tmp_path):
+        """krr-predict argv builder over a valid fit, for malformed fit or query payloads."""
+        fit_path = tmp_path / "fit.json"
+        main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+              "--train", specs["train"], "--out", str(fit_path), "--no-timestamp"])
+        good_query = write_json(tmp_path / "query.json", [{"label": "s1", "a": [[1.0, 0.0]]}])
+
+        def argv(fit=None, query=None):
+            fit_file = str(fit_path) if fit is None else write_json(tmp_path / "bad_fit.json", fit)
+            query_file = good_query if query is None else write_json(tmp_path / "bad_query.json", query)
+            return ["krr-predict", "--spec", specs["one"], "--noise-spec", specs["one"],
+                    "--train", specs["train"], "--fit", fit_file, "--query", query_file,
+                    "--out", str(tmp_path / "pred.json")]
+
+        return argv
+
+    def test_query_items_must_be_objects(self, predict_args, capsys):
+        assert main(predict_args(query=[1, 2])) == 2
+        assert "query items" in capsys.readouterr().err
+
+    def test_fit_must_be_an_object(self, predict_args, capsys):
+        assert main(predict_args(fit=[])) == 2
+        assert "not a krr-fit report" in capsys.readouterr().err
+
+    def test_fit_needs_coefficients(self, predict_args, tmp_path, capsys):
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        del fit["results"]["coefficients"]
+        assert main(predict_args(fit=fit)) == 2
+        assert "not a krr-fit report" in capsys.readouterr().err
 
     def test_hash_mismatch_rejected(self, specs, tmp_path):
         fit_path = tmp_path / "fit.json"

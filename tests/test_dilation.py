@@ -89,6 +89,25 @@ class TestFactorize:
                 alt = root[:, i * d : (i + 1) * d].conj().T @ root[:, j * d : (j + 1) * d]
                 np.testing.assert_allclose(fs.gram(s, t), alt, atol=1e-10)
 
+    def test_one_eigendecomposition_per_factorization(self, monkeypatch):
+        # the positivity gate reads the eigenvalues of the factorizing eigh
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        table = random_pd_kernel(8, 3, 2)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        kolmogorov_factorize(table)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
 
 class TestMinimalDilationDim:
     def test_identity_22(self, identity_22):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from opkern import (
+    RANK_RTOL,
     InvalidKernel,
     LabelError,
     LabelSet,
     NotStrictContraction,
     OperatorKernelTable,
     ShapeError,
+    SingularL,
+    SingularSystem,
     cp_contraction_kernel,
     flatten,
     identity_kernel,
@@ -19,6 +22,7 @@ from opkern import (
     scalar_kernel,
     zero_kernel,
 )
+from opkern.kernels import gated_solve
 from conftest import labels, scalar_table
 import oracles
 
@@ -311,3 +315,26 @@ class TestNormalizeDiagonal:
     def test_rejects_singular_diagonal(self, two_labels):
         with pytest.raises(InvalidKernel):
             normalize_diagonal(scalar_kernel(two_labels, np.diag([1.0, 0.0])))
+
+
+class TestGatedSolve:
+    # tol and the diagonal are powers of two, so tol * top is exact and a
+    # diagonal Hermitian matrix has exactly its diagonal as eigenvalues.
+    TOL = 0.25
+
+    def test_rejects_smallest_eigenvalue_equal_to_the_gate(self):
+        gram = np.diag([self.TOL, 0.5, 1.0]).astype(np.complex128)
+        assert np.linalg.eigvalsh(gram)[0] == self.TOL
+        with pytest.raises(SingularSystem, match=r"gram is numerically singular \(eigs in \["):
+            gated_solve(gram, np.ones(3), self.TOL, SingularSystem, "gram")
+
+    def test_accepts_smallest_eigenvalue_just_above_the_gate(self):
+        diag = np.array([np.nextafter(self.TOL, 1.0), 0.5, 1.0])
+        x = gated_solve(np.diag(diag).astype(np.complex128), np.ones(3), self.TOL, SingularSystem, "gram")
+        np.testing.assert_allclose(x, 1.0 / diag, rtol=1e-15)
+
+    @pytest.mark.parametrize("error", [SingularL, SingularSystem])
+    def test_raises_the_given_class(self, error):
+        with pytest.raises(error) as exc:
+            gated_solve(np.zeros((2, 2)), np.ones(2), RANK_RTOL, error, "zero")
+        assert type(exc.value) is error

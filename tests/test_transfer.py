@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,12 @@ class TestTransitiveAction:
         real = construct_partial_isometry(sys_)
         assert transitive_action_check(sys_, real) is True
 
+    def test_rank_deficient_image_fails(self):
+        # A = B = 0 makes T12 vanish, so the image vectors span nothing
+        sys_ = generate_valid_system(0, 2, 2)
+        real = construct_partial_isometry(sys_)
+        assert transitive_action_check(sys_, replace(real, a=0 * real.a, b=0 * real.b)) is False
+
 
 class TestRadonNikodym:
     def test_equal_kernels_give_identity(self):
@@ -208,6 +216,12 @@ class TestRadonNikodym:
         k = random_pd_kernel(4, 2, 2)
         with pytest.raises(NotDominated):
             radon_nikodym(2.0 * k, k)
+
+    def test_indefinite_hi_is_rejected_before_domination(self):
+        ls = labels(2)
+        indefinite = scalar_kernel(ls, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            radon_nikodym(zero_kernel(ls, 1), indefinite)
 
     @pytest.mark.parametrize("factor", [0.0, 0.3, 1.0])
     def test_scaling_compatibility(self, factor):
@@ -239,7 +253,7 @@ class TestRadonNikodym:
 class TestRnTransferIdentity:
     def test_scalar_system_agreement(self):
         sys_ = scalar_system(1, 4, 1, 4)
-        report = verify_rn_transfer_identity(sys_)
+        report = verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_)
         assert report.passed
         assert report.max_deviation <= 1e-12
         # in the one-dimensional case both operators are directly comparable
@@ -251,12 +265,12 @@ class TestRnTransferIdentity:
     def test_not_dominated_system_is_rejected(self):
         sys_ = scalar_system(4, 1, 4, 1)  # K1 = 4 > 1 = K2
         with pytest.raises(NotDominated):
-            verify_rn_transfer_identity(sys_)
+            verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_dominated_systems(self, seed):
         sys_ = generate_valid_system(100 + seed, 2, 2, dominated=True)
-        report = verify_rn_transfer_identity(sys_, tol=1e-8)
+        report = verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_, tol=1e-8)
         assert report.passed, report
 
 
