@@ -59,10 +59,8 @@ def _pair_to_complex(pair) -> complex:
 
 def array_to_json(arr: np.ndarray):
     """Nested lists with [re, im] leaves, preserving the array shape."""
-    arr = np.asarray(arr)
-    if arr.ndim == 0:
-        return complex_to_pair(complex(arr))
-    return [array_to_json(sub) for sub in arr]
+    a = np.asarray(arr, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def json_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -98,6 +96,12 @@ def _number(value, name: str, integer: bool = False):
     return int(value)
 
 
+def _labels(value) -> LabelSet:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise SpecError(f"labels must be a JSON list of strings, got {value!r}")
+    return LabelSet.of(value)
+
+
 def _points_from_params(params: dict, labels: LabelSet, d: int) -> dict[str, np.ndarray]:
     raw = _field(params, "points")
     if not isinstance(raw, dict):
@@ -107,7 +111,7 @@ def _points_from_params(params: dict, labels: LabelSet, d: int) -> dict[str, np.
 
 def kernel_from_spec(data: dict) -> OperatorKernelTable:
     _object(data, "kernel spec")
-    labels = LabelSet.of(_field(data, "labels"))
+    labels = _labels(_field(data, "labels"))
     dim_h = _number(_field(data, "dim_h"), "dim_h", integer=True)
     if dim_h < 1:
         raise SpecError("dim_h must be >= 1")
@@ -131,6 +135,8 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
         if name == "neumann_series":
             h = json_to_array(_field(params, "h"), (dim_h, dim_h))
             tol = _number(params.get("tol", 1e-12), "tol")
+            if not tol > 0:
+                raise SpecError(f"tol must be > 0, got {tol!r}")
             return neumann_series_kernel(h, labels, _points_from_params(params, labels, dim_h), tol)
         if name == "random_pd":
             seed = _number(_field(params, "seed"), "seed", integer=True)

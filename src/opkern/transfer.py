@@ -31,15 +31,17 @@ is dominated (``K1 <= K2``) its square root agrees with the transfer
 function on the span of the ``V_K2(s) a``, after the canonical isometric
 identification of the two dilation spaces.
 
-A realization is built once per system and shared by every check:
-``real = construct_partial_isometry(sys)``, then
-``verify_realization(real, sys, tol)``, ``transitive_action_check(sys, real)``
-and ``verify_rn_transfer_identity(real, sys, tol)``.
+:func:`validate_system` factors each of the four tables once and the
+validated system carries those factorizations; the realization
+``real = construct_partial_isometry(sys)`` is built from them, and
+``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label and
+derives every check from those values: the realization residuals, the
+transitive action and, for a dominated system, ``sqrt(dK1/dK2) = T12``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +67,11 @@ from .kernels import (
 
 @dataclass(frozen=True)
 class SignedKernelSystem:
-    """Validated system (K1, K2, L1, L2, T); see :func:`validate_system`."""
+    """Validated system (K1, K2, L1, L2, T); see :func:`validate_system`.
+
+    ``features`` maps ``"k1"``, ``"k2"``, ``"l1"``, ``"l2"`` to the
+    factorization of each table at ``RANK_RTOL``.
+    """
 
     k1: OperatorKernelTable
     k2: OperatorKernelTable
@@ -73,6 +79,7 @@ class SignedKernelSystem:
     l2: OperatorKernelTable
     t_op: np.ndarray
     identity_residual: float
+    features: dict[str, FeatureSystem]
 
     @property
     def label_set(self) -> LabelSet:
@@ -96,20 +103,24 @@ def validate_system(
 ) -> SignedKernelSystem:
     """Check shapes, positivity, and the defining identity of a system.
 
-    The identity residual is measured blockwise in spectral norm, relative
-    to the largest flattened norm among the four tables (the L-side scaled
-    by ``max(1, ||T||^2)``).  Violations raise :class:`NotEquivalent` with
-    the offending residual attached.
+    Positivity is decided by factoring each table (:func:`kolmogorov_factorize`
+    at ``RANK_RTOL``); a non-positive table raises
+    :class:`NotPositiveDefinite` naming it.  The identity residual is
+    measured blockwise in spectral norm, relative to the largest flattened
+    norm among the four tables (the L-side scaled by ``max(1, ||T||^2)``).
+    Violations raise :class:`NotEquivalent` with the offending residual
+    attached.
     """
-    tables = {"k1": k1, "k2": k2, "l1": l1, "l2": l2}
-    for name, tab in tables.items():
+    features = {}
+    for name, tab in {"k1": k1, "k2": k2, "l1": l1, "l2": l2}.items():
         k1._require_same_shape(tab)
-        report = is_positive_definite(tab)
-        if not report.pd:
+        try:
+            features[name] = kolmogorov_factorize(tab)
+        except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
-                f"kernel {name} is not positive (min eig {report.min_eig:.3e})",
-                min_eig=report.min_eig,
-            )
+                f"kernel {name} is not positive (min eig {exc.min_eig:.3e})",
+                min_eig=exc.min_eig,
+            ) from None
     t_op = np.asarray(t_op, dtype=np.complex128)
     if t_op.shape != (k1.dim_h, k1.dim_h):
         raise ShapeError(f"T must be ({k1.dim_h}, {k1.dim_h}), got {t_op.shape}")
@@ -133,12 +144,12 @@ def validate_system(
             residual=residual,
             relative=rel,
         )
-    return SignedKernelSystem(k1, k2, l1, l2, t_op, identity_residual=rel)
+    return SignedKernelSystem(k1, k2, l1, l2, t_op, identity_residual=rel, features=features)
 
 
 @dataclass(frozen=True)
 class TransferRealization:
-    """Partial isometry blocks A, B, C, D together with the factorizations.
+    """Partial isometry blocks A, B, C, D.
 
     ``initial_basis`` / ``final_basis`` are orthonormal column bases of the
     initial and final spaces; ``g_columns`` / ``f_columns`` are the stacked
@@ -153,7 +164,6 @@ class TransferRealization:
     final_basis: np.ndarray
     g_columns: np.ndarray
     f_columns: np.ndarray
-    features: dict[str, FeatureSystem]
     gram_defect: float
 
     @property
@@ -179,15 +189,17 @@ def _orthonormal_range(matrix: np.ndarray, tol: float) -> np.ndarray:
     return u[:, keep]
 
 
-def construct_partial_isometry(sys: SignedKernelSystem, tol: float = RANK_RTOL) -> TransferRealization:
+def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     """Build W = F G^+ from the stacked feature columns of a valid system.
 
+    The columns come from the factorizations ``sys.features``; the
+    pseudo-inverse and the range bases cut off at ``RANK_RTOL``.
     Well-definedness rests on the equality of the Gram matrices of the two
     column families, which is implied by the system identity; a mismatch
     beyond tolerance signals a numerical rank pathology and raises
     :class:`GramMismatch`.
     """
-    fs = {name: kolmogorov_factorize(tab, tol) for name, tab in sys.tables().items()}
+    fs = sys.features
     n = sys.label_set.n
     t_lift = np.kron(np.eye(n), sys.t_op)
     g = np.vstack([fs["k2"].stacked, fs["l1"].stacked @ t_lift])
@@ -203,21 +215,19 @@ def construct_partial_isometry(sys: SignedKernelSystem, tol: float = RANK_RTOL) 
             "the column correspondence is not isometric"
         )
 
-    w = f @ np.linalg.pinv(g, rcond=tol)
+    w = f @ np.linalg.pinv(g, rcond=RANK_RTOL)
     r_k1, r_k2 = fs["k1"].dilation_dim, fs["k2"].dilation_dim
-    realization = TransferRealization(
+    return TransferRealization(
         a=w[:r_k1, :r_k2],
         b=w[:r_k1, r_k2:],
         c=w[r_k1:, :r_k2],
         d=w[r_k1:, r_k2:],
-        initial_basis=_orthonormal_range(g, tol),
-        final_basis=_orthonormal_range(f, tol),
+        initial_basis=_orthonormal_range(g, RANK_RTOL),
+        final_basis=_orthonormal_range(f, RANK_RTOL),
         g_columns=g,
         f_columns=f,
-        features=fs,
         gram_defect=gram_defect,
     )
-    return realization
 
 
 def _max_spectral_norm(blocks) -> float:
@@ -239,8 +249,8 @@ def transfer_function(
     That failure reflects a violated hypothesis, not a numerical bug.
     """
     d_h = sys.dim_h
-    v_l1 = real.features["l1"].operator(s)
-    v_l2 = real.features["l2"].operator(s)
+    v_l1 = sys.features["l1"].operator(s)
+    v_l2 = sys.features["l2"].operator(s)
     m = v_l2 - real.d @ v_l1
     sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
     sigma_max = float(sv[0]) if sv.size else 0.0
@@ -256,11 +266,14 @@ def transfer_function(
 
 @dataclass(frozen=True)
 class RealizationReport:
-    """Relative residuals of the realization identities.
+    """Every realization check, from one evaluation of ``T12`` per label.
 
-    All residuals are relative to the scale documented on
+    Residuals are relative to the scales documented on
     :func:`verify_realization`; ``partial_isometry_defect`` is absolute
-    (projections have unit scale).
+    (projections have unit scale).  ``rn_spectrum`` and ``rn_vs_transfer``
+    are ``None`` unless ``dominated``.  ``passed`` requires the four
+    residuals within tolerance, the transitive action, and, for a dominated
+    system, ``rn_vs_transfer`` within tolerance.
     """
 
     feature_map_residual: float
@@ -268,6 +281,10 @@ class RealizationReport:
     intertwining_residual: float
     partial_isometry_defect: float
     gram_defect: float
+    transitive_action: bool
+    dominated: bool
+    rn_spectrum: tuple[float, float] | None
+    rn_vs_transfer: float | None
     passed: bool
 
 
@@ -276,19 +293,33 @@ def verify_realization(
     sys: SignedKernelSystem,
     tol: float = 1e-8,
 ) -> RealizationReport:
-    """Check the two realization identities at every label.
+    """Check the realization identities, the transitive action and, for a
+    dominated system, ``sqrt(dK1/dK2) = T12``, from one ``T12(s)`` per label.
 
     ``feature_map_residual`` is the worst ``||V_K1(s) - T12(s) V_K2(s)||``
     relative to ``||stacked V_K1||``; ``reconstruction_residual`` the worst
     ``||K1(s, t) - V_K1(s)^H T12(t) V_K2(t)||`` over pairs, relative to the
-    flattened norm of K1.  Propagates :class:`NotInvertible`.
+    flattened norm of K1.  The action is transitive when the image vectors
+    ``T12(s) V_K2(s) a``, which live in the K1 dilation space ``C^r``, have
+    numerical rank (relative cutoff ``RANK_RTOL``) ``r``.
+
+    When ``K1 <= K2`` the derivative ``Phi = dK1/dK2`` is computed from the
+    K2 factorization at tolerance ``1e-9``.  The transfer function maps into
+    the dilation space of K1 while ``Phi`` acts on that of K2, so the
+    comparison composes T12 with the canonical identification
+    ``V_K1(s) a -> sqrt(Phi) V_K2(s) a`` (an isometry on the span, fitted by
+    least squares); ``rn_vs_transfer`` is the worst
+    ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` relative to
+    ``||stacked V_K2||``, and ``rn_spectrum`` the raw extremes of ``Phi``.
+    Propagates :class:`NotInvertible`.
     """
-    fs_k1, fs_k2 = real.features["k1"], real.features["k2"]
+    fs_k1, fs_k2 = sys.features["k1"], sys.features["k2"]
     labels = sys.label_set.labels
     t12 = {s: transfer_function(real, sys, s) for s in labels}
+    images = [t12[s] @ fs_k2.operator(s) for s in labels]
 
     k1_stack_scale = max(float(np.linalg.norm(fs_k1.stacked, 2)), TINY)
-    feature_dev = _max_spectral_norm(fs_k1.operator(s) - t12[s] @ fs_k2.operator(s) for s in labels)
+    feature_dev = _max_spectral_norm(fs_k1.operator(s) - image for s, image in zip(labels, images))
     k1_flat_scale = max(float(np.linalg.norm(sys.k1.flat, 2)), TINY)
     recon_dev = _max_spectral_norm(
         sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t)
@@ -297,36 +328,40 @@ def verify_realization(
     )
     f_scale = max(float(np.linalg.norm(real.f_columns, 2)), TINY)
     intertwine_dev = float(np.linalg.norm(real.f_columns - real.w @ real.g_columns, 2))
+    residuals = (
+        feature_dev / k1_stack_scale,
+        recon_dev / k1_flat_scale,
+        intertwine_dev / f_scale,
+        real.partial_isometry_defect(),
+    )
+    transitive = _orthonormal_range(np.hstack(images), RANK_RTOL).shape[1] == fs_k1.dilation_dim
 
-    report = RealizationReport(
-        feature_map_residual=feature_dev / k1_stack_scale,
-        reconstruction_residual=recon_dev / k1_flat_scale,
-        intertwining_residual=intertwine_dev / f_scale,
-        partial_isometry_defect=real.partial_isometry_defect(),
+    rn_spectrum = rn_vs_transfer = None
+    try:
+        rn = _derivative(sys.k1, sys.k2, fs_k2, 1e-9)
+    except NotDominated:
+        rn = None
+    else:
+        ident = rn.sqrt_phi @ fs_k2.stacked @ np.linalg.pinv(fs_k1.stacked, rcond=RANK_RTOL)
+        k2_stack_scale = max(float(np.linalg.norm(fs_k2.stacked, 2)), TINY)
+        rn_dev = _max_spectral_norm(
+            rn.sqrt_phi @ fs_k2.operator(s) - ident @ t12[s] @ fs_k2.operator(s) for s in labels
+        )
+        rn_spectrum, rn_vs_transfer = rn.spectrum, rn_dev / k2_stack_scale
+
+    return RealizationReport(
+        *residuals,
         gram_defect=real.gram_defect,
-        passed=False,
+        transitive_action=transitive,
+        dominated=rn is not None,
+        rn_spectrum=rn_spectrum,
+        rn_vs_transfer=rn_vs_transfer,
+        passed=(
+            all(r <= tol for r in residuals)
+            and transitive
+            and (rn_vs_transfer is None or rn_vs_transfer <= tol)
+        ),
     )
-    passed = (
-        report.feature_map_residual <= tol
-        and report.reconstruction_residual <= tol
-        and report.intertwining_residual <= tol
-        and report.partial_isometry_defect <= tol
-    )
-    return replace(report, passed=passed)
-
-
-def transitive_action_check(sys: SignedKernelSystem, real: TransferRealization) -> bool:
-    """True when the vectors ``T12(s) V_K2(s) a`` span the dilation space of K1.
-
-    The image vectors already live in the K1 dilation space ``C^r``, so they
-    span it exactly when their numerical rank (relative cutoff
-    ``RANK_RTOL``) reaches ``r``.  Propagates :class:`NotInvertible`.
-    """
-    fs_k2 = real.features["k2"]
-    cols = np.hstack(
-        [transfer_function(real, sys, s) @ fs_k2.operator(s) for s in sys.label_set.labels]
-    )
-    return _orthonormal_range(cols, RANK_RTOL).shape[1] == real.features["k1"].dilation_dim
 
 
 @dataclass(frozen=True)
@@ -403,45 +438,6 @@ def _derivative(
         feature_system=fs,
         reproduction_residual=rel,
     )
-
-
-@dataclass(frozen=True)
-class RNTransferReport:
-    """Agreement of sqrt(derivative) with the transfer function."""
-
-    max_deviation: float
-    spectrum: tuple[float, float]
-    passed: bool
-
-
-def verify_rn_transfer_identity(
-    real: TransferRealization,
-    sys: SignedKernelSystem,
-    tol: float = 1e-8,
-) -> RNTransferReport:
-    """Check ``sqrt(dK1/dK2) = T12`` on the span of the ``V_K2(s) a``.
-
-    The transfer function maps into the dilation space of K1 while the
-    derivative acts on that of K2, so the comparison composes T12 with the
-    canonical identification ``V_K1(s) a -> sqrt(Phi) V_K2(s) a`` (an
-    isometry on the span, fitted by least squares).  The reported deviation
-    is the worst ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` relative to
-    ``||stacked V_K2||``.  ``real`` is the realization of ``sys`` from
-    :func:`construct_partial_isometry`, whose K2 factorization the
-    derivative (at tolerance ``1e-9``) reuses.  Requires ``K1 <= K2``;
-    propagates :class:`NotDominated` and :class:`NotInvertible`.
-    """
-    fs1, fs2 = real.features["k1"], real.features["k2"]
-    rn = _derivative(sys.k1, sys.k2, fs2, 1e-9)
-
-    ident = rn.sqrt_phi @ fs2.stacked @ np.linalg.pinv(fs1.stacked, rcond=RANK_RTOL)
-    scale = max(float(np.linalg.norm(fs2.stacked, 2)), TINY)
-    dev = _max_spectral_norm(
-        rn.sqrt_phi @ fs2.operator(s) - ident @ transfer_function(real, sys, s) @ fs2.operator(s)
-        for s in sys.label_set.labels
-    )
-    rel = dev / scale
-    return RNTransferReport(max_deviation=rel, spectrum=rn.spectrum, passed=rel <= tol)
 
 
 # ---------------------------------------------------------------------------

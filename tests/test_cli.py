@@ -1,9 +1,11 @@
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkern import OperatorKernelTable, generate_valid_system, identity_kernel, scalar_kernel, transfer
 from opkern.cli import main
@@ -118,6 +120,13 @@ class TestCheckPd:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check-pd", "--spec", str(tmp_path / "absent.json")]) == 2
 
+    def test_unwritable_out_exits_two(self, specs, tmp_path, capsys):
+        out = tmp_path / "absent_dir" / "r.json"
+        assert main(["check-pd", "--spec", specs["identity"], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:")
+        assert "Traceback" not in err
+
 
 def builder_spec(name, params, dim_h=1):
     return {"labels": ["a"], "dim_h": dim_h, "kind": "builder", "builder": {"name": name, "params": params}}
@@ -135,6 +144,14 @@ class TestSpecValidation:
         "seed_negative": builder_spec("random_pd", {"seed": -1}),
         "rank_fraction": builder_spec("random_pd", {"seed": 1, "rank": 1.5}),
         "tol_string": builder_spec("neumann_series", {**NEUMANN, "tol": "x"}),
+        "tol_zero": builder_spec("neumann_series", {**NEUMANN, "tol": 0}),
+        "tol_negative": builder_spec("neumann_series", {**NEUMANN, "tol": -1e-12}),
+        "labels_number": {**builder_spec("identity", {}), "labels": 5},
+        "labels_null": {**builder_spec("identity", {}), "labels": None},
+        "labels_true": {**builder_spec("identity", {}), "labels": True},
+        "labels_fraction": {**builder_spec("identity", {}), "labels": 1.5},
+        "labels_string": {**builder_spec("identity", {}), "labels": "abc"},
+        "labels_numeric_items": {**builder_spec("identity", {}), "labels": [1, 2]},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -144,6 +161,63 @@ class TestSpecValidation:
         err = capsys.readouterr().err
         assert err.startswith("opkern: input error:")
         assert "Traceback" not in err
+
+
+# Arbitrary JSON values.  Integers and floats stay small because they can
+# become dimensions, ranks and label counts, which size the tables built.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(-8.0, 8.0)
+    | st.sampled_from([float("nan"), float("inf")])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+ONE_PAIR = [[[1.0, 0.0]]]
+VALID_SPECS = [
+    {"labels": ["a", "b"], "dim_h": 1, "kind": "explicit",
+     "blocks": [[ONE_PAIR, [[[0.0, 0.0]]]], [[[[0.0, 0.0]]], ONE_PAIR]]},
+    builder_spec("identity", {}),
+    builder_spec("constant", {"block": ONE_PAIR}),
+    builder_spec("cp_contraction", {"h": [[[0.5, 0.0]]], "points": {"a": ONE_PAIR}}),
+    builder_spec("neumann_series", {"h": [[[0.5, 0.0]]], "points": {"a": ONE_PAIR}, "tol": 1e-12}),
+    builder_spec("random_pd", {"seed": 1, "rank": 1}),
+]
+
+
+def _field_paths(spec):
+    """Key paths of the top-level fields, the builder's fields and each builder parameter."""
+    paths = [(key,) for key in spec]
+    if "builder" in spec:
+        paths += [("builder", key) for key in spec["builder"]]
+        paths += [("builder", "params", key) for key in spec["builder"]["params"]]
+    return paths
+
+
+@st.composite
+def fuzzed_kernel_specs(draw):
+    """A valid kernel spec with some of its fields replaced by arbitrary JSON."""
+    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    fields = draw(st.lists(st.sampled_from(_field_paths(spec)), min_size=1, max_size=3, unique=True))
+    # Innermost first, so that replacing a container discards its fuzzed members.
+    for path in sorted(fields, key=len, reverse=True):
+        holder = spec
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = draw(JSON_VALUES)
+    return spec
+
+
+class TestSpecFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(spec=fuzzed_kernel_specs())
+    def test_check_pd_exit_code_is_total(self, spec, tmp_path_factory):
+        # Any exception escaping main fails the test.
+        base = tmp_path_factory.getbasetemp()
+        path = write_json(base / "fuzzed_spec.json", spec)
+        assert main(["check-pd", "--spec", path, "--out", str(base / "fuzzed_report.json")]) in {0, 1, 2, 3}
 
 
 class TestHypothesisExitCodes:
@@ -215,7 +289,12 @@ class TestRealize:
         spec = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
         spec["t"] = array_to_json(sys_.t_op)
         path = write_json(tmp_path / "system.json", spec)
-        calls = {"construct_partial_isometry": 0, "kolmogorov_factorize": 0}
+        calls = {
+            "construct_partial_isometry": 0,
+            "kolmogorov_factorize": 0,
+            "transfer_function": 0,
+            "is_positive_definite": 0,
+        }
         for name in calls:
             original = getattr(transfer, name)
 
@@ -227,7 +306,13 @@ class TestRealize:
         out = tmp_path / "r.json"
         assert main(["realize", "--spec", path, "--out", str(out), "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["results"]["dominated"] is True
-        assert calls == {"construct_partial_isometry": 1, "kolmogorov_factorize": 4}
+        # T12 once per label; one positivity test, for the domination of K1 by K2
+        assert calls == {
+            "construct_partial_isometry": 1,
+            "kolmogorov_factorize": 4,
+            "transfer_function": 2,
+            "is_positive_definite": 1,
+        }
 
 
 class TestRn:
@@ -287,6 +372,18 @@ class TestSampleCount:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--samples" in proc.stderr
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("command", ["check-pd", "factorize"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_tol_exits_two(self, command, tol, specs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", specs["identity"], "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--tol" in err
 
 
 class TestMcVerify:
@@ -363,6 +460,14 @@ class TestKrr:
         del fit["results"]["coefficients"]
         assert main(predict_args(fit=fit)) == 2
         assert "not a krr-fit report" in capsys.readouterr().err
+
+    def test_missing_train_exits_two(self, specs, tmp_path, capsys):
+        code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", str(tmp_path / "missing.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:")
+        assert "Traceback" not in err
 
     def test_hash_mismatch_rejected(self, specs, tmp_path):
         fit_path = tmp_path / "fit.json"

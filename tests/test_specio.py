@@ -17,6 +17,7 @@ from opkern import (
 from opkern.specio import (
     SpecError,
     array_to_json,
+    complex_to_pair,
     feature_system_to_json,
     joint_from_spec,
     json_to_array,
@@ -44,7 +45,31 @@ def reference_path_csv(batch):
     return out.getvalue()
 
 
+def reference_array_json(arr):
+    """The per-element recursion that array_to_json must reproduce."""
+    arr = np.asarray(arr)
+    if arr.ndim == 0:
+        return complex_to_pair(complex(arr))
+    return [reference_array_json(sub) for sub in arr]
+
+
+ARRAYS = {
+    "zero_dim": np.array(1.5 - 2j),
+    "real_float": np.array([[0.5, -2.0], [3.0, 7.25]]),
+    "integer": np.arange(6).reshape(2, 3),
+    "extremes": np.array([-0.0, complex(-0.0, -0.0), 5e-324, complex(1e22, -5e-324)]),
+    "random_complex": np.random.default_rng(11).standard_normal((3, 2, 2, 2))
+    + 1j * np.random.default_rng(12).standard_normal((3, 2, 2, 2)),
+}
+
+
 class TestComplexArrays:
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_matches_per_element_writer(self, name):
+        # json.dumps tells -0.0 from 0.0 and 1 from 1.0, where == does not
+        arr = ARRAYS[name]
+        assert json.dumps(array_to_json(arr)) == json.dumps(reference_array_json(arr))
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))

@@ -18,10 +18,8 @@ from opkern import (
     random_pd_kernel,
     scalar_kernel,
     transfer_function,
-    transitive_action_check,
     validate_system,
     verify_realization,
-    verify_rn_transfer_identity,
     zero_kernel,
 )
 from conftest import labels
@@ -57,7 +55,7 @@ class TestValidateSystem:
         ls = labels(2)
         good = identity_kernel(ls, 1)
         bad = scalar_kernel(ls, np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match=r"kernel l1 is not positive"):
             validate_system(good, good, bad, bad, ONE)
 
     def test_symmetric_and_reflexive(self):
@@ -179,19 +177,19 @@ class TestTransitiveAction:
     def test_scalar_systems(self, args):
         sys_ = scalar_system(*args)
         real = construct_partial_isometry(sys_)
-        assert transitive_action_check(sys_, real) is True
+        assert verify_realization(real, sys_).transitive_action is True
 
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_systems(self, seed):
         sys_ = generate_valid_system(seed, 2, 2)
         real = construct_partial_isometry(sys_)
-        assert transitive_action_check(sys_, real) is True
+        assert verify_realization(real, sys_).transitive_action is True
 
     def test_rank_deficient_image_fails(self):
         # A = B = 0 makes T12 vanish, so the image vectors span nothing
         sys_ = generate_valid_system(0, 2, 2)
         real = construct_partial_isometry(sys_)
-        assert transitive_action_check(sys_, replace(real, a=0 * real.a, b=0 * real.b)) is False
+        assert verify_realization(replace(real, a=0 * real.a, b=0 * real.b), sys_).transitive_action is False
 
 
 class TestRadonNikodym:
@@ -253,9 +251,9 @@ class TestRadonNikodym:
 class TestRnTransferIdentity:
     def test_scalar_system_agreement(self):
         sys_ = scalar_system(1, 4, 1, 4)
-        report = verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_)
-        assert report.passed
-        assert report.max_deviation <= 1e-12
+        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        assert report.rn_vs_transfer <= 1e-8
+        assert report.rn_vs_transfer <= 1e-12
         # in the one-dimensional case both operators are directly comparable
         rn = radon_nikodym(sys_.k1, sys_.k2)
         real = construct_partial_isometry(sys_)
@@ -264,14 +262,14 @@ class TestRnTransferIdentity:
 
     def test_not_dominated_system_is_rejected(self):
         sys_ = scalar_system(4, 1, 4, 1)  # K1 = 4 > 1 = K2
-        with pytest.raises(NotDominated):
-            verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_)
+        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        assert report.dominated is False and report.rn_vs_transfer is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_dominated_systems(self, seed):
         sys_ = generate_valid_system(100 + seed, 2, 2, dominated=True)
-        report = verify_rn_transfer_identity(construct_partial_isometry(sys_), sys_, tol=1e-8)
-        assert report.passed, report
+        report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
+        assert report.rn_vs_transfer <= 1e-8, report
 
 
 class TestGenerator:
