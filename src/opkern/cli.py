@@ -273,9 +273,7 @@ def cmd_krr_predict(args) -> int:
     train = specio.training_set_from_csv(Path(args.train).read_text(encoding="utf-8"))
     coeffs = specio.json_to_array(fit_coefficients, (train.size,))
     dm = regression.design_matrices(kernel, noise, train)
-    fit = regression.RegressionFit(
-        coefficients=coeffs, fitted=dm.kernel_gram @ coeffs, design=dm, targets=train.targets
-    )
+    fit = regression.RegressionFit(coefficients=coeffs, fitted=dm.kernel_gram @ coeffs, design=dm)
     queries = specio.load_json(args.query)
     if not isinstance(queries, list):
         raise SpecError("query file must be a JSON list of {label, a} objects")
@@ -297,14 +295,16 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opkern", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_help, tol=None):
+    def common(p, spec_help, *tol):
+        """The options of every subcommand; a ``tol`` adds ``--tol`` with that default."""
         p.add_argument("--spec", required=True, help=spec_help)
-        p.add_argument("--tol", type=_tolerance, default=tol, help="tolerance override")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=tol[0], help="tolerance override")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
 
     p = sub.add_parser("check-pd", help="positivity test of a kernel spec")
-    common(p, "kernel spec JSON")
+    common(p, "kernel spec JSON", None)
     p.set_defaults(func=cmd_check_pd)
 
     p = sub.add_parser("factorize", help="factor a kernel through its flattened eigenbasis")

@@ -39,6 +39,12 @@ class FeatureSystem:
     stacked: np.ndarray
     basis_eigs: np.ndarray
 
+    @property
+    def norm(self) -> float:
+        """Spectral norm of the factored table: its largest kept eigenvalue,
+        or 0 when ``r = 0``.  ``||stacked||_2`` is its square root."""
+        return float(self.basis_eigs[0]) if self.dilation_dim else 0.0
+
     def operator(self, label: str) -> np.ndarray:
         """Feature operator V(s), an (r, d) matrix."""
         i = self.label_set.index(label)
@@ -90,9 +96,9 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     )
 
 
-def minimal_dilation_dim(table: OperatorKernelTable, tol: float = RANK_RTOL) -> int:
+def minimal_dilation_dim(table: OperatorKernelTable) -> int:
     """Numerical rank of the flattened matrix = dimension of the minimal dilation."""
-    return kolmogorov_factorize(table, tol).dilation_dim
+    return kolmogorov_factorize(table).dilation_dim
 
 
 def embed(fs: FeatureSystem, t: str, b) -> np.ndarray:
@@ -115,14 +121,14 @@ def adjoint_apply(fs: FeatureSystem, s: str, v) -> np.ndarray:
     return fs.operator(s).conj().T @ v
 
 
-def projection_chain(fs: FeatureSystem, chain, t: str, b, tol: float = 1e-9) -> np.ndarray:
+def projection_chain(fs: FeatureSystem, chain, t: str, b) -> np.ndarray:
     """Apply the range maps ``V(s_1)V(s_1)^H ... V(s_m)V(s_m)^H`` to ``V(t) b``.
 
     The rightmost factor acts first.  By the adjoint identity alone the
     result has the closed form ``V(s_1) K(s_1, s_2) ... K(s_m, t) b``, which
-    is asserted against the iterated computation; for unital tables the
-    factors are orthogonal projections and the sweep is a Kaczmarz-style
-    update, but the closed form needs no unitality.
+    is asserted against the iterated computation to ``1e-9`` relative; for
+    unital tables the factors are orthogonal projections and the sweep is a
+    Kaczmarz-style update, but the closed form needs no unitality.
     """
     chain = list(chain)
     vec = embed(fs, t, b)
@@ -139,7 +145,7 @@ def projection_chain(fs: FeatureSystem, chain, t: str, b, tol: float = 1e-9) -> 
         expected = fs.operator(chain[0]) @ acc
         scale = max(start_norm, float(np.linalg.norm(expected)), TINY)
         gap = float(np.linalg.norm(vec - expected))
-        if gap > tol * scale:
+        if gap > 1e-9 * scale:
             raise InternalInvariantViolation(
                 f"projection sweep deviates from its closed form by {gap:.3e} (scale {scale:.3e})"
             )

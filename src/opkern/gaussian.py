@@ -142,9 +142,9 @@ class GaussianSampler:
         return draw_paths(self.feature_system, self.seed, index, 1).paths[0]
 
 
-def make_sampler(table: OperatorKernelTable, seed: int, tol: float = RANK_RTOL) -> GaussianSampler:
+def make_sampler(table: OperatorKernelTable, seed: int) -> GaussianSampler:
     """Sampler for the process whose covariance kernel is ``table``."""
-    return GaussianSampler(feature_system=kolmogorov_factorize(table, tol), seed=seed)
+    return GaussianSampler(feature_system=kolmogorov_factorize(table), seed=seed)
 
 
 def empirical_covariance(batch: PathBatch) -> OperatorKernelTable:
@@ -203,10 +203,6 @@ class JointKernel:
         return self.k.dim_h
 
     @property
-    def k_gram(self) -> np.ndarray:
-        return self.k.flat
-
-    @property
     def l_gram(self) -> np.ndarray:
         return self.l.flat
 
@@ -219,14 +215,14 @@ def assemble_joint(
     k: OperatorKernelTable,
     l: OperatorKernelTable,
     coupling,
-    tol: float = PD_RTOL,
 ) -> JointKernel:
     """Assemble and admit the joint table of a coupled pair of processes.
 
     The coupling is an (n, n, d, d) block function on pairs of labels (no
     Hermitian symmetry required).  Admissibility = positivity of the
     flattened joint table; the Gram-level Schur complement is computed with
-    a pseudo-inverse and checked positive as well.  Rejections raise
+    a pseudo-inverse and checked positive as well, each to ``PD_RTOL``
+    relative.  Rejections raise
     :class:`NotPositiveDefinite` and indicate an inadmissible coupling.
     """
     k._require_same_shape(l)
@@ -241,7 +237,7 @@ def assemble_joint(
     m_table = OperatorKernelTable(k.label_set, m_blocks)
 
     m_report = is_positive_definite(m_table)
-    if m_report.min_eig < -tol * m_report.scale:
+    if m_report.min_eig < -PD_RTOL * m_report.scale:
         raise NotPositiveDefinite(
             f"joint table is not positive (min eig {m_report.min_eig:.3e}); coupling inadmissible",
             min_eig=m_report.min_eig,
@@ -252,7 +248,7 @@ def assemble_joint(
     schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
     schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
     s_report = is_positive_definite(schur_table)
-    if s_report.min_eig < -tol * max(s_report.scale, m_report.scale):
+    if s_report.min_eig < -PD_RTOL * max(s_report.scale, m_report.scale):
         raise NotPositiveDefinite(
             f"Schur complement is not positive (min eig {s_report.min_eig:.3e}); coupling inadmissible",
             min_eig=s_report.min_eig,
@@ -289,7 +285,6 @@ class ConditionalLaw:
 
     mean_map: np.ndarray
     cond_cov: OperatorKernelTable
-    observed: np.ndarray
     posterior_mean: np.ndarray
     null_dim: int
 
@@ -329,7 +324,6 @@ def condition(
     return ConditionalLaw(
         mean_map=mean_map,
         cond_cov=joint.schur,
-        observed=observed,
         posterior_mean=posterior,
         null_dim=null_dim,
     )

@@ -19,8 +19,9 @@ spectral norm from above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class OperatorKernelTable:
     """
 
     def __init__(self, label_set: LabelSet, blocks) -> None:
-        blocks = np.array(blocks, dtype=np.complex128)
+        blocks = np.asarray(blocks, dtype=np.complex128)
         n = label_set.n
         if blocks.ndim != 4 or blocks.shape[0] != n or blocks.shape[1] != n:
             raise ShapeError(f"expected ({n}, {n}, d, d) blocks, got {blocks.shape}")
@@ -174,12 +175,12 @@ def flatten(table: OperatorKernelTable) -> np.ndarray:
     """Assemble the ``(n*d, n*d)`` scalar matrix of a kernel table.
 
     Entry ``(i*d + p, j*d + q)`` is ``K(s_i, s_j)[p, q]``, i.e. the pairing
-    ``<e_p, K(s_i, s_j) e_q>``.  The result is Hermitian-symmetrized as
-    ``(M + M^H) / 2``, which is exact for tables whose block pattern is
-    already Hermitian.
+    ``<e_p, K(s_i, s_j) e_q>``.  The result is exactly Hermitian with no
+    symmetrization: construction already replaced the blocks by
+    ``(K + K^*) / 2``, whose entries at mirrored positions are exact complex
+    conjugates of each other (IEEE addition commutes, and halving is exact).
     """
-    flat = block_layout(table.blocks)
-    return 0.5 * (flat + flat.conj().T)
+    return block_layout(table.blocks)
 
 
 def block_layout(blocks: np.ndarray) -> np.ndarray:
@@ -196,8 +197,6 @@ class PDReport:
     pd: bool
     min_eig: float
     scale: float
-    tol: float
-
 
 
 def eig_extremes(evals: np.ndarray) -> tuple[float, float]:
@@ -219,7 +218,7 @@ def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -
         tol = PD_RTOL * scale
     elif tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return PDReport(pd=min_eig >= -tol, min_eig=min_eig, scale=scale, tol=float(tol))
+    return PDReport(pd=min_eig >= -tol, min_eig=min_eig, scale=scale)
 
 
 def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what: str) -> np.ndarray:
@@ -241,14 +240,15 @@ def kernel_leq(lo: OperatorKernelTable, hi: OperatorKernelTable, tol: float | No
     return is_positive_definite(hi - lo, tol).pd
 
 
-def has_unit_diagonal(table: OperatorKernelTable, tol: float = 1e-10) -> bool:
-    """True when every diagonal block K(s, s) equals the identity."""
+def has_unit_diagonal(table: OperatorKernelTable) -> bool:
+    """True when every diagonal block K(s, s) equals the identity, to
+    ``1e-10`` relative to ``max(1, largest block norm)``."""
     eye = np.eye(table.dim_h)
     dev = max(
         float(np.linalg.norm(table.blocks[i, i] - eye))
         for i in range(table.n)
     )
-    return dev <= tol * max(1.0, float(_block_frobenius(table.blocks).max()))
+    return dev <= 1e-10 * max(1.0, float(_block_frobenius(table.blocks).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +287,13 @@ def zero_kernel(label_set: LabelSet, dim_h: int) -> OperatorKernelTable:
     return OperatorKernelTable(label_set, np.zeros((label_set.n,) * 2 + (dim_h,) * 2))
 
 
-def _resolve_points(label_set: LabelSet, point_map, dim_h: int) -> np.ndarray:
-    if isinstance(point_map, Mapping):
-        getter: Callable[[str], np.ndarray] = point_map.__getitem__
-    elif callable(point_map):
-        getter = point_map
-    else:
-        raise ShapeError("point_map must be a mapping or a callable label -> matrix")
+def _resolve_points(label_set: LabelSet, point_map: Mapping, dim_h: int) -> np.ndarray:
+    if not isinstance(point_map, Mapping):
+        raise ShapeError("point_map must be a mapping label -> matrix")
     points = np.empty((label_set.n, dim_h, dim_h), dtype=np.complex128)
     for i, s in enumerate(label_set.labels):
         try:
-            p = np.asarray(getter(s), dtype=np.complex128)
+            p = np.asarray(point_map[s], dtype=np.complex128)
         except KeyError:
             raise LabelError(f"point_map has no entry for label {s!r}") from None
         if p.shape != (dim_h, dim_h):
@@ -308,12 +304,12 @@ def _resolve_points(label_set: LabelSet, point_map, dim_h: int) -> np.ndarray:
 
 def _check_strict_contraction(h: np.ndarray) -> float:
     norm = float(np.linalg.norm(h, 2))
-    if norm >= 1.0:
+    if not norm < 1.0:  # also rejects a NaN norm
         raise NotStrictContraction(f"operator norm {norm:.6g} is not < 1")
     return norm
 
 
-def cp_contraction_kernel(h, label_set: LabelSet, point_map) -> OperatorKernelTable:
+def cp_contraction_kernel(h, label_set: LabelSet, point_map: Mapping) -> OperatorKernelTable:
     """Defect table of a strict contraction: blocks ``I - (s_i h)^H (s_j h)``.
 
     ``point_map`` assigns each label a d x d matrix.  The result is not
@@ -332,14 +328,36 @@ def cp_contraction_kernel(h, label_set: LabelSet, point_map) -> OperatorKernelTa
     return OperatorKernelTable(label_set, blocks)
 
 
-def neumann_series_kernel(h, label_set: LabelSet, point_map, tol: float = 1e-12) -> OperatorKernelTable:
+def _series_length(q: float, max_norm: float, tol: float) -> int:
+    """Smallest ``N >= 1`` with ``q^(2N) * max_norm < tol``, for ``0 <= q < 1``.
+
+    The closed form is corrected by single steps against the same
+    predicate, so rounding in the logarithms cannot move the result.
+    """
+
+    def too_short(n: int) -> bool:
+        return q ** (2 * n) * max_norm >= tol
+
+    if not too_short(1):
+        return 1
+    n = max(1, math.ceil((math.log(tol) - math.log(max_norm)) / (2 * math.log(q))))
+    while n > 1 and not too_short(n - 1):
+        n -= 1
+    while too_short(n):
+        n += 1
+    return n
+
+
+def neumann_series_kernel(h, label_set: LabelSet, point_map: Mapping, tol: float = 1e-12) -> OperatorKernelTable:
     """Geometric resolvent table ``sum_m h^{mH} (s_i^H s_j) h^m``.
 
-    The series is truncated at the smallest N with
-    ``||h||^(2(N+1)) * max_ij ||s_i^H s_j|| < tol``, so the dropped tail is
-    controlled a priori by the operator-norm geometric bound.  Each summand
-    is a Gram block ``(s_i h^m)^H (s_j h^m)``, so the truncated table is
-    positive by construction; this is verified and enforced.
+    The series keeps the terms ``m < N`` for the smallest ``N >= 1`` with
+    ``||h||^(2N) * max_ij ||s_i^H s_j|| < tol``, so the first dropped term
+    is controlled a priori by the operator-norm geometric bound.  The ``N``
+    terms are summed by binary splitting,
+    ``S(a + b) = S(a) + (h^a)^H S(b) h^a``, in ``O(log N)`` block products.
+    Each summand is a Gram block ``(s_i h^m)^H (s_j h^m)``, so the truncated
+    table is positive by construction; this is verified and enforced.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -355,15 +373,16 @@ def neumann_series_kernel(h, label_set: LabelSet, point_map, tol: float = 1e-12)
         (float(np.linalg.norm(base[i, j], 2)) for i in range(label_set.n) for j in range(label_set.n)),
         default=0.0,
     )
-    n_terms = 1
-    while q ** (2 * n_terms) * max_norm >= tol:
-        n_terms += 1
+    n_terms = _series_length(q, max_norm, tol)
 
-    acc = np.zeros_like(base)
-    moved = points.copy()
-    for _ in range(n_terms):
-        acc += np.einsum("ipq,jpr->ijqr", moved.conj(), moved)
-        moved = moved @ h
+    acc, shift = np.zeros_like(base), np.eye(d, dtype=np.complex128)  # S(done), h^done
+    part, power = base, h  # S(2^k), h^(2^k)
+    for bit in bin(n_terms)[:1:-1]:  # least significant bit first
+        if bit == "1":
+            acc = acc + shift.conj().T @ part @ shift
+            shift = shift @ power
+        part = part + power.conj().T @ part @ power
+        power = power @ power
     table = OperatorKernelTable(label_set, acc)
     report = is_positive_definite(table)
     if not report.pd:
@@ -390,17 +409,18 @@ def random_pd_kernel(seed: int, n: int, d: int, rank: int | None = None) -> Oper
     return OperatorKernelTable.from_flat(labels, d, g.conj().T @ g)
 
 
-def normalize_diagonal(table: OperatorKernelTable, tol: float = RANK_RTOL) -> OperatorKernelTable:
+def normalize_diagonal(table: OperatorKernelTable) -> OperatorKernelTable:
     """Congruence-rescale a positive table so that every K(s, s) = I.
 
-    Requires each diagonal block to be invertible; the transformation
+    Requires each diagonal block to be invertible (smallest eigenvalue above
+    ``RANK_RTOL`` times the largest); the transformation
     ``K(s, t) -> D_s^{-1/2} K(s, t) D_t^{-1/2}`` preserves positivity.
     """
     n, d = table.n, table.dim_h
     roots = np.empty((n, d, d), dtype=np.complex128)
     for i in range(n):
         w, u = np.linalg.eigh(table.blocks[i, i])
-        if w[0] <= tol * max(w[-1], 0.0) or w[-1] <= 0.0:
+        if w[0] <= RANK_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
             raise InvalidKernel(f"diagonal block for {table.labels[i]!r} is singular")
         roots[i] = (u / np.sqrt(w)) @ u.conj().T
     blocks = np.einsum("ipq,ijqr,jrs->ijps", roots.conj().transpose(0, 2, 1), table.blocks, roots)

@@ -34,7 +34,7 @@ from .errors import (
     SingularL,
     SingularSystem,
 )
-from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, gated_solve
+from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, eig_extremes, gated_solve
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,10 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray)
     blocks = table.blocks[np.ix_(rows, rows)]
     gram = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), blocks, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
-    evals = np.linalg.eigvalsh(gram)
-    scale = max(abs(float(evals[0])), abs(float(evals[-1])))
-    if float(evals[0]) < -PD_RTOL * scale:
+    min_eig, scale = eig_extremes(np.linalg.eigvalsh(gram))
+    if min_eig < -PD_RTOL * scale:
         raise InternalInvariantViolation(
-            f"design matrix lost positivity (min eig {evals[0]:.3e}); "
+            f"design matrix lost positivity (min eig {min_eig:.3e}); "
             "the underlying kernel table is not positive"
         )
     return gram
@@ -134,17 +133,17 @@ class RegressionFit:
     coefficients: np.ndarray
     fitted: np.ndarray
     design: DesignMatrices
-    targets: np.ndarray
 
 
-def krr_fit(dm: DesignMatrices, y, tol: float = RANK_RTOL) -> RegressionFit:
-    """Solve the ridge system; raises :class:`SingularSystem` on degenerate designs."""
+def krr_fit(dm: DesignMatrices, y) -> RegressionFit:
+    """Solve the ridge system; raises :class:`SingularSystem` when ``[L] + [K]``
+    is singular to ``RANK_RTOL`` relative."""
     y = np.asarray(y, dtype=np.complex128)
     m = dm.training.size
     if y.shape != (m,):
         raise ShapeError(f"targets must be ({m},), got {y.shape}")
-    c = gated_solve(dm.noise_gram + dm.kernel_gram, y, tol, SingularSystem, "[L] + [K]")
-    return RegressionFit(coefficients=c, fitted=dm.kernel_gram @ c, design=dm, targets=y)
+    c = gated_solve(dm.noise_gram + dm.kernel_gram, y, RANK_RTOL, SingularSystem, "[L] + [K]")
+    return RegressionFit(coefficients=c, fitted=dm.kernel_gram @ c, design=dm)
 
 
 def predict(fit: RegressionFit, s: str, a) -> complex:
@@ -198,13 +197,12 @@ def gp_posterior_mean(
     kernel: OperatorKernelTable,
     noise_kernel: OperatorKernelTable,
     observed,
-    tol: float = RANK_RTOL,
 ) -> np.ndarray:
     """Posterior mean of the signal given signal-plus-noise on the full grid.
 
     Gram-level formula ``K_gram (K_gram + L_gram)^{-1} vec(observed)``,
     reshaped to (n, d).  Raises :class:`SingularSystem` when the resolvent
-    is numerically singular.
+    is singular to ``RANK_RTOL`` relative.
     """
     kernel._require_same_shape(noise_kernel)
     n, d = kernel.n, kernel.dim_h
@@ -212,5 +210,5 @@ def gp_posterior_mean(
     if observed.shape != (n, d):
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
     total = kernel.flat + noise_kernel.flat
-    solved = gated_solve(total, observed.reshape(n * d), tol, SingularSystem, "K + L Gram")
+    solved = gated_solve(total, observed.reshape(n * d), RANK_RTOL, SingularSystem, "K + L Gram")
     return (kernel.flat @ solved).reshape(n, d)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 
@@ -51,12 +52,6 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise SpecError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
 def array_to_json(arr: np.ndarray):
     """Nested lists with [re, im] leaves, preserving the array shape."""
     a = np.asarray(arr, dtype=np.complex128)
@@ -64,12 +59,16 @@ def array_to_json(arr: np.ndarray):
 
 
 def json_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode nested lists with [re, im] leaves of finite numbers; the one
+    decoder for every numeric array read from a spec or payload."""
     try:
         leaves = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"not a numeric nested array: {exc}") from None
     if leaves.shape != shape + (2,):
         raise SpecError(f"expected array of shape {shape}, got {leaves.shape[:-1]}")
+    if not np.all(np.isfinite(leaves)):
+        raise SpecError("numeric arrays must hold finite numbers (no NaN or Infinity)")
     return leaves[..., 0] + 1j * leaves[..., 1]
 
 
@@ -86,9 +85,11 @@ def _object(value, what: str) -> dict:
 
 
 def _number(value, name: str, integer: bool = False):
-    """A JSON number as a float, or as an int when ``integer`` is set."""
+    """A finite JSON number as a float, or as an int when ``integer`` is set."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond the float range
+        raise SpecError(f"{name} must be finite, got {value!r}")
     if not integer:
         return float(value)
     if isinstance(value, float) and not value.is_integer():

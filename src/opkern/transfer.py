@@ -37,10 +37,15 @@ validated system carries those factorizations; the realization
 ``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label and
 derives every check from those values: the realization residuals, the
 transitive action and, for a dominated system, ``sqrt(dK1/dK2) = T12``.
+
+The realization uses one SVD per matrix (:func:`_svd`), for ``G``, ``F`` and
+each ``M(s)``, and reads the norms of the four tables from their
+factorizations (:attr:`FeatureSystem.norm`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +135,10 @@ def validate_system(
     residual = float(np.linalg.norm(lhs - rhs, 2))
     t_sq = max(1.0, float(np.linalg.norm(t_op, 2)) ** 2)
     scale = max(
-        float(np.linalg.norm(k1.flat, 2)),
-        float(np.linalg.norm(k2.flat, 2)),
-        t_sq * float(np.linalg.norm(l1.flat, 2)),
-        t_sq * float(np.linalg.norm(l2.flat, 2)),
+        features["k1"].norm,
+        features["k2"].norm,
+        t_sq * features["l1"].norm,
+        t_sq * features["l2"].norm,
         TINY,
     )
     rel = residual / scale
@@ -181,12 +186,17 @@ class TransferRealization:
         )
 
 
-def _orthonormal_range(matrix: np.ndarray, tol: float) -> np.ndarray:
-    if matrix.size == 0:
-        return np.zeros((matrix.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    keep = s > tol * (s[0] if s.size else 0.0)
-    return u[:, keep]
+def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values, orthonormal range basis and pseudo-inverse of ``a``.
+
+    One SVD of ``a.conj()``, the matrix ``np.linalg.pinv`` factors, so the
+    pseudo-inverse is bitwise ``np.linalg.pinv(a, rcond)``.
+    """
+    u, s, vh = np.linalg.svd(a.conj(), full_matrices=False)
+    keep = s > rcond * s.max(initial=0.0)
+    inv = np.zeros_like(s)
+    np.divide(1, s, where=keep, out=inv)
+    return s, u[:, keep].conj(), vh.T @ (inv[:, None] * u.T)
 
 
 def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
@@ -205,25 +215,26 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     g = np.vstack([fs["k2"].stacked, fs["l1"].stacked @ t_lift])
     f = np.vstack([fs["k1"].stacked, fs["l2"].stacked @ t_lift])
 
-    gram_g = g.conj().T @ g
-    gram_f = f.conj().T @ f
-    gram_scale = max(float(np.linalg.norm(gram_g, 2)), float(np.linalg.norm(gram_f, 2)), TINY)
-    gram_defect = float(np.linalg.norm(gram_g - gram_f, 2)) / gram_scale
+    s_g, initial_basis, g_pinv = _svd(g, RANK_RTOL)
+    s_f, final_basis, _ = _svd(f, RANK_RTOL)
+    # ||X^H X||_2 is the square of the largest singular value of X.
+    gram_scale = max(float(s_g.max(initial=0.0)) ** 2, float(s_f.max(initial=0.0)) ** 2, TINY)
+    gram_defect = float(np.linalg.norm(g.conj().T @ g - f.conj().T @ f, 2)) / gram_scale
     if gram_defect > 1e-9:
         raise GramMismatch(
             f"initial/final column Grams differ by relative {gram_defect:.3e}; "
             "the column correspondence is not isometric"
         )
 
-    w = f @ np.linalg.pinv(g, rcond=RANK_RTOL)
+    w = f @ g_pinv
     r_k1, r_k2 = fs["k1"].dilation_dim, fs["k2"].dilation_dim
     return TransferRealization(
         a=w[:r_k1, :r_k2],
         b=w[:r_k1, r_k2:],
         c=w[r_k1:, :r_k2],
         d=w[r_k1:, r_k2:],
-        initial_basis=_orthonormal_range(g, RANK_RTOL),
-        final_basis=_orthonormal_range(f, RANK_RTOL),
+        initial_basis=initial_basis,
+        final_basis=final_basis,
         g_columns=g,
         f_columns=f,
         gram_defect=gram_defect,
@@ -251,17 +262,16 @@ def transfer_function(
     d_h = sys.dim_h
     v_l1 = sys.features["l1"].operator(s)
     v_l2 = sys.features["l2"].operator(s)
-    m = v_l2 - real.d @ v_l1
-    sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    sv, _, m_pinv = _svd(v_l2 - real.d @ v_l1, tol)
     sigma_max = float(sv[0]) if sv.size else 0.0
     sigma_min = float(sv[d_h - 1]) if sv.size >= d_h else 0.0
-    if m.shape[0] < d_h or sigma_min <= tol * sigma_max or sigma_max == 0.0:
+    if sv.size < d_h or sigma_min <= tol * sigma_max or sigma_max == 0.0:
         raise NotInvertible(
             f"rank condition fails at label {s!r}: sigma_min {sigma_min:.3e}, sigma_max {sigma_max:.3e}",
             label=s,
             sigma_min=sigma_min,
         )
-    return real.a + real.b @ v_l1 @ np.linalg.pinv(m, rcond=tol) @ real.c
+    return real.a + real.b @ v_l1 @ m_pinv @ real.c
 
 
 @dataclass(frozen=True)
@@ -318,9 +328,10 @@ def verify_realization(
     t12 = {s: transfer_function(real, sys, s) for s in labels}
     images = [t12[s] @ fs_k2.operator(s) for s in labels]
 
-    k1_stack_scale = max(float(np.linalg.norm(fs_k1.stacked, 2)), TINY)
+    # ||stacked||_2^2 = ||flat||_2 = the largest kept eigenvalue.
+    k1_stack_scale = max(math.sqrt(fs_k1.norm), TINY)
     feature_dev = _max_spectral_norm(fs_k1.operator(s) - image for s, image in zip(labels, images))
-    k1_flat_scale = max(float(np.linalg.norm(sys.k1.flat, 2)), TINY)
+    k1_flat_scale = max(fs_k1.norm, TINY)
     recon_dev = _max_spectral_norm(
         sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t)
         for s in labels
@@ -334,7 +345,7 @@ def verify_realization(
         intertwine_dev / f_scale,
         real.partial_isometry_defect(),
     )
-    transitive = _orthonormal_range(np.hstack(images), RANK_RTOL).shape[1] == fs_k1.dilation_dim
+    transitive = _svd(np.hstack(images), RANK_RTOL)[1].shape[1] == fs_k1.dilation_dim
 
     rn_spectrum = rn_vs_transfer = None
     try:
@@ -343,7 +354,7 @@ def verify_realization(
         rn = None
     else:
         ident = rn.sqrt_phi @ fs_k2.stacked @ np.linalg.pinv(fs_k1.stacked, rcond=RANK_RTOL)
-        k2_stack_scale = max(float(np.linalg.norm(fs_k2.stacked, 2)), TINY)
+        k2_stack_scale = max(math.sqrt(fs_k2.norm), TINY)
         rn_dev = _max_spectral_norm(
             rn.sqrt_phi @ fs_k2.operator(s) - ident @ t12[s] @ fs_k2.operator(s) for s in labels
         )
@@ -405,8 +416,7 @@ def _derivative(
     tol: float,
 ) -> RNDerivative:
     """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
-    # The largest kept eigenvalue is the flattened norm of the positive ``hi``.
-    hi_scale = float(fs.basis_eigs[0]) if fs.dilation_dim else 0.0
+    hi_scale = fs.norm
     diff_report = is_positive_definite(hi - lo, tol * hi_scale)
     if not diff_report.pd:
         raise NotDominated(
@@ -455,8 +465,6 @@ def generate_valid_system(
     n: int,
     d: int,
     dominated: bool = False,
-    max_tries: int = 100,
-    min_sigma_ratio: float = 1e-6,
 ) -> SignedKernelSystem:
     """Draw a random system satisfying every hypothesis of the realization.
 
@@ -464,13 +472,13 @@ def generate_valid_system(
     positive increment fixes L1 - L2, and K1 is defined by the system
     identity (scaled, in the dominated case, so that K1 stays positive and
     K1 <= K2).  Draws are rejected until the rank condition of the transfer
-    function holds at every label with ``sigma_min/sigma_max`` at least
-    ``min_sigma_ratio``.  Deterministic for a fixed seed.
+    function holds at every label with ``sigma_min/sigma_max`` above
+    ``1e-6``, for at most 100 draws.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     labels = LabelSet.of(f"s{i + 1}" for i in range(n))
     nd = n * d
-    for _ in range(max_tries):
+    for _ in range(100):
         k2_flat = _random_pd_flat(rng, nd, ridge=0.5)
         base_flat = _random_pd_flat(rng, nd)
         delta_flat = _random_pd_flat(rng, nd)
@@ -500,8 +508,8 @@ def generate_valid_system(
             sys = validate_system(tables["k1"], tables["k2"], tables["l1"], tables["l2"], t_op)
             real = construct_partial_isometry(sys)
             for s in labels.labels:
-                transfer_function(real, sys, s, tol=min_sigma_ratio)
+                transfer_function(real, sys, s, tol=1e-6)
         except (NotPositiveDefinite, NotEquivalent, GramMismatch, NotInvertible):
             continue
         return sys
-    raise InternalInvariantViolation(f"no admissible system found in {max_tries} draws (seed {seed})")
+    raise InternalInvariantViolation(f"no admissible system found in 100 draws (seed {seed})")

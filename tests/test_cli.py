@@ -2,12 +2,13 @@ import copy
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkern import OperatorKernelTable, generate_valid_system, identity_kernel, scalar_kernel, transfer
+from opkern import LabelSet, OperatorKernelTable, generate_valid_system, identity_kernel, scalar_kernel, transfer
 from opkern.cli import main
 from opkern.specio import array_to_json, kernel_to_spec, training_set_to_csv
 from opkern.regression import TrainingSet
@@ -98,6 +99,14 @@ def specs(tmp_path):
 
 
 class TestCheckPd:
+    def test_neumann_series_near_unit_norm_is_fast(self, tmp_path):
+        # ||h|| = 0.999999 keeps 13,815,504 terms at the default tol
+        params = {"h": [[[0.999999, 0.0]]], "points": {"a": [[[1.0, 0.0]]]}}
+        spec = write_json(tmp_path / "spec.json", builder_spec("neumann_series", params))
+        start = time.perf_counter()
+        assert main(["check-pd", "--spec", spec, "--out", str(tmp_path / "r.json")]) == 0
+        assert time.perf_counter() - start < 1.0
+
     def test_positive_kernel_exits_zero(self, specs, tmp_path):
         out = tmp_path / "r.json"
         assert main(["check-pd", "--spec", specs["identity"], "--out", str(out), "--no-timestamp"]) == 0
@@ -152,6 +161,13 @@ class TestSpecValidation:
         "labels_fraction": {**builder_spec("identity", {}), "labels": 1.5},
         "labels_string": {**builder_spec("identity", {}), "labels": "abc"},
         "labels_numeric_items": {**builder_spec("identity", {}), "labels": [1, 2]},
+        "cp_h_nan": builder_spec("cp_contraction", {**NEUMANN, "h": [[[float("nan"), 0.0]]]}),
+        "neumann_h_nan": builder_spec("neumann_series", {**NEUMANN, "h": [[[float("nan"), 0.0]]]}),
+        "neumann_h_infinity": builder_spec("neumann_series", {**NEUMANN, "h": [[[float("inf"), 0.0]]]}),
+        "neumann_points_nan": builder_spec("neumann_series", {**NEUMANN, "points": {"a": [[[float("nan"), 0.0]]]}}),
+        "neumann_h_huge_integer": builder_spec("neumann_series", {**NEUMANN, "h": [[[10**400, 0]]]}),
+        "tol_infinity": builder_spec("neumann_series", {**NEUMANN, "tol": float("inf")}),
+        "tol_huge_integer": builder_spec("neumann_series", {**NEUMANN, "tol": 10**400}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -161,6 +177,27 @@ class TestSpecValidation:
         err = capsys.readouterr().err
         assert err.startswith("opkern: input error:")
         assert "Traceback" not in err
+
+    def test_nan_observed_value_exits_two(self, specs, tmp_path, capsys):
+        with open(specs["joint"], encoding="utf-8") as fh:
+            joint = json.load(fh)
+        joint["observed_l"] = [[[float("nan"), 0.0]]]
+        out = tmp_path / "r.json"
+        assert main(["condition", "--spec", write_json(tmp_path / "joint.json", joint), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("opkern: input error:")
+        assert not out.exists()
+
+    def test_nan_query_vector_exits_two(self, specs, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        assert main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", specs["train"], "--out", str(fit)]) == 0
+        query = write_json(tmp_path / "query.json", [{"label": "s1", "a": [[float("nan"), 0.0]]}])
+        out = tmp_path / "pred.json"
+        code = main(["krr-predict", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", specs["train"], "--fit", str(fit), "--query", query, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("opkern: input error:")
+        assert not out.exists()
 
 
 # Arbitrary JSON values.  Integers and floats stay small because they can
@@ -218,6 +255,117 @@ class TestSpecFuzz:
         base = tmp_path_factory.getbasetemp()
         path = write_json(base / "fuzzed_spec.json", spec)
         assert main(["check-pd", "--spec", path, "--out", str(base / "fuzzed_report.json")]) in {0, 1, 2, 3}
+
+
+# Numeric leaves of the spec arrays are replaced by these: non-finite
+# numbers, finite numbers within 1e6 (the smallest subnormal included), and
+# values that are not numbers.
+LEAF_VALUES = (
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 0.0, 1e6, -1e6])
+    | st.floats(-1e6, 1e6)
+    | st.none()
+    | st.booleans()
+    | st.text(max_size=2)
+    | st.lists(st.floats(-1.0, 1.0), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.none(), max_size=1)
+)
+
+
+def _scalar_spec(value):
+    return kernel_to_spec(scalar_kernel(LabelSet.of(["a"]), np.array([[value]])))
+
+
+def _generated_system_spec():
+    sys_ = generate_valid_system(3, 2, 1, dominated=True)
+    spec = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
+    spec["t"] = array_to_json(sys_.t_op)
+    return spec
+
+
+def _neumann_spec(point):
+    return builder_spec("neumann_series", {"h": [[[0.5, 0.0]]], "points": {"a": [[[point, 0.0]]]}})
+
+
+# Scalar tables over the label "a": CP = 3/4, N(1) = 4/3 and N(1/2) = 1/3.
+CP = builder_spec("cp_contraction", {"h": [[[0.5, 0.0]]], "points": {"a": ONE_PAIR}})
+BASE_SPECS = {
+    "realize": [
+        _generated_system_spec(),
+        # 3/4 - (1/4)(4/3) = 1/2 - (1/4)(1/3)
+        {"k1": CP, "k2": _scalar_spec(0.5), "l1": _neumann_spec(1.0), "l2": _neumann_spec(0.5),
+         "t": [[[0.5, 0.0]]]},
+    ],
+    "rn": [
+        {"l": _scalar_spec(1.0), "k": _scalar_spec(4.0)},
+        {"l": CP, "k": _neumann_spec(1.0)},
+    ],
+    "condition": [
+        {"k": _scalar_spec(1.0), "l": _neumann_spec(0.5), "t_coupling": [[[[[0.5, 0.0]]]]],
+         "observed_l": [[[2.0, 0.0]]]},
+    ],
+    "mc-verify": [
+        {"k": CP, "l": _scalar_spec(1.0), "t_coupling": [[[[[0.25, 0.0]]]]]},
+    ],
+}
+EXTRA_ARGS = {"mc-verify": ["--seed", "1", "--samples", "50"]}
+
+
+def _numeric_leaves(value, path=()):
+    """Key paths of the numbers inside the spec's arrays."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    leaves = []
+    for key, item in items:
+        if isinstance(value, list) and isinstance(item, (int, float)) and not isinstance(item, bool):
+            leaves.append(path + (key,))
+        else:
+            leaves += _numeric_leaves(item, path + (key,))
+    return leaves
+
+
+@st.composite
+def fuzzed_specs(draw, command):
+    """A valid spec for ``command`` with one to three array numbers replaced."""
+    spec = copy.deepcopy(draw(st.sampled_from(BASE_SPECS[command])))
+    for path in draw(st.lists(st.sampled_from(_numeric_leaves(spec)), min_size=1, max_size=3, unique=True)):
+        holder = spec
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = draw(LEAF_VALUES)
+    return spec
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds the non-JSON number {token}")
+
+
+class TestSpecLeafFuzz:
+    @pytest.mark.parametrize("command,spec", [(c, spec) for c in sorted(BASE_SPECS) for spec in BASE_SPECS[c]])
+    def test_base_specs_succeed(self, command, spec, tmp_path):
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main([command, "--spec", path, *EXTRA_ARGS.get(command, []), "--out", str(tmp_path / "r")]) == 0
+
+    @pytest.mark.parametrize("command", sorted(BASE_SPECS))
+    def test_exit_code_is_total_and_reports_are_json(self, command, tmp_path_factory):
+        base = tmp_path_factory.mktemp(command)
+
+        # Any exception escaping main fails the test.
+        @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+        @given(spec=fuzzed_specs(command))
+        def run(spec):
+            path = write_json(base / "spec.json", spec)
+            out = base / "report.json"
+            out.unlink(missing_ok=True)
+            code = main([command, "--spec", path, *EXTRA_ARGS.get(command, []), "--out", str(out)])
+            assert code in {0, 1, 2, 3}
+            if out.exists():
+                json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+        run()
 
 
 class TestHypothesisExitCodes:
@@ -303,6 +451,22 @@ class TestRealize:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(transfer, name, counted)
+        linalg = {"pinv": 0, "spectral_norm": 0}
+        pinv, norm = np.linalg.pinv, np.linalg.norm
+
+        def from_opkern():
+            return sys._getframe(2).f_globals.get("__name__", "").startswith("opkern")
+
+        def counted_pinv(*args, **kwargs):
+            linalg["pinv"] += from_opkern()
+            return pinv(*args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            linalg["spectral_norm"] += ord == 2 and from_opkern()
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
         out = tmp_path / "r.json"
         assert main(["realize", "--spec", path, "--out", str(out), "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["results"]["dominated"] is True
@@ -313,6 +477,10 @@ class TestRealize:
             "transfer_function": 2,
             "is_positive_definite": 1,
         }
+        # One SVD gives pinv(G) and each M(s)^+; the table scales come from
+        # the factorizations.  Left: the derivative's pinv(V_K2) and the
+        # identification's pinv(V_K1), and eleven residual norms.
+        assert linalg == {"pinv": 2, "spectral_norm": 11}
 
 
 class TestRn:
@@ -375,6 +543,17 @@ class TestSampleCount:
 
 
 class TestTolerance:
+    @pytest.mark.parametrize("command,required", [
+        ("sample", []),
+        ("krr-fit", ["--noise-spec", "n.json", "--train", "t.csv"]),
+        ("krr-predict", ["--noise-spec", "n.json", "--train", "t.csv", "--fit", "f.json", "--query", "q.json"]),
+    ])
+    def test_tol_is_not_an_option(self, command, required, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", "k.json", *required, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["check-pd", "factorize"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_exits_two(self, command, tol, specs, capsys):

@@ -89,6 +89,16 @@ class TestFactorize:
                 alt = root[:, i * d : (i + 1) * d].conj().T @ root[:, j * d : (j + 1) * d]
                 np.testing.assert_allclose(fs.gram(s, t), alt, atol=1e-10)
 
+    @pytest.mark.parametrize("seed,n,d,rank", [(0, 2, 2, None), (1, 3, 1, 2), (2, 4, 2, 3)])
+    def test_norm_is_the_spectral_norm_of_the_table(self, seed, n, d, rank):
+        table = random_pd_kernel(seed, n, d, rank)
+        fs = kolmogorov_factorize(table)
+        assert fs.norm == pytest.approx(np.linalg.norm(table.flat, 2), rel=1e-14)
+        assert np.sqrt(fs.norm) == pytest.approx(np.linalg.norm(fs.stacked, 2), rel=1e-14)
+
+    def test_norm_of_the_zero_table_is_zero(self):
+        assert kolmogorov_factorize(scalar_table([[0.0]])).norm == 0.0
+
     def test_one_eigendecomposition_per_factorization(self, monkeypatch):
         # the positivity gate reads the eigenvalues of the factorizing eigh
         calls = {"eigh": 0, "eigvalsh": 0}

@@ -22,7 +22,7 @@ from opkern import (
     scalar_kernel,
     zero_kernel,
 )
-from opkern.kernels import gated_solve
+from opkern.kernels import HERMITIAN_RTOL, _series_length, block_layout, gated_solve
 from conftest import labels, scalar_table
 import oracles
 
@@ -105,6 +105,22 @@ class TestFlatten:
         )
 
     @pytest.mark.parametrize("n,d,seed", [(1, 1, 0), (2, 3, 1), (4, 2, 2), (3, 3, 3)])
+    def test_is_the_block_layout_and_exactly_hermitian(self, n, d, seed):
+        # asymmetry just under the repair threshold: construction averages it away
+        def largest_block_norm(b):
+            return np.sqrt((np.abs(b) ** 2).sum(axis=(2, 3))).max()
+
+        rng = np.random.default_rng(seed)
+        blocks = oracles.random_hermitian_blocks(rng, n, d)
+        noise = rng.standard_normal(blocks.shape) + 1j * rng.standard_normal(blocks.shape)
+        asymmetry = largest_block_norm(noise - noise.transpose(1, 0, 3, 2).conj())
+        noise *= 0.9 * HERMITIAN_RTOL * largest_block_norm(blocks) / asymmetry
+        table = OperatorKernelTable(labels(n), blocks + noise)
+        flat = flatten(table)
+        assert flat.tobytes() == block_layout(table.blocks).tobytes()
+        assert np.all(flat == flat.conj().T)
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 1, 0), (2, 3, 1), (4, 2, 2), (3, 3, 3)])
     def test_round_trip_is_exact(self, n, d, seed):
         table = random_pd_kernel(seed, n, d)
         again = OperatorKernelTable.from_flat(table.label_set, d, table.flat)
@@ -177,7 +193,7 @@ class TestOrdering:
 class TestCpContractionKernel:
     def test_zero_contraction_gives_constant_identity(self):
         ls = labels(3)
-        table = cp_contraction_kernel(np.zeros((2, 2)), ls, lambda s: np.eye(2))
+        table = cp_contraction_kernel(np.zeros((2, 2)), ls, {s: np.eye(2) for s in ls.labels})
         for i in range(3):
             for j in range(3):
                 np.testing.assert_array_equal(table.blocks[i, j], np.eye(2))
@@ -269,6 +285,35 @@ class TestNeumannSeriesKernel:
                 recovered = block - h.conj().T @ block @ h
                 target = pts[si].conj().T @ pts[sj]
                 assert np.linalg.norm(recovered - target, 2) <= 1e-12 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("q", [0.7, 0.9, 0.99])
+    def test_binary_splitting_matches_the_sequential_sum(self, q):
+        rng = np.random.default_rng(31)
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h *= q / np.linalg.norm(h, 2)
+        points = {s: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for s in ("s1", "s2")}
+        table = neumann_series_kernel(h, labels(2), points, tol=1e-13)
+        grams = {(s, t): points[s].conj().T @ points[t] for s in points for t in points}
+        terms = _series_length(np.linalg.norm(h, 2), max(np.linalg.norm(g, 2) for g in grams.values()), 1e-13)
+        assert terms > 40
+        for i, si in enumerate(["s1", "s2"]):
+            for j, sj in enumerate(["s1", "s2"]):
+                oracle = oracles.geometric_block_sum(h, grams[si, sj], terms=terms)
+                assert np.linalg.norm(table.blocks[i, j] - oracle) <= 1e-14 * np.linalg.norm(oracle)
+
+    def test_series_length_is_the_smallest_sufficient_count(self):
+        def sequential(q, max_norm, tol):
+            n = 1
+            while q ** (2 * n) * max_norm >= tol:
+                n += 1
+            return n
+
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            q = float(rng.choice([0.0, rng.random(), 1.0 - 10.0 ** rng.uniform(-4, 0)]))
+            max_norm = float(10.0 ** rng.uniform(-14, 8))
+            tol = float(10.0 ** rng.uniform(-15, -2))
+            assert _series_length(q, max_norm, tol) == sequential(q, max_norm, tol), (q, max_norm, tol)
 
     def test_positivity_is_asserted(self):
         rng = np.random.default_rng(9)

@@ -22,6 +22,8 @@ from opkern import (
     verify_realization,
     zero_kernel,
 )
+from opkern.kernels import RANK_RTOL
+from opkern.transfer import _svd
 from conftest import labels
 
 
@@ -284,3 +286,42 @@ class TestGenerator:
 
         sys_ = generate_valid_system(7, 3, 2, dominated=True)
         assert kernel_leq(sys_.k1, sys_.k2)
+
+
+def orthonormal_range(matrix, tol):
+    """The range basis from the SVD of ``matrix`` itself (reference for ``_svd``)."""
+    if matrix.size == 0:
+        return np.zeros((matrix.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    keep = s > tol * (s[0] if s.size else 0.0)
+    return u[:, keep]
+
+
+def complex_matrix(rng, rows, cols, rank=None):
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if rank is None:
+        return gaussian((rows, cols))
+    return gaussian((rows, rank)) @ gaussian((rank, cols))
+
+
+class TestOneSvd:
+    SHAPES = [(4, 4), (7, 3), (3, 7), (5, 12), (12, 5), (0, 4), (4, 0)]
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pinv_and_range_basis(self, rows, cols, rank, seed):
+        a = complex_matrix(np.random.default_rng(seed), rows, cols, rank if min(rows, cols) else None)
+        s, basis, pinv = _svd(a, RANK_RTOL)
+        expected = np.linalg.pinv(a, rcond=RANK_RTOL)
+        assert pinv.shape == expected.shape
+        assert pinv.tobytes() == expected.tobytes()
+        # Conjugation may flip the sign of an exact zero, so compare values.
+        reference = orthonormal_range(a, RANK_RTOL)
+        assert basis.shape == reference.shape
+        assert np.array_equal(basis, reference)
+        assert s.shape == (min(rows, cols),)
+        if rank is not None and min(rows, cols) > rank:
+            assert basis.shape[1] == rank
