@@ -80,10 +80,13 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     lam.setflags(write=False)
 
     # The Frobenius norm bounds the spectral norm from above, so the SVD
-    # behind the spectral norm is needed only when Frobenius fails the bound.
+    # behind the spectral norm is needed only when Frobenius fails the bound
+    # (an overflowing Frobenius norm fails it).
     defect = stacked.conj().T @ stacked - flat
     bound = max(1e-10 * scale, TINY)
-    if np.linalg.norm(defect) > bound and (residual := float(np.linalg.norm(defect, 2))) > bound:
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(defect)
+    if frobenius > bound and (residual := float(np.linalg.norm(defect, 2))) > bound:
         raise InternalInvariantViolation(
             f"factorization residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
         )

@@ -22,6 +22,11 @@ inputs with the same shape however the draws are batched, so a path is
 bitwise independent of batching for a fixed BLAS build and thread count.
 Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
 ulp, as it can for every LAPACK-backed result.
+
+A coupled pair of processes is one process on ``H + H``.  Its
+:class:`JointKernel` carries the factorization of the joint table and one
+eigendecomposition of the L Gram; :func:`sample_joint`, :func:`condition`
+and :func:`mc_verify_conditional` read those instead of decomposing again.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from scipy.special import ndtri
 
 from .dilation import FeatureSystem, kolmogorov_factorize
 from .errors import (
+    InternalInvariantViolation,
     InvalidKernel,
     NotPositiveDefinite,
     ShapeError,
@@ -48,6 +54,8 @@ from .kernels import (
     block_layout,
     gated_solve,
     is_positive_definite,
+    require_finite,
+    require_invertible,
 )
 
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
@@ -91,8 +99,7 @@ class PathBatch:
             raise ShapeError(f"paths must be (N, {self.label_set.n}, d), got {self.paths.shape}")
         if self.paths.shape[0] < 1:
             raise InvalidKernel("a path batch holds at least one sample")
-        if not np.all(np.isfinite(self.paths.real)) or not np.all(np.isfinite(self.paths.imag)):
-            raise InvalidKernel("paths contain non-finite entries")
+        require_finite(InvalidKernel, "paths", self.paths)
 
     @property
     def count(self) -> int:
@@ -173,8 +180,7 @@ def _coupling_array(label_set: LabelSet, dim_h: int, coupling) -> np.ndarray:
     n = label_set.n
     if arr.shape != (n, n, dim_h, dim_h):
         raise ShapeError(f"coupling must be ({n}, {n}, {dim_h}, {dim_h}), got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise InvalidKernel("coupling contains non-finite entries")
+    require_finite(InvalidKernel, "coupling", arr)
     return arr
 
 
@@ -183,15 +189,22 @@ class JointKernel:
     """Block table over H + H pairing two processes through a coupling.
 
     ``m`` is the assembled table with 2d x 2d blocks
-    ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]``; ``schur`` holds the
-    Gram-level Schur complement ``K - T L^+ T^H`` as a kernel table (the
-    conditional covariance).
+    ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]`` and ``features`` its
+    factorization, from which the pair is sampled.  ``l_eigh`` is
+    ``np.linalg.eigh(conj(L_gram))``, the decomposition behind the
+    pseudo-inverse in ``schur``, the singular-L gate and null dimension of
+    :func:`condition`, and ``diag(L_gram^{-1})`` in
+    :func:`mc_verify_conditional`.  ``schur`` holds the Gram-level Schur
+    complement ``K - T L^+ T^H`` as a kernel table (the conditional
+    covariance).
     """
 
     k: OperatorKernelTable
     l: OperatorKernelTable
     coupling: np.ndarray
     m: OperatorKernelTable
+    features: FeatureSystem
+    l_eigh: tuple[np.ndarray, np.ndarray]
     schur: OperatorKernelTable
 
     @property
@@ -203,12 +216,18 @@ class JointKernel:
         return self.k.dim_h
 
     @property
-    def l_gram(self) -> np.ndarray:
-        return self.l.flat
-
-    @property
     def t_gram(self) -> np.ndarray:
         return block_layout(self.coupling)
+
+
+def _pinv(l_eigh: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
+    """``np.linalg.pinv(L, rcond, hermitian=True)``, bitwise, from
+    ``l_eigh = np.linalg.eigh(L.conj())``: numpy's own steps after its eigh."""
+    w, u = l_eigh
+    order = np.argsort(abs(w))[::-1]
+    s, u = abs(w)[order], np.take_along_axis(u, order[None, :], axis=-1)
+    inv = np.divide(1, s, where=s > rcond * s.max(), out=np.zeros_like(s))
+    return (u * np.copysign(1.0, w)[order]).T.conj().T @ (inv[:, None] * u.T)
 
 
 def assemble_joint(
@@ -220,57 +239,51 @@ def assemble_joint(
 
     The coupling is an (n, n, d, d) block function on pairs of labels (no
     Hermitian symmetry required).  Admissibility = positivity of the
-    flattened joint table; the Gram-level Schur complement is computed with
-    a pseudo-inverse and checked positive as well, each to ``PD_RTOL``
-    relative.  Rejections raise
+    flattened joint table, decided by its factorization; the Gram-level
+    Schur complement is computed with a pseudo-inverse and checked positive
+    as well, each to ``PD_RTOL`` relative.  Rejections raise
     :class:`NotPositiveDefinite` and indicate an inadmissible coupling.
     """
     k._require_same_shape(l)
-    n, d = k.n, k.dim_h
+    d = k.dim_h
     t_blocks = _coupling_array(k.label_set, d, coupling)
 
-    m_blocks = np.empty((n, n, 2 * d, 2 * d), dtype=np.complex128)
-    m_blocks[:, :, :d, :d] = k.blocks
-    m_blocks[:, :, :d, d:] = t_blocks
-    m_blocks[:, :, d:, :d] = t_blocks.transpose(1, 0, 3, 2).conj()
-    m_blocks[:, :, d:, d:] = l.blocks
-    m_table = OperatorKernelTable(k.label_set, m_blocks)
+    t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
+    m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
 
-    m_report = is_positive_definite(m_table)
-    if m_report.min_eig < -PD_RTOL * m_report.scale:
-        raise NotPositiveDefinite(
-            f"joint table is not positive (min eig {m_report.min_eig:.3e}); coupling inadmissible",
-            min_eig=m_report.min_eig,
-        )
+    try:
+        features = kolmogorov_factorize(m_table)
+    except NotPositiveDefinite as exc:
+        msg = f"joint table is not positive (min eig {exc.min_eig:.3e}); coupling inadmissible"
+        raise NotPositiveDefinite(msg, min_eig=exc.min_eig) from None
 
+    l_eigh = tuple(np.linalg.eigh(l.flat.conj()))
     t_gram = block_layout(t_blocks)
-    schur_flat = k.flat - t_gram @ np.linalg.pinv(l.flat, rcond=RANK_RTOL, hermitian=True) @ t_gram.conj().T
+    schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
     schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
     schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
     s_report = is_positive_definite(schur_table)
-    if s_report.min_eig < -PD_RTOL * max(s_report.scale, m_report.scale):
+    if s_report.min_eig < -PD_RTOL * max(s_report.scale, features.norm):
         raise NotPositiveDefinite(
             f"Schur complement is not positive (min eig {s_report.min_eig:.3e}); coupling inadmissible",
             min_eig=s_report.min_eig,
         )
-    return JointKernel(k=k, l=l, coupling=t_blocks, m=m_table, schur=schur_table)
+    return JointKernel(k, l, t_blocks, m_table, features, l_eigh, schur_table)
+
+
+def _halves(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """K- and L-coordinates of joint paths ``0 .. count - 1``, as views of one draw."""
+    paths = draw_paths(joint.features, seed, 0, count).paths
+    return paths[:, :, : joint.dim_h], paths[:, :, joint.dim_h :]
 
 
 def sample_joint(joint: JointKernel, seed: int, count: int) -> tuple[PathBatch, PathBatch]:
     """Draw the coupled pair by sampling the joint table and splitting H + H.
 
     The first batch carries the K-coordinates (first d of each 2d block),
-    the second the L-coordinates.
+    the second the L-coordinates; both are views of the joint paths.
     """
-    d = joint.dim_h
-    batch = make_sampler(joint.m, seed).draw(count)
-    k_paths = batch.paths[:, :, :d].copy()
-    l_paths = batch.paths[:, :, d:].copy()
-    k_paths.setflags(write=False)
-    l_paths.setflags(write=False)
-    k_part = PathBatch(label_set=joint.label_set, paths=k_paths, seed=seed, start=batch.start)
-    l_part = PathBatch(label_set=joint.label_set, paths=l_paths, seed=seed, start=batch.start)
-    return k_part, l_part
+    return tuple(PathBatch(joint.label_set, half, seed, 0) for half in _halves(joint, seed, count))
 
 
 @dataclass(frozen=True)
@@ -309,17 +322,15 @@ def condition(
     if observed.shape != (n, d):
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
 
-    l_gram = joint.l_gram
+    evals = joint.l_eigh[0]
+    null_dim = int(np.sum(evals <= tol * max(float(evals[-1]), 0.0)))  # 0 when the gate passes
     try:
-        x = gated_solve(l_gram, joint.t_gram.conj().T, tol, SingularL, "L Gram matrix")
-        mean_map = x.conj().T
-        null_dim = 0
+        require_invertible(evals, tol, SingularL, "L Gram matrix")
+        mean_map = np.linalg.solve(joint.l.flat, joint.t_gram.conj().T).conj().T
     except SingularL:
         if not allow_singular:
             raise
-        mean_map = joint.t_gram @ np.linalg.pinv(l_gram, rcond=tol, hermitian=True)
-        evals = np.linalg.eigvalsh(l_gram)
-        null_dim = int(np.sum(evals <= tol * max(float(evals[-1]), 0.0)))
+        mean_map = joint.t_gram @ _pinv(joint.l_eigh, tol)
     posterior = (mean_map @ observed.reshape(n * d)).reshape(n, d)
     return ConditionalLaw(
         mean_map=mean_map,
@@ -393,6 +404,7 @@ class ConditionalMcReport:
     passed: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_verify_conditional(
     joint: JointKernel,
     seed: int,
@@ -405,7 +417,10 @@ def mc_verify_conditional(
     ``T_gram L_gram^{-1}`` and the empirical residual covariance against the
     Schur complement, each deviation expressed in asymptotic standard
     errors (Gaussian plug-in formulas); the check passes when every entry
-    stays within ``tol_sigma`` standard errors.
+    stays within ``tol_sigma`` standard errors.  The paths are drawn from
+    the joint factorization; a numerically singular empirical L covariance
+    raises :class:`SingularL`, and a statistic that overflows raises
+    :class:`InternalInvariantViolation` instead of being compared.
     """
     if count < 2:
         raise InvalidKernel("Monte-Carlo verification needs at least two samples")
@@ -413,21 +428,17 @@ def mc_verify_conditional(
     nd = n * d
     law = condition(joint, np.zeros((n, d)))  # raises SingularL when degenerate
 
-    k_part, l_part = sample_joint(joint, seed, count)
-    x = k_part.paths.reshape(count, nd)
-    y = l_part.paths.reshape(count, nd)
-
+    x, y = (half.reshape(count, nd) for half in _halves(joint, seed, count))
     c_xy = x.T @ y.conj() / count
     c_yy = y.T @ y.conj() / count
     c_yy = 0.5 * (c_yy + c_yy.conj().T)
-    b_hat = np.linalg.solve(c_yy.conj().T, c_xy.conj().T).conj().T
+    require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_xy, c_yy)
+    b_hat = gated_solve(c_yy.conj().T, c_xy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
 
-    l_inv = np.linalg.inv(joint.l_gram)
+    l_inv_diag = np.abs(joint.l_eigh[1]) ** 2 @ (1.0 / joint.l_eigh[0])
     schur_flat = joint.schur.flat
-    se_floor = 1e-12 * max(float(np.linalg.norm(joint.m.flat, 2)), 1.0) / np.sqrt(count)
-    se_mean = np.sqrt(
-        np.outer(np.abs(np.diag(schur_flat)), np.abs(np.diag(l_inv))) / count
-    )
+    se_floor = 1e-12 * max(joint.features.norm, 1.0) / np.sqrt(count)
+    se_mean = np.sqrt(np.outer(np.abs(np.diag(schur_flat)), l_inv_diag) / count)
     mean_dev = float(np.max(np.abs(b_hat - law.mean_map) / np.maximum(se_mean, se_floor)))
 
     resid = x - y @ b_hat.T
@@ -435,6 +446,9 @@ def mc_verify_conditional(
     diag_s = np.abs(np.diag(schur_flat))
     se_cov = np.sqrt((np.outer(diag_s, diag_s) + np.abs(schur_flat) ** 2) / count)
     cov_dev = float(np.max(np.abs(s_hat - schur_flat) / np.maximum(se_cov, se_floor)))
+    require_finite(
+        InternalInvariantViolation, "a Monte-Carlo statistic", b_hat, s_hat, se_mean, se_cov, mean_dev, cov_dev
+    )
 
     return ConditionalMcReport(
         mean_map_dev_se=mean_dev,

@@ -72,7 +72,13 @@ class LabelSet:
 
 
 def _block_frobenius(blocks: np.ndarray) -> np.ndarray:
-    return np.sqrt((np.abs(blocks) ** 2).sum(axis=(2, 3)))
+    # Moduli are scaled by a power of two near the largest, which is exact
+    # and keeps the squares from overflowing.
+    mod = np.abs(blocks)
+    scale = np.ldexp(1.0, int(np.frexp(mod.max(initial=0.0))[1]) - 1)
+    mod /= scale
+    mod *= mod
+    return scale * np.sqrt(mod.sum(axis=(2, 3)))
 
 
 class OperatorKernelTable:
@@ -85,6 +91,7 @@ class OperatorKernelTable:
     safe to share between threads.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, label_set: LabelSet, blocks) -> None:
         blocks = np.asarray(blocks, dtype=np.complex128)
         n = label_set.n
@@ -92,8 +99,7 @@ class OperatorKernelTable:
             raise ShapeError(f"expected ({n}, {n}, d, d) blocks, got {blocks.shape}")
         if blocks.shape[2] != blocks.shape[3] or blocks.shape[2] < 1:
             raise ShapeError(f"blocks must be square and non-empty, got {blocks.shape}")
-        if not np.all(np.isfinite(blocks.real)) or not np.all(np.isfinite(blocks.imag)):
-            raise InvalidKernel("kernel table contains non-finite entries")
+        require_finite(InvalidKernel, "kernel table", blocks)
 
         adjoint = blocks.transpose(1, 0, 3, 2).conj()
         scale = float(_block_frobenius(blocks).max())
@@ -104,6 +110,7 @@ class OperatorKernelTable:
                 f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
             )
         blocks = 0.5 * (blocks + adjoint)
+        require_finite(InvalidKernel, "symmetrized kernel table", blocks)  # entries near the float limit
         blocks.setflags(write=False)
 
         self.label_set = label_set
@@ -221,16 +228,26 @@ def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -
     return PDReport(pd=min_eig >= -tol, min_eig=min_eig, scale=scale)
 
 
-def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what: str) -> np.ndarray:
-    """Solve ``gram x = rhs`` for a Hermitian ``gram`` that must be invertible.
+def require_finite(error: type[Exception], what: str, *arrays) -> None:
+    """Raise ``error`` when any entry of ``arrays`` is NaN or infinite;
+    ``what`` names them in the message."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise error(f"{what} contains non-finite entries")
 
-    Raises ``error`` when the smallest eigenvalue is at or below ``tol``
-    times the largest, or when no eigenvalue is positive; ``what`` names
-    the matrix in the message.
-    """
-    evals = np.linalg.eigvalsh(gram)
-    if float(evals[0]) <= tol * max(float(evals[-1]), 0.0) or float(evals[-1]) <= 0.0:
-        raise error(f"{what} is numerically singular (eigs in [{evals[0]:.3e}, {evals[-1]:.3e}])")
+
+def require_invertible(evals: np.ndarray, tol: float, error: type[Exception], what: str) -> None:
+    """Raise ``error``, naming the matrix ``what``, unless its ascending Hermitian
+    eigenvalues ``evals`` are all above ``tol`` times the largest and the
+    largest is positive; a NaN fails."""
+    lo, hi = float(evals[0]), float(evals[-1])
+    if not (lo > tol * max(hi, 0.0) and hi > 0.0):
+        raise error(f"{what} is numerically singular (eigs in [{lo:.3e}, {hi:.3e}])")
+
+
+def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what: str) -> np.ndarray:
+    """Solve ``gram x = rhs`` for a Hermitian ``gram`` that passes
+    :func:`require_invertible`."""
+    require_invertible(np.linalg.eigvalsh(gram), tol, error, what)
     return np.linalg.solve(gram, rhs)
 
 
@@ -420,8 +437,7 @@ def normalize_diagonal(table: OperatorKernelTable) -> OperatorKernelTable:
     roots = np.empty((n, d, d), dtype=np.complex128)
     for i in range(n):
         w, u = np.linalg.eigh(table.blocks[i, i])
-        if w[0] <= RANK_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
-            raise InvalidKernel(f"diagonal block for {table.labels[i]!r} is singular")
+        require_invertible(w, RANK_RTOL, InvalidKernel, f"diagonal block for {table.labels[i]!r}")
         roots[i] = (u / np.sqrt(w)) @ u.conj().T
     blocks = np.einsum("ipq,ijqr,jrs->ijps", roots.conj().transpose(0, 2, 1), table.blocks, roots)
     return OperatorKernelTable(table.label_set, blocks)

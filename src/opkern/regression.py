@@ -23,6 +23,7 @@ solution.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     SingularL,
     SingularSystem,
 )
-from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, eig_extremes, gated_solve
+from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, eig_extremes, gated_solve, require_finite
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,7 @@ class TrainingSet:
             raise ShapeError(f"vectors must be ({m}, d), got {self.vectors.shape}")
         if self.targets.shape != (m,):
             raise ShapeError(f"targets must be ({m},), got {self.targets.shape}")
-        for arr in (self.vectors, self.targets):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-                raise InvalidKernel("training data contains non-finite entries")
+        require_finite(InvalidKernel, "training data", self.vectors, self.targets)
 
     @classmethod
     def from_triples(cls, triples) -> "TrainingSet":
@@ -91,10 +90,12 @@ class DesignMatrices:
     rows: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray) -> np.ndarray:
     blocks = table.blocks[np.ix_(rows, rows)]
     gram = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), blocks, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
+    require_finite(InvalidKernel, "design matrix", gram)
     min_eig, scale = eig_extremes(np.linalg.eigvalsh(gram))
     if min_eig < -PD_RTOL * scale:
         raise InternalInvariantViolation(
@@ -109,7 +110,8 @@ def design_matrices(
     noise_kernel: OperatorKernelTable,
     train: TrainingSet,
 ) -> DesignMatrices:
-    """Evaluate both m x m design matrices; positivity is asserted."""
+    """Evaluate both m x m design matrices; positivity is asserted, and an
+    overflowing matrix raises :class:`InvalidKernel`."""
     kernel._require_same_shape(noise_kernel)
     if train.vectors.shape[1] != kernel.dim_h:
         raise ShapeError(
@@ -135,22 +137,30 @@ class RegressionFit:
     design: DesignMatrices
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def krr_fit(dm: DesignMatrices, y) -> RegressionFit:
     """Solve the ridge system; raises :class:`SingularSystem` when ``[L] + [K]``
-    is singular to ``RANK_RTOL`` relative."""
+    is singular to ``RANK_RTOL`` relative, and :class:`InvalidKernel` when
+    the system, the coefficients or the fitted values overflow."""
     y = np.asarray(y, dtype=np.complex128)
     m = dm.training.size
     if y.shape != (m,):
         raise ShapeError(f"targets must be ({m},), got {y.shape}")
-    c = gated_solve(dm.noise_gram + dm.kernel_gram, y, RANK_RTOL, SingularSystem, "[L] + [K]")
-    return RegressionFit(coefficients=c, fitted=dm.kernel_gram @ c, design=dm)
+    total = dm.noise_gram + dm.kernel_gram
+    require_finite(InvalidKernel, "[L] + [K]", total)
+    c = gated_solve(total, y, RANK_RTOL, SingularSystem, "[L] + [K]")
+    fitted = dm.kernel_gram @ c
+    require_finite(InvalidKernel, "ridge solution", c, fitted)
+    return RegressionFit(coefficients=c, fitted=fitted, design=dm)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict(fit: RegressionFit, s: str, a) -> complex:
     """Evaluate the fitted function at (s, a).
 
     The sesquilinear placement is fixed so that evaluating at training
-    point i returns exactly ``([K] c)[i]``.
+    point i returns exactly ``([K] c)[i]``.  An overflowing value raises
+    :class:`InvalidKernel`.
     """
     table = fit.design.kernel
     a = np.asarray(a, dtype=np.complex128)
@@ -159,7 +169,10 @@ def predict(fit: RegressionFit, s: str, a) -> complex:
     i = table.label_set.index(s)
     dm = fit.design
     row = np.einsum("p,jpq,jq->j", a.conj(), table.blocks[i, dm.rows], dm.training.vectors)
-    return complex(row @ fit.coefficients)
+    value = complex(row @ fit.coefficients)
+    if not cmath.isfinite(value):  # one query at a time: the scalar test is the cheap one
+        raise InvalidKernel("prediction contains non-finite entries")
+    return value
 
 
 def objective_value(

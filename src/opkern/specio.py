@@ -44,6 +44,12 @@ from .kernels import (
 from .regression import TrainingSet
 
 
+#: Largest ``n * dim_h`` a kernel spec may declare, checked before any table
+#: is built: one flattened complex Gram of this size takes 16 * 8192**2
+#: bytes = 1 GiB.
+MAX_GRAM_DIM = 8192
+
+
 class SpecError(OpKernError):
     """Malformed spec file or wire payload."""
 
@@ -114,10 +120,12 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
     _object(data, "kernel spec")
     labels = _labels(_field(data, "labels"))
     dim_h = _number(_field(data, "dim_h"), "dim_h", integer=True)
+    n = labels.n
     if dim_h < 1:
         raise SpecError("dim_h must be >= 1")
+    if n * dim_h > MAX_GRAM_DIM:
+        raise SpecError(f"n * dim_h = {n * dim_h} exceeds the supported {MAX_GRAM_DIM}")
     kind = _field(data, "kind")
-    n = labels.n
 
     if kind == "explicit":
         blocks = json_to_array(_field(data, "blocks"), (n, n, dim_h, dim_h))

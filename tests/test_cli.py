@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkern import LabelSet, OperatorKernelTable, generate_valid_system, identity_kernel, scalar_kernel, transfer
+from opkern import (
+    LabelSet,
+    OperatorKernelTable,
+    gaussian,
+    generate_valid_system,
+    identity_kernel,
+    random_pd_kernel,
+    scalar_kernel,
+    transfer,
+)
 from opkern.cli import main
 from opkern.specio import array_to_json, kernel_to_spec, training_set_to_csv
 from opkern.regression import TrainingSet
-from conftest import labels
+from conftest import labels, scalar_table
 
 
 def write_json(path, payload):
@@ -137,6 +146,27 @@ class TestCheckPd:
         assert "Traceback" not in err
 
 
+def count_calls(monkeypatch, owner, names, counted_if=lambda *args, **kwargs: True):
+    """Patch each function ``owner.<name>`` to count the calls made from
+    opkern modules whose arguments satisfy ``counted_if``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            calls[_name] += caller.startswith("opkern") and counted_if(*args, **kwargs)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def spectral(x, ord=None, *args, **kwargs):
+    """``counted_if`` of ``np.linalg.norm`` that selects spectral norms."""
+    return ord == 2
+
+
 def builder_spec(name, params, dim_h=1):
     return {"labels": ["a"], "dim_h": dim_h, "kind": "builder", "builder": {"name": name, "params": params}}
 
@@ -168,6 +198,9 @@ class TestSpecValidation:
         "neumann_h_huge_integer": builder_spec("neumann_series", {**NEUMANN, "h": [[[10**400, 0]]]}),
         "tol_infinity": builder_spec("neumann_series", {**NEUMANN, "tol": float("inf")}),
         "tol_huge_integer": builder_spec("neumann_series", {**NEUMANN, "tol": 10**400}),
+        "dim_h_huge": builder_spec("identity", {}, dim_h=10**12),
+        "blocks_overflow_when_symmetrized": {"labels": ["a"], "dim_h": 1, "kind": "explicit",
+                                             "blocks": [[[[[1.7e308, 0.0]]]]]},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -368,6 +401,59 @@ class TestSpecLeafFuzz:
         run()
 
 
+# Numbers of a fuzzed training CSV or query file span the float range, so
+# that design matrices, coefficients and predictions can overflow.  Most
+# cells are such numbers; the rest do not parse or are not finite.
+FUZZ_NUMBERS = [0.0, 1.0, -2.5, 5e-324, 1e-160, 1e150, 1e154, 1e200, -1e308, 1.7e308]
+CSV_CELLS = st.sampled_from([repr(x) for x in FUZZ_NUMBERS] * 3 + ["nan", "inf", "", "x"])
+FUZZ_LABELS = st.sampled_from(["s1", "s2", "zz"])
+CSV_HEADER = ["label", "a_0_re", "a_0_im", "y_re", "y_im"]
+
+
+@st.composite
+def training_csvs(draw):
+    """Training CSV text over d = 1: a valid header or a fuzzed one, and rows
+    of fuzzed cells, some of the wrong length."""
+    header = draw(st.just(CSV_HEADER) | st.lists(st.sampled_from(CSV_HEADER + ["a_1_re"]), max_size=6))
+    cells = st.lists(CSV_CELLS, min_size=4, max_size=4) | st.lists(CSV_CELLS, max_size=5)
+    rows = draw(st.lists(st.tuples(FUZZ_LABELS, cells).map(lambda r: [r[0], *r[1]]), max_size=4))
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+QUERY_ITEMS = st.fixed_dictionaries({
+    "label": FUZZ_LABELS,
+    "a": st.lists(st.lists(st.sampled_from(FUZZ_NUMBERS + [float("nan")]), min_size=2, max_size=2),
+                  min_size=1, max_size=2),
+}) | JSON_VALUES
+
+
+class TestKrrFuzz:
+    def test_exit_code_is_total_and_reports_are_json(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("krr")
+        spec = write_json(base / "k.json", kernel_to_spec(scalar_table([[2.0, 1.0], [1.0, 2.0]])))
+        noise = write_json(base / "l.json", kernel_to_spec(identity_kernel(labels(2), 1)))
+
+        def run(argv, out):
+            out.unlink(missing_ok=True)
+            code = main([*argv, "--out", str(out)])
+            assert code in {0, 1, 2, 3}
+            if out.exists():
+                json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+            return code
+
+        # Any exception escaping main fails the test.
+        @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+        @given(train=training_csvs(), queries=st.lists(QUERY_ITEMS, max_size=3))
+        def fuzz(train, queries):
+            (base / "train.csv").write_text(train, encoding="utf-8")
+            krr = ["--spec", spec, "--noise-spec", noise, "--train", str(base / "train.csv")]
+            if run(["krr-fit", *krr], base / "fit.json") == 0:
+                query = write_json(base / "query.json", queries)
+                run(["krr-predict", *krr, "--fit", str(base / "fit.json"), "--query", query], base / "pred.json")
+
+        fuzz()
+
+
 class TestHypothesisExitCodes:
     def test_factorize_indefinite_exits_three(self, specs):
         assert main(["factorize", "--spec", specs["indefinite"]]) == 3
@@ -437,36 +523,11 @@ class TestRealize:
         spec = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
         spec["t"] = array_to_json(sys_.t_op)
         path = write_json(tmp_path / "system.json", spec)
-        calls = {
-            "construct_partial_isometry": 0,
-            "kolmogorov_factorize": 0,
-            "transfer_function": 0,
-            "is_positive_definite": 0,
-        }
-        for name in calls:
-            original = getattr(transfer, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(transfer, name, counted)
-        linalg = {"pinv": 0, "spectral_norm": 0}
-        pinv, norm = np.linalg.pinv, np.linalg.norm
-
-        def from_opkern():
-            return sys._getframe(2).f_globals.get("__name__", "").startswith("opkern")
-
-        def counted_pinv(*args, **kwargs):
-            linalg["pinv"] += from_opkern()
-            return pinv(*args, **kwargs)
-
-        def counted_norm(x, ord=None, *args, **kwargs):
-            linalg["spectral_norm"] += ord == 2 and from_opkern()
-            return norm(x, ord, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
-        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        calls = count_calls(monkeypatch, transfer, [
+            "construct_partial_isometry", "kolmogorov_factorize", "transfer_function", "is_positive_definite",
+        ])
+        pinv = count_calls(monkeypatch, np.linalg, ["pinv"])
+        norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
         out = tmp_path / "r.json"
         assert main(["realize", "--spec", path, "--out", str(out), "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["results"]["dominated"] is True
@@ -480,7 +541,7 @@ class TestRealize:
         # One SVD gives pinv(G) and each M(s)^+; the table scales come from
         # the factorizations.  Left: the derivative's pinv(V_K2) and the
         # identification's pinv(V_K1), and eleven residual norms.
-        assert linalg == {"pinv": 2, "spectral_norm": 11}
+        assert {"pinv": pinv["pinv"], "spectral_norm": norms["norm"]} == {"pinv": 2, "spectral_norm": 11}
 
 
 class TestRn:
@@ -582,6 +643,49 @@ class TestMcVerify:
         assert json.loads(out.read_text())["results"]["passed"] is False
 
 
+    @pytest.mark.parametrize("k,l,t,code", [
+        (1e100, 1.0, 0.5, 3),  # the L direction of the joint is below the rank cutoff: singular empirical c_yy
+        (1e160, 1e160, 0.5e160, 1),  # the standard errors overflow
+        (1e300, 1e300, 0.5e300, 1),
+    ])
+    def test_extreme_scales_exit_codes(self, k, l, t, code, tmp_path, capsys):
+        joint = write_json(tmp_path / "joint.json", {
+            "k": kernel_to_spec(scalar_table([[k]])),
+            "l": kernel_to_spec(scalar_table([[l]])),
+            "t_coupling": [[[[[t, 0.0]]]]],
+        })
+        out = tmp_path / "r.json"
+        assert main(["mc-verify", "--spec", joint, "--seed", "1", "--samples", "50", "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,linalg", [
+        ("mc-verify", {"eigh": 2, "eigvalsh": 2, "solve": 2, "pinv": 0, "inv": 0, "svd": 0}),
+        ("condition", {"eigh": 2, "eigvalsh": 1, "solve": 1, "pinv": 0, "inv": 0, "svd": 0}),
+    ])
+    def test_joint_and_l_are_decomposed_once(self, command, linalg, tmp_path, monkeypatch):
+        n, d = 3, 2
+        blocks = random_pd_kernel(4, n, 2 * d).blocks
+        spec = {
+            "k": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, :d, :d])),
+            "l": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, d:, d:])),
+            "t_coupling": array_to_json(blocks[:, :, :d, d:]),
+            "observed_l": array_to_json(np.ones((n, d))),
+        }
+        path = write_json(tmp_path / "joint.json", spec)
+        calls = count_calls(monkeypatch, gaussian, ["kolmogorov_factorize", "is_positive_definite"])
+        counted = count_calls(monkeypatch, np.linalg, sorted(linalg))
+        norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
+        extra = ["--seed", "1", "--samples", "2000"] if command == "mc-verify" else []
+        assert main([command, "--spec", path, *extra, "--out", str(tmp_path / "r.json")]) == 0
+        # M: one factorization, for the admission test and the sampler.  L:
+        # one eigh, for the Schur pseudo-inverse, the gate and diag(L^-1).
+        # eigvalsh: the Schur complement's positivity and the empirical c_yy gate.
+        assert calls == {"kolmogorov_factorize": 1, "is_positive_definite": 1}
+        assert counted == linalg
+        assert norms == {"norm": 0}
+
+
 class TestCondition:
     def test_scalar_conditioning(self, specs, tmp_path):
         out = tmp_path / "r.json"
@@ -647,6 +751,28 @@ class TestKrr:
         err = capsys.readouterr().err
         assert err.startswith("opkern: input error:")
         assert "Traceback" not in err
+
+    def test_overflowing_design_exits_two(self, specs, tmp_path, capsys):
+        train = tmp_path / "huge.csv"
+        train.write_text("label,a_0_re,a_0_im,y_re,y_im\ns1,1e200,0,1,0\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", str(train), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("opkern: input error: design matrix contains non-finite entries")
+        assert not out.exists()
+
+    def test_overflowing_prediction_exits_two(self, specs, tmp_path, capsys):
+        train = tmp_path / "ten.csv"  # coefficient 10 / (1 + 1) = 5
+        train.write_text("label,a_0_re,a_0_im,y_re,y_im\ns1,1,0,10,0\n", encoding="utf-8")
+        krr = ["--spec", specs["one"], "--noise-spec", specs["one"], "--train", str(train)]
+        fit = tmp_path / "fit.json"
+        assert main(["krr-fit", *krr, "--out", str(fit)]) == 0
+        query = write_json(tmp_path / "query.json", [{"label": "s1", "a": [[1e308, 0.0]]}])
+        out = tmp_path / "pred.json"
+        assert main(["krr-predict", *krr, "--fit", str(fit), "--query", query, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("opkern: input error: prediction contains non-finite entries")
+        assert not out.exists()
 
     def test_hash_mismatch_rejected(self, specs, tmp_path):
         fit_path = tmp_path / "fit.json"

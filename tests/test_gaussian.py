@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import opkern
+from opkern import gaussian
 
 from opkern import (
     InvalidKernel,
@@ -255,6 +256,47 @@ class TestAssembleJoint:
             oracles.interleave_joint_bruteforce(k.blocks, l.blocks, coupling),
             atol=1e-12,
         )
+
+
+def gram_of_rank(rank, complex_entries, size=6):
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((rank, size))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((rank, size))
+    return g.conj().T @ g
+
+
+class TestJointDecompositions:
+    @pytest.mark.parametrize("rcond", [1e-10, 1e-3])
+    @pytest.mark.parametrize("name,l_gram", [
+        ("full_rank_complex", gram_of_rank(6, True)),
+        ("full_rank_real", gram_of_rank(6, False)),
+        ("singular_complex", gram_of_rank(3, True)),
+        ("singular_real_as_complex", gram_of_rank(2, False).astype(np.complex128)),
+        ("indefinite", np.diag([2.0, -1.0, 0.5, -0.0, 0.0, 1e-12]).astype(np.complex128)),
+        ("zero", np.zeros((4, 4), dtype=np.complex128)),
+    ])
+    def test_pinv_from_stored_eigh_is_numpys(self, name, l_gram, rcond):
+        ours = gaussian._pinv(np.linalg.eigh(l_gram.conj()), rcond)
+        assert ours.tobytes() == np.linalg.pinv(l_gram, rcond=rcond, hermitian=True).tobytes()
+
+    def test_joint_is_factored_once_and_sampled_from_its_factorization(self):
+        k, l, coupling = block_joint_instance(81)
+        joint = assemble_joint(k, l, coupling)
+        assert joint.features.stacked.tobytes() == kolmogorov_factorize(joint.m).stacked.tobytes()
+        kp, lp = sample_joint(joint, 5, 1000)
+        full = draw_paths(joint.features, 5, 0, 1000).paths
+        assert full.tobytes() == make_sampler(joint.m, 5).draw(1000).paths.tobytes()
+        d = joint.dim_h
+        assert kp.paths.tobytes() == full[:, :, :d].tobytes()
+        assert lp.paths.tobytes() == full[:, :, d:].tobytes()
+        for part in (kp, lp):
+            assert not part.paths.flags.writeable and not part.paths.flags.owndata
+
+    def test_inadmissible_joint_reports_the_factorization_min_eig(self):
+        with pytest.raises(NotPositiveDefinite, match="joint table is not positive") as exc:
+            assemble_joint(scalar_one(), scalar_one(), scalar_coupling(2.0))
+        assert exc.value.min_eig == pytest.approx(-1.0)
 
 
 class TestSampleJoint:

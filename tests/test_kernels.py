@@ -22,7 +22,14 @@ from opkern import (
     scalar_kernel,
     zero_kernel,
 )
-from opkern.kernels import HERMITIAN_RTOL, _series_length, block_layout, gated_solve
+from opkern.kernels import (
+    HERMITIAN_RTOL,
+    _block_frobenius,
+    _series_length,
+    block_layout,
+    gated_solve,
+    require_invertible,
+)
 from conftest import labels, scalar_table
 import oracles
 
@@ -59,6 +66,20 @@ class TestTableConstruction:
         blocks[1, 0, 0, 0] = 1.0 + 1e-6
         with pytest.raises(InvalidKernel):
             OperatorKernelTable(two_labels, blocks)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160, 1e300])
+    def test_asymmetry_is_judged_at_every_scale(self, two_labels, scale):
+        # block norms are computed without overflow or underflow
+        blocks = scale * np.ones((2, 2, 1, 1), dtype=complex)
+        OperatorKernelTable(two_labels, blocks)
+        blocks[1, 0, 0, 0] *= 1.0 + 1e-6
+        with pytest.raises(InvalidKernel, match="not Hermitian"):
+            OperatorKernelTable(two_labels, blocks)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_block_norms_equal_the_unscaled_formula_in_range(self, scale):
+        blocks = scale * random_pd_kernel(5, 4, 3).blocks
+        assert _block_frobenius(blocks).tobytes() == np.sqrt((np.abs(blocks) ** 2).sum(axis=(2, 3))).tobytes()
 
     def test_repairs_roundoff_asymmetry(self, two_labels):
         blocks = np.ones((2, 2, 1, 1), dtype=complex)
@@ -377,6 +398,11 @@ class TestGatedSolve:
         diag = np.array([np.nextafter(self.TOL, 1.0), 0.5, 1.0])
         x = gated_solve(np.diag(diag).astype(np.complex128), np.ones(3), self.TOL, SingularSystem, "gram")
         np.testing.assert_allclose(x, 1.0 / diag, rtol=1e-15)
+
+    @pytest.mark.parametrize("evals", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan], [0.5, np.inf]])
+    def test_non_finite_eigenvalues_fail_the_gate(self, evals):
+        with pytest.raises(SingularSystem, match="gram is numerically singular"):
+            require_invertible(np.array(evals), self.TOL, SingularSystem, "gram")
 
     @pytest.mark.parametrize("error", [SingularL, SingularSystem])
     def test_raises_the_given_class(self, error):
