@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, NotPositiveDefinite, ShapeError
-from .kernels import RANK_RTOL, TINY, LabelSet, OperatorKernelTable, eig_extremes
+from .kernels import RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_psd
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,12 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     largest are dropped (never padded), so the dilation dimension is the
     numerical rank.  Raises :class:`NotPositiveDefinite` when the smallest
     eigenvalue is below ``-tol`` times the spectral norm, and checks the
-    reconstruction residual against its guaranteed bound.
+    reconstruction residual against its guaranteed bound,
+    ``max(tol, 1e-10)`` times the spectral norm.
     """
     flat = table.flat
     w, u = np.linalg.eigh(flat)
-    min_eig, scale = eig_extremes(w)
-    if min_eig < -tol * scale:
-        raise NotPositiveDefinite(
-            f"cannot factor: min eigenvalue {min_eig:.3e} < -{tol:g} * {scale:.3e}",
-            min_eig=min_eig,
-        )
+    scale = require_psd(w, tol, NotPositiveDefinite, "kernel table")
     keep = w > tol * max(w[-1], 0.0)
     lam = w[keep][::-1]
     vecs = u[:, keep][:, ::-1]
@@ -79,16 +75,19 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     stacked.setflags(write=False)
     lam.setflags(write=False)
 
-    # The Frobenius norm bounds the spectral norm from above, so the SVD
-    # behind the spectral norm is needed only when Frobenius fails the bound
-    # (an overflowing Frobenius norm fails it).
+    # Dropped eigenvalues lie in [-tol * scale, tol * scale], so truncation
+    # moves the reconstruction by at most that much.  The Frobenius norm
+    # bounds the spectral norm from above, so the SVD behind the spectral
+    # norm is needed only when Frobenius fails the bound (an overflowing
+    # Frobenius norm fails it).
     defect = stacked.conj().T @ stacked - flat
-    bound = max(1e-10 * scale, TINY)
+    rtol = max(tol, 1e-10)
+    bound = max(rtol * scale, TINY)
     with np.errstate(over="ignore"):
         frobenius = np.linalg.norm(defect)
     if frobenius > bound and (residual := float(np.linalg.norm(defect, 2))) > bound:
         raise InternalInvariantViolation(
-            f"factorization residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
+            f"factorization residual {residual:.3e} exceeds {rtol:g} * {scale:.3e}", residual=residual
         )
     return FeatureSystem(
         label_set=table.label_set,

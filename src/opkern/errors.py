@@ -1,8 +1,21 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+A failure that measured something carries the measured quantities as
+attributes (``min_eig``, ``residual``, ``relative``, ``label``,
+``sigma_min``), passed as keyword arguments to the constructor.
+"""
 
 
 class OpKernError(Exception):
-    """Base class for everything raised deliberately by this package."""
+    """Base class for everything raised deliberately by this package.
+
+    Each keyword argument is a measured quantity behind the failure and is
+    stored as an attribute of the same name.
+    """
+
+    def __init__(self, message, **measured):
+        super().__init__(message)
+        self.__dict__.update(measured)
 
 
 class InvalidKernel(OpKernError):
@@ -23,31 +36,14 @@ class NotStrictContraction(OpKernError):
 
 
 class NotPositiveDefinite(OpKernError):
-    """A kernel required to be positive semidefinite is not.
-
-    Attributes
-    ----------
-    min_eig : smallest eigenvalue of the flattened matrix, if known.
-    """
-
-    def __init__(self, message, min_eig=None):
-        super().__init__(message)
-        self.min_eig = min_eig
+    """A kernel required to be positive semidefinite is not; ``min_eig`` is
+    the smallest eigenvalue of the flattened matrix."""
 
 
 class NotEquivalent(OpKernError):
-    """The two signed decompositions do not agree.
-
-    Attributes
-    ----------
-    residual : worst absolute violation of the defining identity.
-    relative : the same violation divided by the system scale.
-    """
-
-    def __init__(self, message, residual=None, relative=None):
-        super().__init__(message)
-        self.residual = residual
-        self.relative = relative
+    """The two signed decompositions do not agree; ``residual`` is the worst
+    absolute violation of the defining identity and ``relative`` the same
+    violation divided by the system scale."""
 
 
 class GramMismatch(OpKernError):
@@ -56,12 +52,8 @@ class GramMismatch(OpKernError):
 
 
 class NotInvertible(OpKernError):
-    """The rank condition behind the transfer function fails at a label."""
-
-    def __init__(self, message, label=None, sigma_min=None):
-        super().__init__(message)
-        self.label = label
-        self.sigma_min = sigma_min
+    """The rank condition behind the transfer function fails at ``label``,
+    where ``M(s)`` has smallest singular value ``sigma_min``."""
 
 
 class NotDominated(OpKernError):

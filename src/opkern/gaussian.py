@@ -52,10 +52,12 @@ from .kernels import (
     LabelSet,
     OperatorKernelTable,
     block_layout,
+    eig_extremes,
     gated_solve,
     is_positive_definite,
     require_finite,
     require_invertible,
+    require_psd,
 )
 
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
@@ -262,12 +264,8 @@ def assemble_joint(
     schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
     schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
     schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
-    s_report = is_positive_definite(schur_table)
-    if s_report.min_eig < -PD_RTOL * max(s_report.scale, features.norm):
-        raise NotPositiveDefinite(
-            f"Schur complement is not positive (min eig {s_report.min_eig:.3e}); coupling inadmissible",
-            min_eig=s_report.min_eig,
-        )
+    evals = np.linalg.eigvalsh(schur_table.flat)
+    require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
     return JointKernel(k, l, t_blocks, m_table, features, l_eigh, schur_table)
 
 

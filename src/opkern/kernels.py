@@ -12,7 +12,14 @@ for every finite system of vectors ``a_i``, one per label.  Equivalently the
 major, coordinates minor).  This ordering is canonical throughout the
 package; every Gram-level computation in the other modules relies on it.
 
-Tolerances are relative to the spectral norm of the flattened matrix.
+Positivity is decided by :func:`require_psd`: the smallest eigenvalue must
+be at least ``-tol`` times a scale, by default the matrix's own spectral
+norm.  Two gates pass a different scale: the Schur complement of a joint
+table uses ``max(own norm, norm of the joint table)``, and the domination
+test of a Radon-Nikodym pair the norm of the dominating table.  An
+explicit ``tol`` of :func:`is_positive_definite` (``check-pd --tol``) is an
+absolute bound on the smallest eigenvalue.  Rank cutoffs are relative to
+the largest eigenvalue or singular value.
 Block-level comparisons use Frobenius norms, which bound the per-block
 spectral norm from above.
 """
@@ -235,6 +242,18 @@ def require_finite(error: type[Exception], what: str, *arrays) -> None:
         raise error(f"{what} contains non-finite entries")
 
 
+def require_psd(evals: np.ndarray, tol: float, error: type[Exception], what: str, scale: float | None = None) -> float:
+    """Raise ``error``, naming the matrix ``what`` and carrying ``min_eig``,
+    unless the smallest of its ascending Hermitian eigenvalues ``evals`` is
+    at least ``-tol * scale``; a NaN fails.  ``scale`` defaults to the
+    spectral norm; the scale used is returned."""
+    min_eig, own = eig_extremes(evals)
+    scale = own if scale is None else scale
+    if not min_eig >= -tol * scale:
+        raise error(f"{what} is not positive (min eig {min_eig:.3e} < -{tol:g} * {scale:.3e})", min_eig=min_eig)
+    return scale
+
+
 def require_invertible(evals: np.ndarray, tol: float, error: type[Exception], what: str) -> None:
     """Raise ``error``, naming the matrix ``what``, unless its ascending Hermitian
     eigenvalues ``evals`` are all above ``tol`` times the largest and the
@@ -401,11 +420,7 @@ def neumann_series_kernel(h, label_set: LabelSet, point_map: Mapping, tol: float
         part = part + power.conj().T @ part @ power
         power = power @ power
     table = OperatorKernelTable(label_set, acc)
-    report = is_positive_definite(table)
-    if not report.pd:
-        raise InternalInvariantViolation(
-            f"truncated series table failed its positivity guarantee (min eig {report.min_eig:.3e})"
-        )
+    require_psd(np.linalg.eigvalsh(table.flat), PD_RTOL, InternalInvariantViolation, "truncated series table")
     return table
 
 

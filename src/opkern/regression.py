@@ -35,7 +35,7 @@ from .errors import (
     SingularL,
     SingularSystem,
 )
-from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, eig_extremes, gated_solve, require_finite
+from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, gated_solve, require_finite, require_psd
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class DesignMatrices:
     noise_gram: np.ndarray
     training: TrainingSet
     kernel: OperatorKernelTable
-    noise_kernel: OperatorKernelTable
     rows: np.ndarray
 
 
@@ -96,12 +95,7 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray)
     gram = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), blocks, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
     require_finite(InvalidKernel, "design matrix", gram)
-    min_eig, scale = eig_extremes(np.linalg.eigvalsh(gram))
-    if min_eig < -PD_RTOL * scale:
-        raise InternalInvariantViolation(
-            f"design matrix lost positivity (min eig {min_eig:.3e}); "
-            "the underlying kernel table is not positive"
-        )
+    require_psd(np.linalg.eigvalsh(gram), PD_RTOL, InternalInvariantViolation, "design matrix")
     return gram
 
 
@@ -123,7 +117,6 @@ def design_matrices(
         noise_gram=_pair_gram(noise_kernel, train, rows),
         training=train,
         kernel=kernel,
-        noise_kernel=noise_kernel,
         rows=rows,
     )
 

@@ -66,7 +66,7 @@ from .kernels import (
     TINY,
     LabelSet,
     OperatorKernelTable,
-    is_positive_definite,
+    require_psd,
 )
 
 
@@ -104,7 +104,6 @@ def validate_system(
     l1: OperatorKernelTable,
     l2: OperatorKernelTable,
     t_op,
-    tol: float = 1e-10,
 ) -> SignedKernelSystem:
     """Check shapes, positivity, and the defining identity of a system.
 
@@ -113,8 +112,8 @@ def validate_system(
     :class:`NotPositiveDefinite` naming it.  The identity residual is
     measured blockwise in spectral norm, relative to the largest flattened
     norm among the four tables (the L-side scaled by ``max(1, ||T||^2)``).
-    Violations raise :class:`NotEquivalent` with the offending residual
-    attached.
+    A relative residual above ``1e-10`` raises :class:`NotEquivalent` with
+    the offending residual attached.
     """
     features = {}
     for name, tab in {"k1": k1, "k2": k2, "l1": l1, "l2": l2}.items():
@@ -142,10 +141,9 @@ def validate_system(
         TINY,
     )
     rel = residual / scale
-    if residual > tol * scale:
+    if residual > 1e-10 * scale:
         raise NotEquivalent(
-            f"signed decompositions disagree: residual {residual:.3e} "
-            f"(relative {rel:.3e} > {tol:g})",
+            f"signed decompositions disagree: residual {residual:.3e} (relative {rel:.3e} > 1e-10)",
             residual=residual,
             relative=rel,
         )
@@ -417,11 +415,7 @@ def _derivative(
 ) -> RNDerivative:
     """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
     hi_scale = fs.norm
-    diff_report = is_positive_definite(hi - lo, tol * hi_scale)
-    if not diff_report.pd:
-        raise NotDominated(
-            f"domination fails: min eigenvalue of (hi - lo) is {diff_report.min_eig:.3e}"
-        )
+    require_psd(np.linalg.eigvalsh((hi - lo).flat), tol, NotDominated, "hi - lo", hi_scale)
     pinv = np.linalg.pinv(fs.stacked, rcond=RANK_RTOL)
     phi = pinv.conj().T @ lo.flat @ pinv
     phi = 0.5 * (phi + phi.conj().T)

@@ -524,7 +524,7 @@ class TestRealize:
         spec["t"] = array_to_json(sys_.t_op)
         path = write_json(tmp_path / "system.json", spec)
         calls = count_calls(monkeypatch, transfer, [
-            "construct_partial_isometry", "kolmogorov_factorize", "transfer_function", "is_positive_definite",
+            "construct_partial_isometry", "kolmogorov_factorize", "transfer_function", "require_psd",
         ])
         pinv = count_calls(monkeypatch, np.linalg, ["pinv"])
         norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
@@ -536,7 +536,7 @@ class TestRealize:
             "construct_partial_isometry": 1,
             "kolmogorov_factorize": 4,
             "transfer_function": 2,
-            "is_positive_definite": 1,
+            "require_psd": 1,
         }
         # One SVD gives pinv(G) and each M(s)^+; the table scales come from
         # the factorizations.  Left: the derivative's pinv(V_K2) and the
@@ -626,6 +626,15 @@ class TestTolerance:
         assert "--tol" in err
 
 
+    def test_factorize_truncating_tol_exits_zero(self, tmp_path):
+        # dropping the eigenvalue 1e-4 <= tol moves the reconstruction by 1e-4
+        blocks = [[[[[1.0, 0.0]]], [[[0.0, 0.0]]]], [[[[0.0, 0.0]]], [[[1e-4, 0.0]]]]]
+        spec = write_json(tmp_path / "k.json", {"labels": ["a", "b"], "dim_h": 1, "kind": "explicit", "blocks": blocks})
+        out = tmp_path / "f.json"
+        assert main(["factorize", "--spec", spec, "--tol", "1e-3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["dilation_dim"] == 1
+
+
 class TestMcVerify:
     def test_scalar_joint_passes(self, specs, tmp_path):
         out = tmp_path / "r.json"
@@ -673,7 +682,7 @@ class TestMcVerify:
             "observed_l": array_to_json(np.ones((n, d))),
         }
         path = write_json(tmp_path / "joint.json", spec)
-        calls = count_calls(monkeypatch, gaussian, ["kolmogorov_factorize", "is_positive_definite"])
+        calls = count_calls(monkeypatch, gaussian, ["kolmogorov_factorize", "require_psd"])
         counted = count_calls(monkeypatch, np.linalg, sorted(linalg))
         norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
         extra = ["--seed", "1", "--samples", "2000"] if command == "mc-verify" else []
@@ -681,7 +690,7 @@ class TestMcVerify:
         # M: one factorization, for the admission test and the sampler.  L:
         # one eigh, for the Schur pseudo-inverse, the gate and diag(L^-1).
         # eigvalsh: the Schur complement's positivity and the empirical c_yy gate.
-        assert calls == {"kolmogorov_factorize": 1, "is_positive_definite": 1}
+        assert calls == {"kolmogorov_factorize": 1, "require_psd": 1}
         assert counted == linalg
         assert norms == {"norm": 0}
 

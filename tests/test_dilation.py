@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from opkern import (
+    RANK_RTOL,
+    InternalInvariantViolation,
     LabelError,
+    LabelSet,
     NotPositiveDefinite,
+    OperatorKernelTable,
     ShapeError,
     adjoint_apply,
     embed,
@@ -117,6 +122,39 @@ class TestFactorize:
             monkeypatch.setattr(np.linalg, name, counted(name))
         kolmogorov_factorize(table)
         assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("tol", [RANK_RTOL, 1e-3])
+    def test_perturbed_eigenvectors_fail_the_residual_check(self, tol, monkeypatch):
+        table = random_pd_kernel(8, 3, 2)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, u = eigh(a)
+            return w, u + 0.05 * np.random.default_rng(0).standard_normal(u.shape)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(InternalInvariantViolation, match="factorization residual") as exc:
+            kolmogorov_factorize(table, tol)
+        assert exc.value.residual > tol * np.linalg.norm(table.flat, 2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_grams_are_covariant_under_label_permutation(self, n, d, seed, data):
+        table = random_pd_kernel(seed, n, d, rank=data.draw(st.integers(1, n * d)))
+        order = data.draw(st.permutations(range(n)))
+        permuted = OperatorKernelTable(
+            LabelSet.of(table.labels[i] for i in order), table.blocks[np.ix_(order, order)]
+        )
+        fs, fs_p = kolmogorov_factorize(table), kolmogorov_factorize(permuted)
+        assert fs_p.dilation_dim == fs.dilation_dim
+        for s in table.labels:
+            for t in table.labels:
+                np.testing.assert_allclose(fs_p.gram(s, t), fs.gram(s, t), rtol=0, atol=1e-12 * fs.norm)
 
 
 class TestMinimalDilationDim:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkern import (
+    PD_RTOL,
     RANK_RTOL,
+    InternalInvariantViolation,
     InvalidKernel,
     LabelError,
     LabelSet,
+    NotDominated,
+    NotPositiveDefinite,
     NotStrictContraction,
     OperatorKernelTable,
     ShapeError,
@@ -29,9 +34,12 @@ from opkern.kernels import (
     block_layout,
     gated_solve,
     require_invertible,
+    require_psd,
 )
 from conftest import labels, scalar_table
 import oracles
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 class TestLabelSet:
@@ -148,6 +156,49 @@ class TestFlatten:
         np.testing.assert_array_equal(again.blocks, table.blocks)
         np.testing.assert_array_equal(again.flat, table.flat)
 
+    @PROPERTY
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+    )
+    def test_from_flat_inverts_flatten_byte_for_byte(self, n, d, seed, magnitude):
+        a = magnitude * oracles.random_hermitian_blocks(np.random.default_rng(seed), n, d)
+        table = OperatorKernelTable(labels(n), a)
+        again = OperatorKernelTable.from_flat(table.label_set, d, flatten(table))
+        assert again.blocks.tobytes() == table.blocks.tobytes()
+
+
+class TestHermitianRepair:
+    @PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.sampled_from([1e-150, 1.0, 1e150]),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_repairs_exactly_up_to_the_bound(self, n, d, seed, magnitude, phase):
+        # The defect sits where the Hermitian part is zero, so the asymmetry
+        # equals its modulus and the largest block norm does not see it.
+        rng = np.random.default_rng(seed)
+        blocks = magnitude * oracles.random_hermitian_blocks(rng, n, d)
+        p, q = (int(v) for v in rng.integers(0, d, size=2))
+        blocks[0, 1, p, q] = blocks[1, 0, q, p] = 0.0
+        scale = float(_block_frobenius(blocks).max())
+        for factor, repaired in ((1 - 1e-9, True), (1 + 1e-9, False)):
+            defect = factor * HERMITIAN_RTOL * scale * np.exp(1j * phase)
+            blocks[0, 1, p, q] = defect
+            assert float(_block_frobenius(blocks).max()) == scale
+            if repaired:
+                table = OperatorKernelTable(labels(n), blocks)
+                assert table.blocks[0, 1, p, q] == 0.5 * defect
+                assert np.all(table.flat == table.flat.conj().T)
+            else:
+                with pytest.raises(InvalidKernel, match="not Hermitian"):
+                    OperatorKernelTable(labels(n), blocks)
+
 
 class TestPositivity:
     def test_identity_kernel(self, identity_22):
@@ -185,6 +236,49 @@ class TestPositivity:
         vote = oracles.quadratic_form_pd_flag(indef.blocks, np.random.default_rng(2000 + seed))
         assert vote is False
         assert is_positive_definite(indef).pd is False
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+
+
+@st.composite
+def psd_gate_cases(draw):
+    """Ascending finite eigenvalues, a tolerance and an optional scale; the
+    smallest eigenvalue is often ``-tol * scale`` or one of its neighbours."""
+    tol = draw(st.sampled_from([0.0, PD_RTOL, 1e-9, 0.25]))
+    rest = draw(st.lists(FINITE, min_size=1, max_size=4))
+    scale = draw(st.none() | FINITE.map(abs))
+    gate = -tol * (max(abs(v) for v in rest) if scale is None else scale)
+    lowest = draw(st.sampled_from([gate, np.nextafter(gate, -np.inf), np.nextafter(gate, np.inf)]) | FINITE)
+    return np.sort(np.array([lowest, *rest])), tol, scale
+
+
+class TestRequirePsd:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=psd_gate_cases())
+    def test_raises_exactly_below_minus_tol_times_scale(self, case):
+        evals, tol, scale = case
+        lo = float(evals[0])
+        used = max(abs(lo), abs(float(evals[-1]))) if scale is None else scale
+        if lo < -tol * used:
+            with pytest.raises(NotPositiveDefinite, match="m is not positive") as exc:
+                require_psd(evals, tol, NotPositiveDefinite, "m", scale)
+            assert exc.value.min_eig == lo
+        else:
+            assert require_psd(evals, tol, NotPositiveDefinite, "m", scale) == used
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    @pytest.mark.parametrize("evals", [[np.nan, 1.0], [np.nan, np.nan], [np.nan]])
+    def test_nan_minimum_fails(self, evals, scale):
+        with pytest.raises(NotPositiveDefinite):
+            require_psd(np.array(evals), PD_RTOL, NotPositiveDefinite, "m", scale)
+
+    @pytest.mark.parametrize("error", [NotPositiveDefinite, NotDominated, InternalInvariantViolation])
+    def test_raises_the_given_class_with_min_eig(self, error):
+        with pytest.raises(error) as exc:
+            require_psd(np.array([-1.0, 2.0]), PD_RTOL, error, "m")
+        assert type(exc.value) is error and exc.value.min_eig == -1.0
 
 
 class TestOrdering:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkern import (
     LabelError,
@@ -290,6 +291,29 @@ class TestRidgeGpEquivalence:
         posterior = gp_posterior_mean(k, noise, observed)
         scale = max(1.0, float(np.linalg.norm(observed)))
         assert np.linalg.norm(fit.fitted - posterior.reshape(-1)) <= 1e-9 * scale
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.sampled_from([1e-100, 1.0, 1e100]),
+        data=st.data(),
+    )
+    def test_full_grid_fit_is_the_posterior_mean(self, n, d, seed, magnitude, data):
+        # any rank of K, any order of the grid points, any scale of the data
+        k = random_pd_kernel(seed, n, d, rank=data.draw(st.integers(1, n * d)))
+        noise = random_pd_kernel(seed + 1, n, d)
+        rng = np.random.default_rng(seed)
+        observed = magnitude * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+        order = data.draw(st.permutations(range(n * d)))
+        grid = full_grid_training(k, observed)
+        train = TrainingSet(
+            labels=tuple(grid.labels[i] for i in order), vectors=grid.vectors[order], targets=grid.targets[order]
+        )
+        fitted = krr_fit(design_matrices(k, noise, train), train.targets).fitted
+        posterior = gp_posterior_mean(k, noise, observed).reshape(-1)[order]
+        assert np.linalg.norm(fitted - posterior) <= 1e-9 * np.linalg.norm(posterior)
 
     def test_full_grid_design_equals_flattened_kernel(self):
         k = random_pd_kernel(8, 2, 2)

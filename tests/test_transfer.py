@@ -14,6 +14,7 @@ from opkern import (
     generate_valid_system,
     identity_kernel,
     is_positive_definite,
+    kolmogorov_factorize,
     radon_nikodym,
     random_pd_kernel,
     scalar_kernel,
@@ -102,12 +103,12 @@ class TestPartialIsometry:
         assert real.gram_defect <= 1e-9
 
     def test_gram_mismatch_detected(self):
-        # a system violating the identity at 1e-7, admitted with a loose
-        # tolerance, must be caught by the Gram gate
-        ls = labels(1)
-        k1 = scalar_kernel(ls, np.array([[4.0 + 1e-7]]))
-        sys_ = validate_system(k1, scalar_kernel(ls, ONE), scalar_kernel(ls, 4 * ONE),
-                               scalar_kernel(ls, ONE), ONE, tol=1e-3)
+        # a system violating the identity at 1e-7, slipped past validation by
+        # swapping in the factorization of a perturbed K1, must be caught by
+        # the Gram gate
+        sys_ = scalar_system(4, 1, 4, 1)
+        k1 = scalar_kernel(labels(1), np.array([[4.0 + 1e-7]]))
+        sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
         with pytest.raises(GramMismatch):
             construct_partial_isometry(sys_)
 
@@ -216,6 +217,15 @@ class TestRadonNikodym:
         k = random_pd_kernel(4, 2, 2)
         with pytest.raises(NotDominated):
             radon_nikodym(2.0 * k, k)
+
+    def test_domination_is_judged_relative_to_hi(self):
+        # hi - lo = diag(101, -5e-9) passes at -1e-9 times its own norm 101,
+        # which would let the derivative fail as SpectrumOutOfRange instead
+        ls = labels(2)
+        lo = scalar_kernel(ls, np.diag([-100.0, 1.0 + 5e-9]))
+        with pytest.raises(NotDominated, match="hi - lo is not positive") as exc:
+            radon_nikodym(lo, identity_kernel(ls, 1))
+        assert exc.value.min_eig == pytest.approx(-5e-9, rel=1e-6)
 
     def test_indefinite_hi_is_rejected_before_domination(self):
         ls = labels(2)
