@@ -1,9 +1,13 @@
 """Batch experiment runner.
 
 One subcommand per pipeline; every run is a pure function of its input
-files and flags.  Reports are JSON with sorted keys and carry SHA-256
-hashes of the input specs; ``--no-timestamp`` drops the only
-non-deterministic field, making repeated runs byte-identical.
+files and flags.  Reports are strict JSON (no ``NaN`` or ``Infinity``)
+with sorted keys and carry SHA-256 hashes of the input specs;
+``--no-timestamp`` drops the only non-deterministic field, making repeated
+runs byte-identical.  ``krr-predict`` requires the fit to record the
+hashes of ``--spec``, ``--noise-spec`` and ``--train`` and to match them,
+so the fit's gates ran on the same bytes; it evaluates the H-valued
+regression function F once and reads every query from it.
 
 Exit codes: 0 success, 1 tolerance or positivity failure, 2 input/parse
 error, 3 violated hypothesis (rank condition, domination, singular
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import gaussian, regression, transfer
 from .dilation import kolmogorov_factorize
@@ -117,7 +122,7 @@ def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None
     }
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit_text(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit_text(args, specio.report_to_json(payload) + "\n")
 
 
 def cmd_check_pd(args) -> int:
@@ -185,8 +190,8 @@ def cmd_rn(args) -> int:
         "rn_spectrum": list(rn.spectrum),
         "reproduction_residual": rn.reproduction_residual,
         "dilation_dim": rn.feature_system.dilation_dim,
-        "phi": specio.array_to_json(rn.phi),
-        "sqrt_phi": specio.array_to_json(rn.sqrt_phi),
+        "phi": rn.phi,
+        "sqrt_phi": rn.sqrt_phi,
     }
     _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK
@@ -230,9 +235,9 @@ def cmd_condition(args) -> int:
     joint = gaussian.assemble_joint(k, l, coupling)
     law = gaussian.condition(joint, observed, args.tol)
     results = {
-        "posterior_mean": specio.array_to_json(law.posterior_mean),
-        "mean_map": specio.array_to_json(law.mean_map),
-        "cond_cov_blocks": specio.array_to_json(law.cond_cov.blocks),
+        "posterior_mean": law.posterior_mean,
+        "mean_map": law.mean_map,
+        "cond_cov_blocks": law.cond_cov.blocks,
         "null_dim": law.null_dim,
     }
     extra = {} if args.observed is None else {"observed": args.observed}
@@ -247,8 +252,8 @@ def cmd_krr_fit(args) -> int:
     dm = regression.design_matrices(kernel, noise, train)
     fit = regression.krr_fit(dm, train.targets)
     results = {
-        "coefficients": specio.array_to_json(fit.coefficients),
-        "fitted": specio.array_to_json(fit.fitted),
+        "coefficients": fit.coefficients,
+        "fitted": fit.fitted,
         "m": train.size,
     }
     _emit_report(args, {}, results, noise_spec=args.noise_spec, train=args.train)
@@ -262,30 +267,33 @@ def cmd_krr_predict(args) -> int:
         fit_coefficients = fit_payload["results"]["coefficients"]
     except (AttributeError, KeyError, TypeError):
         raise SpecError(f"{args.fit} is not a krr-fit report with results.coefficients") from None
+    # The fit's gates (positivity, finiteness, solvability) ran on exactly these bytes.
     for name, path in (("spec", args.spec), ("noise_spec", args.noise_spec), ("train", args.train)):
         recorded = hashes.get(name)
-        if recorded is not None and recorded != _sha256(path):
+        if recorded is None:
+            raise SpecError(f"{args.fit} does not record the sha256 of {name}")
+        if recorded != _sha256(path):
             raise SpecError(
                 f"hash mismatch for {name}: the fit was produced from different inputs"
             )
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
-    noise = specio.kernel_from_spec(specio.load_json(args.noise_spec))
     train = specio.training_set_from_csv(Path(args.train).read_text(encoding="utf-8"))
     coeffs = specio.json_to_array(fit_coefficients, (train.size,))
-    dm = regression.design_matrices(kernel, noise, train)
-    fit = regression.RegressionFit(coefficients=coeffs, fitted=dm.kernel_gram @ coeffs, design=dm)
     queries = specio.load_json(args.query)
     if not isinstance(queries, list):
         raise SpecError("query file must be a JSON list of {label, a} objects")
-    predictions = []
     for item in queries:
         if not isinstance(item, dict) or not isinstance(item.get("label"), str):
             raise SpecError(f"query items must be {{label, a}} objects with a string label, got {item!r}")
-        label = item["label"]
-        vec = specio.json_to_array(item.get("a"), (kernel.dim_h,))
-        predictions.append(
-            {"label": label, "value": specio.complex_to_pair(regression.predict(fit, label, vec))}
-        )
+    labels = [item["label"] for item in queries]
+    shape = (len(queries), kernel.dim_h)
+    vectors = specio.json_to_array([item.get("a") for item in queries], shape) if queries else np.zeros(shape)
+    f_values = regression.representer(kernel, train, coeffs)
+    values = regression.predict(kernel.label_set, f_values, labels, vectors)
+    predictions = [
+        {"label": label, "value": [re, im]}
+        for label, re, im in zip(labels, values.real.tolist(), values.imag.tolist())
+    ]
     extra = {"fit": args.fit, "noise_spec": args.noise_spec, "train": args.train, "query": args.query}
     _emit_report(args, {}, {"predictions": predictions}, **extra)
     return EXIT_OK

@@ -13,7 +13,13 @@ semidefinite.  The regularized least-squares problem
 over the reproducing space of the scalarized kernel has the closed-form
 minimizer with coefficients c = ([L] + [K])^{-1} y on the representer
 span, fitted values [K] c, and pointwise predictions
-f(s, a) = sum_i <a, K(s, s_i) a_i> c_i.
+f(s, a) = sum_i <a, K(s, s_i) a_i> c_i = <a, F(s)>.
+
+The H-valued function ``F(s) = sum_i K(s, s_i) a_i c_i`` in ``C^d`` is the
+regression function of the H-valued Gaussian process: an H-valued target
+at s is the d scalar rows ``a = e_p``, so on a full grid F is the posterior
+mean.  :func:`representer` forms F once, one GEMV with the flattened
+kernel, and :func:`predict` reads every query from it.
 
 On a full observation grid this coincides with Gaussian-process
 conditioning of the noisy sum: the posterior mean is
@@ -23,7 +29,6 @@ solution.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,7 @@ from .errors import (
     SingularL,
     SingularSystem,
 )
-from .kernels import PD_RTOL, RANK_RTOL, TINY, OperatorKernelTable, gated_solve, require_finite, require_psd
+from .kernels import PD_RTOL, RANK_RTOL, TINY, LabelSet, OperatorKernelTable, gated_solve, require_finite, require_psd
 
 
 @dataclass(frozen=True)
@@ -76,17 +81,20 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Pairwise scalarized kernel values of the training pairs, for K and L.
-
-    ``rows`` holds the position of each training label in the kernels'
-    label set.
-    """
+    """Pairwise scalarized kernel values of the training pairs, for K and L."""
 
     kernel_gram: np.ndarray
     noise_gram: np.ndarray
     training: TrainingSet
-    kernel: OperatorKernelTable
-    rows: np.ndarray
+
+
+def _training_rows(kernel: OperatorKernelTable, train: TrainingSet) -> np.ndarray:
+    """The position of each training label in the kernel's label set."""
+    if train.vectors.shape[1] != kernel.dim_h:
+        raise ShapeError(
+            f"training vectors have length {train.vectors.shape[1]}, kernel expects {kernel.dim_h}"
+        )
+    return np.array([kernel.label_set.index(s) for s in train.labels], dtype=np.intp)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -107,17 +115,11 @@ def design_matrices(
     """Evaluate both m x m design matrices; positivity is asserted, and an
     overflowing matrix raises :class:`InvalidKernel`."""
     kernel._require_same_shape(noise_kernel)
-    if train.vectors.shape[1] != kernel.dim_h:
-        raise ShapeError(
-            f"training vectors have length {train.vectors.shape[1]}, kernel expects {kernel.dim_h}"
-        )
-    rows = np.array([kernel.label_set.index(s) for s in train.labels])
+    rows = _training_rows(kernel, train)
     return DesignMatrices(
         kernel_gram=_pair_gram(kernel, train, rows),
         noise_gram=_pair_gram(noise_kernel, train, rows),
         training=train,
-        kernel=kernel,
-        rows=rows,
     )
 
 
@@ -127,7 +129,6 @@ class RegressionFit:
 
     coefficients: np.ndarray
     fitted: np.ndarray
-    design: DesignMatrices
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -144,28 +145,43 @@ def krr_fit(dm: DesignMatrices, y) -> RegressionFit:
     c = gated_solve(total, y, RANK_RTOL, SingularSystem, "[L] + [K]")
     fitted = dm.kernel_gram @ c
     require_finite(InvalidKernel, "ridge solution", c, fitted)
-    return RegressionFit(coefficients=c, fitted=fitted, design=dm)
+    return RegressionFit(coefficients=c, fitted=fitted)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def predict(fit: RegressionFit, s: str, a) -> complex:
-    """Evaluate the fitted function at (s, a).
+def representer(kernel: OperatorKernelTable, train: TrainingSet, coefficients) -> np.ndarray:
+    """The H-valued regression function ``F(s) = sum_j K(s, s_j) a_j c_j``,
+    as an (n, d) array with one row per label of ``kernel``.
 
-    The sesquilinear placement is fixed so that evaluating at training
-    point i returns exactly ``([K] c)[i]``.  An overflowing value raises
-    :class:`InvalidKernel`.
+    The weights ``a_j c_j`` are summed per label, then F is one product
+    with the flattened kernel.  Non-finite rows surface in :func:`predict`.
     """
-    table = fit.design.kernel
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (table.dim_h,):
-        raise ShapeError(f"expected vector of length {table.dim_h}, got {a.shape}")
-    i = table.label_set.index(s)
-    dm = fit.design
-    row = np.einsum("p,jpq,jq->j", a.conj(), table.blocks[i, dm.rows], dm.training.vectors)
-    value = complex(row @ fit.coefficients)
-    if not cmath.isfinite(value):  # one query at a time: the scalar test is the cheap one
-        raise InvalidKernel("prediction contains non-finite entries")
-    return value
+    rows = _training_rows(kernel, train)
+    c = np.asarray(coefficients, dtype=np.complex128)
+    if c.shape != (train.size,):
+        raise ShapeError(f"coefficients must be ({train.size},), got {c.shape}")
+    weights = np.zeros((kernel.n, kernel.dim_h), dtype=np.complex128)
+    np.add.at(weights, rows, train.vectors * c[:, None])
+    return (kernel.flat @ weights.reshape(-1)).reshape(kernel.n, kernel.dim_h)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def predict(label_set: LabelSet, f_values: np.ndarray, labels, vectors) -> np.ndarray:
+    """Evaluate the fitted function at every query ``(labels[q], vectors[q])``:
+    ``f(s, a) = <a, F(s)>``, where ``f_values`` is the (n, d) output of
+    :func:`representer` over ``label_set``.
+
+    At training point i this is ``([K] c)[i]`` up to rounding.  An
+    overflowing value raises :class:`InvalidKernel`.
+    """
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    shape = (len(labels), f_values.shape[1])
+    if vectors.shape != shape:
+        raise ShapeError(f"query vectors must be {shape}, got {vectors.shape}")
+    rows = np.array([label_set.index(s) for s in labels], dtype=np.intp)
+    values = np.einsum("qp,qp->q", vectors.conj(), f_values[rows])
+    require_finite(InvalidKernel, "prediction", values)
+    return values
 
 
 def objective_value(

@@ -19,6 +19,11 @@ System spec JSON: {"k1": <kernel spec>, "k2": ..., "l1": ..., "l2": ...,
 
 Training CSV columns: label, a_0_re, a_0_im, ..., a_{d-1}_re, a_{d-1}_im,
 y_re, y_im.  Path CSV columns: sample, label, coordinate, re, im.
+
+Every number in a spec or payload must be a finite JSON number; a string or
+a boolean where a number belongs is malformed.  Reports are strict JSON
+written by :func:`report_to_json`: arrays as nested ``[re, im]`` lists, and
+never a ``NaN`` or ``Infinity`` token.
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import OpKernError
+from .errors import InternalInvariantViolation, OpKernError
 from .gaussian import PathBatch
 from .kernels import (
     LabelSet,
@@ -54,25 +61,22 @@ class SpecError(OpKernError):
     """Malformed spec file or wire payload."""
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def array_to_json(arr: np.ndarray):
-    """Nested lists with [re, im] leaves, preserving the array shape."""
-    a = np.asarray(arr, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
 def json_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
     """Decode nested lists with [re, im] leaves of finite numbers; the one
     decoder for every numeric array read from a spec or payload."""
     try:
-        leaves = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        leaves = np.asarray(data, dtype=object)
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"not a numeric nested array: {exc}") from None
     if leaves.shape != shape + (2,):
         raise SpecError(f"expected array of shape {shape}, got {leaves.shape[:-1]}")
+    # Exact types: a JSON string or boolean is not a number, though numpy converts both.
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        raise SpecError("numeric arrays must hold JSON numbers, not strings, booleans or lists")
+    try:
+        leaves = leaves.astype(np.float64)
+    except OverflowError:
+        raise SpecError("numeric arrays must hold numbers within the float range") from None
     if not np.all(np.isfinite(leaves)):
         raise SpecError("numeric arrays must hold finite numbers (no NaN or Infinity)")
     return leaves[..., 0] + 1j * leaves[..., 1]
@@ -162,15 +166,6 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
     raise SpecError(f"unknown kind {kind!r}")
 
 
-def kernel_to_spec(table: OperatorKernelTable) -> dict:
-    return {
-        "labels": list(table.labels),
-        "dim_h": table.dim_h,
-        "kind": "explicit",
-        "blocks": array_to_json(table.blocks),
-    }
-
-
 def system_from_spec(data: dict):
     """Return the five raw components (k1, k2, l1, l2, t) of a system spec."""
     _object(data, "system spec")
@@ -200,18 +195,101 @@ def joint_from_spec(data: dict):
 
 
 def feature_system_to_json(fs) -> dict:
-    """Export a factorization; consumers must compare via Gram products,
-    because the eigenbasis is only fixed up to solver sign conventions."""
-    d = fs.dim_h
+    """Export a factorization as a report payload (each feature operator an
+    ndarray); consumers must compare via Gram products, because the
+    eigenbasis is only fixed up to solver sign conventions."""
     return {
         "labels": list(fs.label_set.labels),
-        "dim_h": d,
+        "dim_h": fs.dim_h,
         "dilation_dim": fs.dilation_dim,
-        "basis_eigs": [float(v) for v in fs.basis_eigs],
-        "features": {
-            s: array_to_json(fs.operator(s)) for s in fs.label_set.labels
-        },
+        "basis_eigs": fs.basis_eigs.tolist(),
+        "features": {s: fs.operator(s) for s in fs.label_set.labels},
     }
+
+
+def report_to_json(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, with
+    every ndarray written as its nested ``[re, im]`` lists (cast to
+    complex128, whatever its dtype).
+
+    Each array is laid out once as a ``%r`` template, and one formatting
+    call fills the values of every array in the report.  Reports are strict
+    JSON: a NaN or an infinity anywhere raises
+    :class:`InternalInvariantViolation`.  Keys must be strings.
+    """
+    parts: list[str] = []
+    values: list[float] = []
+    _encode(payload, "\n", parts, values)
+    # One format call for the whole report: formatting each array on its
+    # own leaves many KB-sized strings behind on the heap, which raised the
+    # gram-solve benchmark's peak RSS by about 10%.
+    return "".join(parts) % tuple(values)
+
+
+def _string(text: str) -> str:
+    """json's quoted ASCII form of ``text``, with ``%`` escaped for the template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _encode(value, indent: str, parts: list[str], values: list[float]) -> None:
+    """Append the template of ``value``, whose line starts with ``indent`` (a
+    newline and two spaces per level), to ``parts`` and its array values to
+    ``values``; types are tested in json's order."""
+    if isinstance(value, str):
+        parts.append(_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        # float.__repr__, because repr(np.float64) is "np.float64(...)" in numpy 2.
+        if not math.isfinite(value):
+            raise InternalInvariantViolation(f"report value {value!r} is not finite")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, np.ndarray):
+        parts.append(_array_template(value, indent, values))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts.append("{")
+            for k, key in enumerate(sorted(value)):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, got {key!r}")
+                parts += ("," if k else "", inner, _string(key), ": ")
+                _encode(value[key], inner, parts, values)
+            parts.append(indent + "}")
+        else:
+            parts.append("[")
+            for k, item in enumerate(value):
+                parts += ("," if k else "", inner)
+                _encode(item, inner, parts, values)
+            parts.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _array_template(arr: np.ndarray, indent: str, values: list[float]) -> str:
+    """The ``%r`` template of the nested ``[re, im]`` lists of ``arr`` as json
+    lays them out at ``indent``; the values go to ``values`` in that order."""
+    a = np.asarray(arr, dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise InternalInvariantViolation("report array contains non-finite entries")
+    dims = a.shape + (2,)
+    item = "%r"
+    for depth in reversed(range(len(dims))):
+        outer = indent + "  " * depth
+        inner = outer + "  "
+        item = "[" + inner + ("," + inner).join([item] * dims[depth]) + outer + "]" if dims[depth] else "[]"
+    # A complex128 array viewed as float64 interleaves re and im.
+    values += a.ravel().view(np.float64).tolist()
+    return item
 
 
 class _Echo:
@@ -231,24 +309,6 @@ def path_batch_to_csv(batch: PathBatch) -> str:
         cells = map(",".join, zip(prefixes, map(repr, row.real.tolist()), map(repr, row.imag.tolist())))
         parts.append(f"{k}," + f"\n{k},".join(cells) + "\n")
     return "".join(parts)
-
-
-def training_set_to_csv(train: TrainingSet) -> str:
-    d = train.vectors.shape[1]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["label"]
-    for p in range(d):
-        header += [f"a_{p}_re", f"a_{p}_im"]
-    header += ["y_re", "y_im"]
-    writer.writerow(header)
-    for i in range(train.size):
-        row = [train.labels[i]]
-        for p in range(d):
-            row += [repr(float(train.vectors[i, p].real)), repr(float(train.vectors[i, p].imag))]
-        row += [repr(float(train.targets[i].real)), repr(float(train.targets[i].imag))]
-        writer.writerow(row)
-    return out.getvalue()
 
 
 def training_set_from_csv(text: str) -> TrainingSet:

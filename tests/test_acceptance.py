@@ -40,8 +40,8 @@ from opkern import (
 )
 from opkern.cli import main
 from opkern.regression import TrainingSet
-from opkern.specio import kernel_to_spec, training_set_to_csv
 from conftest import labels
+from wire import kernel_to_spec, training_set_to_csv
 import oracles
 
 

@@ -19,9 +19,9 @@ from opkern import (
     transfer,
 )
 from opkern.cli import main
-from opkern.specio import array_to_json, kernel_to_spec, training_set_to_csv
 from opkern.regression import TrainingSet
 from conftest import labels, scalar_table
+from wire import array_to_json, kernel_to_spec, training_set_to_csv
 
 
 def write_json(path, payload):
@@ -230,6 +230,44 @@ class TestSpecValidation:
                      "--train", specs["train"], "--fit", str(fit), "--query", query, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("opkern: input error:")
+        assert not out.exists()
+
+
+class TestNumberTypes:
+    """A JSON string or boolean where an array number belongs exits 2, though
+    numpy would convert both; every array of every input is decoded alike."""
+
+    PAIRS = {"string": ["4", 0.0], "padded_string": [" 2 ", 0], "booleans": [True, False], "mixed": [True, 0.5]}
+    LOCATIONS = ("blocks", "builder_params", "t", "t_coupling", "observed_l", "query_a")
+
+    @staticmethod
+    def argv(location, pair, specs, tmp_path):
+        matrix = [[pair]]
+        if location in ("blocks", "builder_params"):
+            spec = ({"labels": ["a"], "dim_h": 1, "kind": "explicit", "blocks": [[matrix]]} if location == "blocks"
+                    else builder_spec("constant", {"block": matrix}))
+            return ["check-pd", "--spec", write_json(tmp_path / "spec.json", spec)]
+        if location == "t":
+            with open(specs["system"], encoding="utf-8") as fh:
+                system = {**json.load(fh), "t": matrix}
+            return ["realize", "--spec", write_json(tmp_path / "system.json", system)]
+        if location in ("t_coupling", "observed_l"):
+            with open(specs["joint"], encoding="utf-8") as fh:
+                joint = {**json.load(fh), location: [[matrix]] if location == "t_coupling" else matrix}
+            return ["condition", "--spec", write_json(tmp_path / "joint.json", joint)]
+        krr = ["--spec", specs["one"], "--noise-spec", specs["one"], "--train", specs["train"]]
+        fit = tmp_path / "fit.json"
+        assert main(["krr-fit", *krr, "--out", str(fit)]) == 0
+        query = write_json(tmp_path / "query.json", [{"label": "s1", "a": [pair]}])
+        return ["krr-predict", *krr, "--fit", str(fit), "--query", query]
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("location", LOCATIONS)
+    def test_non_number_leaf_exits_two(self, location, pair, specs, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([*self.argv(location, self.PAIRS[pair], specs, tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error: numeric arrays must hold JSON numbers"), err
         assert not out.exists()
 
 
@@ -782,6 +820,15 @@ class TestKrr:
         assert main(["krr-predict", *krr, "--fit", str(fit), "--query", query, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("opkern: input error: prediction contains non-finite entries")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["spec", "noise_spec", "train"])
+    def test_fit_without_an_input_hash_exits_two(self, name, predict_args, tmp_path, capsys):
+        # Only a recorded hash proves the fit's gates ran on these bytes.
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        del fit["inputs"][name]["sha256"]
+        assert main(predict_args(fit=fit)) == 2
+        assert f"does not record the sha256 of {name}" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
 
     def test_hash_mismatch_rejected(self, specs, tmp_path):
         fit_path = tmp_path / "fit.json"

@@ -15,6 +15,7 @@ from opkern import (
     objective_value,
     predict,
     random_pd_kernel,
+    representer,
     scalar_kernel,
     zero_kernel,
 )
@@ -147,6 +148,11 @@ class TestKrrFit:
             krr_fit(dm, train.targets)
 
 
+def fit_and_representer(k, noise, train):
+    fit = krr_fit(design_matrices(k, noise, train), train.targets)
+    return fit, representer(k, train, fit.coefficients)
+
+
 class TestPredict:
     def test_training_point_consistency(self):
         k = random_pd_kernel(5, 3, 2)
@@ -158,20 +164,45 @@ class TestPredict:
                 for s in ("s1", "s2", "s3", "s2")
             ]
         )
-        fit = krr_fit(design_matrices(k, noise, train), train.targets)
-        for i in range(train.size):
-            value = predict(fit, train.labels[i], train.vectors[i])
-            assert value == pytest.approx(complex(fit.fitted[i]), abs=1e-12)
+        fit, f_values = fit_and_representer(k, noise, train)
+        values = predict(k.label_set, f_values, train.labels, train.vectors)
+        np.testing.assert_allclose(values, fit.fitted, rtol=0, atol=1e-12)
+
+    def test_matches_the_loop_over_training_points(self):
+        # f(s, a) = sum_j <a, K(s, s_j) a_j> c_j, one query and one j at a time
+        k = random_pd_kernel(7, 4, 3)
+        rng = np.random.default_rng(9)
+        train = TrainingSet.from_triples(
+            [(s, rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal())
+             for s in ("s4", "s1", "s4", "s2", "s1")]
+        )
+        fit, f_values = fit_and_representer(k, random_pd_kernel(8, 4, 3), train)
+        q_labels = ["s3", "s1", "s4", "s1"]
+        q_vectors = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        values = predict(k.label_set, f_values, q_labels, q_vectors)
+        for q, (s, a) in enumerate(zip(q_labels, q_vectors)):
+            ref = sum(a.conj() @ k.block(s, t) @ b * c
+                      for t, b, c in zip(train.labels, train.vectors, fit.coefficients))
+            assert values[q] == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
     def test_zero_vector_gives_zero(self):
-        dm = design_matrices(scalar_one(), scalar_one(), scalar_training())
-        fit = krr_fit(dm, [2.0])
-        assert predict(fit, "s1", [0.0]) == 0.0
+        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        assert predict(ONE_LABEL, f_values, ["s1"], [[0.0]])[0] == 0.0
 
     def test_scalar_example(self):
-        dm = design_matrices(scalar_one(), scalar_one(), scalar_training(2.0))
-        fit = krr_fit(dm, [2.0])
-        assert predict(fit, "s1", [1.0]) == pytest.approx(1.0)
+        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training(2.0))
+        assert predict(ONE_LABEL, f_values, ["s1"], [[1.0]])[0] == pytest.approx(1.0)
+
+    def test_no_queries(self):
+        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        assert predict(ONE_LABEL, f_values, [], np.zeros((0, 1))).shape == (0,)
+
+    def test_unknown_label_and_wrong_length(self):
+        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        with pytest.raises(LabelError):
+            predict(ONE_LABEL, f_values, ["zz"], [[1.0]])
+        with pytest.raises(ShapeError):
+            predict(ONE_LABEL, f_values, ["s1"], [[1.0, 0.0]])
 
 
 class TestObjective:
@@ -311,9 +342,13 @@ class TestRidgeGpEquivalence:
         train = TrainingSet(
             labels=tuple(grid.labels[i] for i in order), vectors=grid.vectors[order], targets=grid.targets[order]
         )
-        fitted = krr_fit(design_matrices(k, noise, train), train.targets).fitted
-        posterior = gp_posterior_mean(k, noise, observed).reshape(-1)[order]
-        assert np.linalg.norm(fitted - posterior) <= 1e-9 * np.linalg.norm(posterior)
+        fit, f_values = fit_and_representer(k, noise, train)
+        posterior = gp_posterior_mean(k, noise, observed)
+        scale = np.linalg.norm(posterior)
+        assert np.linalg.norm(fit.fitted - posterior.reshape(-1)[order]) <= 1e-9 * scale
+        # The paper's H-valued regression: F(s) in C^d is the posterior mean
+        # of the H-valued process at s, all d coordinates at once.
+        assert np.linalg.norm(f_values - posterior) <= 1e-9 * scale
 
     def test_full_grid_design_equals_flattened_kernel(self):
         k = random_pd_kernel(8, 2, 2)

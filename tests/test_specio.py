@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opkern import (
+    InternalInvariantViolation,
     LabelSet,
     PathBatch,
     TrainingSet,
@@ -16,20 +19,18 @@ from opkern import (
 )
 from opkern.specio import (
     SpecError,
-    array_to_json,
-    complex_to_pair,
     feature_system_to_json,
     joint_from_spec,
     json_to_array,
     kernel_from_spec,
-    kernel_to_spec,
     pair_from_spec,
     path_batch_to_csv,
+    report_to_json,
     system_from_spec,
     training_set_from_csv,
-    training_set_to_csv,
 )
 from conftest import labels
+from wire import array_to_json, complex_to_pair, kernel_to_spec, training_set_to_csv
 
 
 def reference_path_csv(batch):
@@ -83,6 +84,56 @@ class TestComplexArrays:
     def test_leaves_must_be_pairs(self):
         with pytest.raises(SpecError):
             json_to_array([1.0, 2.0, 3.0], (3,))
+
+    def test_integer_leaves_are_numbers(self):
+        np.testing.assert_array_equal(json_to_array([[1, -2], [0, 3]], (2,)), [1 - 2j, 3j])
+
+
+def wire_form(value):
+    """``value`` with every ndarray replaced by its nested [re, im] lists."""
+    if isinstance(value, np.ndarray):
+        return array_to_json(value)
+    if isinstance(value, dict):
+        return {k: wire_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(wire_form(v) for v in value)
+    return value
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, 1e22])
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+REPORT_ARRAYS = (
+    hnp.arrays(np.float64, SHAPES, elements=FINITE)
+    | hnp.arrays(np.complex128, SHAPES, elements=st.complex_numbers(allow_nan=False, allow_infinity=False))
+    | hnp.arrays(np.int64, SHAPES, elements=st.integers(-(2**53), 2**53))
+    | hnp.arrays(np.bool_, SHAPES)
+)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | FINITE.map(np.float64) | st.text() | REPORT_ARRAYS,
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestReportWriter:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(payload=REPORT_VALUES)
+    @example(payload={"100%": ["%r", "%%s", np.array([0.5, -1.0])], "%": (np.float64(2.0),)})
+    def test_matches_json_dumps(self, payload):
+        assert report_to_json(payload) == json.dumps(wire_form(payload), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"),
+        np.float64("-inf"),
+        [1.0, {"x": (float("inf"),)}],
+        np.array([[1.0, float("nan")]]),
+        np.array(complex(1.0, float("inf"))),
+    ])
+    def test_non_finite_value_raises(self, bad):
+        with pytest.raises(InternalInvariantViolation):
+            report_to_json({"results": bad})
 
 
 class TestKernelSpec:
@@ -220,7 +271,7 @@ class TestFeatureExport:
     def test_gram_reconstruction_from_export(self):
         table = random_pd_kernel(6, 2, 2)
         fs = kolmogorov_factorize(table)
-        payload = feature_system_to_json(fs)
+        payload = json.loads(report_to_json(feature_system_to_json(fs)))
         assert payload["dilation_dim"] == fs.dilation_dim
         v1 = json_to_array(payload["features"]["s1"], (fs.dilation_dim, 2))
         v2 = json_to_array(payload["features"]["s2"], (fs.dilation_dim, 2))
