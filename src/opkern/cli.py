@@ -199,9 +199,7 @@ def cmd_rn(args) -> int:
 
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    seed = _resolve_seed(args)
-    sampler = gaussian.make_sampler(table, seed)
-    batch = sampler.draw(args.samples)
+    batch = gaussian.draw_paths(kolmogorov_factorize(table), _resolve_seed(args), 0, args.samples)
     _emit_text(args, specio.path_batch_to_csv(batch))
     return EXIT_OK
 

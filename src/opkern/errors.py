@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 A failure that measured something carries the measured quantities as
-attributes (``min_eig``, ``residual``, ``relative``, ``label``,
-``sigma_min``), passed as keyword arguments to the constructor.
+attributes (``min_eig``, ``max_eig``, ``residual``, ``relative``,
+``label``, ``sigma_min``), passed as keyword arguments to the constructor.
 """
 
 
@@ -48,7 +48,8 @@ class NotEquivalent(OpKernError):
 
 class GramMismatch(OpKernError):
     """Stacked initial/final columns have different Gram matrices,
-    so no partial isometry can map one family onto the other."""
+    so no partial isometry can map one family onto the other; ``relative``
+    is the Gram defect, relative to the larger of the two Gram norms."""
 
 
 class NotInvertible(OpKernError):
@@ -61,7 +62,8 @@ class NotDominated(OpKernError):
 
 
 class SpectrumOutOfRange(OpKernError):
-    """A derivative operator has eigenvalues outside [0, 1] beyond tolerance."""
+    """A derivative operator has eigenvalues outside [0, 1] beyond tolerance;
+    ``min_eig`` and ``max_eig`` are the extremes of its raw spectrum."""
 
 
 class SingularL(OpKernError):

@@ -23,7 +23,9 @@ bitwise independent of batching for a fixed BLAS build and thread count.
 Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
 ulp, as it can for every LAPACK-backed result.
 
-A coupled pair of processes is one process on ``H + H``.  Its
+A path batch is ``draw_paths(kolmogorov_factorize(table), seed, start,
+count)``; there is no sampler state.  A coupled pair of processes is one
+process on ``H + H``.  Its
 :class:`JointKernel` carries the factorization of the joint table and one
 eigendecomposition of the L Gram; :func:`sample_joint`, :func:`condition`
 and :func:`mc_verify_conditional` read those instead of decomposing again.
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .dilation import FeatureSystem, kolmogorov_factorize
 from .errors import (
@@ -73,6 +74,7 @@ def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.nd
     through the inverse CDF.  The stream is therefore stable across
     platforms and arbitrary re-batching.
     """
+    from scipy.special import ndtri  # deferred: importing scipy.special dominates CLI start-up
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0 or width == 0:
@@ -89,12 +91,10 @@ def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.nd
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Paths indexed (sample, label, coordinate); meta identifies the draw."""
+    """Paths indexed (sample, label, coordinate)."""
 
     label_set: LabelSet
     paths: np.ndarray
-    seed: int
-    start: int
 
     def __post_init__(self):
         if self.paths.ndim != 3 or self.paths.shape[1] != self.label_set.n:
@@ -130,30 +130,7 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatc
             flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
     paths = paths.reshape(count, n, d)
     paths.setflags(write=False)
-    return PathBatch(label_set=fs.label_set, paths=paths, seed=seed, start=start)
-
-
-@dataclass
-class GaussianSampler:
-    """Reproducible path source; ``counter`` is the next sample index."""
-
-    feature_system: FeatureSystem
-    seed: int
-    counter: int = 0
-
-    def draw(self, count: int) -> PathBatch:
-        batch = draw_paths(self.feature_system, self.seed, self.counter, count)
-        self.counter += count
-        return batch
-
-    def path_at(self, index: int) -> np.ndarray:
-        """The (n, d) path of one sample index, independent of the counter."""
-        return draw_paths(self.feature_system, self.seed, index, 1).paths[0]
-
-
-def make_sampler(table: OperatorKernelTable, seed: int) -> GaussianSampler:
-    """Sampler for the process whose covariance kernel is ``table``."""
-    return GaussianSampler(feature_system=kolmogorov_factorize(table), seed=seed)
+    return PathBatch(label_set=fs.label_set, paths=paths)
 
 
 def empirical_covariance(batch: PathBatch) -> OperatorKernelTable:
@@ -164,8 +141,6 @@ def empirical_covariance(batch: PathBatch) -> OperatorKernelTable:
     positive table; it converges to the sampled kernel at the usual CLT
     rate.
     """
-    if batch.count < 1:
-        raise InvalidKernel("empirical covariance needs at least one path")
     n, d = batch.label_set.n, batch.dim_h
     p = batch.paths.reshape(batch.count, n * d)
     flat = p.T @ p.conj() / batch.count
@@ -190,7 +165,8 @@ def _coupling_array(label_set: LabelSet, dim_h: int, coupling) -> np.ndarray:
 class JointKernel:
     """Block table over H + H pairing two processes through a coupling.
 
-    ``m`` is the assembled table with 2d x 2d blocks
+    ``t_gram`` is the coupling in the canonical flattened layout, ``m``
+    the assembled table with 2d x 2d blocks
     ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]`` and ``features`` its
     factorization, from which the pair is sampled.  ``l_eigh`` is
     ``np.linalg.eigh(conj(L_gram))``, the decomposition behind the
@@ -203,7 +179,7 @@ class JointKernel:
 
     k: OperatorKernelTable
     l: OperatorKernelTable
-    coupling: np.ndarray
+    t_gram: np.ndarray
     m: OperatorKernelTable
     features: FeatureSystem
     l_eigh: tuple[np.ndarray, np.ndarray]
@@ -216,10 +192,6 @@ class JointKernel:
     @property
     def dim_h(self) -> int:
         return self.k.dim_h
-
-    @property
-    def t_gram(self) -> np.ndarray:
-        return block_layout(self.coupling)
 
 
 def _pinv(l_eigh: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
@@ -266,7 +238,7 @@ def assemble_joint(
     schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
     evals = np.linalg.eigvalsh(schur_table.flat)
     require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
-    return JointKernel(k, l, t_blocks, m_table, features, l_eigh, schur_table)
+    return JointKernel(k, l, t_gram, m_table, features, l_eigh, schur_table)
 
 
 def _halves(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +253,7 @@ def sample_joint(joint: JointKernel, seed: int, count: int) -> tuple[PathBatch, 
     The first batch carries the K-coordinates (first d of each 2d block),
     the second the L-coordinates; both are views of the joint paths.
     """
-    return tuple(PathBatch(joint.label_set, half, seed, 0) for half in _halves(joint, seed, count))
+    return tuple(PathBatch(joint.label_set, half) for half in _halves(joint, seed, count))
 
 
 @dataclass(frozen=True)
@@ -354,9 +326,9 @@ def conditional_cov_equal(
     l1: OperatorKernelTable,
     l2: OperatorKernelTable,
     coupling,
-    tol: float = 1e-10,
 ) -> CondCovComparison:
-    """Decide ``K1 - T L1^{-1} T^H == K2 - T L2^{-1} T^H`` at Gram level.
+    """Decide ``K1 - T L1^{-1} T^H == K2 - T L2^{-1} T^H`` at Gram level, to
+    ``1e-10`` relative in spectral norm.
 
     Also reports whether the common value is positive, i.e. whether the two
     joint assemblies condition to one and the same admissible law.  Both
@@ -385,7 +357,7 @@ def conditional_cov_equal(
     common = OperatorKernelTable.from_flat(k1.label_set, k1.dim_h, 0.5 * (conds[0] + conds[1]))
     report = is_positive_definite(common)
     return CondCovComparison(
-        equal=residual <= tol * scale,
+        equal=residual <= 1e-10 * scale,
         residual=residual / scale,
         common_pd=report.pd,
         common_min_eig=report.min_eig,

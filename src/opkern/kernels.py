@@ -11,6 +11,8 @@ for every finite system of vectors ``a_i``, one per label.  Equivalently the
 ``(i, j)`` at rows ``i*d .. i*d+d-1`` and columns ``j*d .. j*d+d-1`` (labels
 major, coordinates minor).  This ordering is canonical throughout the
 package; every Gram-level computation in the other modules relies on it.
+A table stores only its flattened matrix; the ``(n, n, d, d)`` block array
+is a zero-copy view of it.
 
 Positivity is decided by :func:`require_psd`: the smallest eigenvalue must
 be at least ``-tol`` times a scale, by default the matrix's own spectral
@@ -108,21 +110,21 @@ class OperatorKernelTable:
             raise ShapeError(f"blocks must be square and non-empty, got {blocks.shape}")
         require_finite(InvalidKernel, "kernel table", blocks)
 
-        adjoint = blocks.transpose(1, 0, 3, 2).conj()
+        flat = block_layout(blocks)  # a view when ``blocks`` is the block view of a flat matrix
+        adjoint = flat.conj().T
         scale = float(_block_frobenius(blocks).max())
-        asym = float(_block_frobenius(blocks - adjoint).max())
+        asym = float(_block_frobenius(_block_view(flat - adjoint, n)).max())
         if asym > HERMITIAN_RTOL * max(scale, TINY):
             raise InvalidKernel(
                 f"block pattern is not Hermitian: asymmetry {asym:.3e} "
                 f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
             )
-        blocks = 0.5 * (blocks + adjoint)
-        require_finite(InvalidKernel, "symmetrized kernel table", blocks)  # entries near the float limit
-        blocks.setflags(write=False)
+        flat = 0.5 * (flat + adjoint)
+        require_finite(InvalidKernel, "symmetrized kernel table", flat)  # entries near the float limit
+        flat.setflags(write=False)
 
         self.label_set = label_set
-        self.blocks = blocks
-        self._flat: np.ndarray | None = None
+        self._flat = flat
 
     @property
     def n(self) -> int:
@@ -130,31 +132,35 @@ class OperatorKernelTable:
 
     @property
     def dim_h(self) -> int:
-        return int(self.blocks.shape[2])
+        return self._flat.shape[0] // self.n
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.label_set.labels
 
+    @property
+    def flat(self) -> np.ndarray:
+        """The one array a table stores: entry ``(i*d + p, j*d + q)`` is
+        ``K(s_i, s_j)[p, q]``.  C-contiguous, read-only and exactly Hermitian,
+        since ``(K + K^*) / 2`` has exactly conjugate mirrored entries."""
+        return self._flat
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The ``(n, n, d, d)`` blocks ``K(s_i, s_j)``: a read-only view of :attr:`flat`."""
+        return _block_view(self._flat, self.n)
+
     def block(self, s: str, t: str) -> np.ndarray:
         return self.blocks[self.label_set.index(s), self.label_set.index(t)]
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Cached flattened matrix; see :func:`flatten`."""
-        if self._flat is None:
-            self._flat = flatten(self)
-        return self._flat
-
     @classmethod
     def from_flat(cls, label_set: LabelSet, dim_h: int, flat) -> "OperatorKernelTable":
-        """Inverse of :func:`flatten` under the canonical ordering."""
+        """The table whose :attr:`flat` is ``flat`` after symmetrization."""
         flat = np.asarray(flat, dtype=np.complex128)
         n = label_set.n
         if flat.shape != (n * dim_h, n * dim_h):
             raise ShapeError(f"expected ({n * dim_h}, {n * dim_h}) matrix, got {flat.shape}")
-        blocks = flat.reshape(n, dim_h, n, dim_h).transpose(0, 2, 1, 3)
-        return cls(label_set, blocks)
+        return cls(label_set, _block_view(flat, n))
 
     def _require_same_shape(self, other: "OperatorKernelTable") -> None:
         if self.label_set != other.label_set or self.dim_h != other.dim_h:
@@ -162,17 +168,17 @@ class OperatorKernelTable:
 
     def __add__(self, other: "OperatorKernelTable") -> "OperatorKernelTable":
         self._require_same_shape(other)
-        return OperatorKernelTable(self.label_set, self.blocks + other.blocks)
+        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, self.flat + other.flat)
 
     def __sub__(self, other: "OperatorKernelTable") -> "OperatorKernelTable":
         self._require_same_shape(other)
-        return OperatorKernelTable(self.label_set, self.blocks - other.blocks)
+        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, self.flat - other.flat)
 
     def __rmul__(self, scalar) -> "OperatorKernelTable":
         c = complex(scalar)
         if c.imag != 0.0:
             raise InvalidKernel("scaling a kernel by a non-real factor breaks Hermitian symmetry")
-        return OperatorKernelTable(self.label_set, c.real * self.blocks)
+        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, c.real * self.flat)
 
     def conjugated(self, t_op) -> "OperatorKernelTable":
         """Blockwise congruence ``K(s, t) -> T^H K(s, t) T``."""
@@ -185,23 +191,17 @@ class OperatorKernelTable:
         return f"OperatorKernelTable(n={self.n}, dim_h={self.dim_h})"
 
 
-def flatten(table: OperatorKernelTable) -> np.ndarray:
-    """Assemble the ``(n*d, n*d)`` scalar matrix of a kernel table.
-
-    Entry ``(i*d + p, j*d + q)`` is ``K(s_i, s_j)[p, q]``, i.e. the pairing
-    ``<e_p, K(s_i, s_j) e_q>``.  The result is exactly Hermitian with no
-    symmetrization: construction already replaced the blocks by
-    ``(K + K^*) / 2``, whose entries at mirrored positions are exact complex
-    conjugates of each other (IEEE addition commutes, and halving is exact).
-    """
-    return block_layout(table.blocks)
-
-
 def block_layout(blocks: np.ndarray) -> np.ndarray:
     """Place an ``(n, n, d, d)`` block array in the canonical ``(n*d, n*d)``
-    layout of :func:`flatten`, without symmetrizing."""
+    layout of :attr:`OperatorKernelTable.flat`, without symmetrizing."""
     n, _, d, _ = blocks.shape
     return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def _block_view(flat: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n, n, d, d)`` block view of a canonical ``(n*d, n*d)`` matrix."""
+    d = flat.shape[0] // n
+    return flat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -294,11 +294,7 @@ def has_unit_diagonal(table: OperatorKernelTable) -> bool:
 
 def identity_kernel(label_set: LabelSet, dim_h: int) -> OperatorKernelTable:
     """K(s, t) = delta_st * I."""
-    n = label_set.n
-    blocks = np.zeros((n, n, dim_h, dim_h), dtype=np.complex128)
-    for i in range(n):
-        blocks[i, i] = np.eye(dim_h)
-    return OperatorKernelTable(label_set, blocks)
+    return OperatorKernelTable.from_flat(label_set, dim_h, np.eye(label_set.n * dim_h))
 
 
 def constant_kernel(label_set: LabelSet, block) -> OperatorKernelTable:
@@ -312,11 +308,7 @@ def constant_kernel(label_set: LabelSet, block) -> OperatorKernelTable:
 
 def scalar_kernel(label_set: LabelSet, matrix) -> OperatorKernelTable:
     """d = 1 table whose blocks are the entries of an n x n Hermitian matrix."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    n = label_set.n
-    if matrix.shape != (n, n):
-        raise ShapeError(f"expected ({n}, {n}) matrix, got {matrix.shape}")
-    return OperatorKernelTable(label_set, matrix.reshape(n, n, 1, 1))
+    return OperatorKernelTable.from_flat(label_set, 1, matrix)
 
 
 def zero_kernel(label_set: LabelSet, dim_h: int) -> OperatorKernelTable:

@@ -97,10 +97,17 @@ def _training_rows(kernel: OperatorKernelTable, train: TrainingSet) -> np.ndarra
     return np.array([kernel.label_set.index(s) for s in train.labels], dtype=np.intp)
 
 
+_ROW_BLOCK = 64  # training rows per slab of gathered kernel blocks in _pair_gram
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray) -> np.ndarray:
-    blocks = table.blocks[np.ix_(rows, rows)]
-    gram = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), blocks, train.vectors)
+    gram = np.empty((train.size, train.size), dtype=np.complex128)
+    for lo in range(0, train.size, _ROW_BLOCK):
+        part = slice(lo, lo + _ROW_BLOCK)
+        # Each row is the same sum as in one einsum over the whole (m, m, d, d) gather.
+        slab = table.blocks[np.ix_(rows[part], rows)]
+        gram[part] = np.einsum("ip,ijpq,jq->ij", train.vectors[part].conj(), slab, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
     require_finite(InvalidKernel, "design matrix", gram)
     require_psd(np.linalg.eigvalsh(gram), PD_RTOL, InternalInvariantViolation, "design matrix")

@@ -152,13 +152,15 @@ def validate_system(
 
 @dataclass(frozen=True)
 class TransferRealization:
-    """Partial isometry blocks A, B, C, D.
+    """Partial isometry ``W = F G^+`` and its blocks A, B, C, D, which are
+    views of ``w``.
 
     ``initial_basis`` / ``final_basis`` are orthonormal column bases of the
     initial and final spaces; ``g_columns`` / ``f_columns`` are the stacked
     feature columns the isometry was fitted to.
     """
 
+    w: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -168,10 +170,6 @@ class TransferRealization:
     g_columns: np.ndarray
     f_columns: np.ndarray
     gram_defect: float
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
 
     def partial_isometry_defect(self) -> float:
         """max of ||W^H W - P_init|| and ||W W^H - P_fin|| (spectral)."""
@@ -221,12 +219,14 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     if gram_defect > 1e-9:
         raise GramMismatch(
             f"initial/final column Grams differ by relative {gram_defect:.3e}; "
-            "the column correspondence is not isometric"
+            "the column correspondence is not isometric",
+            relative=gram_defect,
         )
 
     w = f @ g_pinv
     r_k1, r_k2 = fs["k1"].dilation_dim, fs["k2"].dilation_dim
     return TransferRealization(
+        w=w,
         a=w[:r_k1, :r_k2],
         b=w[:r_k1, r_k2:],
         c=w[r_k1:, :r_k2],
@@ -423,7 +423,9 @@ def _derivative(
     raw = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
     if w.size and (raw[0] < -tol or raw[1] > 1.0 + tol):
         raise SpectrumOutOfRange(
-            f"derivative spectrum [{raw[0]:.3e}, {raw[1]:.3e}] leaves [0, 1] beyond {tol:g}"
+            f"derivative spectrum [{raw[0]:.3e}, {raw[1]:.3e}] leaves [0, 1] beyond {tol:g}",
+            min_eig=raw[0],
+            max_eig=raw[1],
         )
     clamped = np.clip(w, 0.0, 1.0)
     phi_c = (u * clamped) @ u.conj().T

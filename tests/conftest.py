@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from opkern import LabelSet, identity_kernel, scalar_kernel
+from opkern import LabelSet, draw_paths, identity_kernel, kolmogorov_factorize, scalar_kernel
 
 
 def labels(n):
     return LabelSet.of(f"s{i + 1}" for i in range(n))
+
+
+def sample_paths(table, seed, count):
+    """Paths ``0 .. count - 1`` of the process whose covariance is ``table``."""
+    return draw_paths(kolmogorov_factorize(table), seed, 0, count)
 
 
 def scalar_table(values):

@@ -27,7 +27,6 @@ from opkern import (
     is_positive_definite,
     kolmogorov_factorize,
     krr_fit,
-    make_sampler,
     mc_verify_conditional,
     neumann_series_kernel,
     objective_value,
@@ -40,7 +39,7 @@ from opkern import (
 )
 from opkern.cli import main
 from opkern.regression import TrainingSet
-from conftest import labels
+from conftest import labels, sample_paths
 from wire import kernel_to_spec, training_set_to_csv
 import oracles
 
@@ -142,7 +141,7 @@ def test_criterion_05_monte_carlo_covariance():
         for case, (n, d) in enumerate(cases):
             started = time.monotonic()
             table = random_pd_kernel(60_000 + case, n, d)
-            batch = make_sampler(table, 600 + case).draw(200_000)
+            batch = sample_paths(table, 600 + case, 200_000)
             est = empirical_covariance(batch)
             rel = np.linalg.norm(est.flat - table.flat) / np.linalg.norm(table.flat)
             assert rel <= 0.02, f"case {case}: relative error {rel:.4f}"
@@ -226,14 +225,14 @@ def test_criterion_07_conditional_covariance_equivalence():
         for case in range(20):
             n, d = sizes[case % len(sizes)]
             k1, k2, l1, l2, coupling = _equal_conditional_instance(rng, n, d)
-            report = conditional_cov_equal(k1, k2, l1, l2, coupling, tol=1e-10)
+            report = conditional_cov_equal(k1, k2, l1, l2, coupling)
             assert report.equal, f"case {case}: residual {report.residual:.3e}"
             assert report.residual <= 1e-10
 
             # perturb one kernel well past tolerance: must flip the decision
             scale = is_positive_definite(k2).scale
             k2_off = k2 + (1e-6 * scale) * identity_kernel(k2.label_set, d)
-            flipped = conditional_cov_equal(k1, k2_off, l1, l2, coupling, tol=1e-10)
+            flipped = conditional_cov_equal(k1, k2_off, l1, l2, coupling)
             assert not flipped.equal, f"case {case}"
             assert flipped.residual > 1e-10
 

@@ -876,11 +876,22 @@ class TestDeterminism:
 
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self, specs):
+        # Runs the module as ``python -m opkern.cli`` does, then reports on
+        # stderr whether scipy.special was imported: only sampling needs it.
+        script = (
+            "import runpy, sys\n"
+            "sys.argv[1:] = ['check-pd', '--spec', sys.argv[1], '--no-timestamp']\n"
+            "try:\n"
+            "    runpy.run_module('opkern.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print('scipy.special' in sys.modules, file=sys.stderr)\n"
+            "    raise\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "opkern.cli", "check-pd", "--spec", specs["identity"],
-             "--no-timestamp"],
+            [sys.executable, "-c", script, specs["identity"]],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["pd"] is True
+        assert proc.stderr.strip() == "False"

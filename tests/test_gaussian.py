@@ -24,7 +24,6 @@ from opkern import (
     identity_kernel,
     is_positive_definite,
     kolmogorov_factorize,
-    make_sampler,
     mc_verify_conditional,
     random_pd_kernel,
     sample_joint,
@@ -32,7 +31,7 @@ from opkern import (
     standard_normal_rows,
     zero_kernel,
 )
-from conftest import labels
+from conftest import labels, sample_paths
 import oracles
 
 
@@ -76,33 +75,16 @@ class TestNormalStream:
 class TestSampler:
     def test_bit_identical_for_fixed_seed(self):
         table = scalar_one()
-        a = make_sampler(table, 42).draw(5)
-        b = make_sampler(table, 42).draw(5)
+        a = sample_paths(table, 42, 5)
+        b = sample_paths(table, 42, 5)
         assert a.paths.tobytes() == b.paths.tobytes()
 
-    def test_counter_advances_and_concatenates(self):
-        table = random_pd_kernel(3, 2, 2)
-        sampler = make_sampler(table, 7)
-        first, second = sampler.draw(100), sampler.draw(100)
-        assert (first.start, second.start) == (0, 100)
-        fs = kolmogorov_factorize(table)
-        whole = draw_paths(fs, 7, 0, 200)
-        np.testing.assert_array_equal(
-            np.concatenate([first.paths, second.paths]), whole.paths
-        )
-
-    def test_path_at_matches_batch_row(self):
-        table = random_pd_kernel(5, 2, 3)
-        sampler = make_sampler(table, 11)
-        batch = sampler.draw(8)
-        np.testing.assert_array_equal(make_sampler(table, 11).path_at(6), batch.paths[6])
-
     def test_negative_start_is_rejected(self):
-        sampler = make_sampler(random_pd_kernel(5, 2, 3), 11)
+        fs = kolmogorov_factorize(random_pd_kernel(5, 2, 3))
         with pytest.raises(ValueError):
-            sampler.path_at(-1)
+            draw_paths(fs, 11, -1, 1)
         with pytest.raises(ValueError):
-            draw_paths(sampler.feature_system, 11, -3, 5)
+            draw_paths(fs, 11, -3, 5)
 
     def test_negative_count_is_rejected(self):
         fs = kolmogorov_factorize(random_pd_kernel(5, 2, 3))
@@ -125,7 +107,7 @@ class TestSampler:
         script = textwrap.dedent(
             """
             import numpy as np
-            from opkern import draw_paths, kolmogorov_factorize, make_sampler, random_pd_kernel
+            from opkern import draw_paths, kolmogorov_factorize, random_pd_kernel
 
             table = random_pd_kernel(6, 40, 3)
             fs = kolmogorov_factorize(table)
@@ -137,9 +119,8 @@ class TestSampler:
                 bounds = [0, *sorted(cuts.tolist()), count]
                 parts = [draw_paths(fs, 21, start + a, b - a).paths for a, b in zip(bounds, bounds[1:])]
                 assert np.concatenate(parts).tobytes() == whole.tobytes()
-            sampler = make_sampler(table, 21)
             for index in (511, 512):
-                assert sampler.path_at(index).tobytes() == whole[index - start].tobytes()
+                assert draw_paths(fs, 21, index, 1).paths[0].tobytes() == whole[index - start].tobytes()
             print("ok")
             """
         )
@@ -151,18 +132,18 @@ class TestSampler:
         assert proc.stdout.strip() == "ok"
 
     def test_zero_kernel_paths_vanish(self):
-        batch = make_sampler(zero_kernel(ONE_LABEL, 2), 1).draw(10)
+        batch = sample_paths(zero_kernel(ONE_LABEL, 2), 1, 10)
         assert np.all(batch.paths == 0)
 
     def test_rejects_indefinite_kernel(self):
         bad = scalar_kernel(labels(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            make_sampler(bad, 0)
+            sample_paths(bad, 0, 1)
 
     def test_scalar_variance_concentration(self):
         # variance of N(0, 4) estimated from 1e5 draws: within 4 * 5/sqrt(2e5)
         table = scalar_kernel(ONE_LABEL, np.array([[4.0]]))
-        batch = make_sampler(table, 3).draw(100_000)
+        batch = sample_paths(table, 3, 100_000)
         var = float(np.mean(np.abs(batch.paths) ** 2))
         assert abs(var - 4.0) <= 4.0 * 5.0 / np.sqrt(2.0 * 100_000)
 
@@ -170,7 +151,7 @@ class TestSampler:
 class TestEmpiricalCovariance:
     def test_single_path_gives_rank_one_blocks(self):
         table = random_pd_kernel(1, 2, 2)
-        batch = make_sampler(table, 2).draw(1)
+        batch = sample_paths(table, 2, 1)
         est = empirical_covariance(batch)
         for i in range(2):
             for j in range(2):
@@ -178,19 +159,19 @@ class TestEmpiricalCovariance:
                 np.testing.assert_allclose(est.blocks[i, j], expected, atol=1e-14)
 
     def test_identity_kernel_two_by_two(self):
-        est = empirical_covariance(make_sampler(identity_kernel(ONE_LABEL, 2), 2).draw(200_000))
+        est = empirical_covariance(sample_paths(identity_kernel(ONE_LABEL, 2), 2, 200_000))
         assert np.linalg.norm(est.flat - np.eye(2), 2) <= 0.03
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_kernel_relative_error(self, seed):
         table = random_pd_kernel(seed, 3, 2)
-        est = empirical_covariance(make_sampler(table, seed - 30).draw(200_000))
+        est = empirical_covariance(sample_paths(table, seed - 30, 200_000))
         rel = np.linalg.norm(est.flat - table.flat) / np.linalg.norm(table.flat)
         assert rel <= 0.02
 
     def test_estimate_is_positive(self):
         table = random_pd_kernel(8, 2, 2)
-        est = empirical_covariance(make_sampler(table, 1).draw(50))
+        est = empirical_covariance(sample_paths(table, 1, 50))
         assert is_positive_definite(est).pd
 
 
@@ -286,7 +267,7 @@ class TestJointDecompositions:
         assert joint.features.stacked.tobytes() == kolmogorov_factorize(joint.m).stacked.tobytes()
         kp, lp = sample_joint(joint, 5, 1000)
         full = draw_paths(joint.features, 5, 0, 1000).paths
-        assert full.tobytes() == make_sampler(joint.m, 5).draw(1000).paths.tobytes()
+        assert full.tobytes() == sample_paths(joint.m, 5, 1000).paths.tobytes()
         d = joint.dim_h
         assert kp.paths.tobytes() == full[:, :, :d].tobytes()
         assert lp.paths.tobytes() == full[:, :, d:].tobytes()

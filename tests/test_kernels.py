@@ -16,8 +16,8 @@ from opkern import (
     ShapeError,
     SingularL,
     SingularSystem,
+    constant_kernel,
     cp_contraction_kernel,
-    flatten,
     identity_kernel,
     is_positive_definite,
     kernel_leq,
@@ -108,17 +108,17 @@ class TestTableConstruction:
 
 class TestFlatten:
     def test_identity_kernel_flattens_to_identity(self, identity_22):
-        np.testing.assert_array_equal(flatten(identity_22), np.eye(4))
+        np.testing.assert_array_equal(identity_22.flat, np.eye(4))
 
     def test_constant_one_kernel(self, constant_one):
-        np.testing.assert_array_equal(flatten(constant_one), np.ones((2, 2)))
+        np.testing.assert_array_equal(constant_one.flat, np.ones((2, 2)))
 
     def test_every_position_matches_block_lookup(self):
         # brute-force index enumeration over all 16 entries of a 2x2-of-2x2 table
         rng = np.random.default_rng(5)
         blocks = oracles.random_hermitian_blocks(rng, 2, 2)
         table = OperatorKernelTable(labels(2), blocks)
-        flat = flatten(table)
+        flat = table.flat
         for i in range(2):
             for j in range(2):
                 for p in range(2):
@@ -130,7 +130,7 @@ class TestFlatten:
         blocks = oracles.random_hermitian_blocks(rng, 3, 2)
         table = OperatorKernelTable(labels(3), blocks)
         np.testing.assert_allclose(
-            flatten(table), oracles.assemble_flat_bruteforce(table.blocks), atol=0
+            table.flat, oracles.assemble_flat_bruteforce(table.blocks), atol=0
         )
 
     @pytest.mark.parametrize("n,d,seed", [(1, 1, 0), (2, 3, 1), (4, 2, 2), (3, 3, 3)])
@@ -145,7 +145,7 @@ class TestFlatten:
         asymmetry = largest_block_norm(noise - noise.transpose(1, 0, 3, 2).conj())
         noise *= 0.9 * HERMITIAN_RTOL * largest_block_norm(blocks) / asymmetry
         table = OperatorKernelTable(labels(n), blocks + noise)
-        flat = flatten(table)
+        flat = table.flat
         assert flat.tobytes() == block_layout(table.blocks).tobytes()
         assert np.all(flat == flat.conj().T)
 
@@ -166,8 +166,45 @@ class TestFlatten:
     def test_from_flat_inverts_flatten_byte_for_byte(self, n, d, seed, magnitude):
         a = magnitude * oracles.random_hermitian_blocks(np.random.default_rng(seed), n, d)
         table = OperatorKernelTable(labels(n), a)
-        again = OperatorKernelTable.from_flat(table.label_set, d, flatten(table))
+        again = OperatorKernelTable.from_flat(table.label_set, d, table.flat)
         assert again.blocks.tobytes() == table.blocks.tobytes()
+
+
+def _pd_table():
+    return random_pd_kernel(9, 3, 2)
+
+
+ONE_ARRAY_BUILDS = {
+    "explicit_blocks": lambda: OperatorKernelTable(
+        labels(3), oracles.random_hermitian_blocks(np.random.default_rng(4), 3, 2)
+    ),
+    "from_flat": lambda: OperatorKernelTable.from_flat(labels(3), 2, _pd_table().flat),
+    "add": lambda: _pd_table() + random_pd_kernel(10, 3, 2),
+    "sub": lambda: _pd_table() - random_pd_kernel(10, 3, 2),
+    "real_scaling": lambda: 2.5 * _pd_table(),
+    "conjugated": lambda: _pd_table().conjugated(np.array([[1.0, 2.0j], [0.5, -1.0]])),
+    "identity_kernel": lambda: identity_kernel(labels(3), 2),
+    "constant_kernel": lambda: constant_kernel(labels(3), np.array([[2.0, 1.0j], [-1.0j, 3.0]])),
+    "scalar_kernel": lambda: scalar_table(np.array([[2.0, 1.0], [1.0, 2.0]])),
+    "zero_kernel": lambda: zero_kernel(labels(3), 2),
+    "cp_contraction_kernel": lambda: cp_contraction_kernel(
+        0.5 * np.eye(2), labels(2), {"s1": np.eye(2), "s2": np.diag([1.0, 0.0])}
+    ),
+    "neumann_series_kernel": lambda: neumann_series_kernel(
+        0.5 * np.eye(2), labels(2), {"s1": np.eye(2), "s2": np.diag([1.0, 0.0])}
+    ),
+    "random_pd_kernel": _pd_table,
+    "normalize_diagonal": lambda: normalize_diagonal(_pd_table()),
+}
+
+
+@pytest.mark.parametrize("build", ONE_ARRAY_BUILDS.values(), ids=ONE_ARRAY_BUILDS.keys())
+def test_a_table_stores_one_read_only_array(build):
+    table = build()
+    assert np.shares_memory(table.blocks, table.flat)
+    assert not table.flat.flags.writeable and not table.blocks.flags.writeable
+    assert table.flat.flags.c_contiguous
+    assert table.blocks.shape == (table.n, table.n, table.dim_h, table.dim_h)
 
 
 class TestHermitianRepair:

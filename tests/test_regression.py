@@ -107,6 +107,22 @@ class TestDesignMatrices:
                 )
                 assert dm.kernel_gram[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_row_blocks_equal_one_einsum_bitwise(self):
+        # m = 203 spans four row blocks of 64; labels repeat in shuffled order
+        k, noise = random_pd_kernel(11, 7, 3), random_pd_kernel(12, 7, 3)
+        rng = np.random.default_rng(2)
+        m = 203
+        train = TrainingSet(
+            labels=tuple(rng.choice(k.labels, size=m)),
+            vectors=rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)),
+            targets=np.zeros(m, dtype=complex),
+        )
+        rows = np.array([k.label_set.index(s) for s in train.labels])
+        dm = design_matrices(k, noise, train)
+        for table, gram in ((k, dm.kernel_gram), (noise, dm.noise_gram)):
+            whole = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), table.blocks[np.ix_(rows, rows)], train.vectors)
+            assert gram.tobytes() == (0.5 * (whole + whole.conj().T)).tobytes()
+
     def test_unknown_label(self):
         with pytest.raises(LabelError):
             design_matrices(

@@ -14,7 +14,6 @@ from opkern import (
     TrainingSet,
     identity_kernel,
     kolmogorov_factorize,
-    make_sampler,
     random_pd_kernel,
 )
 from opkern.specio import (
@@ -29,7 +28,7 @@ from opkern.specio import (
     system_from_spec,
     training_set_from_csv,
 )
-from conftest import labels
+from conftest import labels, sample_paths
 from wire import array_to_json, complex_to_pair, kernel_to_spec, training_set_to_csv
 
 
@@ -242,7 +241,7 @@ class TestCsv:
             training_set_from_csv("foo,bar\n1,2\n")
 
     def test_path_csv_layout(self):
-        batch = make_sampler(identity_kernel(labels(2), 1), 3).draw(2)
+        batch = sample_paths(identity_kernel(labels(2), 1), 3, 2)
         lines = path_batch_to_csv(batch).strip().split("\n")
         assert lines[0] == "sample,label,coordinate,re,im"
         assert len(lines) == 1 + 2 * 2
@@ -256,14 +255,14 @@ class TestCsv:
         values = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
         values[0, 0] = [complex(-0.0, 5e-324), complex(1e22, -0.0)]
         values[1, 1] = [complex(5e-324, 1e22), complex(-1e22, -5e-324)]
-        batch = PathBatch(label_set=label_set, paths=values, seed=0, start=0)
+        batch = PathBatch(label_set=label_set, paths=values)
         text = path_batch_to_csv(batch)
         assert text == reference_path_csv(batch)
         assert '0,"a,b",0,-0.0,5e-324\n0,"a,b",1,1e+22,-0.0\n' in text
         assert '1,"q""x",1,-1e+22,-5e-324\n' in text
 
     def test_sampled_path_csv_matches_per_value_writer(self):
-        batch = make_sampler(random_pd_kernel(2, 3, 2), 4).draw(50)
+        batch = sample_paths(random_pd_kernel(2, 3, 2), 4, 50)
         assert path_batch_to_csv(batch) == reference_path_csv(batch)
 
 

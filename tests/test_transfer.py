@@ -10,6 +10,7 @@ from opkern import (
     NotInvertible,
     NotPositiveDefinite,
     OperatorKernelTable,
+    SpectrumOutOfRange,
     construct_partial_isometry,
     generate_valid_system,
     identity_kernel,
@@ -109,8 +110,11 @@ class TestPartialIsometry:
         sys_ = scalar_system(4, 1, 4, 1)
         k1 = scalar_kernel(labels(1), np.array([[4.0 + 1e-7]]))
         sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
-        with pytest.raises(GramMismatch):
+        with pytest.raises(GramMismatch) as exc:
             construct_partial_isometry(sys_)
+        # column Grams 5 (g = [1, 2]) and 5 + 1e-7 (f = [sqrt(4 + 1e-7), 1])
+        assert exc.value.relative == pytest.approx(1e-7 / (5 + 1e-7), rel=1e-6)
+        assert f"{exc.value.relative:.3e}" in str(exc.value)
 
 
 class TestTransferFunction:
@@ -226,6 +230,15 @@ class TestRadonNikodym:
         with pytest.raises(NotDominated, match="hi - lo is not positive") as exc:
             radon_nikodym(lo, identity_kernel(ls, 1))
         assert exc.value.min_eig == pytest.approx(-5e-9, rel=1e-6)
+
+    def test_out_of_range_spectrum_carries_its_extremes(self):
+        # hi - lo = diag(1.5, 0.75) is dominated, but Phi = lo has eigenvalue -0.5
+        ls = labels(2)
+        lo = scalar_kernel(ls, np.diag([-0.5, 0.25]))
+        with pytest.raises(SpectrumOutOfRange, match="leaves \\[0, 1\\]") as exc:
+            radon_nikodym(lo, identity_kernel(ls, 1))
+        assert exc.value.min_eig == pytest.approx(-0.5, abs=1e-12)
+        assert exc.value.max_eig == pytest.approx(0.25, abs=1e-12)
 
     def test_indefinite_hi_is_rejected_before_domination(self):
         ls = labels(2)
