@@ -40,7 +40,6 @@ from .dilation import (
     adjoint_apply,
     embed,
     kolmogorov_factorize,
-    minimal_dilation_dim,
     projection_chain,
 )
 from .transfer import (

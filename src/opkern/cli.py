@@ -10,9 +10,10 @@ so the fit's gates ran on the same bytes; it evaluates the H-valued
 regression function F once and reads every query from it.
 
 Exit codes: 0 success, 1 tolerance or positivity failure, 2 input/parse
-error, 3 violated hypothesis (rank condition, domination, singular
-conditioning).  ``OPKERN_SEED`` overrides the default seed only when
-``--seed`` is absent.
+error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
+``--samples`` count that cannot be allocated), 3 violated hypothesis (rank
+condition, domination, singular conditioning).  ``--seed`` defaults to 0;
+``condition`` reads its observed values from the spec's ``observed_l``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +53,7 @@ EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
-_INPUT_ERRORS = (SpecError, ShapeError, LabelError, InvalidKernel, OSError)
+_INPUT_ERRORS = (SpecError, ShapeError, LabelError, InvalidKernel, OSError, MemoryError)
 _HYPOTHESIS_ERRORS = (
     NotInvertible,
     NotDominated,
@@ -91,16 +91,11 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("OPKERN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SpecError(f"OPKERN_SEED is not an integer: {env!r}") from None
-    return 0
+def _training_set(path: str):
+    try:
+        return specio.training_set_from_csv(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot read training CSV {path}: {exc}") from None
 
 
 def _emit_text(args, text: str) -> None:
@@ -199,16 +194,15 @@ def cmd_rn(args) -> int:
 
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    batch = gaussian.draw_paths(kolmogorov_factorize(table), _resolve_seed(args), 0, args.samples)
+    batch = gaussian.draw_paths(kolmogorov_factorize(table), args.seed, 0, args.samples)
     _emit_text(args, specio.path_batch_to_csv(batch))
     return EXIT_OK
 
 
 def cmd_mc_verify(args) -> int:
     k, l, coupling, _ = specio.joint_from_spec(specio.load_json(args.spec))
-    seed = _resolve_seed(args)
     joint = gaussian.assemble_joint(k, l, coupling)
-    report = gaussian.mc_verify_conditional(joint, seed, args.samples, args.tol)
+    report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
     results = {
         "mean_map_dev_se": report.mean_map_dev_se,
         "residual_cov_dev_se": report.residual_cov_dev_se,
@@ -216,20 +210,14 @@ def cmd_mc_verify(args) -> int:
         "tol_sigma": args.tol,
         "passed": bool(report.passed),
     }
-    _emit_report(args, {"seed": seed, "samples": args.samples}, results)
+    _emit_report(args, {"seed": args.seed, "samples": args.samples}, results)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
 def cmd_condition(args) -> int:
     k, l, coupling, observed = specio.joint_from_spec(specio.load_json(args.spec))
-    if args.observed is not None:
-        data = specio.load_json(args.observed)
-        observed = specio.json_to_array(
-            data["values"] if isinstance(data, dict) and "values" in data else data,
-            (k.n, k.dim_h),
-        )
     if observed is None:
-        raise SpecError("no observed values: provide --observed or an 'observed_l' field")
+        raise SpecError("no observed values: the joint spec has no 'observed_l' field")
     joint = gaussian.assemble_joint(k, l, coupling)
     law = gaussian.condition(joint, observed, args.tol)
     results = {
@@ -238,15 +226,14 @@ def cmd_condition(args) -> int:
         "cond_cov_blocks": law.cond_cov.blocks,
         "null_dim": law.null_dim,
     }
-    extra = {} if args.observed is None else {"observed": args.observed}
-    _emit_report(args, {"tol": args.tol}, results, **extra)
+    _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK
 
 
 def cmd_krr_fit(args) -> int:
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
     noise = specio.kernel_from_spec(specio.load_json(args.noise_spec))
-    train = specio.training_set_from_csv(Path(args.train).read_text(encoding="utf-8"))
+    train = _training_set(args.train)
     dm = regression.design_matrices(kernel, noise, train)
     fit = regression.krr_fit(dm, train.targets)
     results = {
@@ -275,7 +262,7 @@ def cmd_krr_predict(args) -> int:
                 f"hash mismatch for {name}: the fit was produced from different inputs"
             )
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
-    train = specio.training_set_from_csv(Path(args.train).read_text(encoding="utf-8"))
+    train = _training_set(args.train)
     coeffs = specio.json_to_array(fit_coefficients, (train.size,))
     queries = specio.load_json(args.query)
     if not isinstance(queries, list):
@@ -327,19 +314,18 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw reproducible paths as CSV")
     common(p, "kernel spec JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_sample_count, default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mc-verify", help="Monte-Carlo check of the conditional law")
     common(p, "joint spec JSON (k, l, t_coupling)", 5.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_sample_count, default=200_000)
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("condition", help="exact conditional law for observed values")
     common(p, "joint spec JSON (k, l, t_coupling[, observed_l])", 1e-10)
-    p.add_argument("--observed", default=None, help="JSON file with observed values")
     p.set_defaults(func=cmd_condition)
 
     p = sub.add_parser("krr-fit", help="kernel ridge fit from a training CSV")

@@ -98,11 +98,6 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
     )
 
 
-def minimal_dilation_dim(table: OperatorKernelTable) -> int:
-    """Numerical rank of the flattened matrix = dimension of the minimal dilation."""
-    return kolmogorov_factorize(table).dilation_dim
-
-
 def embed(fs: FeatureSystem, t: str, b) -> np.ndarray:
     """Dilation-space vector representing the pair (t, b), i.e. ``V(t) b``."""
     b = np.asarray(b, dtype=np.complex128)

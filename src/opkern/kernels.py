@@ -218,6 +218,11 @@ def eig_extremes(evals: np.ndarray) -> tuple[float, float]:
     return float(evals[0]), float(max(abs(evals[0]), abs(evals[-1])))
 
 
+def max_spectral_norm(blocks) -> float:
+    """Largest spectral norm among equally shaped blocks, in one batched SVD."""
+    return float(np.linalg.norm(np.stack(list(blocks)), 2, axis=(1, 2)).max())
+
+
 def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -> PDReport:
     """Test positivity of a kernel table.
 
@@ -315,26 +320,28 @@ def zero_kernel(label_set: LabelSet, dim_h: int) -> OperatorKernelTable:
     return OperatorKernelTable(label_set, np.zeros((label_set.n,) * 2 + (dim_h,) * 2))
 
 
-def _resolve_points(label_set: LabelSet, point_map: Mapping, dim_h: int) -> np.ndarray:
+def _strict_contraction(h, label_set: LabelSet, point_map: Mapping) -> tuple[np.ndarray, float, np.ndarray]:
+    """The square complex matrix ``h``, its operator norm, which must be
+    below 1, and the ``(n, d, d)`` points of ``point_map`` in label order."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ShapeError(f"contraction must be square, got {h.shape}")
+    norm = float(np.linalg.norm(h, 2))
+    if not norm < 1.0:  # also rejects a NaN norm
+        raise NotStrictContraction(f"operator norm {norm:.6g} is not < 1")
     if not isinstance(point_map, Mapping):
         raise ShapeError("point_map must be a mapping label -> matrix")
-    points = np.empty((label_set.n, dim_h, dim_h), dtype=np.complex128)
+    d = h.shape[0]
+    points = np.empty((label_set.n, d, d), dtype=np.complex128)
     for i, s in enumerate(label_set.labels):
         try:
             p = np.asarray(point_map[s], dtype=np.complex128)
         except KeyError:
             raise LabelError(f"point_map has no entry for label {s!r}") from None
-        if p.shape != (dim_h, dim_h):
-            raise ShapeError(f"point for {s!r} must be ({dim_h}, {dim_h}), got {p.shape}")
+        if p.shape != (d, d):
+            raise ShapeError(f"point for {s!r} must be ({d}, {d}), got {p.shape}")
         points[i] = p
-    return points
-
-
-def _check_strict_contraction(h: np.ndarray) -> float:
-    norm = float(np.linalg.norm(h, 2))
-    if not norm < 1.0:  # also rejects a NaN norm
-        raise NotStrictContraction(f"operator norm {norm:.6g} is not < 1")
-    return norm
+    return h, norm, points
 
 
 def cp_contraction_kernel(h, label_set: LabelSet, point_map: Mapping) -> OperatorKernelTable:
@@ -344,12 +351,8 @@ def cp_contraction_kernel(h, label_set: LabelSet, point_map: Mapping) -> Operato
     positive for every choice of points; positivity must be tested by the
     caller when it matters.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"contraction must be square, got {h.shape}")
-    _check_strict_contraction(h)
+    h, _, points = _strict_contraction(h, label_set, point_map)
     d = h.shape[0]
-    points = _resolve_points(label_set, point_map, d)
     moved = points @ h
     gram = np.einsum("ipq,jpr->ijqr", moved.conj(), moved)
     blocks = np.eye(d) - gram
@@ -387,21 +390,13 @@ def neumann_series_kernel(h, label_set: LabelSet, point_map: Mapping, tol: float
     Each summand is a Gram block ``(s_i h^m)^H (s_j h^m)``, so the truncated
     table is positive by construction; this is verified and enforced.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"contraction must be square, got {h.shape}")
-    q = _check_strict_contraction(h)
+    h, q, points = _strict_contraction(h, label_set, point_map)
     d = h.shape[0]
-    points = _resolve_points(label_set, point_map, d)
     if tol <= 0:
         raise ValueError("truncation tolerance must be positive")
 
     base = np.einsum("ipq,jpr->ijqr", points.conj(), points)
-    max_norm = max(
-        (float(np.linalg.norm(base[i, j], 2)) for i in range(label_set.n) for j in range(label_set.n)),
-        default=0.0,
-    )
-    n_terms = _series_length(q, max_norm, tol)
+    n_terms = _series_length(q, max_spectral_norm(base.reshape(-1, d, d)), tol)
 
     acc, shift = np.zeros_like(base), np.eye(d, dtype=np.complex128)  # S(done), h^done
     part, power = base, h  # S(2^k), h^(2^k)

@@ -21,7 +21,9 @@ Training CSV columns: label, a_0_re, a_0_im, ..., a_{d-1}_re, a_{d-1}_im,
 y_re, y_im.  Path CSV columns: sample, label, coordinate, re, im.
 
 Every number in a spec or payload must be a finite JSON number; a string or
-a boolean where a number belongs is malformed.  Reports are strict JSON
+a boolean where a number belongs is malformed, and so is input that is not
+UTF-8 or exceeds the JSON or CSV parsers' limits (nesting depth, integer
+digits, field size); each raises :class:`SpecError`.  Reports are strict JSON
 written by :func:`report_to_json`: arrays as nested ``[re, im]`` lists, and
 never a ``NaN`` or ``Infinity`` token.
 """
@@ -113,7 +115,7 @@ def _labels(value) -> LabelSet:
     return LabelSet.of(value)
 
 
-def _points_from_params(params: dict, labels: LabelSet, d: int) -> dict[str, np.ndarray]:
+def _points_from_params(params: dict, d: int) -> dict[str, np.ndarray]:
     raw = _field(params, "points")
     if not isinstance(raw, dict):
         raise SpecError("'points' must map labels to matrices")
@@ -144,13 +146,13 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
             return constant_kernel(labels, json_to_array(_field(params, "block"), (dim_h, dim_h)))
         if name == "cp_contraction":
             h = json_to_array(_field(params, "h"), (dim_h, dim_h))
-            return cp_contraction_kernel(h, labels, _points_from_params(params, labels, dim_h))
+            return cp_contraction_kernel(h, labels, _points_from_params(params, dim_h))
         if name == "neumann_series":
             h = json_to_array(_field(params, "h"), (dim_h, dim_h))
             tol = _number(params.get("tol", 1e-12), "tol")
             if not tol > 0:
                 raise SpecError(f"tol must be > 0, got {tol!r}")
-            return neumann_series_kernel(h, labels, _points_from_params(params, labels, dim_h), tol)
+            return neumann_series_kernel(h, labels, _points_from_params(params, dim_h), tol)
         if name == "random_pd":
             seed = _number(_field(params, "seed"), "seed", integer=True)
             if seed < 0:
@@ -312,10 +314,11 @@ def path_batch_to_csv(batch: PathBatch) -> str:
 
 
 def training_set_from_csv(text: str) -> TrainingSet:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *rows = csv.reader(io.StringIO(text))
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise SpecError(f"malformed training CSV: {exc}") from None
+    except ValueError:  # nothing to unpack
         raise SpecError("training CSV is empty") from None
     if not header or header[0] != "label" or header[-2:] != ["y_re", "y_im"]:
         raise SpecError("training CSV must have columns label, a_*_re/im, y_re, y_im")
@@ -326,7 +329,7 @@ def training_set_from_csv(text: str) -> TrainingSet:
         d += 1
         expected += 2
     triples = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != len(header):
@@ -346,5 +349,5 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SpecError(f"cannot read JSON from {path}: {exc}") from None

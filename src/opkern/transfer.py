@@ -38,9 +38,9 @@ validated system carries those factorizations; the realization
 derives every check from those values: the realization residuals, the
 transitive action and, for a dominated system, ``sqrt(dK1/dK2) = T12``.
 
-The realization uses one SVD per matrix (:func:`_svd`), for ``G``, ``F`` and
-each ``M(s)``, and reads the norms of the four tables from their
-factorizations (:attr:`FeatureSystem.norm`).
+Every pseudo-inverse and range basis comes from one SVD per matrix
+(:func:`_svd`): of ``G``, ``F``, each ``M(s)`` and the stacked features behind
+a derivative; table norms come from the factorizations (:attr:`FeatureSystem.norm`).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .kernels import (
     TINY,
     LabelSet,
     OperatorKernelTable,
+    max_spectral_norm,
     require_psd,
 )
 
@@ -239,11 +240,6 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     )
 
 
-def _max_spectral_norm(blocks) -> float:
-    """Largest spectral norm among equally shaped blocks, in one batched SVD."""
-    return float(np.linalg.norm(np.stack(list(blocks)), 2, axis=(1, 2)).max())
-
-
 def transfer_function(
     real: TransferRealization,
     sys: SignedKernelSystem,
@@ -328,9 +324,9 @@ def verify_realization(
 
     # ||stacked||_2^2 = ||flat||_2 = the largest kept eigenvalue.
     k1_stack_scale = max(math.sqrt(fs_k1.norm), TINY)
-    feature_dev = _max_spectral_norm(fs_k1.operator(s) - image for s, image in zip(labels, images))
+    feature_dev = max_spectral_norm(fs_k1.operator(s) - image for s, image in zip(labels, images))
     k1_flat_scale = max(fs_k1.norm, TINY)
-    recon_dev = _max_spectral_norm(
+    recon_dev = max_spectral_norm(
         sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t)
         for s in labels
         for t in labels
@@ -351,9 +347,9 @@ def verify_realization(
     except NotDominated:
         rn = None
     else:
-        ident = rn.sqrt_phi @ fs_k2.stacked @ np.linalg.pinv(fs_k1.stacked, rcond=RANK_RTOL)
+        ident = rn.sqrt_phi @ fs_k2.stacked @ _svd(fs_k1.stacked, RANK_RTOL)[2]
         k2_stack_scale = max(math.sqrt(fs_k2.norm), TINY)
-        rn_dev = _max_spectral_norm(
+        rn_dev = max_spectral_norm(
             rn.sqrt_phi @ fs_k2.operator(s) - ident @ t12[s] @ fs_k2.operator(s) for s in labels
         )
         rn_spectrum, rn_vs_transfer = rn.spectrum, rn_dev / k2_stack_scale
@@ -416,7 +412,7 @@ def _derivative(
     """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
     hi_scale = fs.norm
     require_psd(np.linalg.eigvalsh((hi - lo).flat), tol, NotDominated, "hi - lo", hi_scale)
-    pinv = np.linalg.pinv(fs.stacked, rcond=RANK_RTOL)
+    pinv = _svd(fs.stacked, RANK_RTOL)[2]
     phi = pinv.conj().T @ lo.flat @ pinv
     phi = 0.5 * (phi + phi.conj().T)
     w, u = np.linalg.eigh(phi) if phi.size else (np.zeros(0), np.zeros((0, 0)))

@@ -18,7 +18,9 @@ from opkern import (
     scalar_kernel,
     transfer,
 )
+from opkern import InternalInvariantViolation, OpKernError, cli
 from opkern.cli import main
+from opkern.specio import SpecError
 from opkern.regression import TrainingSet
 from conftest import labels, scalar_table
 from wire import array_to_json, kernel_to_spec, training_set_to_csv
@@ -203,13 +205,41 @@ class TestSpecValidation:
                                              "blocks": [[[[[1.7e308, 0.0]]]]]},
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    # Files json.dumps cannot write; each once ended in a traceback.
+    RAW_SPECS = {
+        "utf16": json.dumps(builder_spec("identity", {})).encode("utf-16"),  # starts with the BOM \xff\xfe
+        "integer_5000_digits": b'{"dim_h": ' + b"9" * 5000 + b"}",
+        "nested_200000": b"[" * 200_000,
+    }
+    RAW_TRAIN = {
+        "byte_ff": b"label,a_0_re,a_0_im,y_re,y_im\ns\xff1,1,0,2,0\n",
+        "field_200000_chars": b"label,a_0_re,a_0_im,y_re,y_im\n" + b"s" * 200_000 + b",1,0,2,0\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES) + sorted(RAW_SPECS))
     def test_malformed_spec_exits_two(self, case, tmp_path, capsys):
-        spec = write_json(tmp_path / "spec.json", self.CASES[case])
-        assert main(["check-pd", "--spec", spec]) == 2
+        spec = tmp_path / "spec.json"
+        if case in self.RAW_SPECS:
+            spec.write_bytes(self.RAW_SPECS[case])
+        else:
+            write_json(spec, self.CASES[case])
+        assert main(["check-pd", "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("opkern: input error:")
+        assert err.startswith("opkern: input error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(RAW_TRAIN))
+    def test_undecodable_training_csv_exits_two(self, case, specs, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_bytes(self.RAW_TRAIN[case])
+        out = tmp_path / "fit.json"
+        code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", str(train), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_nan_observed_value_exits_two(self, specs, tmp_path, capsys):
         with open(specs["joint"], encoding="utf-8") as fh:
@@ -576,10 +606,11 @@ class TestRealize:
             "transfer_function": 2,
             "require_psd": 1,
         }
-        # One SVD gives pinv(G) and each M(s)^+; the table scales come from
-        # the factorizations.  Left: the derivative's pinv(V_K2) and the
-        # identification's pinv(V_K1), and eleven residual norms.
-        assert {"pinv": pinv["pinv"], "spectral_norm": norms["norm"]} == {"pinv": 2, "spectral_norm": 11}
+        # Every pseudo-inverse comes from one SVD (transfer._svd): pinv(G),
+        # each M(s)^+, the derivative's pinv(V_K2) and the identification's
+        # pinv(V_K1); the table scales come from the factorizations.  Left:
+        # eleven residual norms.
+        assert {"pinv": pinv["pinv"], "spectral_norm": norms["norm"]} == {"pinv": 0, "spectral_norm": 11}
 
 
 class TestRn:
@@ -610,21 +641,13 @@ class TestSample:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_env_fallback(self, specs, tmp_path, monkeypatch):
-        flagged, env = tmp_path / "flag.csv", tmp_path / "env.csv"
-        main(["sample", "--spec", specs["one"], "--seed", "9", "--samples", "2", "--out", str(flagged)])
+    def test_seed_defaults_to_zero_whatever_the_environment(self, specs, tmp_path, monkeypatch):
+        # The CSV records no seed, so only --seed may choose it.
+        zero, unset = tmp_path / "zero.csv", tmp_path / "unset.csv"
+        main(["sample", "--spec", specs["one"], "--seed", "0", "--samples", "2", "--out", str(zero)])
         monkeypatch.setenv("OPKERN_SEED", "9")
-        main(["sample", "--spec", specs["one"], "--samples", "2", "--out", str(env)])
-        assert flagged.read_bytes() == env.read_bytes()
-
-    def test_flag_beats_env(self, specs, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPKERN_SEED", "1")
-        a = tmp_path / "a.csv"
-        main(["sample", "--spec", specs["one"], "--seed", "2", "--samples", "2", "--out", str(a)])
-        monkeypatch.delenv("OPKERN_SEED")
-        b = tmp_path / "b.csv"
-        main(["sample", "--spec", specs["one"], "--seed", "2", "--samples", "2", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        main(["sample", "--spec", specs["one"], "--samples", "2", "--out", str(unset)])
+        assert zero.read_bytes() == unset.read_bytes()
 
 
 class TestSampleCount:
@@ -639,6 +662,15 @@ class TestSampleCount:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--samples" in proc.stderr
+
+    @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
+    def test_unallocatable_samples_exit_two(self, command, spec, specs, tmp_path, capsys):
+        # numpy refuses the petabytes of paths at once and allocates nothing
+        out = tmp_path / "r.out"
+        assert main([command, "--spec", specs[spec], "--samples", "1000000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:") and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestTolerance:
@@ -741,6 +773,13 @@ class TestCondition:
         assert results["posterior_mean"][0][0] == pytest.approx([1.0, 0.0])
         assert results["cond_cov_blocks"][0][0][0][0] == pytest.approx([0.75, 0.0])
 
+    def test_observed_is_not_an_option(self, capsys):
+        # observed values come only from the spec's observed_l
+        with pytest.raises(SystemExit) as exc:
+            main(["condition", "--spec", "j.json", "--observed", "o.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --observed" in capsys.readouterr().err
+
 
 class TestKrr:
     def test_fit_and_predict(self, specs, tmp_path):
@@ -842,6 +881,22 @@ class TestKrr:
         code = main(["krr-predict", "--spec", specs["one"], "--noise-spec", specs["one"],
                      "--train", str(other_train), "--fit", str(fit_path), "--query", query])
         assert code == 2
+
+
+class TestExitCodeTable:
+    def test_every_error_class_has_one_exit_code(self):
+        # A class in none of the tables would exit 1 through the catch-all.
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = {c for c in subclasses(OpKernError) if c.__module__.split(".")[0] == "opkern"}
+        assert SpecError in classes
+        tables = (cli._INPUT_ERRORS, cli._HYPOTHESIS_ERRORS, cli._TOLERANCE_ERRORS)
+        for cls in classes:
+            hits = sum(issubclass(cls, table) for table in tables)
+            assert hits == (0 if cls is InternalInvariantViolation else 1), cls.__name__
 
 
 class TestDeterminism:

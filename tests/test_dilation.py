@@ -16,7 +16,6 @@ from opkern import (
     has_unit_diagonal,
     is_positive_definite,
     kolmogorov_factorize,
-    minimal_dilation_dim,
     normalize_diagonal,
     projection_chain,
     random_pd_kernel,
@@ -159,13 +158,13 @@ class TestFactorize:
 
 class TestMinimalDilationDim:
     def test_identity_22(self, identity_22):
-        assert minimal_dilation_dim(identity_22) == 4
+        assert kolmogorov_factorize(identity_22).dilation_dim == 4
 
     def test_constant_one(self, constant_one):
-        assert minimal_dilation_dim(constant_one) == 1
+        assert kolmogorov_factorize(constant_one).dilation_dim == 1
 
     def test_prescribed_rank(self):
-        assert minimal_dilation_dim(random_pd_kernel(19, 4, 2, rank=5)) == 5
+        assert kolmogorov_factorize(random_pd_kernel(19, 4, 2, rank=5)).dilation_dim == 5
 
 
 class TestEmbed:
