@@ -11,9 +11,16 @@ regression function F once and reads every query from it.
 
 Exit codes: 0 success, 1 tolerance or positivity failure, 2 input/parse
 error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
-``--samples`` count that cannot be allocated), 3 violated hypothesis (rank
-condition, domination, singular conditioning).  ``--seed`` defaults to 0;
-``condition`` reads its observed values from the spec's ``observed_l``.
+``--samples`` count whose paths exceed ``specio.MAX_PATH_VALUES`` values),
+3 violated hypothesis (rank condition, domination, singular conditioning).
+``--seed`` defaults to 0; ``condition`` reads its observed values from the
+spec's ``observed_l``.
+
+``sample`` writes its CSV and ``mc-verify`` reduces its paths one tile of
+samples at a time, so neither holds the whole batch.  ``--out`` appears
+only when its command succeeds; on stdout, a reader that closes the pipe
+ends the output (``opkern sample ... | head``) and the command exits as
+if it had written everything.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -98,11 +107,53 @@ def _training_set(path: str):
         raise SpecError(f"cannot read training CSV {path}: {exc}") from None
 
 
+def _require_path_budget(samples: int, width: int) -> None:
+    """Refuse, before any draw, ``samples`` paths of ``width`` values each
+    beyond ``specio.MAX_PATH_VALUES`` in all."""
+    if samples * width > specio.MAX_PATH_VALUES:
+        raise SpecError(
+            f"--samples {samples} x path width {width} exceeds the supported {specio.MAX_PATH_VALUES} path values"
+        )
+
+
+@contextmanager
+def _output(args):
+    """The text stream of a command's output, for every command.
+
+    ``--out`` is written as a sibling temporary file that replaces it only
+    when the block succeeds, so a failed run leaves neither file; a path
+    that exists and is not a regular file (``/dev/null``, a FIFO) is
+    written in place.  On stdout, a reader that has closed the pipe ends
+    the output, and the block completes.
+    """
+    if not args.out:
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes stdout again at exit; send what is left nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    path = Path(os.path.realpath(args.out))
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _emit_text(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None:
@@ -194,13 +245,17 @@ def cmd_rn(args) -> int:
 
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    batch = gaussian.draw_paths(kolmogorov_factorize(table), args.seed, 0, args.samples)
-    _emit_text(args, specio.path_batch_to_csv(batch))
+    _require_path_budget(args.samples, table.n * table.dim_h)
+    fs = kolmogorov_factorize(table)
+    with _output(args) as out:
+        for start, batch in gaussian.path_chunks(fs, args.seed, args.samples):
+            out.write(specio.path_batch_to_csv(batch, start))
     return EXIT_OK
 
 
 def cmd_mc_verify(args) -> int:
     k, l, coupling, _ = specio.joint_from_spec(specio.load_json(args.spec))
+    _require_path_budget(args.samples, 2 * k.n * k.dim_h)
     joint = gaussian.assemble_joint(k, l, coupling)
     report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
     results = {

@@ -24,11 +24,16 @@ Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
 ulp, as it can for every LAPACK-backed result.
 
 A path batch is ``draw_paths(kolmogorov_factorize(table), seed, start,
-count)``; there is no sampler state.  A coupled pair of processes is one
-process on ``H + H``.  Its
-:class:`JointKernel` carries the factorization of the joint table and one
-eigendecomposition of the L Gram; :func:`sample_joint`, :func:`condition`
-and :func:`mc_verify_conditional` read those instead of decomposing again.
+count)``; there is no sampler state.  :func:`path_chunks` walks a range of
+samples in tile-aligned chunks, so a consumer that reduces or writes paths
+as they come holds one chunk at a time and runs in memory that does not
+grow with the sample count.  A coupled pair of processes is one process on
+``H + H``.  Its :class:`JointKernel` carries the factorization of the
+joint table and one eigendecomposition of the L Gram; :func:`sample_joint`,
+:func:`condition` and :func:`mc_verify_conditional` read those instead of
+decomposing again.  :func:`mc_verify_conditional` streams: it accumulates
+the second moments of the pair centred by the exact regression map, chunk
+by chunk, and never holds the sampled paths.
 """
 
 from __future__ import annotations
@@ -131,6 +136,15 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatc
     paths = paths.reshape(count, n, d)
     paths.setflags(write=False)
     return PathBatch(label_set=fs.label_set, paths=paths)
+
+
+def path_chunks(fs: FeatureSystem, seed: int, count: int):
+    """Yield ``(start, draw_paths(fs, seed, start, c))`` over samples
+    ``0 .. count - 1``, one tile of ``_TILE`` samples at a time (the last
+    may be shorter).  The chunks draw exactly the tiles, and bytes, of one
+    ``draw_paths(fs, seed, 0, count)``."""
+    for start in range(0, count, _TILE):
+        yield start, draw_paths(fs, seed, start, min(_TILE, count - start))
 
 
 def empirical_covariance(batch: PathBatch) -> OperatorKernelTable:
@@ -241,19 +255,14 @@ def assemble_joint(
     return JointKernel(k, l, t_gram, m_table, features, l_eigh, schur_table)
 
 
-def _halves(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """K- and L-coordinates of joint paths ``0 .. count - 1``, as views of one draw."""
-    paths = draw_paths(joint.features, seed, 0, count).paths
-    return paths[:, :, : joint.dim_h], paths[:, :, joint.dim_h :]
-
-
 def sample_joint(joint: JointKernel, seed: int, count: int) -> tuple[PathBatch, PathBatch]:
     """Draw the coupled pair by sampling the joint table and splitting H + H.
 
     The first batch carries the K-coordinates (first d of each 2d block),
     the second the L-coordinates; both are views of the joint paths.
     """
-    return tuple(PathBatch(joint.label_set, half) for half in _halves(joint, seed, count))
+    paths, d = draw_paths(joint.features, seed, 0, count).paths, joint.dim_h
+    return PathBatch(joint.label_set, paths[:, :, :d]), PathBatch(joint.label_set, paths[:, :, d:])
 
 
 @dataclass(frozen=True)
@@ -391,19 +400,16 @@ def mc_verify_conditional(
     the joint factorization; a numerically singular empirical L covariance
     raises :class:`SingularL`, and a statistic that overflows raises
     :class:`InternalInvariantViolation` instead of being compared.
+
+    Paths are drawn one tile at a time and reduced to the second moments
+    of the pair centred by the exact map, so memory stays flat in
+    ``count``.
     """
     if count < 2:
         raise InvalidKernel("Monte-Carlo verification needs at least two samples")
     n, d = joint.label_set.n, joint.dim_h
-    nd = n * d
     law = condition(joint, np.zeros((n, d)))  # raises SingularL when degenerate
-
-    x, y = (half.reshape(count, nd) for half in _halves(joint, seed, count))
-    c_xy = x.T @ y.conj() / count
-    c_yy = y.T @ y.conj() / count
-    c_yy = 0.5 * (c_yy + c_yy.conj().T)
-    require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_xy, c_yy)
-    b_hat = gated_solve(c_yy.conj().T, c_xy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
+    b_hat, s_hat = _regress(joint, law.mean_map, seed, count)
 
     l_inv_diag = np.abs(joint.l_eigh[1]) ** 2 @ (1.0 / joint.l_eigh[0])
     schur_flat = joint.schur.flat
@@ -411,8 +417,6 @@ def mc_verify_conditional(
     se_mean = np.sqrt(np.outer(np.abs(np.diag(schur_flat)), l_inv_diag) / count)
     mean_dev = float(np.max(np.abs(b_hat - law.mean_map) / np.maximum(se_mean, se_floor)))
 
-    resid = x - y @ b_hat.T
-    s_hat = resid.T @ resid.conj() / count
     diag_s = np.abs(np.diag(schur_flat))
     se_cov = np.sqrt((np.outer(diag_s, diag_s) + np.abs(schur_flat) ** 2) / count)
     cov_dev = float(np.max(np.abs(s_hat - schur_flat) / np.maximum(se_cov, se_floor)))
@@ -426,3 +430,36 @@ def mc_verify_conditional(
         count=count,
         passed=mean_dev <= tol_sigma and cov_dev <= tol_sigma,
     )
+
+
+def _regress(joint: JointKernel, b: np.ndarray, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical regression map ``b_hat`` of K-paths ``x`` on L-paths ``y``
+    and residual covariance ``s_hat``, over joint samples ``0 .. count - 1``.
+
+    Each chunk of paths adds to one second-moment matrix of the pair
+    ``(u, y)``, centred by the exact map ``b``: ``u = x - b y``.  With
+    ``c_uu``, ``c_uy`` and ``c_yy`` its blocks and ``db = c_uy c_yy^{-1}``,
+    ``b_hat = b + db`` and ``s_hat = c_uu - db c_uy^H`` are the one-batch
+    regression ``c_xy c_yy^{-1}`` and ``E[(x - b_hat y)(x - b_hat y)^H]``
+    in exact arithmetic.  Centring sets the rounding: each ``u`` is formed
+    per sample, as a one-batch residual ``x - b_hat y`` is, so ``s_hat``
+    rounds at ``eps sqrt(||S|| ||M||)`` (``S`` the Schur complement, ``M``
+    the joint table), where the uncentred ``c_xx - b_hat c_xy^H`` would
+    round at ``eps ||M||``, far above ``||S||`` for a near-saturated
+    coupling.  The chunked sums add in another order than one GEMM over
+    every sample, so both results move by rounding only, about
+    ``sqrt(count) eps`` times those scales (and ``b_hat`` times the
+    condition number of ``L``).
+    """
+    d, nd = joint.dim_h, joint.label_set.n * joint.dim_h
+    moments = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
+    for _, chunk in path_chunks(joint.features, seed, count):
+        x, y = chunk.paths[:, :, :d].reshape(-1, nd), chunk.paths[:, :, d:].reshape(-1, nd)
+        pair = np.concatenate([x - y @ b.T, y], axis=1)
+        moments += pair.T @ pair.conj()
+    moments /= count
+    c_uu, c_uy, c_yy = moments[:nd, :nd], moments[:nd, nd:], moments[nd:, nd:]
+    c_yy = 0.5 * (c_yy + c_yy.conj().T)
+    require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_uu, c_uy, c_yy)
+    db = gated_solve(c_yy.conj().T, c_uy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
+    return b + db, c_uu - db @ c_uy.conj().T

@@ -58,6 +58,13 @@ from .regression import TrainingSet
 #: bytes = 1 GiB.
 MAX_GRAM_DIM = 8192
 
+#: Largest ``samples * path width`` that ``sample`` and ``mc-verify`` draw,
+#: checked before any draw.  Paths stream, so memory does not bound the
+#: count; this does: 2**32 complex values would take 64 GiB at once, and
+#: their CSV about 200 GB.  The path width is ``n * dim_h`` for ``sample``
+#: and ``2 * n * dim_h`` for ``mc-verify``'s joint paths.
+MAX_PATH_VALUES = 2**32
+
 
 class SpecError(OpKernError):
     """Malformed spec file or wire payload."""
@@ -302,12 +309,16 @@ class _Echo:
         return text
 
 
-def path_batch_to_csv(batch: PathBatch) -> str:
+def path_batch_to_csv(batch: PathBatch, start: int = 0) -> str:
+    """CSV rows of ``batch`` numbered as samples ``start, start + 1, ...``;
+    the header line begins the file, so only ``start == 0`` writes it.  The
+    texts of consecutive chunks of a batch concatenate to the text of the
+    whole batch."""
     quote = csv.writer(_Echo(), lineterminator="\n").writerow
     # (label, coordinate) cells are the same for every sample: quote once.
     prefixes = [quote([s, p])[:-1] for s in batch.label_set.labels for p in range(batch.dim_h)]
-    parts = [quote(["sample", "label", "coordinate", "re", "im"])]
-    for k, row in enumerate(batch.paths.reshape(batch.count, -1)):
+    parts = [] if start else [quote(["sample", "label", "coordinate", "re", "im"])]
+    for k, row in enumerate(batch.paths.reshape(batch.count, -1), start):
         cells = map(",".join, zip(prefixes, map(repr, row.real.tolist()), map(repr, row.imag.tolist())))
         parts.append(f"{k}," + f"\n{k},".join(cells) + "\n")
     return "".join(parts)

@@ -95,3 +95,42 @@ def interleave_joint_bruteforce(k_blocks, l_blocks, t_blocks) -> np.ndarray:
                     out[i * 2 * d + d + p, j * 2 * d + q] = np.conj(t_blocks[j, i, q, p])
                     out[i * 2 * d + d + p, j * 2 * d + d + q] = l_blocks[i, j, p, q]
     return out
+
+
+def mc_verify_full_batch(joint, seed: int, count: int, tol_sigma: float = 5.0):
+    """The one-batch Monte-Carlo check of the conditional law that
+    ``gaussian.mc_verify_conditional`` streams: draw every joint path at
+    once, regress the K-half on the L-half through the uncentred moments
+    ``c_xy c_yy^{-1}``, and average the per-sample residual outer products.
+
+    Returns ``(b_hat, s_hat, mean_map_dev_se, residual_cov_dev_se, passed)``;
+    the paths, the exact law and the gates come from the package.
+    """
+    from opkern.errors import InternalInvariantViolation, SingularL
+    from opkern.gaussian import condition, draw_paths
+    from opkern.kernels import RANK_RTOL, gated_solve, require_finite
+
+    n, d = joint.label_set.n, joint.dim_h
+    nd = n * d
+    law = condition(joint, np.zeros((n, d)))
+    paths = draw_paths(joint.features, seed, 0, count).paths
+    x, y = paths[:, :, :d].reshape(count, nd), paths[:, :, d:].reshape(count, nd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_xy = x.T @ y.conj() / count
+        c_yy = y.T @ y.conj() / count
+        c_yy = 0.5 * (c_yy + c_yy.conj().T)
+        require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_xy, c_yy)
+        b_hat = gated_solve(c_yy.conj().T, c_xy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
+
+        l_inv_diag = np.abs(joint.l_eigh[1]) ** 2 @ (1.0 / joint.l_eigh[0])
+        schur_flat = joint.schur.flat
+        se_floor = 1e-12 * max(joint.features.norm, 1.0) / np.sqrt(count)
+        se_mean = np.sqrt(np.outer(np.abs(np.diag(schur_flat)), l_inv_diag) / count)
+        mean_dev = float(np.max(np.abs(b_hat - law.mean_map) / np.maximum(se_mean, se_floor)))
+
+        resid = x - y @ b_hat.T
+        s_hat = resid.T @ resid.conj() / count
+        diag_s = np.abs(np.diag(schur_flat))
+        se_cov = np.sqrt((np.outer(diag_s, diag_s) + np.abs(schur_flat) ** 2) / count)
+        cov_dev = float(np.max(np.abs(s_hat - schur_flat) / np.maximum(se_cov, se_floor)))
+    return b_hat, s_hat, mean_dev, cov_dev, mean_dev <= tol_sigma and cov_dev <= tol_sigma

@@ -1,8 +1,11 @@
 import copy
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ from opkern import (
     gaussian,
     generate_valid_system,
     identity_kernel,
+    kolmogorov_factorize,
     random_pd_kernel,
     scalar_kernel,
     transfer,
 )
 from opkern import InternalInvariantViolation, OpKernError, cli
 from opkern.cli import main
+from opkern import specio
 from opkern.specio import SpecError
 from opkern.regression import TrainingSet
 from conftest import labels, scalar_table
@@ -650,6 +655,104 @@ class TestSample:
         assert zero.read_bytes() == unset.read_bytes()
 
 
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1025])
+    def test_streamed_csv_equals_one_shot(self, count, tmp_path, capsys):
+        # One tile of samples is written at a time, to --out and to stdout.
+        table = random_pd_kernel(2, 3, 2)
+        spec = write_json(tmp_path / "k.json", kernel_to_spec(table))
+        whole = specio.path_batch_to_csv(gaussian.draw_paths(kolmogorov_factorize(table), 4, 0, count))
+        out = tmp_path / "paths.csv"
+        argv = ["sample", "--spec", spec, "--seed", "4", "--samples", str(count)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_closed_stdout_ends_the_output(self, specs):
+        # As `opkern sample ... | head -1`: the reader takes the header, then
+        # closes the pipe while the writer still has megabytes to go.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "opkern.cli", "sample", "--spec", specs["identity"], "--samples", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"sample,label,coordinate,re,im\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
+class TestOut:
+    @pytest.fixture
+    def fail_on_second_tile(self, monkeypatch):
+        draw = gaussian.draw_paths
+
+        def draw_one_tile(fs, seed, start, count):
+            if start > 0:
+                raise MemoryError("second tile")
+            return draw(fs, seed, start, count)
+
+        monkeypatch.setattr(gaussian, "draw_paths", draw_one_tile)
+
+    def test_failure_after_the_first_tile_leaves_no_out(self, fail_on_second_tile, specs, tmp_path, capsys):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        out = folder / "paths.csv"
+        assert main(["sample", "--spec", specs["one"], "--samples", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "opkern: input error: second tile\n"
+        assert list(folder.iterdir()) == []
+
+    def test_failure_keeps_an_earlier_out(self, fail_on_second_tile, specs, tmp_path):
+        out = tmp_path / "paths.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        assert main(["sample", "--spec", specs["one"], "--samples", "1000", "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert not list(tmp_path.glob(".*"))
+
+    def test_out_that_is_not_a_regular_file_is_written_in_place(self, specs):
+        assert main(["check-pd", "--spec", specs["identity"], "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_out_through_a_symlink_replaces_its_target(self, specs, tmp_path):
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        target.write_text("earlier\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert main(["check-pd", "--spec", specs["identity"], "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text(encoding="utf-8"))["results"]["pd"] is True
+
+
+class TestStreamingMemory:
+    @pytest.mark.parametrize("command,samples", [("mc-verify", 2048), ("sample", 512)])
+    def test_traced_peak_is_flat_in_samples(self, command, samples, tmp_path):
+        if command == "sample":
+            spec = write_json(tmp_path / "k.json", kernel_to_spec(random_pd_kernel(5, 2, 1)))
+        else:
+            n, d = 4, 2
+            blocks = random_pd_kernel(5, n, 2 * d).blocks
+            spec = write_json(tmp_path / "joint.json", {
+                "k": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, :d, :d])),
+                "l": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, d:, d:])),
+                "t_coupling": array_to_json(blocks[:, :, :d, d:]),
+            })
+
+        def peak(count):
+            argv = [command, "--spec", spec, "--samples", str(count), "--out", str(tmp_path / "r.out")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(samples)  # warm-up: the first draw imports scipy.special
+        # Holding every path, or the whole CSV, grows the peak 4-10 fold here.
+        assert peak(10 * samples) <= 1.2 * peak(samples)
+
+
 class TestSampleCount:
     @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
     @pytest.mark.parametrize("samples", ["-1", "0"])
@@ -670,6 +773,18 @@ class TestSampleCount:
         assert main([command, "--spec", specs[spec], "--samples", "1000000000000000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("opkern: input error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,spec,width", [("sample", "one", 1), ("mc-verify", "joint", 2)])
+    def test_count_above_the_path_bound_exits_two_before_drawing(
+        self, command, spec, width, specs, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, gaussian, ["standard_normal_rows"])
+        out = tmp_path / "r.out"
+        samples = specio.MAX_PATH_VALUES // width + 1
+        assert main([command, "--spec", specs[spec], "--samples", str(samples), "--out", str(out)]) == 2
+        assert calls == {"standard_normal_rows": 0}
+        assert "path values" in capsys.readouterr().err
         assert not out.exists()
 
 

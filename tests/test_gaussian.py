@@ -440,3 +440,59 @@ class TestMcVerifyConditional:
         joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.0))
         with pytest.raises(InvalidKernel):
             mc_verify_conditional(joint, 0, 1)
+
+
+def saturated_joint(delta):
+    """K = L on n = 4, d = 2 and T = (1 - delta) K: the Schur complement is
+    (2 delta - delta^2) K, below the factorization's rank cutoff for small delta."""
+    k = random_pd_kernel(3, 4, 2)
+    return assemble_joint(k, k, (1 - delta) * k.blocks)
+
+
+class TestStreamedRegression:
+    """``mc_verify_conditional`` streams centred moments; ``oracles`` keeps
+    the one-batch regression it replaced."""
+
+    @staticmethod
+    def regressions(joint, seed, count):
+        law = condition(joint, np.zeros((joint.label_set.n, joint.dim_h)))
+        return gaussian._regress(joint, law.mean_map, seed, count), oracles.mc_verify_full_batch(joint, seed, count)
+
+    @pytest.mark.parametrize("case", ["block40", "block41", "scalar", "delta1e-6", "delta1e-9"])
+    def test_estimates_match_full_batch_to_rounding(self, case):
+        joint = {
+            "block40": lambda: assemble_joint(*block_joint_instance(40)),
+            "block41": lambda: assemble_joint(*block_joint_instance(41)),
+            "scalar": lambda: assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5)),
+            "delta1e-6": lambda: saturated_joint(1e-6),
+            "delta1e-9": lambda: saturated_joint(1e-9),
+        }[case]()
+        count = 5000
+        (b_hat, s_hat), (b_ref, s_ref, *_) = self.regressions(joint, 7, count)
+        # Sums of `count` terms in another order: sqrt(count) eps, times the
+        # conditioning of L for the solve, and for s_hat times the scale at
+        # which each sample's x - b y is formed, sqrt(||Schur|| ||M||).
+        eps = np.finfo(np.float64).eps
+        evals = joint.l_eigh[0]
+        b_bound = np.sqrt(count) * eps * evals[-1] / evals[0] * np.max(np.abs(b_ref))
+        schur = max(np.linalg.norm(joint.schur.flat, 2), np.linalg.norm(s_ref, 2))
+        s_bound = 4 * np.sqrt(count) * eps * np.sqrt(schur * joint.features.norm)
+        assert np.max(np.abs(b_hat - b_ref)) <= b_bound
+        assert np.max(np.abs(s_hat - s_ref)) <= s_bound
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12, 1e-14])
+    def test_verdicts_match_full_batch_near_saturation(self, delta):
+        joint = saturated_joint(delta)
+        report = mc_verify_conditional(joint, 3, 20_000)
+        *_, mean_dev, cov_dev, passed = oracles.mc_verify_full_batch(joint, 3, 20_000)
+        assert report.passed == passed
+        np.testing.assert_allclose(
+            [report.mean_map_dev_se, report.residual_cov_dev_se], [mean_dev, cov_dev], rtol=1e-3, atol=1e-3
+        )
+
+    def test_chunks_are_tiles_of_one_draw(self):
+        fs = kolmogorov_factorize(random_pd_kernel(2, 3, 2))
+        chunks = list(gaussian.path_chunks(fs, 4, 1025))
+        assert [start for start, _ in chunks] == [0, 512, 1024]
+        joined = np.concatenate([batch.paths for _, batch in chunks])
+        assert joined.tobytes() == draw_paths(fs, 4, 0, 1025).paths.tobytes()
