@@ -453,22 +453,19 @@ class TestStreamedRegression:
     """``mc_verify_conditional`` streams centred moments; ``oracles`` keeps
     the one-batch regression it replaced."""
 
-    @staticmethod
-    def regressions(joint, seed, count):
-        law = condition(joint, np.zeros((joint.label_set.n, joint.dim_h)))
-        return gaussian._regress(joint, law.mean_map, seed, count), oracles.mc_verify_full_batch(joint, seed, count)
-
-    @pytest.mark.parametrize("case", ["block40", "block41", "scalar", "delta1e-6", "delta1e-9"])
-    def test_estimates_match_full_batch_to_rounding(self, case):
-        joint = {
-            "block40": lambda: assemble_joint(*block_joint_instance(40)),
-            "block41": lambda: assemble_joint(*block_joint_instance(41)),
-            "scalar": lambda: assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5)),
-            "delta1e-6": lambda: saturated_joint(1e-6),
-            "delta1e-9": lambda: saturated_joint(1e-9),
-        }[case]()
+    @pytest.mark.parametrize("make_joint", [
+        lambda: assemble_joint(*block_joint_instance(40)),
+        lambda: assemble_joint(*block_joint_instance(41)),
+        lambda: assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5)),
+        lambda: saturated_joint(1e-6),
+        lambda: saturated_joint(1e-9),
+    ], ids=["block40", "block41", "scalar", "delta1e-6", "delta1e-9"])
+    def test_estimates_match_full_batch_to_rounding(self, make_joint):
+        joint = make_joint()
         count = 5000
-        (b_hat, s_hat), (b_ref, s_ref, *_) = self.regressions(joint, 7, count)
+        law = condition(joint, np.zeros((joint.label_set.n, joint.dim_h)))
+        b_hat, s_hat = gaussian._regress(joint, law.mean_map, 7, count)
+        b_ref, s_ref, *_ = oracles.mc_verify_full_batch(joint, 7, count)
         # Sums of `count` terms in another order: sqrt(count) eps, times the
         # conditioning of L for the solve, and for s_hat times the scale at
         # which each sample's x - b y is formed, sqrt(||Schur|| ||M||).
