@@ -25,22 +25,15 @@ from .kernels import (
     PDReport,
     constant_kernel,
     cp_contraction_kernel,
-    has_unit_diagonal,
     identity_kernel,
     is_positive_definite,
-    kernel_leq,
     neumann_series_kernel,
-    normalize_diagonal,
     random_pd_kernel,
     scalar_kernel,
-    zero_kernel,
 )
 from .dilation import (
     FeatureSystem,
-    adjoint_apply,
-    embed,
     kolmogorov_factorize,
-    projection_chain,
 )
 from .transfer import (
     RealizationReport,
@@ -67,7 +60,6 @@ from .gaussian import (
     empirical_covariance,
     mc_verify_conditional,
     path_chunks,
-    sample_joint,
     standard_normal_rows,
 )
 from .regression import (

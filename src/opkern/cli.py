@@ -9,10 +9,12 @@ hashes of ``--spec``, ``--noise-spec`` and ``--train`` and to match them,
 so the fit's gates ran on the same bytes; it evaluates the H-valued
 regression function F once and reads every query from it.
 
-Exit codes: 0 success, 1 tolerance or positivity failure, 2 input/parse
-error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
-``--samples`` count whose paths exceed ``specio.MAX_PATH_VALUES`` values),
-3 violated hypothesis (rank condition, domination, singular conditioning).
+Exit codes: 0 success, 1 tolerance failure or ``check-pd``'s not-positive
+verdict, 2 input/parse error (also an input beyond the UTF-8, JSON or CSV
+parsers' limits, and a ``--samples`` count whose paths exceed
+``specio.MAX_PATH_VALUES`` values), 3 violated hypothesis (rank condition,
+domination, singular conditioning, a non-positive signal or noise design
+matrix in ``krr-fit``).
 ``--seed`` defaults to 0; ``condition`` reads its observed values from the
 spec's ``observed_l``.
 

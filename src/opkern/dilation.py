@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, NotPositiveDefinite, ShapeError
+from .errors import InternalInvariantViolation, NotPositiveDefinite
 from .kernels import RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_psd
 
 
@@ -96,54 +96,3 @@ def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> 
         stacked=stacked,
         basis_eigs=lam,
     )
-
-
-def embed(fs: FeatureSystem, t: str, b) -> np.ndarray:
-    """Dilation-space vector representing the pair (t, b), i.e. ``V(t) b``."""
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (fs.dim_h,):
-        raise ShapeError(f"expected vector of length {fs.dim_h}, got shape {b.shape}")
-    return fs.operator(t) @ b
-
-
-def adjoint_apply(fs: FeatureSystem, s: str, v) -> np.ndarray:
-    """Apply ``V(s)^H`` to a dilation-space vector.
-
-    Composed with :func:`embed` this realizes the reproducing identity
-    ``V(s)^H V(t) b = K(s, t) b``.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (fs.dilation_dim,):
-        raise ShapeError(f"expected vector of length {fs.dilation_dim}, got shape {v.shape}")
-    return fs.operator(s).conj().T @ v
-
-
-def projection_chain(fs: FeatureSystem, chain, t: str, b) -> np.ndarray:
-    """Apply the range maps ``V(s_1)V(s_1)^H ... V(s_m)V(s_m)^H`` to ``V(t) b``.
-
-    The rightmost factor acts first.  By the adjoint identity alone the
-    result has the closed form ``V(s_1) K(s_1, s_2) ... K(s_m, t) b``, which
-    is asserted against the iterated computation to ``1e-9`` relative; for
-    unital tables the factors are orthogonal projections and the sweep is a
-    Kaczmarz-style update, but the closed form needs no unitality.
-    """
-    chain = list(chain)
-    vec = embed(fs, t, b)
-    start_norm = float(np.linalg.norm(vec))
-    for s in reversed(chain):
-        op = fs.operator(s)
-        vec = op @ (op.conj().T @ vec)
-    if chain:
-        acc = np.asarray(b, dtype=np.complex128)
-        prev = t
-        for s in reversed(chain):
-            acc = fs.gram(s, prev) @ acc
-            prev = s
-        expected = fs.operator(chain[0]) @ acc
-        scale = max(start_norm, float(np.linalg.norm(expected)), TINY)
-        gap = float(np.linalg.norm(vec - expected))
-        if gap > 1e-9 * scale:
-            raise InternalInvariantViolation(
-                f"projection sweep deviates from its closed form by {gap:.3e} (scale {scale:.3e})"
-            )
-    return vec

@@ -29,9 +29,9 @@ samples in tile-aligned chunks, so a consumer that reduces or writes paths
 as they come holds one chunk at a time and runs in memory that does not
 grow with the sample count.  A coupled pair of processes is one process on
 ``H + H``.  Its :class:`JointKernel` carries the factorization of the
-joint table and one eigendecomposition of the L Gram; :func:`sample_joint`,
-:func:`condition` and :func:`mc_verify_conditional` read those instead of
-decomposing again.  :func:`mc_verify_conditional` streams: it accumulates
+joint table and one eigendecomposition of the L Gram; :func:`condition`
+and :func:`mc_verify_conditional` read those instead of decomposing
+again.  :func:`mc_verify_conditional` streams: it accumulates
 the second moments of the pair centred by the exact regression map, chunk
 by chunk, and never holds the sampled paths.
 """
@@ -253,16 +253,6 @@ def assemble_joint(
     evals = np.linalg.eigvalsh(schur_table.flat)
     require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
     return JointKernel(k, l, t_gram, m_table, features, l_eigh, schur_table)
-
-
-def sample_joint(joint: JointKernel, seed: int, count: int) -> tuple[PathBatch, PathBatch]:
-    """Draw the coupled pair by sampling the joint table and splitting H + H.
-
-    The first batch carries the K-coordinates (first d of each 2d block),
-    the second the L-coordinates; both are views of the joint paths.
-    """
-    paths, d = draw_paths(joint.features, seed, 0, count).paths, joint.dim_h
-    return PathBatch(joint.label_set, paths[:, :, :d]), PathBatch(joint.label_set, paths[:, :, d:])
 
 
 @dataclass(frozen=True)

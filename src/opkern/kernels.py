@@ -275,23 +275,6 @@ def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what:
     return np.linalg.solve(gram, rhs)
 
 
-def kernel_leq(lo: OperatorKernelTable, hi: OperatorKernelTable, tol: float | None = None) -> bool:
-    """Kernel ordering: ``lo <= hi`` iff ``hi - lo`` is positive semidefinite."""
-    lo._require_same_shape(hi)
-    return is_positive_definite(hi - lo, tol).pd
-
-
-def has_unit_diagonal(table: OperatorKernelTable) -> bool:
-    """True when every diagonal block K(s, s) equals the identity, to
-    ``1e-10`` relative to ``max(1, largest block norm)``."""
-    eye = np.eye(table.dim_h)
-    dev = max(
-        float(np.linalg.norm(table.blocks[i, i] - eye))
-        for i in range(table.n)
-    )
-    return dev <= 1e-10 * max(1.0, float(_block_frobenius(table.blocks).max()))
-
-
 # ---------------------------------------------------------------------------
 # Kernel zoo
 # ---------------------------------------------------------------------------
@@ -314,10 +297,6 @@ def constant_kernel(label_set: LabelSet, block) -> OperatorKernelTable:
 def scalar_kernel(label_set: LabelSet, matrix) -> OperatorKernelTable:
     """d = 1 table whose blocks are the entries of an n x n Hermitian matrix."""
     return OperatorKernelTable.from_flat(label_set, 1, matrix)
-
-
-def zero_kernel(label_set: LabelSet, dim_h: int) -> OperatorKernelTable:
-    return OperatorKernelTable(label_set, np.zeros((label_set.n,) * 2 + (dim_h,) * 2))
 
 
 def _strict_contraction(h, label_set: LabelSet, point_map: Mapping) -> tuple[np.ndarray, float, np.ndarray]:
@@ -426,20 +405,3 @@ def random_pd_kernel(seed: int, n: int, d: int, rank: int | None = None) -> Oper
     g = rng.standard_normal((rank, n * d)) + 1j * rng.standard_normal((rank, n * d))
     labels = LabelSet.of(f"s{i + 1}" for i in range(n))
     return OperatorKernelTable.from_flat(labels, d, g.conj().T @ g)
-
-
-def normalize_diagonal(table: OperatorKernelTable) -> OperatorKernelTable:
-    """Congruence-rescale a positive table so that every K(s, s) = I.
-
-    Requires each diagonal block to be invertible (smallest eigenvalue above
-    ``RANK_RTOL`` times the largest); the transformation
-    ``K(s, t) -> D_s^{-1/2} K(s, t) D_t^{-1/2}`` preserves positivity.
-    """
-    n, d = table.n, table.dim_h
-    roots = np.empty((n, d, d), dtype=np.complex128)
-    for i in range(n):
-        w, u = np.linalg.eigh(table.blocks[i, i])
-        require_invertible(w, RANK_RTOL, InvalidKernel, f"diagonal block for {table.labels[i]!r}")
-        roots[i] = (u / np.sqrt(w)) @ u.conj().T
-    blocks = np.einsum("ipq,ijqr,jrs->ijps", roots.conj().transpose(0, 2, 1), table.blocks, roots)
-    return OperatorKernelTable(table.label_set, blocks)

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     InternalInvariantViolation,
     InvalidKernel,
+    NotPositiveDefinite,
     ShapeError,
     SingularL,
     SingularSystem,
@@ -101,7 +102,7 @@ _ROW_BLOCK = 64  # training rows per slab of gathered kernel blocks in _pair_gra
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray) -> np.ndarray:
+def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray, what: str) -> np.ndarray:
     gram = np.empty((train.size, train.size), dtype=np.complex128)
     for lo in range(0, train.size, _ROW_BLOCK):
         part = slice(lo, lo + _ROW_BLOCK)
@@ -110,7 +111,7 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray)
         gram[part] = np.einsum("ip,ijpq,jq->ij", train.vectors[part].conj(), slab, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
     require_finite(InvalidKernel, "design matrix", gram)
-    require_psd(np.linalg.eigvalsh(gram), PD_RTOL, InternalInvariantViolation, "design matrix")
+    require_psd(np.linalg.eigvalsh(gram), PD_RTOL, NotPositiveDefinite, what)
     return gram
 
 
@@ -119,13 +120,14 @@ def design_matrices(
     noise_kernel: OperatorKernelTable,
     train: TrainingSet,
 ) -> DesignMatrices:
-    """Evaluate both m x m design matrices; positivity is asserted, and an
-    overflowing matrix raises :class:`InvalidKernel`."""
+    """Evaluate both m x m design matrices; a non-positive one raises
+    :class:`NotPositiveDefinite` naming its slot (``signal`` or ``noise``),
+    and an overflowing one :class:`InvalidKernel`."""
     kernel._require_same_shape(noise_kernel)
     rows = _training_rows(kernel, train)
     return DesignMatrices(
-        kernel_gram=_pair_gram(kernel, train, rows),
-        noise_gram=_pair_gram(noise_kernel, train, rows),
+        kernel_gram=_pair_gram(kernel, train, rows, "signal design matrix"),
+        noise_gram=_pair_gram(noise_kernel, train, rows, "noise design matrix"),
         training=train,
     )
 

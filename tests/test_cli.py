@@ -566,6 +566,18 @@ class TestHypothesisExitCodes:
                      "--train", str(train)])
         assert code == 3
 
+    @pytest.mark.parametrize("slot", ["signal", "noise"])
+    def test_krr_non_positive_design_exits_three_naming_its_slot(self, specs, tmp_path, capsys, slot):
+        identity = write_json(tmp_path / "eye.json", kernel_to_spec(identity_kernel(labels(2), 1)))
+        spec, noise = (specs["indefinite"], identity) if slot == "signal" else (identity, specs["indefinite"])
+        train = tmp_path / "two.csv"
+        train.write_text(
+            training_set_to_csv(TrainingSet.from_triples([("s1", [1.0], 1.0), ("s2", [1.0], 0.0)])),
+            encoding="utf-8",
+        )
+        assert main(["krr-fit", "--spec", spec, "--noise-spec", noise, "--train", str(train)]) == 3
+        assert f"hypothesis failure: {slot} design matrix is not positive" in capsys.readouterr().err
+
 
 class TestRealize:
     def test_scalar_system_report(self, specs, tmp_path):

@@ -14,6 +14,7 @@ from opkern import (
     InvalidKernel,
     NotPositiveDefinite,
     OperatorKernelTable,
+    PathBatch,
     ShapeError,
     SingularL,
     assemble_joint,
@@ -26,10 +27,8 @@ from opkern import (
     kolmogorov_factorize,
     mc_verify_conditional,
     random_pd_kernel,
-    sample_joint,
     scalar_kernel,
     standard_normal_rows,
-    zero_kernel,
 )
 from conftest import labels, sample_paths
 import oracles
@@ -44,6 +43,13 @@ def scalar_one():
 
 def scalar_coupling(value):
     return np.full((1, 1, 1, 1), value, dtype=complex)
+
+
+def joint_parts(joint, seed, count):
+    """K- and L-coordinates of joint samples ``0 .. count - 1``, split at d
+    as ``mc-verify`` splits them."""
+    paths, d = draw_paths(joint.features, seed, 0, count).paths, joint.dim_h
+    return paths[:, :, :d], paths[:, :, d:]
 
 
 def block_joint_instance(seed):
@@ -132,7 +138,7 @@ class TestSampler:
         assert proc.stdout.strip() == "ok"
 
     def test_zero_kernel_paths_vanish(self):
-        batch = sample_paths(zero_kernel(ONE_LABEL, 2), 1, 10)
+        batch = sample_paths(0.0 * identity_kernel(ONE_LABEL, 2), 1, 10)
         assert np.all(batch.paths == 0)
 
     def test_rejects_indefinite_kernel(self):
@@ -265,14 +271,8 @@ class TestJointDecompositions:
         k, l, coupling = block_joint_instance(81)
         joint = assemble_joint(k, l, coupling)
         assert joint.features.stacked.tobytes() == kolmogorov_factorize(joint.m).stacked.tobytes()
-        kp, lp = sample_joint(joint, 5, 1000)
         full = draw_paths(joint.features, 5, 0, 1000).paths
         assert full.tobytes() == sample_paths(joint.m, 5, 1000).paths.tobytes()
-        d = joint.dim_h
-        assert kp.paths.tobytes() == full[:, :, :d].tobytes()
-        assert lp.paths.tobytes() == full[:, :, d:].tobytes()
-        for part in (kp, lp):
-            assert not part.paths.flags.writeable and not part.paths.flags.owndata
 
     def test_inadmissible_joint_reports_the_factorization_min_eig(self):
         with pytest.raises(NotPositiveDefinite, match="joint table is not positive") as exc:
@@ -283,22 +283,22 @@ class TestJointDecompositions:
 class TestSampleJoint:
     def test_independent_parts_have_small_cross_covariance(self):
         joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.0))
-        kp, lp = sample_joint(joint, 1, 200_000)
-        cross = float(np.mean(kp.paths[:, 0, 0] * np.conj(lp.paths[:, 0, 0])).real)
+        kp, lp = joint_parts(joint, 1, 200_000)
+        cross = float(np.mean(kp[:, 0, 0] * np.conj(lp[:, 0, 0])).real)
         assert abs(cross) <= 5.0 / np.sqrt(200_000)
 
     def test_coupled_parts_reproduce_coupling(self):
         joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5))
-        kp, lp = sample_joint(joint, 3, 200_000)
-        cross = float(np.mean(kp.paths[:, 0, 0] * np.conj(lp.paths[:, 0, 0])).real)
+        kp, lp = joint_parts(joint, 3, 200_000)
+        cross = float(np.mean(kp[:, 0, 0] * np.conj(lp[:, 0, 0])).real)
         assert abs(cross - 0.5) <= 5.0 / np.sqrt(200_000)
 
     def test_marginal_law_matches_direct_sampler(self):
         # K-part covariance converges to K regardless of the coupling
         k, l, coupling = block_joint_instance(81)
         joint = assemble_joint(k, l, coupling)
-        kp, _ = sample_joint(joint, 5, 200_000)
-        est = empirical_covariance(kp)
+        kp, _ = joint_parts(joint, 5, 200_000)
+        est = empirical_covariance(PathBatch(k.label_set, kp))
         rel = np.linalg.norm(est.flat - k.flat) / np.linalg.norm(k.flat)
         assert rel <= 0.02
 
@@ -328,13 +328,13 @@ class TestCondition:
 
     def test_singular_l_is_strict_by_default(self):
         k = random_pd_kernel(4, 1, 2)
-        joint = assemble_joint(k, zero_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
+        joint = assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
         with pytest.raises(SingularL):
             condition(joint, np.zeros((1, 2)))
 
     def test_singular_l_pseudo_inverse_path(self):
         k = random_pd_kernel(4, 1, 2)
-        joint = assemble_joint(k, zero_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
+        joint = assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
         law = condition(joint, np.zeros((1, 2)), allow_singular=True)
         assert law.null_dim == 2
         np.testing.assert_array_equal(law.mean_map, np.zeros((2, 2)))
@@ -407,7 +407,7 @@ class TestConditionalCovEqual:
     def test_singular_l_rejected(self):
         k = scalar_one()
         with pytest.raises(SingularL):
-            conditional_cov_equal(k, k, zero_kernel(ONE_LABEL, 1), k, scalar_coupling(0.0))
+            conditional_cov_equal(k, k, 0.0 * identity_kernel(ONE_LABEL, 1), k, scalar_coupling(0.0))
 
 
 class TestMcVerifyConditional:
@@ -421,8 +421,8 @@ class TestMcVerifyConditional:
         report = mc_verify_conditional(joint, 5, 200_000)
         assert report.passed
         # cross-check the raw estimates against the analytic law
-        kp, lp = sample_joint(joint, 5, 200_000)
-        x, y = kp.paths.reshape(-1), lp.paths.reshape(-1)
+        kp, lp = joint_parts(joint, 5, 200_000)
+        x, y = kp.reshape(-1), lp.reshape(-1)
         b_hat = float((x @ y.conj()).real / (y @ y.conj()).real)
         assert abs(b_hat - 0.5) <= 5.0 * np.sqrt(0.75 / 200_000)
         resid = x - b_hat * y

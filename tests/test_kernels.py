@@ -20,12 +20,8 @@ from opkern import (
     cp_contraction_kernel,
     identity_kernel,
     is_positive_definite,
-    kernel_leq,
     neumann_series_kernel,
-    normalize_diagonal,
     random_pd_kernel,
-    scalar_kernel,
-    zero_kernel,
 )
 from opkern.kernels import (
     HERMITIAN_RTOL,
@@ -186,7 +182,6 @@ ONE_ARRAY_BUILDS = {
     "identity_kernel": lambda: identity_kernel(labels(3), 2),
     "constant_kernel": lambda: constant_kernel(labels(3), np.array([[2.0, 1.0j], [-1.0j, 3.0]])),
     "scalar_kernel": lambda: scalar_table(np.array([[2.0, 1.0], [1.0, 2.0]])),
-    "zero_kernel": lambda: zero_kernel(labels(3), 2),
     "cp_contraction_kernel": lambda: cp_contraction_kernel(
         0.5 * np.eye(2), labels(2), {"s1": np.eye(2), "s2": np.diag([1.0, 0.0])}
     ),
@@ -194,7 +189,6 @@ ONE_ARRAY_BUILDS = {
         0.5 * np.eye(2), labels(2), {"s1": np.eye(2), "s2": np.diag([1.0, 0.0])}
     ),
     "random_pd_kernel": _pd_table,
-    "normalize_diagonal": lambda: normalize_diagonal(_pd_table()),
 }
 
 
@@ -319,16 +313,19 @@ class TestRequirePsd:
 
 
 class TestOrdering:
+    """The kernel order: ``lo <= hi`` iff ``hi - lo`` is positive."""
+
     def test_zero_below_identity(self, two_labels):
-        assert kernel_leq(zero_kernel(two_labels, 2), identity_kernel(two_labels, 2))
+        eye = identity_kernel(two_labels, 2)
+        assert is_positive_definite(eye - 0.0 * eye).pd
 
     def test_reflexive(self):
         k = random_pd_kernel(3, 3, 2)
-        assert kernel_leq(k, k)
+        assert is_positive_definite(k - k).pd
 
     def test_double_identity_fails(self, two_labels):
         eye = identity_kernel(two_labels, 2)
-        assert not kernel_leq(2.0 * eye, eye)
+        assert not is_positive_definite(eye - 2.0 * eye).pd
 
     @pytest.mark.parametrize("seed", range(5))
     def test_antisymmetry_up_to_tolerance(self, seed):
@@ -338,7 +335,7 @@ class TestOrdering:
         perturbed = OperatorKernelTable.from_flat(
             k.label_set, 2, k.flat + 0.25 * tol * np.eye(4)
         )
-        assert kernel_leq(k, perturbed, tol) and kernel_leq(perturbed, k, tol)
+        assert is_positive_definite(perturbed - k, tol).pd and is_positive_definite(k - perturbed, tol).pd
         assert np.linalg.norm(k.flat - perturbed.flat, 2) <= 2 * tol * scale
 
 
@@ -500,18 +497,6 @@ class TestRandomPdKernel:
             random_pd_kernel(0, 2, 2, rank=5)
         with pytest.raises(InvalidKernel):
             random_pd_kernel(0, 2, 2, rank=0)
-
-
-class TestNormalizeDiagonal:
-    def test_produces_unit_diagonal(self):
-        table = normalize_diagonal(random_pd_kernel(11, 3, 2))
-        for i in range(3):
-            np.testing.assert_allclose(table.blocks[i, i], np.eye(2), atol=1e-12)
-        assert is_positive_definite(table).pd
-
-    def test_rejects_singular_diagonal(self, two_labels):
-        with pytest.raises(InvalidKernel):
-            normalize_diagonal(scalar_kernel(two_labels, np.diag([1.0, 0.0])))
 
 
 class TestGatedSolve:

@@ -17,7 +17,6 @@ from opkern import (
     random_pd_kernel,
     representer,
     scalar_kernel,
-    zero_kernel,
 )
 from conftest import labels
 
@@ -146,7 +145,7 @@ class TestKrrFit:
 
     def test_zero_noise_interpolates(self):
         k = random_pd_kernel(3, 2, 2)
-        noise = zero_kernel(k.label_set, 2)
+        noise = 0.0 * identity_kernel(k.label_set, 2)
         rng = np.random.default_rng(2)
         train = TrainingSet.from_triples(
             [("s1", rng.standard_normal(2), 1.0 + 2.0j), ("s2", rng.standard_normal(2), -0.5)]
@@ -236,7 +235,7 @@ class TestObjective:
         assert nearby > at_min
 
     def test_singular_noise_rejected(self):
-        noise = zero_kernel(ONE_LABEL, 1)
+        noise = 0.0 * identity_kernel(ONE_LABEL, 1)
         with pytest.raises(SingularL):
             objective_value(scalar_one(), noise, scalar_training(), [2.0], [0.0])
 
@@ -303,7 +302,7 @@ class TestGpPosteriorMean:
     def test_zero_noise_returns_observation(self):
         k = random_pd_kernel(1, 2, 2)
         observed = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = gp_posterior_mean(k, zero_kernel(k.label_set, 2), observed)
+        out = gp_posterior_mean(k, 0.0 * identity_kernel(k.label_set, 2), observed)
         np.testing.assert_allclose(out, observed, atol=1e-10)
 
     def test_scalar_halving(self):
@@ -316,7 +315,7 @@ class TestGpPosteriorMean:
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_singular_resolvent_raises(self):
-        z = zero_kernel(ONE_LABEL, 1)
+        z = 0.0 * identity_kernel(ONE_LABEL, 1)
         with pytest.raises(SingularSystem):
             gp_posterior_mean(z, z, np.zeros((1, 1)))
 
