@@ -67,7 +67,6 @@ from .regression import (
     RegressionFit,
     TrainingSet,
     design_matrices,
-    gp_posterior_mean,
     krr_fit,
     objective_value,
     predict,

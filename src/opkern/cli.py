@@ -281,7 +281,7 @@ def cmd_condition(args) -> int:
         "posterior_mean": law.posterior_mean,
         "mean_map": law.mean_map,
         "cond_cov_blocks": law.cond_cov.blocks,
-        "null_dim": law.null_dim,
+        "null_dim": 0,  # condition refuses a singular L
     }
     _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK

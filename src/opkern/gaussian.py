@@ -60,7 +60,6 @@ from .kernels import (
     block_layout,
     eig_extremes,
     gated_solve,
-    is_positive_definite,
     require_finite,
     require_invertible,
     require_psd,
@@ -184,11 +183,10 @@ class JointKernel:
     ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]`` and ``features`` its
     factorization, from which the pair is sampled.  ``l_eigh`` is
     ``np.linalg.eigh(conj(L_gram))``, the decomposition behind the
-    pseudo-inverse in ``schur``, the singular-L gate and null dimension of
-    :func:`condition`, and ``diag(L_gram^{-1})`` in
-    :func:`mc_verify_conditional`.  ``schur`` holds the Gram-level Schur
-    complement ``K - T L^+ T^H`` as a kernel table (the conditional
-    covariance).
+    pseudo-inverse in ``schur``, the singular-L gate of :func:`condition`,
+    and ``diag(L_gram^{-1})`` in :func:`mc_verify_conditional`.  ``schur``
+    holds the Gram-level Schur complement ``K - T L^+ T^H`` as a kernel
+    table (the conditional covariance).
     """
 
     k: OperatorKernelTable
@@ -218,6 +216,18 @@ def _pinv(l_eigh: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
     return (u * np.copysign(1.0, w)[order]).T.conj().T @ (inv[:, None] * u.T)
 
 
+def _schur(
+    k: OperatorKernelTable, l: OperatorKernelTable, t_gram: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], OperatorKernelTable]:
+    """``np.linalg.eigh(conj(L_gram))`` and the Gram-level Schur complement
+    ``K - T L^+ T^H`` as a kernel table, the one place it is formed.  The
+    complement is symmetrized: a near-saturated one is small against its
+    rounding, which is not Hermitian."""
+    l_eigh = tuple(np.linalg.eigh(l.flat.conj()))
+    schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
+    return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, 0.5 * (schur_flat + schur_flat.conj().T))
+
+
 def assemble_joint(
     k: OperatorKernelTable,
     l: OperatorKernelTable,
@@ -233,8 +243,7 @@ def assemble_joint(
     :class:`NotPositiveDefinite` and indicate an inadmissible coupling.
     """
     k._require_same_shape(l)
-    d = k.dim_h
-    t_blocks = _coupling_array(k.label_set, d, coupling)
+    t_blocks = _coupling_array(k.label_set, k.dim_h, coupling)
 
     t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
     m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
@@ -245,11 +254,8 @@ def assemble_joint(
         msg = f"joint table is not positive (min eig {exc.min_eig:.3e}); coupling inadmissible"
         raise NotPositiveDefinite(msg, min_eig=exc.min_eig) from None
 
-    l_eigh = tuple(np.linalg.eigh(l.flat.conj()))
     t_gram = block_layout(t_blocks)
-    schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
-    schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
-    schur_table = OperatorKernelTable.from_flat(k.label_set, d, schur_flat)
+    l_eigh, schur_table = _schur(k, l, t_gram)
     evals = np.linalg.eigvalsh(schur_table.flat)
     require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
     return JointKernel(k, l, t_gram, m_table, features, l_eigh, schur_table)
@@ -261,52 +267,31 @@ class ConditionalLaw:
 
     ``mean_map`` is the Gram-level matrix ``T L^{-1}`` sending the
     concatenated observation to the conditional mean; ``cond_cov`` is the
-    Schur-complement table.  ``null_dim`` counts directions removed by the
-    pseudo-inverse when a singular L was explicitly allowed.
+    Schur-complement table.
     """
 
     mean_map: np.ndarray
     cond_cov: OperatorKernelTable
     posterior_mean: np.ndarray
-    null_dim: int
 
 
-def condition(
-    joint: JointKernel,
-    observed_l,
-    tol: float = RANK_RTOL,
-    allow_singular: bool = False,
-) -> ConditionalLaw:
+def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> ConditionalLaw:
     """Condition the K-process on observed values of the L-process.
 
     Conditioning is over the full finite label grid: the mean is
     ``T_gram L_gram^{-1} vec(observed)`` and the covariance the Schur
-    complement.  A numerically singular L raises :class:`SingularL` unless
-    ``allow_singular`` is set, in which case the pseudo-inverse is used,
-    results are meaningful on the range of L only, and ``null_dim``
-    reports the removed dimensions.
+    complement.  A numerically singular L, to ``tol`` relative, raises
+    :class:`SingularL`.
     """
     n, d = joint.label_set.n, joint.dim_h
     observed = np.asarray(observed_l, dtype=np.complex128)
     if observed.shape != (n, d):
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
 
-    evals = joint.l_eigh[0]
-    null_dim = int(np.sum(evals <= tol * max(float(evals[-1]), 0.0)))  # 0 when the gate passes
-    try:
-        require_invertible(evals, tol, SingularL, "L Gram matrix")
-        mean_map = np.linalg.solve(joint.l.flat, joint.t_gram.conj().T).conj().T
-    except SingularL:
-        if not allow_singular:
-            raise
-        mean_map = joint.t_gram @ _pinv(joint.l_eigh, tol)
+    require_invertible(joint.l_eigh[0], tol, SingularL, "L Gram matrix")
+    mean_map = np.linalg.solve(joint.l.flat, joint.t_gram.conj().T).conj().T
     posterior = (mean_map @ observed.reshape(n * d)).reshape(n, d)
-    return ConditionalLaw(
-        mean_map=mean_map,
-        cond_cov=joint.schur,
-        posterior_mean=posterior,
-        null_dim=null_dim,
-    )
+    return ConditionalLaw(mean_map=mean_map, cond_cov=joint.schur, posterior_mean=posterior)
 
 
 @dataclass(frozen=True)
@@ -315,8 +300,6 @@ class CondCovComparison:
 
     equal: bool
     residual: float
-    common_pd: bool
-    common_min_eig: float
 
 
 def conditional_cov_equal(
@@ -329,9 +312,7 @@ def conditional_cov_equal(
     """Decide ``K1 - T L1^{-1} T^H == K2 - T L2^{-1} T^H`` at Gram level, to
     ``1e-10`` relative in spectral norm.
 
-    Also reports whether the common value is positive, i.e. whether the two
-    joint assemblies condition to one and the same admissible law.  Both
-    L-tables must be numerically invertible; degeneracy raises
+    Both L-tables must be numerically invertible; degeneracy raises
     :class:`SingularL`.
     """
     k1._require_same_shape(k2)
@@ -341,9 +322,9 @@ def conditional_cov_equal(
 
     conds = []
     for k, l in ((k1, l1), (k2, l2)):
-        x = gated_solve(l.flat, t_gram.conj().T, RANK_RTOL, SingularL, "L Gram matrix")
-        c = k.flat - t_gram @ x
-        conds.append(0.5 * (c + c.conj().T))
+        l_eigh, schur = _schur(k, l, t_gram)
+        require_invertible(l_eigh[0], RANK_RTOL, SingularL, "L Gram matrix")
+        conds.append(schur.flat)
 
     residual = float(np.linalg.norm(conds[0] - conds[1], 2))
     scale = max(
@@ -353,14 +334,7 @@ def conditional_cov_equal(
         float(np.linalg.norm(conds[1], 2)),
         TINY,
     )
-    common = OperatorKernelTable.from_flat(k1.label_set, k1.dim_h, 0.5 * (conds[0] + conds[1]))
-    report = is_positive_definite(common)
-    return CondCovComparison(
-        equal=residual <= 1e-10 * scale,
-        residual=residual / scale,
-        common_pd=report.pd,
-        common_min_eig=report.min_eig,
-    )
+    return CondCovComparison(equal=residual <= 1e-10 * scale, residual=residual / scale)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ mean.  :func:`representer` forms F once, one GEMV with the flattened
 kernel, and :func:`predict` reads every query from it.
 
 On a full observation grid this coincides with Gaussian-process
-conditioning of the noisy sum: the posterior mean is
+conditioning of the noisy sum: the posterior mean
 ``K_gram (K_gram + L_gram)^{-1} vec(Y)``, the same resolvent as the ridge
-solution.
+solution, is :func:`opkern.gaussian.condition` of the joint
+``(K, K + L, T = K)``.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray,
         slab = table.blocks[np.ix_(rows[part], rows)]
         gram[part] = np.einsum("ip,ijpq,jq->ij", train.vectors[part].conj(), slab, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
-    require_finite(InvalidKernel, "design matrix", gram)
+    require_finite(InvalidKernel, what, gram)
     require_psd(np.linalg.eigvalsh(gram), PD_RTOL, NotPositiveDefinite, what)
     return gram
 
@@ -121,8 +122,8 @@ def design_matrices(
     train: TrainingSet,
 ) -> DesignMatrices:
     """Evaluate both m x m design matrices; a non-positive one raises
-    :class:`NotPositiveDefinite` naming its slot (``signal`` or ``noise``),
-    and an overflowing one :class:`InvalidKernel`."""
+    :class:`NotPositiveDefinite` and an overflowing one
+    :class:`InvalidKernel`, each naming its slot (``signal`` or ``noise``)."""
     kernel._require_same_shape(noise_kernel)
     rows = _training_rows(kernel, train)
     return DesignMatrices(
@@ -222,24 +223,3 @@ def objective_value(
             f"objective should be real; imaginary part {value.imag:.3e} at scale {scale:.3e}"
         )
     return float(value.real)
-
-
-def gp_posterior_mean(
-    kernel: OperatorKernelTable,
-    noise_kernel: OperatorKernelTable,
-    observed,
-) -> np.ndarray:
-    """Posterior mean of the signal given signal-plus-noise on the full grid.
-
-    Gram-level formula ``K_gram (K_gram + L_gram)^{-1} vec(observed)``,
-    reshaped to (n, d).  Raises :class:`SingularSystem` when the resolvent
-    is singular to ``RANK_RTOL`` relative.
-    """
-    kernel._require_same_shape(noise_kernel)
-    n, d = kernel.n, kernel.dim_h
-    observed = np.asarray(observed, dtype=np.complex128)
-    if observed.shape != (n, d):
-        raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
-    total = kernel.flat + noise_kernel.flat
-    solved = gated_solve(total, observed.reshape(n * d), RANK_RTOL, SingularSystem, "K + L Gram")
-    return (kernel.flat @ solved).reshape(n, d)

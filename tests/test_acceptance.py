@@ -22,7 +22,6 @@ from opkern import (
     design_matrices,
     empirical_covariance,
     generate_valid_system,
-    gp_posterior_mean,
     identity_kernel,
     is_positive_definite,
     kolmogorov_factorize,
@@ -253,7 +252,7 @@ def test_criterion_08_ridge_equals_gp_posterior():
                     triples.append((s, e, observed[i, p]))
             train = TrainingSet.from_triples(triples)
             fit = krr_fit(design_matrices(k, noise, train), train.targets)
-            posterior = gp_posterior_mean(k, noise, observed)
+            posterior = condition(assemble_joint(k, k + noise, k.blocks), observed).posterior_mean
             scale = max(1.0, float(np.linalg.norm(observed)))
             gap = np.linalg.norm(fit.fitted - posterior.reshape(-1))
             assert gap <= 1e-9 * scale, f"case {case}: gap {gap:.3e}"

@@ -536,7 +536,8 @@ class TestHypothesisExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
-    def test_condition_singular_l_exits_three(self, specs, tmp_path):
+    @pytest.mark.parametrize("command", ["condition", "mc-verify"])
+    def test_condition_singular_l_exits_three(self, tmp_path, capsys, command):
         zero_spec = kernel_to_spec(scalar_kernel(labels(1), np.array([[0.0]])))
         joint = write_json(
             tmp_path / "joint0.json",
@@ -547,7 +548,8 @@ class TestHypothesisExitCodes:
                 "observed_l": [[[0.0, 0.0]]],
             },
         )
-        assert main(["condition", "--spec", joint]) == 3
+        assert main([command, "--spec", joint]) == 3
+        assert "L Gram matrix" in capsys.readouterr().err
 
     def test_krr_degenerate_design_exits_three(self, specs, tmp_path):
         # duplicated sample under a rank-one kernel: [L] + [K] is singular
@@ -972,7 +974,20 @@ class TestKrr:
         code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
                      "--train", str(train), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("opkern: input error: design matrix contains non-finite entries")
+        assert capsys.readouterr().err.startswith(
+            "opkern: input error: signal design matrix contains non-finite entries"
+        )
+        assert not out.exists()
+
+        # |a|^2 = 1e10 is finite under the signal [[1]] and overflows under the noise [[1e300]]
+        one = labels(1)
+        spec = write_json(tmp_path / "one.json", kernel_to_spec(scalar_kernel(one, np.array([[1.0]]))))
+        noise = write_json(tmp_path / "big.json", kernel_to_spec(scalar_kernel(one, np.array([[1e300]]))))
+        train.write_text("label,a_0_re,a_0_im,y_re,y_im\ns1,1e5,0,1,0\n", encoding="utf-8")
+        assert main(["krr-fit", "--spec", spec, "--noise-spec", noise, "--train", str(train), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "opkern: input error: noise design matrix contains non-finite entries"
+        )
         assert not out.exists()
 
     def test_overflowing_prediction_exits_two(self, specs, tmp_path, capsys):

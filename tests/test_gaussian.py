@@ -332,13 +332,6 @@ class TestCondition:
         with pytest.raises(SingularL):
             condition(joint, np.zeros((1, 2)))
 
-    def test_singular_l_pseudo_inverse_path(self):
-        k = random_pd_kernel(4, 1, 2)
-        joint = assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
-        law = condition(joint, np.zeros((1, 2)), allow_singular=True)
-        assert law.null_dim == 2
-        np.testing.assert_array_equal(law.mean_map, np.zeros((2, 2)))
-
     def test_blockdiagonal_case_reduces_to_per_label_formula(self):
         # when L and the coupling vanish off the diagonal, the Gram-level
         # mean map is exactly the per-label T(s,s) L(s,s)^{-1}
@@ -402,7 +395,6 @@ class TestConditionalCovEqual:
             scalar_coupling(1.0),
         )
         assert report.equal
-        assert report.common_pd  # common value 0 is positive semidefinite
 
     def test_singular_l_rejected(self):
         k = scalar_one()
