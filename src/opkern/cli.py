@@ -15,14 +15,15 @@ parsers' limits, and a ``--samples`` count whose paths exceed
 ``specio.MAX_PATH_VALUES`` values), 3 violated hypothesis (rank condition,
 domination, singular conditioning, a non-positive signal or noise design
 matrix in ``krr-fit``).
-``--seed`` defaults to 0; ``condition`` reads its observed values from the
-spec's ``observed_l``.
+``--seed`` is an integer in [0, 2**64), the Philox key space, and defaults
+to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 
 ``sample`` writes its CSV and ``mc-verify`` reduces its paths one tile of
-samples at a time, so neither holds the whole batch.  ``--out`` appears
-only when its command succeeds; on stdout, a reader that closes the pipe
-ends the output (``opkern sample ... | head``) and the command exits as
-if it had written everything.
+samples at a time, so neither holds the whole batch; ``sample`` formats a
+tile in two processes if it may use two CPUs, with unchanged bytes.
+``--out`` appears only when its command succeeds; on stdout, a reader that
+closes the pipe ends the output (``opkern sample ... | head``) and the
+command exits as if it had written everything.
 """
 
 from __future__ import annotations
@@ -76,15 +77,17 @@ _HYPOTHESIS_ERRORS = (
 _TOLERANCE_ERRORS = (NotEquivalent, GramMismatch, SpectrumOutOfRange)
 
 
-def _sample_count(text: str) -> int:
-    """argparse type of ``--samples``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _integer(low: int, high: float = math.inf):
+    """argparse type of an integer in ``[low, high)``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}), got {value}")
+        return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -245,13 +248,55 @@ def cmd_rn(args) -> int:
     return EXIT_OK
 
 
+def _write_csv_tile(out, batch, start: int, processes: int) -> None:
+    """Write ``specio.path_batch_to_csv(batch, start)`` to ``out``, with all but the first of up
+    to ``processes`` contiguous parts of the samples formatted by forked children into pipes.  A
+    part whose child failed or could not be forked is formatted here: its error is the parent's."""
+    step = -(-batch.count // processes)  # none empty
+    parts = [(gaussian.PathBatch(batch.label_set, batch.paths[a : a + step]), start + a)
+             for a in range(0, batch.count, step)]
+    reads, pids, reaped = [], [], 0  # per forked part: its pipe's read end, its pid
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            reads.append(r)
+            with open(w, "wb") as pipe:  # the parent's write end closes once the child is forked
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the pipe stays empty
+                    pid = None
+                if pid == 0:  # draws nothing, calls no BLAS, flushes no inherited stream
+                    try:
+                        for fd in reads:
+                            os.close(fd)
+                        pipe.write(specio.path_batch_to_csv(*part).encode())
+                        pipe.flush()
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+            pids.append(pid)
+        out.write(specio.path_batch_to_csv(*parts[0]))
+        for part, pid, r in zip(parts[1:], pids, reads):
+            text = open(r, "rb", closefd=False).read()  # r is closed in finally
+            failed = pid is None or os.waitpid(pid, 0)[1]
+            reaped += 1
+            out.write(specio.path_batch_to_csv(*part) if failed else text.decode())
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in filter(None, pids[reaped:]):
+            os.waitpid(pid, 0)
+
+
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
     _require_path_budget(args.samples, table.n * table.dim_h)
     fs = kolmogorov_factorize(table)
+    # Two formatting processes at most: more CPUs, or a CPU quota below the mask, were never measured.
+    processes = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     with _output(args) as out:
         for start, batch in gaussian.path_chunks(fs, args.seed, args.samples):
-            out.write(specio.path_batch_to_csv(batch, start))
+            _write_csv_tile(out, batch, start, processes)
     return EXIT_OK
 
 
@@ -371,14 +416,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw reproducible paths as CSV")
     common(p, "kernel spec JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_sample_count, default=1)
+    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
+    p.add_argument("--samples", type=_integer(1), default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mc-verify", help="Monte-Carlo check of the conditional law")
     common(p, "joint spec JSON (k, l, t_coupling)", 5.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_sample_count, default=200_000)
+    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
+    p.add_argument("--samples", type=_integer(1), default=200_000)
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("condition", help="exact conditional law for observed values")

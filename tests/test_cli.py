@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import os
 import stat
@@ -651,6 +652,13 @@ class TestRn:
         assert main(["rn", "--spec", flipped]) == 3
 
 
+def one_shot_csv(tmp_path, count):
+    """A kernel spec file, and the CSV of one ``draw_paths`` batch of ``count`` samples at seed 4."""
+    table = random_pd_kernel(2, 3, 2)
+    spec = write_json(tmp_path / "k.json", kernel_to_spec(table))
+    return spec, specio.path_batch_to_csv(gaussian.draw_paths(kolmogorov_factorize(table), 4, 0, count))
+
+
 class TestSample:
     def test_identical_runs_give_identical_csv(self, specs, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -668,13 +676,18 @@ class TestSample:
         main(["sample", "--spec", specs["one"], "--samples", "2", "--out", str(unset)])
         assert zero.read_bytes() == unset.read_bytes()
 
-
-    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1025])
-    def test_streamed_csv_equals_one_shot(self, count, tmp_path, capsys):
-        # One tile of samples is written at a time, to --out and to stdout.
-        table = random_pd_kernel(2, 3, 2)
-        spec = write_json(tmp_path / "k.json", kernel_to_spec(table))
-        whole = specio.path_batch_to_csv(gaussian.draw_paths(kolmogorov_factorize(table), 4, 0, count))
+    @pytest.mark.parametrize("count,cpus", [
+        pytest.param(count, cpus, id=f"{count}{mask}")
+        for count in (1, 511, 512, 513, 514, 1025)
+        for mask, cpus in (("", None), ("-1cpu", {0}), ("-2cpus", {0, 1}), ("-64cpus", set(range(64))))
+    ])
+    def test_streamed_csv_equals_one_shot(self, count, cpus, tmp_path, capsys, monkeypatch):
+        # One tile of samples is written at a time, to --out and to stdout, and
+        # formatted in up to two processes; 514 leaves a last tile of one-sample
+        # parts.  Without a mask the test runs on this machine's own.
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        spec, whole = one_shot_csv(tmp_path, count)
         out = tmp_path / "paths.csv"
         argv = ["sample", "--spec", spec, "--seed", "4", "--samples", str(count)]
         assert main([*argv, "--out", str(out)]) == 0
@@ -682,6 +695,111 @@ class TestSample:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
+        with pytest.raises(ChildProcessError):  # every formatter was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus,forks", [(None, 0), ({0}, 0), (set(range(64)), 2)],
+                             ids=["no-affinity", "1cpu", "64cpus"])
+    def test_a_tile_forks_one_formatter_at_most(self, cpus, forks, specs, tmp_path, monkeypatch):
+        # 1025 samples: two full tiles and a one-sample tile, which is not split.
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        fork, pids = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        assert main(["sample", "--spec", specs["one"], "--samples", "1025", "--out", str(tmp_path / "p.csv")]) == 0
+        assert len(pids) == forks
+
+    @pytest.fixture
+    def fail_in_the_second_part(self, monkeypatch):
+        # With two CPUs, part 1 of the first tile holds samples 256..511.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        to_csv = specio.path_batch_to_csv
+
+        def failing(batch, start=0):
+            if 256 <= start < 512:
+                raise MemoryError("late part")
+            return to_csv(batch, start)
+
+        monkeypatch.setattr(specio, "path_batch_to_csv", failing)
+
+    def test_failure_in_a_child_is_the_parents_failure(self, fail_in_the_second_part, specs, tmp_path, capsys):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        out = folder / "paths.csv"
+        assert main(["sample", "--spec", specs["one"], "--samples", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "opkern: input error: late part\n"
+        assert list(folder.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_part_of_a_failed_child_is_formatted_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec, whole = one_shot_csv(tmp_path, 1025)
+        parent, to_csv = os.getpid(), specio.path_batch_to_csv
+
+        def failing_in_children(batch, start=0):
+            if os.getpid() != parent:
+                raise MemoryError("child only")
+            return to_csv(batch, start)
+
+        monkeypatch.setattr(specio, "path_batch_to_csv", failing_in_children)
+        out = tmp_path / "paths.csv"
+        assert main(["sample", "--spec", spec, "--seed", "4", "--samples", "1025", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+    def test_part_that_could_not_be_forked_is_formatted_here(self, tmp_path, monkeypatch):
+        # The second tile's fork fails; the command still writes the whole CSV.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec, whole = one_shot_csv(tmp_path, 1025)
+        fork, forks = os.fork, []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        out = tmp_path / "paths.csv"
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert main(["sample", "--spec", spec, "--seed", "4", "--samples", "1025", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
+        assert len(forks) == 2
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_stdout_reaps_every_formatter(self, tmp_path, monkeypatch):
+        # The reader is gone before the first part is written, and the child's
+        # part (about 100 KB) still waits on a full pipe.
+        spec = write_json(tmp_path / "k.json", kernel_to_spec(identity_kernel(labels(8), 2)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["sample", "--spec", spec, "--samples", "2000"]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "5.0", "x"])
+    def test_seed_outside_the_philox_keys_exits_two(self, command, spec, seed, specs, capsys):
+        # Philox keys are 64 bits: 2**64 + 5 would draw the paths of seed 5.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", specs[spec], "--samples", "2", "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
+    def test_largest_seed_is_accepted(self, command, spec, specs, tmp_path):
+        out = tmp_path / "r.out"
+        assert main([command, "--spec", specs[spec], "--samples", "2000", "--seed", str(2**64 - 1),
+                     "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
 
     def test_closed_stdout_ends_the_output(self, specs):
         # As `opkern sample ... | head -1`: the reader takes the header, then
