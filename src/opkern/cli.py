@@ -9,12 +9,12 @@ hashes of ``--spec``, ``--noise-spec`` and ``--train`` and to match them,
 so the fit's gates ran on the same bytes; it evaluates the H-valued
 regression function F once and reads every query from it.
 
-Exit codes: 0 success, 1 tolerance failure or ``check-pd``'s not-positive
-verdict, 2 input/parse error (also an input beyond the UTF-8, JSON or CSV
-parsers' limits, and a ``--samples`` count whose paths exceed
-``specio.MAX_PATH_VALUES`` values), 3 violated hypothesis (rank condition,
-domination, singular conditioning, a non-positive signal or noise design
-matrix in ``krr-fit``).
+Exit codes come from the error categories in ``opkern.errors``: 0 success,
+1 tolerance failure or ``check-pd``'s not-positive verdict, 2 input/parse
+error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
+``--samples`` count whose paths exceed ``specio.MAX_PATH_VALUES`` values),
+3 violated hypothesis (rank condition, domination, singular conditioning, a
+non-positive ``realize`` table, ``rn`` kernel ``l`` or ``krr-fit`` design matrix).
 ``--seed`` is an integer in [0, 2**64), the Philox key space, and defaults
 to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 
@@ -41,21 +41,7 @@ import numpy as np
 
 from . import gaussian, regression, transfer
 from .dilation import kolmogorov_factorize
-from .errors import (
-    GramMismatch,
-    InvalidKernel,
-    LabelError,
-    NotDominated,
-    NotEquivalent,
-    NotInvertible,
-    NotPositiveDefinite,
-    NotStrictContraction,
-    OpKernError,
-    ShapeError,
-    SingularL,
-    SingularSystem,
-    SpectrumOutOfRange,
-)
+from .errors import NotEquivalent, NotInvertible, OpKernError
 from .kernels import is_positive_definite
 from . import specio
 from .specio import SpecError
@@ -63,18 +49,6 @@ from .specio import SpecError
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
-EXIT_HYPOTHESIS = 3
-
-_INPUT_ERRORS = (SpecError, ShapeError, LabelError, InvalidKernel, OSError, MemoryError)
-_HYPOTHESIS_ERRORS = (
-    NotInvertible,
-    NotDominated,
-    NotPositiveDefinite,
-    SingularL,
-    SingularSystem,
-    NotStrictContraction,
-)
-_TOLERANCE_ERRORS = (NotEquivalent, GramMismatch, SpectrumOutOfRange)
 
 
 def _integer(low: int, high: float = math.inf):
@@ -156,11 +130,6 @@ def _output(args):
         raise
 
 
-def _emit_text(args, text: str) -> None:
-    with _output(args) as out:
-        out.write(text)
-
-
 def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None:
     """Write the JSON report of ``args.command``; ``--spec`` and every
     ``extra_inputs`` path are listed with their SHA-256."""
@@ -173,7 +142,8 @@ def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None
     }
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit_text(args, specio.report_to_json(payload) + "\n")
+    with _output(args) as out:
+        out.write(specio.report_to_json(payload) + "\n")
 
 
 def cmd_check_pd(args) -> int:
@@ -205,7 +175,7 @@ def cmd_realize(args) -> int:
         results["system_identity_residual"] = exc.relative
         results["condition"] = "not_equivalent"
         _emit_report(args, {"tol": args.tol}, results)
-        return EXIT_TOLERANCE
+        return exc.exit_code
     results["system_identity_residual"] = sys_.identity_residual
 
     real = transfer.construct_partial_isometry(sys_)
@@ -216,7 +186,7 @@ def cmd_realize(args) -> int:
         results["label"] = exc.label
         results["sigma_min"] = exc.sigma_min
         _emit_report(args, {"tol": args.tol}, results)
-        return EXIT_HYPOTHESIS
+        return exc.exit_code
     results.update(
         {
             "partial_isometry_defect": report.partial_isometry_defect,
@@ -248,43 +218,40 @@ def cmd_rn(args) -> int:
     return EXIT_OK
 
 
-def _write_csv_tile(out, batch, start: int, processes: int) -> None:
-    """Write ``specio.path_batch_to_csv(batch, start)`` to ``out``, with all but the first of up
-    to ``processes`` contiguous parts of the samples formatted by forked children into pipes.  A
-    part whose child failed or could not be forked is formatted here: its error is the parent's."""
-    step = -(-batch.count // processes)  # none empty
-    parts = [(gaussian.PathBatch(batch.label_set, batch.paths[a : a + step]), start + a)
-             for a in range(0, batch.count, step)]
-    reads, pids, reaped = [], [], 0  # per forked part: its pipe's read end, its pid
+def _write_csv_tile(out, batch, start: int, fork: bool) -> None:
+    """Write ``specio.path_batch_to_csv(batch, start)`` to ``out``; with ``fork``, a forked child formats
+    the second half of the samples into a pipe.  A half whose child failed or could not be forked is
+    formatted here: its error is the parent's."""
+    if not fork or batch.count < 2:
+        out.write(specio.path_batch_to_csv(batch, start))
+        return
+    half = -(-batch.count // 2)
+    first = (gaussian.PathBatch(batch.label_set, batch.paths[:half]), start)
+    second = (gaussian.PathBatch(batch.label_set, batch.paths[half:]), start + half)
+    r, w = os.pipe()
+    pid = None  # the child's, until it is reaped
     try:
-        for part in parts[1:]:
-            r, w = os.pipe()
-            reads.append(r)
-            with open(w, "wb") as pipe:  # the parent's write end closes once the child is forked
+        with open(w, "wb") as pipe:  # the parent's write end closes once the child is forked
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the pipe stays empty
+                pass
+            if pid == 0:  # draws nothing, calls no BLAS, flushes no inherited stream
                 try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: the pipe stays empty
-                    pid = None
-                if pid == 0:  # draws nothing, calls no BLAS, flushes no inherited stream
-                    try:
-                        for fd in reads:
-                            os.close(fd)
-                        pipe.write(specio.path_batch_to_csv(*part).encode())
-                        pipe.flush()
-                    except BaseException:
-                        os._exit(1)
-                    os._exit(0)
-            pids.append(pid)
-        out.write(specio.path_batch_to_csv(*parts[0]))
-        for part, pid, r in zip(parts[1:], pids, reads):
-            text = open(r, "rb", closefd=False).read()  # r is closed in finally
-            failed = pid is None or os.waitpid(pid, 0)[1]
-            reaped += 1
-            out.write(specio.path_batch_to_csv(*part) if failed else text.decode())
+                    os.close(r)
+                    pipe.write(specio.path_batch_to_csv(*second).encode())
+                    pipe.flush()
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+        out.write(specio.path_batch_to_csv(*first))
+        text = open(r, "rb", closefd=False).read()  # r is closed in finally
+        failed = pid is None or os.waitpid(pid, 0)[1]
+        pid = None
+        out.write(specio.path_batch_to_csv(*second) if failed else text.decode())
     finally:
-        for r in reads:
-            os.close(r)
-        for pid in filter(None, pids[reaped:]):
+        os.close(r)  # first, so that a child blocked on a full pipe can exit
+        if pid:
             os.waitpid(pid, 0)
 
 
@@ -293,10 +260,10 @@ def cmd_sample(args) -> int:
     _require_path_budget(args.samples, table.n * table.dim_h)
     fs = kolmogorov_factorize(table)
     # Two formatting processes at most: more CPUs, or a CPU quota below the mask, were never measured.
-    processes = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    fork = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
     with _output(args) as out:
         for start, batch in gaussian.path_chunks(fs, args.seed, args.samples):
-            _write_csv_tile(out, batch, start, processes)
+            _write_csv_tile(out, batch, start, fork)
     return EXIT_OK
 
 
@@ -451,18 +418,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (OSError, MemoryError) as exc:
         print(f"opkern: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"opkern: hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except _TOLERANCE_ERRORS as exc:
-        print(f"opkern: tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except OpKernError as exc:
-        print(f"opkern: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        print(f"opkern: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

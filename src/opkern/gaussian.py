@@ -66,7 +66,6 @@ from .kernels import (
 )
 
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
-_MASK64 = (1 << 64) - 1
 _TILE = 512  # rows of normals per path GEMM
 
 
@@ -76,15 +75,18 @@ def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.nd
     Row ``k`` depends only on ``(seed, start + k)``: each sample index owns
     ``ceil(width / 4)`` Philox counter blocks, and uniforms are mapped
     through the inverse CDF.  The stream is therefore stable across
-    platforms and arbitrary re-batching.
+    platforms and arbitrary re-batching.  ``seed`` is the Philox key, an
+    integer in ``[0, 2**64)``; any other raises :class:`ValueError`.
     """
     from scipy.special import ndtri  # deferred: importing scipy.special dominates CLI start-up
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), the Philox key space, got {seed}")
     if count == 0 or width == 0:
         return np.zeros((count, width))
     blocks_per = max(1, -(-width // _RAWS_PER_BLOCK))
-    gen = Philox(key=np.uint64(seed & _MASK64))
+    gen = Philox(key=np.uint64(seed))
     gen.advance(start * blocks_per)
     raw = gen.random_raw(count * blocks_per * _RAWS_PER_BLOCK)
     raw = raw.reshape(count, blocks_per * _RAWS_PER_BLOCK)[:, :width]

@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, OpKernError
+from .errors import InputError, InternalInvariantViolation
 from .gaussian import PathBatch
 from .kernels import (
     LabelSet,
@@ -66,7 +66,7 @@ MAX_GRAM_DIM = 8192
 MAX_PATH_VALUES = 2**32
 
 
-class SpecError(OpKernError):
+class SpecError(InputError):
     """Malformed spec file or wire payload."""
 
 

@@ -62,6 +62,7 @@ from .errors import (
     SpectrumOutOfRange,
 )
 from .kernels import (
+    PD_RTOL,
     RANK_RTOL,
     TINY,
     LabelSet,
@@ -392,7 +393,8 @@ def radon_nikodym(
 ) -> RNDerivative:
     """Solve ``lo(s, t) = V_hi(s)^H Phi V_hi(t)`` for ``0 <= Phi <= I``.
 
-    Factors ``hi`` first, so a non-positive ``hi`` raises
+    Factors ``hi`` first, then tests ``lo`` to ``PD_RTOL`` times its own
+    norm, so a non-positive ``hi`` or ``lo`` (named ``kernel l``) raises
     :class:`NotPositiveDefinite`.  Requires ``lo <= hi`` (within ``-tol``
     times the flattened norm of ``hi``); then ``Phi = (V^+)^H flat(lo) V^+``
     on the dilation space of ``hi`` is the unique solution.  Eigenvalues outside ``[-tol, 1 + tol]``
@@ -400,7 +402,9 @@ def radon_nikodym(
     before the principal square root is taken.
     """
     lo._require_same_shape(hi)
-    return _derivative(lo, hi, kolmogorov_factorize(hi), tol)
+    fs = kolmogorov_factorize(hi)
+    require_psd(np.linalg.eigvalsh(lo.flat), PD_RTOL, NotPositiveDefinite, "kernel l")
+    return _derivative(lo, hi, fs, tol)
 
 
 def _derivative(

@@ -23,7 +23,24 @@ from opkern import (
     scalar_kernel,
     transfer,
 )
-from opkern import InternalInvariantViolation, OpKernError, cli
+from opkern import InternalInvariantViolation, OpKernError, cli, dilation, kernels, regression
+from opkern.errors import (
+    GramMismatch,
+    HypothesisFailure,
+    InputError,
+    InvalidKernel,
+    LabelError,
+    NotDominated,
+    NotEquivalent,
+    NotInvertible,
+    NotPositiveDefinite,
+    NotStrictContraction,
+    ShapeError,
+    SingularL,
+    SingularSystem,
+    SpectrumOutOfRange,
+    ToleranceFailure,
+)
 from opkern.cli import main
 from opkern import specio
 from opkern.specio import SpecError
@@ -173,6 +190,132 @@ def count_calls(monkeypatch, owner, names, counted_if=lambda *args, **kwargs: Tr
 def spectral(x, ord=None, *args, **kwargs):
     """``counted_if`` of ``np.linalg.norm`` that selects spectral norms."""
     return ord == 2
+
+
+LINALG = ("eigh", "eigvalsh", "svd", "solve", "pinv", "inv")
+# The opkern functions counted in every module that binds them.
+OPKERN_CALLS = ("kolmogorov_factorize", "require_psd", "standard_normal_rows")
+
+
+@pytest.fixture
+def cost_specs(tmp_path):
+    """Small fixed inputs of all nine subcommands, and the krr-fit report that krr-predict reads."""
+    n, d = 3, 2
+    ls = labels(n)
+    kernel = kernel_to_spec(random_pd_kernel(4, n, d))
+    blocks = random_pd_kernel(4, n, 2 * d).blocks
+    sys_ = generate_valid_system(3, 2, 2, dominated=True)
+    system = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
+    system["t"] = array_to_json(sys_.t_op)
+    paths = {
+        "kernel": write_json(tmp_path / "kernel.json", kernel),
+        "noise": write_json(tmp_path / "noise.json", kernel_to_spec(identity_kernel(ls, d))),
+        "system": write_json(tmp_path / "system.json", system),
+        "pair": write_json(tmp_path / "pair.json", {"l": system["k1"], "k": system["k2"]}),
+        "joint": write_json(tmp_path / "joint.json", {
+            "k": kernel_to_spec(OperatorKernelTable(ls, blocks[:, :, :d, :d])),
+            "l": kernel_to_spec(OperatorKernelTable(ls, blocks[:, :, d:, d:])),
+            "t_coupling": array_to_json(blocks[:, :, :d, d:]),
+            "observed_l": array_to_json(np.ones((n, d))),
+        }),
+        "query": write_json(tmp_path / "query.json", [{"label": "s1", "a": [[1.0, 0.0], [0.0, 1.0]]}] * 2),
+        "train": str(tmp_path / "train.csv"),
+        "fit": str(tmp_path / "fit.json"),
+    }
+    triples = [("s1", [1.0, 0.5], 1.0), ("s2", [0.0, 1.0], -1.0), ("s3", [1.0, 1.0], 0.5), ("s1", [0.5, 0.0], 2.0)]
+    (tmp_path / "train.csv").write_text(training_set_to_csv(TrainingSet.from_triples(triples)), encoding="utf-8")
+    krr = ["--spec", paths["kernel"], "--noise-spec", paths["noise"], "--train", paths["train"]]
+    assert main(["krr-fit", *krr, "--out", paths["fit"]]) == 0
+    paths["krr"] = krr
+    return paths
+
+
+class TestCostGates:
+    # Every call to a decomposition, a solve, a spectral norm, a factorization, a
+    # positivity gate and a tile of normals that each subcommand makes on small
+    # inputs; a second decomposition of one Gram fails here, not as noise in
+    # the benchmark.
+    COMMANDS = {
+        "check-pd": (
+            lambda p: ["check-pd", "--spec", p["kernel"]],
+            # eigvalsh: the kernel's Gram, for the verdict
+            {"eigvalsh": 1, "report_to_json": 1},
+        ),
+        "factorize": (
+            lambda p: ["factorize", "--spec", p["kernel"]],
+            # eigh: the kernel's Gram, for the features and their gate
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "report_to_json": 1},
+        ),
+        "realize": (
+            lambda p: ["realize", "--spec", p["system"]],
+            # eigh: the Grams of K1, K2, L1 and L2, once each, and Phi.
+            # eigvalsh: K2 - K1, for the domination of K1 by K2.
+            # require_psd: the four factorizations' gates and the domination.
+            # svd: every pseudo-inverse or basis comes from one SVD
+            # (transfer._svd, no pinv): G, F, M(s) at each of the two labels,
+            # the images for transitivity, V_K2 in the derivative and V_K1 in
+            # the identification; the table scales come from the factorizations.
+            # Spectral norms: eleven residuals.  T12 once per label.
+            {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "svd": 7,
+             "spectral_norm": 11, "construct_partial_isometry": 1, "transfer_function": 2,
+             "report_to_json": 1},
+        ),
+        "rn": (
+            lambda p: ["rn", "--spec", p["pair"]],
+            # eigh: the Gram of k and Phi.  eigvalsh: l, for its gate, and
+            # k - l, for the domination.  require_psd: k's factorization, l
+            # and k - l.  svd: V_k's pseudo-inverse.  Spectral norm: the
+            # reproduction residual.
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "svd": 1,
+             "spectral_norm": 1, "report_to_json": 1},
+        ),
+        "sample": (
+            lambda p: ["sample", "--spec", p["kernel"], "--samples", "600"],
+            # eigh: the kernel's Gram; one draw of normals per tile of 512
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "standard_normal_rows": 2},
+        ),
+        "mc-verify": (
+            lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
+            # eigh: the joint Gram M, once, for its admission and the sampler,
+            # and L, once, for the Schur pseudo-inverse, the gate and diag(L^-1).
+            # eigvalsh: the Schur complement's positivity and the empirical
+            # c_yy gate.  solve: the exact map T L^-1 and the regression.
+            # require_psd: M's factorization and the Schur complement.
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "solve": 2, "require_psd": 2,
+             "standard_normal_rows": 4, "report_to_json": 1},
+        ),
+        "condition": (
+            lambda p: ["condition", "--spec", p["joint"]],
+            # As mc-verify, without the draws and the empirical gate.
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "solve": 1, "require_psd": 2,
+             "report_to_json": 1},
+        ),
+        "krr-fit": (
+            lambda p: ["krr-fit", *p["krr"]],
+            # eigvalsh: the signal and the noise design matrix, for their
+            # gates, and their sum, for its invertibility before the solve.
+            {"eigvalsh": 3, "require_psd": 2, "solve": 1, "report_to_json": 1},
+        ),
+        "krr-predict": (
+            lambda p: ["krr-predict", *p["krr"], "--fit", p["fit"], "--query", p["query"]],
+            # F is a sum over the training points: no decomposition
+            {"report_to_json": 1},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_calls_per_subcommand(self, command, cost_specs, tmp_path, monkeypatch):
+        argv, expected = self.COMMANDS[command]
+        linalg = count_calls(monkeypatch, np.linalg, LINALG)
+        norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
+        ours = [count_calls(monkeypatch, module, [name for name in OPKERN_CALLS if hasattr(module, name)])
+                for module in (cli, dilation, gaussian, kernels, regression, transfer)]
+        realization = count_calls(monkeypatch, transfer, ["construct_partial_isometry", "transfer_function"])
+        reports = count_calls(monkeypatch, specio, ["report_to_json"])
+        assert main([*argv(cost_specs), "--out", str(tmp_path / "out")]) == 0
+        calls = {name: sum(counts.get(name, 0) for counts in ours) for name in OPKERN_CALLS}
+        calls.update(linalg, spectral_norm=norms["norm"], **realization, **reports)
+        assert {name: count for name, count in calls.items() if count} == expected
 
 
 def builder_spec(name, params, dim_h=1):
@@ -528,7 +671,51 @@ class TestKrrFuzz:
         fuzz()
 
 
+@st.composite
+def non_positive_tables(draw):
+    """A real symmetric n x n table, n <= 3, whose smallest eigenvalue is at most -0.05."""
+    n = draw(st.integers(1, 3))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    sym = 0.5 * (a + a.T)
+    return sym - (np.linalg.eigvalsh(sym)[0] + draw(st.floats(0.05, 1.0))) * np.eye(n)
+
+
 class TestHypothesisExitCodes:
+    # The slots whose positivity README names as a hypothesis, each with the
+    # name its failure gives it on stderr.
+    POSITIVITY_SLOTS = {
+        ("rn", "l"): "kernel l",
+        **{("realize", name): f"kernel {name}" for name in ("k1", "k2", "l1", "l2")},
+        **{("krr-fit", name): f"{name} design matrix" for name in ("signal", "noise")},
+    }
+
+    def test_non_positive_table_in_a_positivity_slot_exits_three(self, tmp_path_factory, capsys):
+        base = tmp_path_factory.mktemp("slots")
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+        @given(slot=st.sampled_from(sorted(self.POSITIVITY_SLOTS)), values=non_positive_tables())
+        def run(slot, values):
+            (command, name), n = slot, values.shape[0]
+            bad = kernel_to_spec(scalar_table(values))
+            eye = kernel_to_spec(identity_kernel(labels(n), 1))
+            if command == "rn":
+                argv = ["--spec", write_json(base / "pair.json", {"l": bad, "k": eye})]
+            elif command == "realize":
+                system = {"k1": eye, "k2": eye, "l1": eye, "l2": eye, "t": [[[1.0, 0.0]]], name: bad}
+                argv = ["--spec", write_json(base / "system.json", system)]
+            else:  # one training point per label, so each design matrix is its table
+                triples = [(label, [1.0], 1.0) for label in labels(n).labels]
+                (base / "train.csv").write_text(training_set_to_csv(TrainingSet.from_triples(triples)), encoding="utf-8")
+                signal, noise = (bad, eye) if name == "signal" else (eye, bad)
+                argv = ["--spec", write_json(base / "signal.json", signal),
+                        "--noise-spec", write_json(base / "noise.json", noise), "--train", str(base / "train.csv")]
+            capsys.readouterr()
+            assert main([command, *argv, "--out", str(base / "r.json")]) == 3
+            expected = f"opkern: hypothesis failure: {self.POSITIVITY_SLOTS[slot]} is not positive"
+            assert capsys.readouterr().err.startswith(expected)
+
+        run()
+
     def test_factorize_indefinite_exits_three(self, specs):
         assert main(["factorize", "--spec", specs["indefinite"]]) == 3
 
@@ -606,32 +793,6 @@ class TestRealize:
         assert code == 3
         assert json.loads(out.read_text())["results"]["condition"] == "rank_condition_failed"
 
-    def test_one_realization_and_four_factorizations(self, tmp_path, monkeypatch):
-        sys_ = generate_valid_system(3, 2, 2, dominated=True)
-        spec = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
-        spec["t"] = array_to_json(sys_.t_op)
-        path = write_json(tmp_path / "system.json", spec)
-        calls = count_calls(monkeypatch, transfer, [
-            "construct_partial_isometry", "kolmogorov_factorize", "transfer_function", "require_psd",
-        ])
-        pinv = count_calls(monkeypatch, np.linalg, ["pinv"])
-        norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
-        out = tmp_path / "r.json"
-        assert main(["realize", "--spec", path, "--out", str(out), "--no-timestamp"]) == 0
-        assert json.loads(out.read_text())["results"]["dominated"] is True
-        # T12 once per label; one positivity test, for the domination of K1 by K2
-        assert calls == {
-            "construct_partial_isometry": 1,
-            "kolmogorov_factorize": 4,
-            "transfer_function": 2,
-            "require_psd": 1,
-        }
-        # Every pseudo-inverse comes from one SVD (transfer._svd): pinv(G),
-        # each M(s)^+, the derivative's pinv(V_K2) and the identification's
-        # pinv(V_K1); the table scales come from the factorizations.  Left:
-        # eleven residual norms.
-        assert {"pinv": pinv["pinv"], "spectral_norm": norms["norm"]} == {"pinv": 0, "spectral_norm": 11}
-
 
 class TestRn:
     def test_dominated_pair(self, specs, tmp_path):
@@ -650,6 +811,15 @@ class TestRn:
             },
         )
         assert main(["rn", "--spec", flipped]) == 3
+
+    @pytest.mark.parametrize("l,k", [
+        ([[1.0, 2.0], [2.0, 1.0]], 5.0 * np.eye(2)),  # k - l is positive: l is dominated
+        ([[-0.5, 0.5], [0.5, -0.5]], np.ones((2, 2))),  # l is negative on the null space of k only
+    ], ids=["dominated", "null-space-of-k"])
+    def test_non_positive_l_exits_three(self, l, k, tmp_path, capsys):
+        pair = {"l": kernel_to_spec(scalar_table(l)), "k": kernel_to_spec(scalar_table(k))}
+        assert main(["rn", "--spec", write_json(tmp_path / "pair.json", pair)]) == 3
+        assert "opkern: hypothesis failure: kernel l is not positive" in capsys.readouterr().err
 
 
 def one_shot_csv(tmp_path, count):
@@ -985,32 +1155,6 @@ class TestMcVerify:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,linalg", [
-        ("mc-verify", {"eigh": 2, "eigvalsh": 2, "solve": 2, "pinv": 0, "inv": 0, "svd": 0}),
-        ("condition", {"eigh": 2, "eigvalsh": 1, "solve": 1, "pinv": 0, "inv": 0, "svd": 0}),
-    ])
-    def test_joint_and_l_are_decomposed_once(self, command, linalg, tmp_path, monkeypatch):
-        n, d = 3, 2
-        blocks = random_pd_kernel(4, n, 2 * d).blocks
-        spec = {
-            "k": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, :d, :d])),
-            "l": kernel_to_spec(OperatorKernelTable(labels(n), blocks[:, :, d:, d:])),
-            "t_coupling": array_to_json(blocks[:, :, :d, d:]),
-            "observed_l": array_to_json(np.ones((n, d))),
-        }
-        path = write_json(tmp_path / "joint.json", spec)
-        calls = count_calls(monkeypatch, gaussian, ["kolmogorov_factorize", "require_psd"])
-        counted = count_calls(monkeypatch, np.linalg, sorted(linalg))
-        norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
-        extra = ["--seed", "1", "--samples", "2000"] if command == "mc-verify" else []
-        assert main([command, "--spec", path, *extra, "--out", str(tmp_path / "r.json")]) == 0
-        # M: one factorization, for the admission test and the sampler.  L:
-        # one eigh, for the Schur pseudo-inverse, the gate and diag(L^-1).
-        # eigvalsh: the Schur complement's positivity and the empirical c_yy gate.
-        assert calls == {"kolmogorov_factorize": 1, "require_psd": 1}
-        assert counted == linalg
-        assert norms == {"norm": 0}
-
 
 class TestCondition:
     def test_scalar_conditioning(self, specs, tmp_path):
@@ -1144,19 +1288,43 @@ class TestKrr:
 
 
 class TestExitCodeTable:
+    # The documented contract: 1 tolerance, 2 input, 3 hypothesis; an
+    # internal invariant is a bug and exits 1 unprefixed.
+    CATEGORIES = {
+        InputError: (2, "input error: "),
+        HypothesisFailure: (3, "hypothesis failure: "),
+        ToleranceFailure: (1, "tolerance failure: "),
+    }
+    DOCUMENTED = {
+        SpecError: 2, InvalidKernel: 2, ShapeError: 2, LabelError: 2,
+        NotInvertible: 3, NotDominated: 3, NotPositiveDefinite: 3, NotStrictContraction: 3,
+        SingularL: 3, SingularSystem: 3,
+        NotEquivalent: 1, GramMismatch: 1, SpectrumOutOfRange: 1,
+        InternalInvariantViolation: 1,
+    }
+
     def test_every_error_class_has_one_exit_code(self):
-        # A class in none of the tables would exit 1 through the catch-all.
         def subclasses(cls):
             for sub in cls.__subclasses__():
                 yield sub
                 yield from subclasses(sub)
 
         classes = {c for c in subclasses(OpKernError) if c.__module__.split(".")[0] == "opkern"}
-        assert SpecError in classes
-        tables = (cli._INPUT_ERRORS, cli._HYPOTHESIS_ERRORS, cli._TOLERANCE_ERRORS)
-        for cls in classes:
-            hits = sum(issubclass(cls, table) for table in tables)
-            assert hits == (0 if cls is InternalInvariantViolation else 1), cls.__name__
+        assert classes - set(self.CATEGORIES) == set(self.DOCUMENTED)
+        for cls, code in self.DOCUMENTED.items():
+            categories = [c for c in self.CATEGORIES if issubclass(cls, c)]
+            assert len(categories) == (0 if cls is InternalInvariantViolation else 1), cls.__name__
+            assert (cls.exit_code, cls.prefix) == (self.CATEGORIES[categories[0]] if categories else (1, ""))
+            assert cls.exit_code == code, cls.__name__
+
+    @pytest.mark.parametrize("cls", sorted(DOCUMENTED, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_main_exits_with_the_code_of_the_category(self, cls, specs, monkeypatch, capsys):
+        def failing(args):
+            raise cls("planted", min_eig=-1.0)
+
+        monkeypatch.setattr(cli, "cmd_check_pd", failing)
+        assert main(["check-pd", "--spec", specs["identity"]]) == self.DOCUMENTED[cls]
+        assert capsys.readouterr().err == f"opkern: {cls.prefix}planted\n"
 
 
 class TestDeterminism:

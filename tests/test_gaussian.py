@@ -72,6 +72,12 @@ class TestNormalStream:
             standard_normal_rows(1, 0, 4, 4), standard_normal_rows(2, 0, 4, 4)
         )
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, -(2**64) + 5, -1])
+    def test_seed_outside_the_philox_keys_is_refused(self, seed):
+        # Folded into 64 bits, the first two would draw the rows of seed 5.
+        with pytest.raises(ValueError, match="Philox key space"):
+            standard_normal_rows(seed, 0, 3, 4)
+
     def test_reference_values_are_frozen(self):
         # regression pin for the documented Philox + inverse-CDF transform
         row = standard_normal_rows(42, 0, 1, 2)[0]

@@ -222,22 +222,32 @@ class TestRadonNikodym:
             radon_nikodym(2.0 * k, k)
 
     def test_domination_is_judged_relative_to_hi(self):
-        # hi - lo = diag(101, -5e-9) passes at -1e-9 times its own norm 101,
-        # which would let the derivative fail as SpectrumOutOfRange instead
+        # hi - lo = diag(-5e-9, 1e-3) fails at -1e-6 times the norm 1e-3 of hi,
+        # where an absolute -1e-6 would let it pass
         ls = labels(2)
-        lo = scalar_kernel(ls, np.diag([-100.0, 1.0 + 5e-9]))
+        lo = scalar_kernel(ls, np.diag([1e-3 + 5e-9, 0.0]))
         with pytest.raises(NotDominated, match="hi - lo is not positive") as exc:
-            radon_nikodym(lo, identity_kernel(ls, 1))
+            radon_nikodym(lo, scalar_kernel(ls, 1e-3 * np.eye(2)), tol=1e-6)
         assert exc.value.min_eig == pytest.approx(-5e-9, rel=1e-6)
 
     def test_out_of_range_spectrum_carries_its_extremes(self):
-        # hi - lo = diag(1.5, 0.75) is dominated, but Phi = lo has eigenvalue -0.5
+        # lo = diag(-5e-9, 100) is positive to 1e-10 times its norm, and
+        # hi - lo = diag(100 + 5e-9, 0) is dominated, but Phi = lo / 100 has
+        # eigenvalue -5e-11, beyond a tol of 1e-12
+        ls = labels(2)
+        lo = scalar_kernel(ls, np.diag([-5e-9, 100.0]))
+        with pytest.raises(SpectrumOutOfRange, match="leaves \\[0, 1\\]") as exc:
+            radon_nikodym(lo, scalar_kernel(ls, 100.0 * np.eye(2)), tol=1e-12)
+        assert exc.value.min_eig == pytest.approx(-5e-11, rel=1e-6)
+        assert exc.value.max_eig == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_positive_lo_is_rejected_before_domination(self):
+        # hi - lo = diag(1.5, 0.75) is dominated, but lo has eigenvalue -0.5
         ls = labels(2)
         lo = scalar_kernel(ls, np.diag([-0.5, 0.25]))
-        with pytest.raises(SpectrumOutOfRange, match="leaves \\[0, 1\\]") as exc:
+        with pytest.raises(NotPositiveDefinite, match="kernel l is not positive") as exc:
             radon_nikodym(lo, identity_kernel(ls, 1))
         assert exc.value.min_eig == pytest.approx(-0.5, abs=1e-12)
-        assert exc.value.max_eig == pytest.approx(0.25, abs=1e-12)
 
     def test_indefinite_hi_is_rejected_before_domination(self):
         ls = labels(2)
