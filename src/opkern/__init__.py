@@ -49,7 +49,6 @@ from .transfer import (
 )
 from .gaussian import (
     CondCovComparison,
-    ConditionalLaw,
     ConditionalMcReport,
     JointKernel,
     PathBatch,

@@ -13,8 +13,9 @@ Exit codes come from the error categories in ``opkern.errors``: 0 success,
 1 tolerance failure or ``check-pd``'s not-positive verdict, 2 input/parse
 error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
 ``--samples`` count whose paths exceed ``specio.MAX_PATH_VALUES`` values),
-3 violated hypothesis (rank condition, domination, singular conditioning, a
-non-positive ``realize`` table, ``rn`` kernel ``l`` or ``krr-fit`` design matrix).
+3 violated hypothesis (rank condition, domination, a non-positive ``realize``
+table, ``rn`` kernel or ``krr-fit`` design matrix, an L Gram matrix singular
+to ``1e-10`` relative, or to a larger ``condition --tol``).
 ``--seed`` is an integer in [0, 2**64), the Philox key space, and defaults
 to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 
@@ -288,12 +289,11 @@ def cmd_condition(args) -> int:
     if observed is None:
         raise SpecError("no observed values: the joint spec has no 'observed_l' field")
     joint = gaussian.assemble_joint(k, l, coupling)
-    law = gaussian.condition(joint, observed, args.tol)
     results = {
-        "posterior_mean": law.posterior_mean,
-        "mean_map": law.mean_map,
-        "cond_cov_blocks": law.cond_cov.blocks,
-        "null_dim": 0,  # condition refuses a singular L
+        "posterior_mean": gaussian.condition(joint, observed, args.tol),
+        "mean_map": joint.mean_map,
+        "cond_cov_blocks": joint.schur.blocks,
+        "null_dim": 0,  # assemble_joint refuses a singular L
     }
     _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK

@@ -55,19 +55,21 @@ class FeatureSystem:
         return self.operator(s).conj().T @ self.operator(t)
 
 
-def kolmogorov_factorize(table: OperatorKernelTable, tol: float = RANK_RTOL) -> FeatureSystem:
+def kolmogorov_factorize(
+    table: OperatorKernelTable, tol: float = RANK_RTOL, what: str = "kernel table"
+) -> FeatureSystem:
     """Factor a positive table as ``K(s, t) = V(s)^H V(t)``.
 
     Eigenvalues of the flattened matrix at or below ``tol`` times the
     largest are dropped (never padded), so the dilation dimension is the
-    numerical rank.  Raises :class:`NotPositiveDefinite` when the smallest
-    eigenvalue is below ``-tol`` times the spectral norm, and checks the
-    reconstruction residual against its guaranteed bound,
-    ``max(tol, 1e-10)`` times the spectral norm.
+    numerical rank.  Raises :class:`NotPositiveDefinite`, naming the table
+    ``what``, when the smallest eigenvalue is below ``-tol`` times the
+    spectral norm, and checks the reconstruction residual against its
+    guaranteed bound, ``max(tol, 1e-10)`` times the spectral norm.
     """
     flat = table.flat
     w, u = np.linalg.eigh(flat)
-    scale = require_psd(w, tol, NotPositiveDefinite, "kernel table")
+    scale = require_psd(w, tol, NotPositiveDefinite, what)
     keep = w > tol * max(w[-1], 0.0)
     lam = w[keep][::-1]
     vecs = u[:, keep][:, ::-1]

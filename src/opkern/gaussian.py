@@ -29,11 +29,12 @@ samples in tile-aligned chunks, so a consumer that reduces or writes paths
 as they come holds one chunk at a time and runs in memory that does not
 grow with the sample count.  A coupled pair of processes is one process on
 ``H + H``.  Its :class:`JointKernel` carries the factorization of the
-joint table and one eigendecomposition of the L Gram; :func:`condition`
-and :func:`mc_verify_conditional` read those instead of decomposing
-again.  :func:`mc_verify_conditional` streams: it accumulates
-the second moments of the pair centred by the exact regression map, chunk
-by chunk, and never holds the sampled paths.
+joint table, the one eigendecomposition of the L Gram, which decides
+once whether L is invertible, and the conditional law; :func:`condition`
+and :func:`mc_verify_conditional` read those instead of deciding again.
+:func:`mc_verify_conditional` streams: it accumulates the second moments
+of the pair centred by the exact regression map, chunk by chunk, and
+never holds the sampled paths.
 """
 
 from __future__ import annotations
@@ -180,32 +181,27 @@ def _coupling_array(label_set: LabelSet, dim_h: int, coupling) -> np.ndarray:
 class JointKernel:
     """Block table over H + H pairing two processes through a coupling.
 
-    ``t_gram`` is the coupling in the canonical flattened layout, ``m``
-    the assembled table with 2d x 2d blocks
+    ``m`` is the assembled table with 2d x 2d blocks
     ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]`` and ``features`` its
     factorization, from which the pair is sampled.  ``l_eigh`` is
-    ``np.linalg.eigh(conj(L_gram))``, the decomposition behind the
-    pseudo-inverse in ``schur``, the singular-L gate of :func:`condition`,
-    and ``diag(L_gram^{-1})`` in :func:`mc_verify_conditional`.  ``schur``
-    holds the Gram-level Schur complement ``K - T L^+ T^H`` as a kernel
-    table (the conditional covariance).
+    ``np.linalg.eigh(conj(L_gram))``.  The law of the K-process given the
+    L-process is ``mean_map``, the Gram-level ``T L^{-1}``, and ``schur``,
+    the Schur complement ``K - T L^{-1} T^H`` as a kernel table.
     """
 
-    k: OperatorKernelTable
-    l: OperatorKernelTable
-    t_gram: np.ndarray
     m: OperatorKernelTable
     features: FeatureSystem
     l_eigh: tuple[np.ndarray, np.ndarray]
+    mean_map: np.ndarray
     schur: OperatorKernelTable
 
     @property
     def label_set(self) -> LabelSet:
-        return self.k.label_set
+        return self.m.label_set
 
     @property
     def dim_h(self) -> int:
-        return self.k.dim_h
+        return self.m.dim_h // 2
 
 
 def _pinv(l_eigh: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
@@ -222,10 +218,12 @@ def _schur(
     k: OperatorKernelTable, l: OperatorKernelTable, t_gram: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], OperatorKernelTable]:
     """``np.linalg.eigh(conj(L_gram))`` and the Gram-level Schur complement
-    ``K - T L^+ T^H`` as a kernel table, the one place it is formed.  The
-    complement is symmetrized: a near-saturated one is small against its
-    rounding, which is not Hermitian."""
+    ``K - T L^{-1} T^H`` as a kernel table, the one place it is formed.  An
+    L that is singular to ``RANK_RTOL`` relative raises :class:`SingularL`.
+    The complement is symmetrized: a near-saturated one is small against
+    its rounding, which is not Hermitian."""
     l_eigh = tuple(np.linalg.eigh(l.flat.conj()))
+    require_invertible(l_eigh[0], RANK_RTOL, SingularL, "L Gram matrix")
     schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
     return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, 0.5 * (schur_flat + schur_flat.conj().T))
 
@@ -235,55 +233,38 @@ def assemble_joint(
     l: OperatorKernelTable,
     coupling,
 ) -> JointKernel:
-    """Assemble and admit the joint table of a coupled pair of processes.
+    """Assemble and admit the joint table of a coupled pair, with its conditional law.
 
     The coupling is an (n, n, d, d) block function on pairs of labels (no
     Hermitian symmetry required).  Admissibility = positivity of the
-    flattened joint table, decided by its factorization; the Gram-level
-    Schur complement is computed with a pseudo-inverse and checked positive
-    as well, each to ``PD_RTOL`` relative.  Rejections raise
-    :class:`NotPositiveDefinite` and indicate an inadmissible coupling.
+    flattened joint table, decided by its factorization, and of the
+    Gram-level Schur complement, each to ``PD_RTOL`` relative; rejections
+    raise :class:`NotPositiveDefinite`.  An L singular to ``RANK_RTOL``
+    relative raises :class:`SingularL`.
     """
     k._require_same_shape(l)
     t_blocks = _coupling_array(k.label_set, k.dim_h, coupling)
 
     t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
     m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
-
-    try:
-        features = kolmogorov_factorize(m_table)
-    except NotPositiveDefinite as exc:
-        msg = f"joint table is not positive (min eig {exc.min_eig:.3e}); coupling inadmissible"
-        raise NotPositiveDefinite(msg, min_eig=exc.min_eig) from None
+    features = kolmogorov_factorize(m_table, what="joint table")
 
     t_gram = block_layout(t_blocks)
     l_eigh, schur_table = _schur(k, l, t_gram)
     evals = np.linalg.eigvalsh(schur_table.flat)
     require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
-    return JointKernel(k, l, t_gram, m_table, features, l_eigh, schur_table)
+    mean_map = np.linalg.solve(l.flat, t_gram.conj().T).conj().T
+    return JointKernel(m_table, features, l_eigh, mean_map, schur_table)
 
 
-@dataclass(frozen=True)
-class ConditionalLaw:
-    """Gaussian conditioning of the K-process on the full observed L-process.
+def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> np.ndarray:
+    """Posterior mean of the K-process given observed values of the
+    L-process, ``T_gram L_gram^{-1} vec(observed)`` as an (n, d) array.
 
-    ``mean_map`` is the Gram-level matrix ``T L^{-1}`` sending the
-    concatenated observation to the conditional mean; ``cond_cov`` is the
-    Schur-complement table.
-    """
-
-    mean_map: np.ndarray
-    cond_cov: OperatorKernelTable
-    posterior_mean: np.ndarray
-
-
-def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> ConditionalLaw:
-    """Condition the K-process on observed values of the L-process.
-
-    Conditioning is over the full finite label grid: the mean is
-    ``T_gram L_gram^{-1} vec(observed)`` and the covariance the Schur
-    complement.  A numerically singular L, to ``tol`` relative, raises
-    :class:`SingularL`.
+    Conditioning is over the full finite label grid; the covariance is
+    ``joint.schur``.  :func:`assemble_joint` has refused an L singular to
+    ``RANK_RTOL`` relative; a larger ``tol`` refuses more, raising
+    :class:`SingularL`, and a smaller one refuses nothing more.
     """
     n, d = joint.label_set.n, joint.dim_h
     observed = np.asarray(observed_l, dtype=np.complex128)
@@ -291,9 +272,7 @@ def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> Conditi
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
 
     require_invertible(joint.l_eigh[0], tol, SingularL, "L Gram matrix")
-    mean_map = np.linalg.solve(joint.l.flat, joint.t_gram.conj().T).conj().T
-    posterior = (mean_map @ observed.reshape(n * d)).reshape(n, d)
-    return ConditionalLaw(mean_map=mean_map, cond_cov=joint.schur, posterior_mean=posterior)
+    return (joint.mean_map @ observed.reshape(n * d)).reshape(n, d)
 
 
 @dataclass(frozen=True)
@@ -322,11 +301,7 @@ def conditional_cov_equal(
     k1._require_same_shape(l2)
     t_gram = block_layout(_coupling_array(k1.label_set, k1.dim_h, coupling))
 
-    conds = []
-    for k, l in ((k1, l1), (k2, l2)):
-        l_eigh, schur = _schur(k, l, t_gram)
-        require_invertible(l_eigh[0], RANK_RTOL, SingularL, "L Gram matrix")
-        conds.append(schur.flat)
+    conds = [_schur(k, l, t_gram)[1].flat for k, l in ((k1, l1), (k2, l2))]
 
     residual = float(np.linalg.norm(conds[0] - conds[1], 2))
     scale = max(
@@ -373,15 +348,13 @@ def mc_verify_conditional(
     """
     if count < 2:
         raise InvalidKernel("Monte-Carlo verification needs at least two samples")
-    n, d = joint.label_set.n, joint.dim_h
-    law = condition(joint, np.zeros((n, d)))  # raises SingularL when degenerate
-    b_hat, s_hat = _regress(joint, law.mean_map, seed, count)
+    b_hat, s_hat = _regress(joint, joint.mean_map, seed, count)
 
     l_inv_diag = np.abs(joint.l_eigh[1]) ** 2 @ (1.0 / joint.l_eigh[0])
     schur_flat = joint.schur.flat
     se_floor = 1e-12 * max(joint.features.norm, 1.0) / np.sqrt(count)
     se_mean = np.sqrt(np.outer(np.abs(np.diag(schur_flat)), l_inv_diag) / count)
-    mean_dev = float(np.max(np.abs(b_hat - law.mean_map) / np.maximum(se_mean, se_floor)))
+    mean_dev = float(np.max(np.abs(b_hat - joint.mean_map) / np.maximum(se_mean, se_floor)))
 
     diag_s = np.abs(np.diag(schur_flat))
     se_cov = np.sqrt((np.outer(diag_s, diag_s) + np.abs(schur_flat) ** 2) / count)

@@ -120,13 +120,7 @@ def validate_system(
     features = {}
     for name, tab in {"k1": k1, "k2": k2, "l1": l1, "l2": l2}.items():
         k1._require_same_shape(tab)
-        try:
-            features[name] = kolmogorov_factorize(tab)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"kernel {name} is not positive (min eig {exc.min_eig:.3e})",
-                min_eig=exc.min_eig,
-            ) from None
+        features[name] = kolmogorov_factorize(tab, what=f"kernel {name}")
     t_op = np.asarray(t_op, dtype=np.complex128)
     if t_op.shape != (k1.dim_h, k1.dim_h):
         raise ShapeError(f"T must be ({k1.dim_h}, {k1.dim_h}), got {t_op.shape}")
@@ -394,15 +388,16 @@ def radon_nikodym(
     """Solve ``lo(s, t) = V_hi(s)^H Phi V_hi(t)`` for ``0 <= Phi <= I``.
 
     Factors ``hi`` first, then tests ``lo`` to ``PD_RTOL`` times its own
-    norm, so a non-positive ``hi`` or ``lo`` (named ``kernel l``) raises
-    :class:`NotPositiveDefinite`.  Requires ``lo <= hi`` (within ``-tol``
-    times the flattened norm of ``hi``); then ``Phi = (V^+)^H flat(lo) V^+``
-    on the dilation space of ``hi`` is the unique solution.  Eigenvalues outside ``[-tol, 1 + tol]``
-    raise :class:`SpectrumOutOfRange`; inside, they are clamped to [0, 1]
-    before the principal square root is taken.
+    norm, so a non-positive ``hi`` (named ``kernel k``) or ``lo`` (named
+    ``kernel l``) raises :class:`NotPositiveDefinite`.  Requires ``lo <=
+    hi`` (within ``-tol`` times the flattened norm of ``hi``); then ``Phi =
+    (V^+)^H flat(lo) V^+`` on the dilation space of ``hi`` is the unique
+    solution.  Eigenvalues outside ``[-tol, 1 + tol]`` raise
+    :class:`SpectrumOutOfRange`; inside, they are clamped to [0, 1] before
+    the principal square root is taken.
     """
     lo._require_same_shape(hi)
-    fs = kolmogorov_factorize(hi)
+    fs = kolmogorov_factorize(hi, what="kernel k")
     require_psd(np.linalg.eigvalsh(lo.flat), PD_RTOL, NotPositiveDefinite, "kernel l")
     return _derivative(lo, hi, fs, tol)
 

@@ -107,12 +107,11 @@ def mc_verify_full_batch(joint, seed: int, count: int, tol_sigma: float = 5.0):
     the paths, the exact law and the gates come from the package.
     """
     from opkern.errors import InternalInvariantViolation, SingularL
-    from opkern.gaussian import condition, draw_paths
+    from opkern.gaussian import draw_paths
     from opkern.kernels import RANK_RTOL, gated_solve, require_finite
 
     n, d = joint.label_set.n, joint.dim_h
     nd = n * d
-    law = condition(joint, np.zeros((n, d)))
     paths = draw_paths(joint.features, seed, 0, count).paths
     x, y = paths[:, :, :d].reshape(count, nd), paths[:, :, d:].reshape(count, nd)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,7 +125,7 @@ def mc_verify_full_batch(joint, seed: int, count: int, tol_sigma: float = 5.0):
         schur_flat = joint.schur.flat
         se_floor = 1e-12 * max(joint.features.norm, 1.0) / np.sqrt(count)
         se_mean = np.sqrt(np.outer(np.abs(np.diag(schur_flat)), l_inv_diag) / count)
-        mean_dev = float(np.max(np.abs(b_hat - law.mean_map) / np.maximum(se_mean, se_floor)))
+        mean_dev = float(np.max(np.abs(b_hat - joint.mean_map) / np.maximum(se_mean, se_floor)))
 
         resid = x - y @ b_hat.T
         s_hat = resid.T @ resid.conj() / count

@@ -2,6 +2,7 @@ import copy
 import errno
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -684,7 +685,7 @@ class TestHypothesisExitCodes:
     # The slots whose positivity README names as a hypothesis, each with the
     # name its failure gives it on stderr.
     POSITIVITY_SLOTS = {
-        ("rn", "l"): "kernel l",
+        **{("rn", name): f"kernel {name}" for name in ("k", "l")},
         **{("realize", name): f"kernel {name}" for name in ("k1", "k2", "l1", "l2")},
         **{("krr-fit", name): f"{name} design matrix" for name in ("signal", "noise")},
     }
@@ -699,7 +700,7 @@ class TestHypothesisExitCodes:
             bad = kernel_to_spec(scalar_table(values))
             eye = kernel_to_spec(identity_kernel(labels(n), 1))
             if command == "rn":
-                argv = ["--spec", write_json(base / "pair.json", {"l": bad, "k": eye})]
+                argv = ["--spec", write_json(base / "pair.json", {"l": eye, "k": eye, name: bad})]
             elif command == "realize":
                 system = {"k1": eye, "k2": eye, "l1": eye, "l2": eye, "t": [[[1.0, 0.0]]], name: bad}
                 argv = ["--spec", write_json(base / "system.json", system)]
@@ -724,19 +725,30 @@ class TestHypothesisExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
-    @pytest.mark.parametrize("command", ["condition", "mc-verify"])
-    def test_condition_singular_l_exits_three(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command,extra", [("condition", []), ("mc-verify", []), ("condition", ["--tol", "0"])],
+        ids=["condition", "mc-verify", "condition-tol0"],
+    )
+    def test_condition_singular_l_exits_three(self, tmp_path, capsys, command, extra):
         zero_spec = kernel_to_spec(scalar_kernel(labels(1), np.array([[0.0]])))
-        joint = write_json(
-            tmp_path / "joint0.json",
-            {
-                "k": zero_spec,
-                "l": zero_spec,
-                "t_coupling": [[[[[0.0, 0.0]]]]],
-                "observed_l": [[[0.0, 0.0]]],
-            },
-        )
-        assert main([command, "--spec", joint]) == 3
+        payload = {
+            "k": zero_spec,
+            "l": zero_spec,
+            "t_coupling": [[[[[0.0, 0.0]]]]],
+            "observed_l": [[[0.0, 0.0]]],
+        }
+        if extra:
+            # L's eigenvalue 1e-12 passes a --tol of 0, but L is singular to 1e-10 relative, where
+            # the Schur complement would be formed with a pseudo-inverse that drops the direction
+            # the mean map inverts.
+            payload = {
+                "k": kernel_to_spec(identity_kernel(labels(2), 1)),
+                "l": kernel_to_spec(scalar_kernel(labels(2), np.diag([1.0, 1e-12]))),
+                "t_coupling": array_to_json(np.diag([0.5, 1e-7]).reshape(2, 2, 1, 1)),
+                "observed_l": [[[1.0, 0.0]], [[1.0, 0.0]]],
+            }
+        joint = write_json(tmp_path / "joint0.json", payload)
+        assert main([command, "--spec", joint, *extra]) == 3
         assert "L Gram matrix" in capsys.readouterr().err
 
     def test_krr_degenerate_design_exits_three(self, specs, tmp_path):
@@ -942,18 +954,35 @@ class TestSample:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_closed_stdout_reaps_every_formatter(self, tmp_path, monkeypatch):
+    def test_closed_stdout_reaps_every_formatter(self, tmp_path):
         # The reader is gone before the first part is written, and the child's
-        # part (about 100 KB) still waits on a full pipe.
+        # part (about 100 KB) still waits on a full pipe.  A pipe end left open
+        # would deadlock the command and its child, so both run in a process
+        # group of their own that is killed at the deadline.
         spec = write_json(tmp_path / "k.json", kernel_to_spec(identity_kernel(labels(8), 2)))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        with open(write_end, "w", encoding="utf-8") as closed:
-            monkeypatch.setattr(sys, "stdout", closed)
-            assert main(["sample", "--spec", spec, "--samples", "2000"]) == 0
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        script = (
+            "import os, sys\n"
+            "from opkern.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "read_end, write_end = os.pipe()\n"
+            "os.close(read_end)\n"
+            "with open(write_end, 'w', encoding='utf-8') as sys.stdout:\n"
+            "    code = main(['sample', '--spec', sys.argv[1], '--samples', '2000'])\n"
+            "sys.stdout = sys.__stdout__\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(code)\n"
+            "sys.exit('a formatter was left unreaped')\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script, spec], stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            err = proc.communicate(timeout=60)[1]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sample on a closed stdout did not end within 60 s")
+        assert (proc.returncode, err) == (0, b"")
 
     @pytest.mark.parametrize("command,spec", [("sample", "one"), ("mc-verify", "joint")])
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "5.0", "x"])

@@ -315,28 +315,24 @@ class TestCondition:
         l = random_pd_kernel(3, 2, 2)
         joint = assemble_joint(k, l, np.zeros((2, 2, 2, 2)))
         rng = np.random.default_rng(0)
-        law = condition(joint, rng.standard_normal((2, 2)))
-        np.testing.assert_allclose(law.posterior_mean, 0, atol=1e-12)
-        np.testing.assert_allclose(law.cond_cov.flat, k.flat, atol=1e-12)
+        np.testing.assert_allclose(condition(joint, rng.standard_normal((2, 2))), 0, atol=1e-12)
+        np.testing.assert_allclose(joint.schur.flat, k.flat, atol=1e-12)
 
     def test_scalar_halves(self):
         joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5))
-        law = condition(joint, np.array([[2.0]]))
-        assert law.posterior_mean[0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert law.cond_cov.flat[0, 0] == pytest.approx(0.75, abs=1e-14)
-        assert law.mean_map[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert condition(joint, np.array([[2.0]]))[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert joint.schur.flat[0, 0] == pytest.approx(0.75, abs=1e-14)
+        assert joint.mean_map[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_observation_gives_zero_mean(self):
         k, l, coupling = block_joint_instance(66)
         joint = assemble_joint(k, l, coupling)
-        law = condition(joint, np.zeros((2, 2)))
-        np.testing.assert_array_equal(law.posterior_mean, np.zeros((2, 2)))
+        np.testing.assert_array_equal(condition(joint, np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_singular_l_is_strict_by_default(self):
         k = random_pd_kernel(4, 1, 2)
-        joint = assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
         with pytest.raises(SingularL):
-            condition(joint, np.zeros((1, 2)))
+            assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
 
     def test_blockdiagonal_case_reduces_to_per_label_formula(self):
         # when L and the coupling vanish off the diagonal, the Gram-level
@@ -353,13 +349,12 @@ class TestCondition:
         l = OperatorKernelTable(ls, l_blocks)
         k = identity_kernel(ls, d)
         joint = assemble_joint(k, l, t_blocks)
-        law = condition(joint, np.zeros((n, d)))
         for i in range(n):
             per_label = t_blocks[i, i] @ np.linalg.inv(l_blocks[i, i])
             np.testing.assert_allclose(
-                law.mean_map[i * d : (i + 1) * d, i * d : (i + 1) * d], per_label, atol=1e-12
+                joint.mean_map[i * d : (i + 1) * d, i * d : (i + 1) * d], per_label, atol=1e-12
             )
-        off = law.mean_map.copy()
+        off = joint.mean_map.copy()
         for i in range(n):
             off[i * d : (i + 1) * d, i * d : (i + 1) * d] = 0
         np.testing.assert_allclose(off, 0, atol=1e-12)
@@ -461,8 +456,7 @@ class TestStreamedRegression:
     def test_estimates_match_full_batch_to_rounding(self, make_joint):
         joint = make_joint()
         count = 5000
-        law = condition(joint, np.zeros((joint.label_set.n, joint.dim_h)))
-        b_hat, s_hat = gaussian._regress(joint, law.mean_map, 7, count)
+        b_hat, s_hat = gaussian._regress(joint, joint.mean_map, 7, count)
         b_ref, s_ref, *_ = oracles.mc_verify_full_batch(joint, 7, count)
         # Sums of `count` terms in another order: sqrt(count) eps, times the
         # conditioning of L for the solve, and for s_hat times the scale at

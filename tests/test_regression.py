@@ -36,7 +36,7 @@ def scalar_training(y=2.0):
 def posterior_mean(kernel, noise, observed):
     """The signal's posterior mean given signal plus noise on the full grid:
     conditioning of the joint (K, K + L, T = K)."""
-    return condition(assemble_joint(kernel, kernel + noise, kernel.blocks), observed).posterior_mean
+    return condition(assemble_joint(kernel, kernel + noise, kernel.blocks), observed)
 
 
 def full_grid_training(table, observed):
