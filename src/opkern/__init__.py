@@ -56,7 +56,6 @@ from .gaussian import (
     condition,
     conditional_cov_equal,
     draw_paths,
-    empirical_covariance,
     mc_verify_conditional,
     path_chunks,
     standard_normal_rows,
@@ -67,7 +66,6 @@ from .regression import (
     TrainingSet,
     design_matrices,
     krr_fit,
-    objective_value,
     predict,
     representer,
 )

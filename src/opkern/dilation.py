@@ -50,10 +50,6 @@ class FeatureSystem:
         i = self.label_set.index(label)
         return self.stacked[:, i * self.dim_h : (i + 1) * self.dim_h]
 
-    def gram(self, s: str, t: str) -> np.ndarray:
-        """Reconstructed block ``V(s)^H V(t)``."""
-        return self.operator(s).conj().T @ self.operator(t)
-
 
 def kolmogorov_factorize(
     table: OperatorKernelTable, tol: float = RANK_RTOL, what: str = "kernel table"

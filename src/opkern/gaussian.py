@@ -149,20 +149,6 @@ def path_chunks(fs: FeatureSystem, seed: int, count: int):
         yield start, draw_paths(fs, seed, start, min(_TILE, count - start))
 
 
-def empirical_covariance(batch: PathBatch) -> OperatorKernelTable:
-    """Monte-Carlo second moments: blocks ``(1/N) sum_k W_k(s) W_k(t)^H``.
-
-    Uses the 1/N convention (a plain expectation estimate, not the
-    bias-corrected 1/(N-1) variant).  The result is an exactly Hermitian,
-    positive table; it converges to the sampled kernel at the usual CLT
-    rate.
-    """
-    n, d = batch.label_set.n, batch.dim_h
-    p = batch.paths.reshape(batch.count, n * d)
-    flat = p.T @ p.conj() / batch.count
-    return OperatorKernelTable.from_flat(batch.label_set, d, flat)
-
-
 # ---------------------------------------------------------------------------
 # Joint processes and conditioning
 # ---------------------------------------------------------------------------
@@ -204,16 +190,6 @@ class JointKernel:
         return self.m.dim_h // 2
 
 
-def _pinv(l_eigh: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
-    """``np.linalg.pinv(L, rcond, hermitian=True)``, bitwise, from
-    ``l_eigh = np.linalg.eigh(L.conj())``: numpy's own steps after its eigh."""
-    w, u = l_eigh
-    order = np.argsort(abs(w))[::-1]
-    s, u = abs(w)[order], np.take_along_axis(u, order[None, :], axis=-1)
-    inv = np.divide(1, s, where=s > rcond * s.max(), out=np.zeros_like(s))
-    return (u * np.copysign(1.0, w)[order]).T.conj().T @ (inv[:, None] * u.T)
-
-
 def _schur(
     k: OperatorKernelTable, l: OperatorKernelTable, t_gram: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], OperatorKernelTable]:
@@ -221,10 +197,14 @@ def _schur(
     ``K - T L^{-1} T^H`` as a kernel table, the one place it is formed.  An
     L that is singular to ``RANK_RTOL`` relative raises :class:`SingularL`.
     The complement is symmetrized: a near-saturated one is small against
-    its rounding, which is not Hermitian."""
-    l_eigh = tuple(np.linalg.eigh(l.flat.conj()))
-    require_invertible(l_eigh[0], RANK_RTOL, SingularL, "L Gram matrix")
-    schur_flat = k.flat - t_gram @ _pinv(l_eigh, RANK_RTOL) @ t_gram.conj().T
+    its rounding, which is not Hermitian.  ``L^{-1}`` is formed from the
+    eigh in the descending order of ``np.linalg.pinv(L, hermitian=True)``,
+    which keeps numpy's bytes."""
+    l_eigh = w, u = tuple(np.linalg.eigh(l.flat.conj()))
+    require_invertible(w, RANK_RTOL, SingularL, "L Gram matrix")
+    order = np.argsort(w)[::-1]
+    u = u[:, order]
+    schur_flat = k.flat - t_gram @ (u.conj() @ ((1 / w[order])[:, None] * u.T)) @ t_gram.conj().T
     return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, 0.5 * (schur_flat + schur_flat.conj().T))
 
 

@@ -34,15 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInvariantViolation,
-    InvalidKernel,
-    NotPositiveDefinite,
-    ShapeError,
-    SingularL,
-    SingularSystem,
-)
-from .kernels import PD_RTOL, RANK_RTOL, TINY, LabelSet, OperatorKernelTable, gated_solve, require_finite, require_psd
+from .errors import InvalidKernel, NotPositiveDefinite, ShapeError, SingularSystem
+from .kernels import PD_RTOL, RANK_RTOL, LabelSet, OperatorKernelTable, gated_solve, require_finite, require_psd
 
 
 @dataclass(frozen=True)
@@ -193,33 +186,3 @@ def predict(label_set: LabelSet, f_values: np.ndarray, labels, vectors) -> np.nd
     require_finite(InvalidKernel, "prediction", values)
     return values
 
-
-def objective_value(
-    kernel: OperatorKernelTable,
-    noise_kernel: OperatorKernelTable,
-    train: TrainingSet,
-    y,
-    g,
-) -> float:
-    """Ridge objective on the representer span.
-
-    For the representer candidate with coefficients ``g`` the data-fit term
-    is ``([K] g - y)^H [L]^{-1} ([K] g - y)`` and the penalty ``g^H [K] g``;
-    a rank-deficient [L] makes the objective ill-posed and raises
-    :class:`SingularL` rather than being pseudo-inverted.
-    """
-    dm = design_matrices(kernel, noise_kernel, train)
-    y = np.asarray(y, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    m = train.size
-    if y.shape != (m,) or g.shape != (m,):
-        raise ShapeError(f"y and g must have shape ({m},)")
-    r = dm.kernel_gram @ g - y
-    l_inv_r = gated_solve(dm.noise_gram, r, RANK_RTOL, SingularL, "[L]")
-    value = complex(r.conj() @ l_inv_r + g.conj() @ dm.kernel_gram @ g)
-    scale = max(abs(value), float(np.linalg.norm(y) ** 2), TINY)
-    if abs(value.imag) > 1e-12 * scale:
-        raise InternalInvariantViolation(
-            f"objective should be real; imaginary part {value.imag:.3e} at scale {scale:.3e}"
-        )
-    return float(value.real)

@@ -3,6 +3,9 @@
 Everything here deliberately avoids the package's own flattening and
 factorization helpers: matrices are assembled entry by entry with explicit
 loops, so a bug in the canonical ordering cannot cancel in both places.
+The references that tests check the library against (the ridge objective,
+the second moment of sampled paths, the conditional law) live here, not in
+the package, and call no opkern function for what they compute.
 """
 
 import numpy as np
@@ -95,6 +98,36 @@ def interleave_joint_bruteforce(k_blocks, l_blocks, t_blocks) -> np.ndarray:
                     out[i * 2 * d + d + p, j * 2 * d + q] = np.conj(t_blocks[j, i, q, p])
                     out[i * 2 * d + d + p, j * 2 * d + d + q] = l_blocks[i, j, p, q]
     return out
+
+
+def conditional_law_bruteforce(k_blocks, l_blocks, t_blocks, observed):
+    """``(T L^{-1} vec(observed), K - T L^{-1} T^H)`` on the loop-built Grams,
+    through ``np.linalg.solve``; the mean comes back as ``observed.shape``."""
+    k, l, t = (assemble_flat_bruteforce(b) for b in (k_blocks, l_blocks, t_blocks))
+    mean = t @ np.linalg.solve(l, observed.reshape(-1))
+    return mean.reshape(observed.shape), k - t @ np.linalg.solve(l, t.conj().T)
+
+
+def ridge_objective(kernel, noise, train, y, g) -> float:
+    """``([K] g - y)^H [L]^{-1} ([K] g - y) + g^H [K] g`` on the design
+    matrices ``[K][i, j] = <a_i, K(s_i, s_j) a_j>``, built entry by entry."""
+    rows = [kernel.labels.index(s) for s in train.labels]
+    a, m = train.vectors, len(rows)
+
+    def design(blocks):
+        return np.array([[a[i].conj() @ blocks[rows[i], rows[j]] @ a[j] for j in range(m)] for i in range(m)])
+
+    k, l = design(kernel.blocks), design(noise.blocks)
+    y, g = np.asarray(y, dtype=np.complex128), np.asarray(g, dtype=np.complex128)
+    r = k @ g - y
+    return float((r.conj() @ np.linalg.solve(l, r) + g.conj() @ k @ g).real)
+
+
+def second_moment(paths: np.ndarray) -> np.ndarray:
+    """``(1/N) sum_k w_k w_k^H`` over the N rows ``w_k`` of an (N, n, d)
+    path array, each flattened to length n*d."""
+    rows = paths.reshape(len(paths), -1)
+    return rows.T @ rows.conj() / len(rows)
 
 
 def mc_verify_full_batch(joint, seed: int, count: int, tol_sigma: float = 5.0):

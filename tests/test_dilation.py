@@ -30,7 +30,7 @@ class TestFactorize:
         for i, s in enumerate(["s1", "s2"]):
             for j, t in enumerate(["s1", "s2"]):
                 expected = np.eye(2) if i == j else np.zeros((2, 2))
-                np.testing.assert_allclose(fs.gram(s, t), expected, atol=1e-14)
+                np.testing.assert_allclose(fs.operator(s).conj().T @ fs.operator(t), expected, atol=1e-14)
 
     def test_constant_one_kernel_is_rank_one(self, constant_one):
         # flattening [[1, 1], [1, 1]] has the single eigenpair (2, (1,1)/sqrt(2))
@@ -39,7 +39,7 @@ class TestFactorize:
         assert fs.basis_eigs[0] == pytest.approx(2.0)
         for s in ("s1", "s2"):
             for t in ("s1", "s2"):
-                assert fs.gram(s, t)[0, 0] == pytest.approx(1.0, abs=1e-14)
+                assert (fs.operator(s).conj().T @ fs.operator(t))[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rank_matches_construction_and_eig_oracle(self):
         table = random_pd_kernel(7, 4, 3, rank=5)
@@ -48,7 +48,7 @@ class TestFactorize:
         assert oracles.rank_by_eigs(table.flat) == 5
         scale = is_positive_definite(table).scale
         worst = max(
-            np.linalg.norm(fs.gram(s, t) - table.block(s, t), 2)
+            np.linalg.norm(fs.operator(s).conj().T @ fs.operator(t) - table.block(s, t), 2)
             for s in table.labels
             for t in table.labels
         )
@@ -85,7 +85,7 @@ class TestFactorize:
         for i, s in enumerate(table.labels):
             for j, t in enumerate(table.labels):
                 alt = root[:, i * d : (i + 1) * d].conj().T @ root[:, j * d : (j + 1) * d]
-                np.testing.assert_allclose(fs.gram(s, t), alt, atol=1e-10)
+                np.testing.assert_allclose(fs.operator(s).conj().T @ fs.operator(t), alt, atol=1e-10)
 
     @pytest.mark.parametrize("seed,n,d,rank", [(0, 2, 2, None), (1, 3, 1, 2), (2, 4, 2, 3)])
     def test_norm_is_the_spectral_norm_of_the_table(self, seed, n, d, rank):
@@ -147,7 +147,12 @@ class TestFactorize:
         assert fs_p.dilation_dim == fs.dilation_dim
         for s in table.labels:
             for t in table.labels:
-                np.testing.assert_allclose(fs_p.gram(s, t), fs.gram(s, t), rtol=0, atol=1e-12 * fs.norm)
+                np.testing.assert_allclose(
+                    fs_p.operator(s).conj().T @ fs_p.operator(t),
+                    fs.operator(s).conj().T @ fs.operator(t),
+                    rtol=0,
+                    atol=1e-12 * fs.norm,
+                )
 
 
 class TestMinimalDilationDim:

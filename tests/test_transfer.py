@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkern import (
     GramMismatch,
@@ -304,6 +305,35 @@ class TestRnTransferIdentity:
         sys_ = generate_valid_system(100 + seed, 2, 2, dominated=True)
         report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
         assert report.rn_vs_transfer <= 1e-8, report
+
+
+class TestChangeOfBasis:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        d=st.integers(1, 2),
+        dominated=st.booleans(),
+        u_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unitary_conjugation_keeps_every_verdict(self, seed, n, d, dominated, u_seed):
+        # K(s, t) -> U^H K(s, t) U and T -> U^H T U carry the system identity
+        # over exactly, so every check on the generated system and on its
+        # image must hold at the pinned tolerances of criteria 3 and 4.
+        sys_ = generate_valid_system(seed, n, d, dominated)
+        rng = np.random.default_rng(u_seed)
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        moved = validate_system(
+            *(OperatorKernelTable(t.label_set, u.conj().T @ t.blocks @ u) for t in sys_.tables().values()),
+            u.conj().T @ sys_.t_op @ u,
+        )
+        reports = [verify_realization(construct_partial_isometry(s), s, tol=1e-8) for s in (sys_, moved)]
+        assert {(r.dominated, r.transitive_action) for r in reports} == {(dominated, True)}, reports
+        for report in reports:
+            assert report.passed, report
+            if dominated:
+                assert report.rn_vs_transfer <= 1e-8, report
+                assert -1e-9 <= report.rn_spectrum[0] and report.rn_spectrum[1] <= 1.0 + 1e-9, report
 
 
 class TestGenerator:
