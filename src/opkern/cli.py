@@ -4,10 +4,11 @@ One subcommand per pipeline; every run is a pure function of its input
 files and flags.  Reports are strict JSON (no ``NaN`` or ``Infinity``)
 with sorted keys and carry SHA-256 hashes of the input specs;
 ``--no-timestamp`` drops the only non-deterministic field, making repeated
-runs byte-identical.  ``krr-predict`` requires the fit to record the
-hashes of ``--spec``, ``--noise-spec`` and ``--train`` and to match them,
-so the fit's gates ran on the same bytes; it evaluates the H-valued
-regression function F once and reads every query from it.
+runs byte-identical.  ``krr-fit`` writes the H-valued regression
+function F, one ``(d,)`` array per label, into its report.  ``krr-predict``
+requires the fit to record the hashes of ``--spec``, ``--noise-spec`` and
+``--train`` and to match them, so the fit's gates ran on the same bytes;
+it parses none of the three and reads every query from the fit's F.
 
 Exit codes come from the error categories in ``opkern.errors``: 0 success,
 1 tolerance failure or ``check-pd``'s not-positive verdict, 2 input/parse
@@ -305,10 +306,12 @@ def cmd_krr_fit(args) -> int:
     train = _training_set(args.train)
     dm = regression.design_matrices(kernel, noise, train)
     fit = regression.krr_fit(dm, train.targets)
+    f_values = regression.representer(kernel, train, fit.coefficients)
     results = {
         "coefficients": fit.coefficients,
         "fitted": fit.fitted,
         "m": train.size,
+        "regression_function": dict(zip(kernel.labels, f_values)),
     }
     _emit_report(args, {}, results, noise_spec=args.noise_spec, train=args.train)
     return EXIT_OK
@@ -318,10 +321,11 @@ def cmd_krr_predict(args) -> int:
     fit_payload = specio.load_json(args.fit)
     try:
         hashes = {name: entry.get("sha256") for name, entry in fit_payload.get("inputs", {}).items()}
-        fit_coefficients = fit_payload["results"]["coefficients"]
+        f_json = fit_payload["results"]["regression_function"]
     except (AttributeError, KeyError, TypeError):
-        raise SpecError(f"{args.fit} is not a krr-fit report with results.coefficients") from None
-    # The fit's gates (positivity, finiteness, solvability) ran on exactly these bytes.
+        raise SpecError(f"{args.fit} is not a krr-fit report with results.regression_function") from None
+    # The fit's gates (positivity, finiteness, solvability) ran on exactly
+    # these bytes, so they are hashed, not parsed.
     for name, path in (("spec", args.spec), ("noise_spec", args.noise_spec), ("train", args.train)):
         recorded = hashes.get(name)
         if recorded is None:
@@ -330,9 +334,7 @@ def cmd_krr_predict(args) -> int:
             raise SpecError(
                 f"hash mismatch for {name}: the fit was produced from different inputs"
             )
-    kernel = specio.kernel_from_spec(specio.load_json(args.spec))
-    train = _training_set(args.train)
-    coeffs = specio.json_to_array(fit_coefficients, (train.size,))
+    label_set, f_values = specio.regression_function_from_json(f_json)
     queries = specio.load_json(args.query)
     if not isinstance(queries, list):
         raise SpecError("query file must be a JSON list of {label, a} objects")
@@ -340,10 +342,9 @@ def cmd_krr_predict(args) -> int:
         if not isinstance(item, dict) or not isinstance(item.get("label"), str):
             raise SpecError(f"query items must be {{label, a}} objects with a string label, got {item!r}")
     labels = [item["label"] for item in queries]
-    shape = (len(queries), kernel.dim_h)
+    shape = (len(queries), f_values.shape[1])
     vectors = specio.json_to_array([item.get("a") for item in queries], shape) if queries else np.zeros(shape)
-    f_values = regression.representer(kernel, train, coeffs)
-    values = regression.predict(kernel.label_set, f_values, labels, vectors)
+    values = regression.predict(label_set, f_values, labels, vectors)
     predictions = [
         {"label": label, "value": [re, im]}
         for label, re, im in zip(labels, values.real.tolist(), values.imag.tolist())

@@ -96,8 +96,9 @@ class OperatorKernelTable:
     Construction validates finiteness and the Hermitian block pattern
     ``K(t, s) == K(s, t)^H``.  Asymmetry up to ``1e-12`` relative to the
     largest block norm is repaired by averaging; anything worse is rejected
-    as a data error rather than silently fixed.  Instances are immutable and
-    safe to share between threads.
+    as a data error rather than silently fixed.  The block norms are
+    measured only when the table differs from its adjoint.  Instances are
+    immutable and safe to share between threads.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -112,13 +113,14 @@ class OperatorKernelTable:
 
         flat = block_layout(blocks)  # a view when ``blocks`` is the block view of a flat matrix
         adjoint = flat.conj().T
-        scale = float(_block_frobenius(blocks).max())
-        asym = float(_block_frobenius(_block_view(flat - adjoint, n)).max())
-        if asym > HERMITIAN_RTOL * max(scale, TINY):
-            raise InvalidKernel(
-                f"block pattern is not Hermitian: asymmetry {asym:.3e} "
-                f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
-            )
+        if not np.array_equal(flat, adjoint):  # an exact adjoint has zero asymmetry at any scale
+            scale = float(_block_frobenius(blocks).max())
+            asym = float(_block_frobenius(_block_view(flat - adjoint, n)).max())
+            if asym > HERMITIAN_RTOL * max(scale, TINY):
+                raise InvalidKernel(
+                    f"block pattern is not Hermitian: asymmetry {asym:.3e} "
+                    f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
+                )
         flat = 0.5 * (flat + adjoint)
         require_finite(InvalidKernel, "symmetrized kernel table", flat)  # entries near the float limit
         flat.setflags(write=False)

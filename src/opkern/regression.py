@@ -19,7 +19,9 @@ The H-valued function ``F(s) = sum_i K(s, s_i) a_i c_i`` in ``C^d`` is the
 regression function of the H-valued Gaussian process: an H-valued target
 at s is the d scalar rows ``a = e_p``, so on a full grid F is the posterior
 mean.  :func:`representer` forms F once, one GEMV with the flattened
-kernel, and :func:`predict` reads every query from it.
+kernel, and :func:`predict` reads every query from it; ``krr-fit`` writes
+F into its report, so ``krr-predict`` needs neither the kernel nor the
+training set.
 
 On a full observation grid this coincides with Gaussian-process
 conditioning of the noisy sum: the posterior mean
@@ -157,7 +159,7 @@ def representer(kernel: OperatorKernelTable, train: TrainingSet, coefficients) -
     as an (n, d) array with one row per label of ``kernel``.
 
     The weights ``a_j c_j`` are summed per label, then F is one product
-    with the flattened kernel.  Non-finite rows surface in :func:`predict`.
+    with the flattened kernel.  An overflowing F raises :class:`InvalidKernel`.
     """
     rows = _training_rows(kernel, train)
     c = np.asarray(coefficients, dtype=np.complex128)
@@ -165,7 +167,9 @@ def representer(kernel: OperatorKernelTable, train: TrainingSet, coefficients) -
         raise ShapeError(f"coefficients must be ({train.size},), got {c.shape}")
     weights = np.zeros((kernel.n, kernel.dim_h), dtype=np.complex128)
     np.add.at(weights, rows, train.vectors * c[:, None])
-    return (kernel.flat @ weights.reshape(-1)).reshape(kernel.n, kernel.dim_h)
+    f_values = (kernel.flat @ weights.reshape(-1)).reshape(kernel.n, kernel.dim_h)
+    require_finite(InvalidKernel, "regression function", f_values)
+    return f_values
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -18,7 +18,8 @@ System spec JSON: {"k1": <kernel spec>, "k2": ..., "l1": ..., "l2": ...,
 "observed_l": <n x d matrix>}.
 
 Training CSV columns: label, a_0_re, a_0_im, ..., a_{d-1}_re, a_{d-1}_im,
-y_re, y_im.  Path CSV columns: sample, label, coordinate, re, im.
+y_re, y_im; each number is an ASCII decimal literal such as ``repr(float)``
+writes.  Path CSV columns: sample, label, coordinate, re, im.
 
 Every number in a spec or payload must be a finite JSON number; a string or
 a boolean where a number belongs is malformed, and so is input that is not
@@ -34,6 +35,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -203,6 +205,20 @@ def joint_from_spec(data: dict):
     return k, l, coupling, observed
 
 
+def regression_function_from_json(data) -> tuple[LabelSet, np.ndarray]:
+    """The labels and the (n, d) values of a ``krr-fit`` report's
+    ``regression_function``: an object mapping each label to ``F(s)``, a
+    list of d ``[re, im]`` pairs."""
+    if not isinstance(data, dict) or not data:
+        raise SpecError("regression_function must be a non-empty JSON object")
+    values = list(data.values())
+    d = len(values[0]) if isinstance(values[0], list) else 0
+    try:
+        return LabelSet.of(data), json_to_array(values, (len(values), d))
+    except SpecError as exc:
+        raise SpecError(f"regression_function: {exc}") from None
+
+
 def feature_system_to_json(fs) -> dict:
     """Export a factorization as a report payload (each feature operator an
     ndarray); consumers must compare via Gram products, because the
@@ -324,6 +340,18 @@ def path_batch_to_csv(batch: PathBatch, start: int = 0) -> str:
     return "".join(parts)
 
 
+# ASCII decimal literals, which include every ``repr`` of a finite float;
+# no padding, underscores, non-ASCII digits, ``nan`` or ``inf``.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _decimal(cell: str) -> float:
+    """A training CSV number cell: an ASCII decimal literal, or :class:`SpecError` naming it."""
+    if not _DECIMAL.fullmatch(cell):
+        raise SpecError(f"bad numeric field in training CSV: {cell!r} is not a decimal number")
+    return float(cell)
+
+
 def training_set_from_csv(text: str) -> TrainingSet:
     try:
         header, *rows = csv.reader(io.StringIO(text))
@@ -345,12 +373,9 @@ def training_set_from_csv(text: str) -> TrainingSet:
             continue
         if len(row) != len(header):
             raise SpecError(f"training CSV row has {len(row)} fields, expected {len(header)}")
-        try:
-            vec = [complex(float(row[1 + 2 * p]), float(row[2 + 2 * p])) for p in range(d)]
-            y = complex(float(row[-2]), float(row[-1]))
-        except ValueError as exc:
-            raise SpecError(f"bad numeric field in training CSV: {exc}") from None
-        triples.append((row[0], vec, y))
+        values = [_decimal(cell) for cell in row[1:]]
+        vec = [complex(values[2 * p], values[2 * p + 1]) for p in range(d)]
+        triples.append((row[0], vec, complex(values[-2], values[-1])))
     if not triples:
         raise SpecError("training CSV has no data rows")
     return TrainingSet.from_triples(triples)

@@ -123,6 +123,20 @@ def ridge_objective(kernel, noise, train, y, g) -> float:
     return float((r.conj() @ np.linalg.solve(l, r) + g.conj() @ k @ g).real)
 
 
+def regression_function_bruteforce(blocks, labels, train_labels, vectors, coefficients) -> np.ndarray:
+    """``F(s_i) = sum_j K(s_i, s_j) a_j c_j`` for every label ``s_i``, one
+    training point and one entry at a time; an (n, d) array."""
+    n, _, d, _ = blocks.shape
+    out = np.zeros((n, d), dtype=np.complex128)
+    for i in range(n):
+        for s, a, c in zip(train_labels, vectors, coefficients):
+            j = list(labels).index(s)
+            for p in range(d):
+                for q in range(d):
+                    out[i, p] += blocks[i, j, p, q] * a[q] * c
+    return out
+
+
 def second_moment(paths: np.ndarray) -> np.ndarray:
     """``(1/N) sum_k w_k w_k^H`` over the N rows ``w_k`` of an (N, n, d)
     path array, each flattened to length n*d."""

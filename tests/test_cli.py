@@ -48,6 +48,7 @@ from opkern.specio import SpecError
 from opkern.regression import TrainingSet
 from conftest import labels, scalar_table
 from wire import array_to_json, kernel_to_spec, training_set_to_csv
+import oracles
 
 
 def write_json(path, payload):
@@ -234,18 +235,20 @@ def cost_specs(tmp_path):
 class TestCostGates:
     # Every call to a decomposition, a solve, a spectral norm, a factorization, a
     # positivity gate and a tile of normals that each subcommand makes on small
-    # inputs; a second decomposition of one Gram fails here, not as noise in
-    # the benchmark.
+    # inputs, and every table it builds; a second decomposition of one Gram
+    # fails here, not as noise in the benchmark.  ``block_frobenius`` counts
+    # the asymmetry passes of the tables that are not exactly Hermitian, two
+    # for each: every spec here is written from exactly Hermitian tables.
     COMMANDS = {
         "check-pd": (
             lambda p: ["check-pd", "--spec", p["kernel"]],
-            # eigvalsh: the kernel's Gram, for the verdict
-            {"eigvalsh": 1, "report_to_json": 1},
+            # eigvalsh: the kernel's Gram, for the verdict.  tables: the spec's.
+            {"eigvalsh": 1, "report_to_json": 1, "tables": 1},
         ),
         "factorize": (
             lambda p: ["factorize", "--spec", p["kernel"]],
-            # eigh: the kernel's Gram, for the features and their gate
-            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "report_to_json": 1},
+            # eigh: the kernel's Gram, for the features and their gate.  tables: the spec's.
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "report_to_json": 1, "tables": 1},
         ),
         "realize": (
             lambda p: ["realize", "--spec", p["system"]],
@@ -257,23 +260,29 @@ class TestCostGates:
             # the images for transitivity, V_K2 in the derivative and V_K1 in
             # the identification; the table scales come from the factorizations.
             # Spectral norms: eleven residuals.  T12 once per label.
+            # tables: K1, K2, L1 and L2 from the spec; K1 - K2, L1 - L2 and
+            # T^H (L1 - L2) T for the system identity; K2 - K1 for the
+            # domination.  block_frobenius: the congruence T^H (L1 - L2) T,
+            # whose blockwise products are not exactly Hermitian.
             {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "svd": 7,
              "spectral_norm": 11, "construct_partial_isometry": 1, "transfer_function": 2,
-             "report_to_json": 1},
+             "report_to_json": 1, "tables": 8, "block_frobenius": 2},
         ),
         "rn": (
             lambda p: ["rn", "--spec", p["pair"]],
             # eigh: the Gram of k and Phi.  eigvalsh: l, for its gate, and
             # k - l, for the domination.  require_psd: k's factorization, l
             # and k - l.  svd: V_k's pseudo-inverse.  Spectral norm: the
-            # reproduction residual.
+            # reproduction residual.  tables: l and k from the spec, and k - l.
             {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "svd": 1,
-             "spectral_norm": 1, "report_to_json": 1},
+             "spectral_norm": 1, "report_to_json": 1, "tables": 3},
         ),
         "sample": (
             lambda p: ["sample", "--spec", p["kernel"], "--samples", "600"],
-            # eigh: the kernel's Gram; one draw of normals per tile of 512
-            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "standard_normal_rows": 2},
+            # eigh: the kernel's Gram; one draw of normals per tile of 512.
+            # tables: the spec's.
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "standard_normal_rows": 2,
+             "tables": 1},
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
@@ -282,24 +291,27 @@ class TestCostGates:
             # eigvalsh: the Schur complement's positivity and the empirical
             # c_yy gate.  solve: the exact map T L^-1 and the regression.
             # require_psd: M's factorization and the Schur complement.
+            # tables: K and L from the spec, the joint M and the Schur
+            # complement, which is symmetrized before it is built.
             {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "solve": 2, "require_psd": 2,
-             "standard_normal_rows": 4, "report_to_json": 1},
+             "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
         ),
         "condition": (
             lambda p: ["condition", "--spec", p["joint"]],
             # As mc-verify, without the draws and the empirical gate.
             {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "solve": 1, "require_psd": 2,
-             "report_to_json": 1},
+             "report_to_json": 1, "tables": 4},
         ),
         "krr-fit": (
             lambda p: ["krr-fit", *p["krr"]],
             # eigvalsh: the signal and the noise design matrix, for their
             # gates, and their sum, for its invertibility before the solve.
-            {"eigvalsh": 3, "require_psd": 2, "solve": 1, "report_to_json": 1},
+            # tables: the signal and the noise spec's.
+            {"eigvalsh": 3, "require_psd": 2, "solve": 1, "report_to_json": 1, "tables": 2},
         ),
         "krr-predict": (
             lambda p: ["krr-predict", *p["krr"], "--fit", p["fit"], "--query", p["query"]],
-            # F is a sum over the training points: no decomposition
+            # F is read from the fit: no table and no decomposition
             {"report_to_json": 1},
         ),
     }
@@ -313,9 +325,12 @@ class TestCostGates:
                 for module in (cli, dilation, gaussian, kernels, regression, transfer)]
         realization = count_calls(monkeypatch, transfer, ["construct_partial_isometry", "transfer_function"])
         reports = count_calls(monkeypatch, specio, ["report_to_json"])
+        tables = count_calls(monkeypatch, kernels.OperatorKernelTable, ["__init__"])
+        asymmetry = count_calls(monkeypatch, kernels, ["_block_frobenius"])
         assert main([*argv(cost_specs), "--out", str(tmp_path / "out")]) == 0
         calls = {name: sum(counts.get(name, 0) for counts in ours) for name in OPKERN_CALLS}
         calls.update(linalg, spectral_norm=norms["norm"], **realization, **reports)
+        calls.update(tables=tables["__init__"], block_frobenius=asymmetry["_block_frobenius"])
         assert {name: count for name, count in calls.items() if count} == expected
 
 
@@ -623,7 +638,7 @@ class TestSpecLeafFuzz:
 # that design matrices, coefficients and predictions can overflow.  Most
 # cells are such numbers; the rest do not parse or are not finite.
 FUZZ_NUMBERS = [0.0, 1.0, -2.5, 5e-324, 1e-160, 1e150, 1e154, 1e200, -1e308, 1.7e308]
-CSV_CELLS = st.sampled_from([repr(x) for x in FUZZ_NUMBERS] * 3 + ["nan", "inf", "", "x"])
+CSV_CELLS = st.sampled_from([repr(x) for x in FUZZ_NUMBERS] * 3 + ["nan", "inf", "", "x", "1_0", "\u0661\u0662", " 2 "])
 FUZZ_LABELS = st.sampled_from(["s1", "s2", "zz"])
 CSV_HEADER = ["label", "a_0_re", "a_0_im", "y_re", "y_im"]
 
@@ -1244,11 +1259,90 @@ class TestKrr:
         assert main(predict_args(fit=[])) == 2
         assert "not a krr-fit report" in capsys.readouterr().err
 
-    def test_fit_needs_coefficients(self, predict_args, tmp_path, capsys):
+    # krr-predict reads only the fit's F; each of these exits 2 and names it.
+    BAD_REGRESSION_FUNCTIONS = {
+        "null": None,
+        "not_an_object": [[[1.0, 0.0]]],
+        "empty": {},
+        "ragged": {"s1": [[1.0, 0.0]], "s2": [[1.0, 0.0], [2.0, 0.0]]},
+        "string_leaf": {"s1": [["1.0", 0.0]]},
+        "number_per_label": {"s1": 1.0},
+    }
+
+    @pytest.mark.parametrize("case", ["missing", *sorted(BAD_REGRESSION_FUNCTIONS)])
+    def test_fit_needs_a_regression_function(self, case, predict_args, tmp_path, capsys):
         fit = json.loads((tmp_path / "fit.json").read_text())
-        del fit["results"]["coefficients"]
+        if case == "missing":  # as a fit written before krr-fit recorded F
+            del fit["results"]["regression_function"]
+        else:
+            fit["results"]["regression_function"] = self.BAD_REGRESSION_FUNCTIONS[case]
         assert main(predict_args(fit=fit)) == 2
-        assert "not a krr-fit report" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("opkern: input error:") and "regression_function" in err, err
+        assert not (tmp_path / "pred.json").exists()
+
+    def test_regression_function_matches_the_loop_built_one(self, tmp_path):
+        table = random_pd_kernel(3, 4, 2)
+        rng = np.random.default_rng(5)
+        # s3 and s4 carry no training point; s1 carries two.
+        train = TrainingSet.from_triples(
+            (s, rng.standard_normal(2) + 1j * rng.standard_normal(2), rng.standard_normal() + 1j * rng.standard_normal())
+            for s in ("s1", "s2", "s1")
+        )
+        (tmp_path / "train.csv").write_text(training_set_to_csv(train), encoding="utf-8")
+        fit = tmp_path / "fit.json"
+        assert main(["krr-fit", "--spec", write_json(tmp_path / "k.json", kernel_to_spec(table)),
+                     "--noise-spec", write_json(tmp_path / "l.json", kernel_to_spec(identity_kernel(labels(4), 2))),
+                     "--train", str(tmp_path / "train.csv"), "--out", str(fit)]) == 0
+        results = json.loads(fit.read_text())["results"]
+        assert sorted(results["regression_function"]) == ["s1", "s2", "s3", "s4"]
+        got = np.array([specio.json_to_array(results["regression_function"][s], (2,)) for s in table.labels])
+        ref = oracles.regression_function_bruteforce(table.blocks, table.labels, train.labels, train.vectors,
+                                                     specio.json_to_array(results["coefficients"], (3,)))
+        assert np.all(ref[2:] != 0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_predictions_are_those_of_the_fitted_function_bit_for_bit(self, cost_specs, tmp_path):
+        # JSON carries F exactly, so reading it equals evaluating the fit in-process.
+        out = tmp_path / "pred.json"
+        assert main(["krr-predict", *cost_specs["krr"], "--fit", cost_specs["fit"],
+                     "--query", cost_specs["query"], "--out", str(out)]) == 0
+        table = specio.kernel_from_spec(specio.load_json(cost_specs["kernel"]))
+        noise = specio.kernel_from_spec(specio.load_json(cost_specs["noise"]))
+        with open(cost_specs["train"], encoding="utf-8") as fh:
+            train = specio.training_set_from_csv(fh.read())
+        fit = regression.krr_fit(regression.design_matrices(table, noise, train), train.targets)
+        f_values = regression.representer(table, train, fit.coefficients)
+        queries = specio.load_json(cost_specs["query"])
+        want = regression.predict(table.label_set, f_values, [q["label"] for q in queries],
+                                  specio.json_to_array([q["a"] for q in queries], (len(queries), 2)))
+        predictions = json.loads(out.read_text())["results"]["predictions"]
+        got = specio.json_to_array([p["value"] for p in predictions], (len(queries),))
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_regression_function_exits_two(self, tmp_path, capsys):
+        # F(s2) = K(s2, s1) c = 1e307 * 500 overflows; the fit itself, [K] c = 500, does not.
+        spec = write_json(tmp_path / "k.json", kernel_to_spec(scalar_table([[1.0, 1e307], [1e307, 1.0]])))
+        noise = write_json(tmp_path / "l.json", kernel_to_spec(identity_kernel(labels(2), 1)))
+        train = tmp_path / "train.csv"
+        train.write_text("label,a_0_re,a_0_im,y_re,y_im\ns1,1.0,0.0,1000.0,0.0\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        assert main(["krr-fit", "--spec", spec, "--noise-spec", noise, "--train", str(train), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "opkern: input error: regression function contains non-finite entries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", " 2 ", "nan", "inf", "0x1p0", ""])
+    def test_training_cell_that_is_not_a_decimal_literal_exits_two(self, cell, specs, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text(f"label,a_0_re,a_0_im,y_re,y_im\ns1,1.0,0.0,{cell},0.0\n", encoding="utf-8")
+        out = tmp_path / "fit.json"
+        code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", str(train), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"opkern: input error: bad numeric field in training CSV: {cell!r} is not a decimal number\n"
+        )
+        assert not out.exists()
 
     def test_missing_train_exits_two(self, specs, tmp_path, capsys):
         code = main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
@@ -1367,7 +1461,18 @@ class TestDeterminism:
         "condition": lambda s: ["condition", "--spec", s["joint"]],
         "krr-fit": lambda s: ["krr-fit", "--spec", s["one"], "--noise-spec", s["one"],
                               "--train", s["train"]],
+        "krr-predict": lambda s: ["krr-predict", "--spec", s["one"], "--noise-spec", s["one"],
+                                  "--train", s["train"], "--fit", s["fit"], "--query", s["query"]],
     }
+
+    @pytest.fixture
+    def specs(self, specs, tmp_path):
+        """The shared specs, with a krr-fit report and a query for krr-predict."""
+        fit = str(tmp_path / "fit.json")
+        assert main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"],
+                     "--train", specs["train"], "--out", fit, "--no-timestamp"]) == 0
+        query = write_json(tmp_path / "query.json", [{"label": "s1", "a": [[1.0, 0.5]]}] * 3)
+        return {**specs, "fit": fit, "query": query}
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_reports_are_byte_identical(self, name, specs, tmp_path):

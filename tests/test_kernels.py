@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,8 @@ from opkern.kernels import (
     require_invertible,
     require_psd,
 )
+from opkern import kernels
+from opkern.cli import main
 from conftest import labels, scalar_table
 import oracles
 
@@ -229,6 +233,85 @@ class TestHermitianRepair:
             else:
                 with pytest.raises(InvalidKernel, match="not Hermitian"):
                     OperatorKernelTable(labels(n), blocks)
+
+
+def count_block_frobenius(monkeypatch) -> list[int]:
+    """Count the blockwise Frobenius passes of table constructions from now on."""
+    passes = [0]
+    original = kernels._block_frobenius
+
+    def counted(blocks):
+        passes[0] += 1
+        return original(blocks)
+
+    monkeypatch.setattr(kernels, "_block_frobenius", counted)
+    return passes
+
+
+# Entries that equal their mirrors under == but not bit for bit, and subnormals.
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0]
+
+
+class TestExactlyHermitianTables:
+    """A table equal to its adjoint has no asymmetry to measure; its flat
+    matrix is still ``0.5 * (K + K^H)`` byte for byte."""
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 3),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        entries=st.lists(st.tuples(st.sampled_from(EDGE_ENTRIES), st.sampled_from(EDGE_ENTRIES),
+                                   st.booleans()), min_size=1, max_size=6),
+    )
+    def test_flat_is_the_average_without_asymmetry_norms(self, n, d, seed, entries):
+        rng = np.random.default_rng(seed)
+        blocks = oracles.random_hermitian_blocks(rng, n, d)
+        for re, im, flip in entries:
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            p, q = (int(v) for v in rng.integers(0, d, size=2))
+            if (i, p) == (j, q):
+                im = 0.0
+            blocks[i, j, p, q] = complex(re, im)
+            # The mirror's real zero may carry the other sign: == holds, the bits differ.
+            blocks[j, i, q, p] = complex(-re if flip and re == 0.0 else re, -im)
+        with pytest.MonkeyPatch.context() as mp:
+            passes = count_block_frobenius(mp)
+            table = OperatorKernelTable(labels(n), blocks)
+        assert passes == [0]
+        flat = oracles.assemble_flat_bruteforce(blocks)
+        assert table.flat.tobytes() == (0.5 * (flat + flat.conj().T)).tobytes()
+
+    @pytest.mark.parametrize("factor,repaired", [(1 - 1e-9, True), (1 + 1e-9, False)])
+    def test_asymmetry_at_the_bound_keeps_its_verdict_and_message(self, factor, repaired, monkeypatch):
+        blocks = oracles.random_hermitian_blocks(np.random.default_rng(3), 3, 2)
+        blocks[0, 1, 0, 1] = blocks[1, 0, 1, 0] = 0.0
+        scale = float(np.sqrt((np.abs(blocks) ** 2).sum(axis=(2, 3))).max())
+        defect = factor * HERMITIAN_RTOL * scale
+        blocks[0, 1, 0, 1] = defect
+        passes = count_block_frobenius(monkeypatch)
+        if repaired:
+            assert OperatorKernelTable(labels(3), blocks).blocks[0, 1, 0, 1] == 0.5 * defect
+        else:
+            with pytest.raises(InvalidKernel) as exc:
+                OperatorKernelTable(labels(3), blocks)
+            assert str(exc.value) == (
+                f"block pattern is not Hermitian: asymmetry {defect:.3e} exceeds 1e-12 * {scale:.3e}"
+            )
+        assert passes == [2]
+
+    def test_entries_near_the_float_limit_exit_two(self, tmp_path, capsys):
+        # Exactly Hermitian, but K + K^H overflows before it is halved.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"labels": ["a", "b"], "dim_h": 1, "kind": "explicit", "blocks": [[[[[1e308, 0.0]]]] * 2] * 2}
+        ), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["check-pd", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "opkern: input error: symmetrized kernel table contains non-finite entries\n"
+        )
+        assert not out.exists()
 
 
 class TestPositivity:

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from opkern import (
     LabelError,
+    LabelSet,
+    OperatorKernelTable,
+    OpKernError,
     ShapeError,
     SingularL,
     SingularSystem,
@@ -388,3 +391,104 @@ class TestRegularizationScaling:
             forms.append(float((train.targets.conj() @ c).real))
         assert norms[0] >= norms[1] >= norms[2]
         assert forms[0] >= forms[1] >= forms[2]
+
+
+def permuted(table, order):
+    """``table`` over its labels taken in ``order``: block ``(i, j)`` is
+    block ``(order[i], order[j])`` of ``table``."""
+    ls = LabelSet.of(table.labels[i] for i in order)
+    return OperatorKernelTable(ls, table.blocks[np.ix_(order, order)])
+
+
+def outcome(step):
+    """``step()``, or the class of the opkern error that it raised: a gate's decision."""
+    try:
+        return step()
+    except OpKernError as exc:
+        return type(exc)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want), initial=0.0)) / max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+
+
+class TestLabelPermutation:
+    """Relabelling reorders, and nothing else: permuting the labels permutes
+    F and condition's posterior blocks to 1e-12 relative, moves every
+    prediction by at most 1e-12 of ``|a| ||F(s)||``, and changes no gate's
+    decision.  Shifted or rank-deficient tables make some gates fail."""
+
+    PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        d=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0.0, 0.0, 2.0, 100.0]),
+        data=st.data(),
+    )
+    def test_regression(self, n, d, seed, shift, data):
+        order = data.draw(st.permutations(range(n)))
+        rank = data.draw(st.integers(1, n * d))
+        k = random_pd_kernel(seed, n, d) - shift * identity_kernel(labels(n), d)
+        noise = random_pd_kernel(seed + 1, n, d, rank)
+        rng = np.random.default_rng(seed)
+        # One training point on each label but the last, which has none.
+        train = TrainingSet.from_triples(
+            (f"s{i + 1}", rng.standard_normal(d) + 1j * rng.standard_normal(d), rng.standard_normal())
+            for i in range(n - 1)
+        )
+        q_labels = [f"s{i + 1}" for i in rng.integers(0, n, size=5)]
+        q_vectors = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+
+        def run(table, noise_table):
+            fit = krr_fit(design_matrices(table, noise_table, train), train.targets)
+            f_values = representer(table, train, fit.coefficients)
+            return f_values, predict(table.label_set, f_values, q_labels, q_vectors)
+
+        first = outcome(lambda: run(k, noise))
+        second = outcome(lambda: run(permuted(k, order), permuted(noise, order)))
+        if isinstance(first, type):
+            assert second is first
+            return
+        (f_values, values), (f_perm, values_perm) = first, second
+        assert relative_gap(f_perm, f_values[order]) <= 1e-12
+        rows = [k.label_set.index(s) for s in q_labels]
+        scale = np.linalg.norm(q_vectors, axis=1) * np.linalg.norm(f_values[rows], axis=1)
+        assert np.all(np.abs(values_perm - values) <= 1e-12 * scale)
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 3),
+        d=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        data=st.data(),
+    )
+    def test_conditioning(self, n, d, seed, lam, data):
+        order = data.draw(st.permutations(range(n)))
+        # Full rank, rank n*d (a zero Schur complement) or an L of rank below n*d.
+        rank = data.draw(st.sampled_from([2 * n * d, 2 * n * d, n * d, n * d - 1 or 1]))
+        big = random_pd_kernel(seed, n, 2 * d, rank)
+        k = OperatorKernelTable(big.label_set, big.blocks[:, :, :d, :d])
+        l = OperatorKernelTable(big.label_set, big.blocks[:, :, d:, d:])
+        coupling = lam * big.blocks[:, :, :d, d:]
+        rng = np.random.default_rng(seed)
+        observed = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+
+        def run(k_table, l_table, t_blocks, y):
+            joint = assemble_joint(k_table, l_table, t_blocks)
+            return condition(joint, y), joint.schur.blocks
+
+        first = outcome(lambda: run(k, l, coupling, observed))
+        second = outcome(lambda: run(permuted(k, order), permuted(l, order),
+                                     coupling[np.ix_(order, order)], observed[order]))
+        if isinstance(first, type):
+            assert second is first
+            return
+        (mean, schur), (mean_perm, schur_perm) = first, second
+        assert relative_gap(mean_perm, mean[order]) <= 1e-12
+        # A Schur complement that is zero in exact arithmetic is rounding at the scale of K.
+        scale = max(float(np.max(np.abs(schur))), float(np.max(np.abs(k.blocks))))
+        assert float(np.max(np.abs(schur_perm - schur[np.ix_(order, order)]))) <= 1e-12 * scale
