@@ -29,7 +29,6 @@ from .kernels import (
     is_positive_definite,
     neumann_series_kernel,
     random_pd_kernel,
-    scalar_kernel,
 )
 from .dilation import (
     FeatureSystem,

@@ -12,7 +12,8 @@ for every finite system of vectors ``a_i``, one per label.  Equivalently the
 major, coordinates minor).  This ordering is canonical throughout the
 package; every Gram-level computation in the other modules relies on it.
 A table stores only its flattened matrix; the ``(n, n, d, d)`` block array
-is a zero-copy view of it.
+is a zero-copy view of it.  A table is a validated kernel, not a value to
+compute with: differences and congruences are formed on flat matrices.
 
 Positivity is decided by :func:`require_psd`: the smallest eigenvalue must
 be at least ``-tol`` times a scale, by default the matrix's own spectral
@@ -97,8 +98,9 @@ class OperatorKernelTable:
     ``K(t, s) == K(s, t)^H``.  Asymmetry up to ``1e-12`` relative to the
     largest block norm is repaired by averaging; anything worse is rejected
     as a data error rather than silently fixed.  The block norms are
-    measured only when the table differs from its adjoint.  Instances are
-    immutable and safe to share between threads.
+    measured only when the table differs from its adjoint.  A table is a
+    validated kernel, not a value to compute with: it has no arithmetic,
+    is immutable and is safe to share between threads.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -167,27 +169,6 @@ class OperatorKernelTable:
     def _require_same_shape(self, other: "OperatorKernelTable") -> None:
         if self.label_set != other.label_set or self.dim_h != other.dim_h:
             raise ShapeError("kernel tables have different labels or operator dimension")
-
-    def __add__(self, other: "OperatorKernelTable") -> "OperatorKernelTable":
-        self._require_same_shape(other)
-        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, self.flat + other.flat)
-
-    def __sub__(self, other: "OperatorKernelTable") -> "OperatorKernelTable":
-        self._require_same_shape(other)
-        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, self.flat - other.flat)
-
-    def __rmul__(self, scalar) -> "OperatorKernelTable":
-        c = complex(scalar)
-        if c.imag != 0.0:
-            raise InvalidKernel("scaling a kernel by a non-real factor breaks Hermitian symmetry")
-        return OperatorKernelTable.from_flat(self.label_set, self.dim_h, c.real * self.flat)
-
-    def conjugated(self, t_op) -> "OperatorKernelTable":
-        """Blockwise congruence ``K(s, t) -> T^H K(s, t) T``."""
-        t_op = np.asarray(t_op, dtype=np.complex128)
-        if t_op.shape != (self.dim_h, self.dim_h):
-            raise ShapeError(f"expected ({self.dim_h}, {self.dim_h}) operator, got {t_op.shape}")
-        return OperatorKernelTable(self.label_set, t_op.conj().T @ (self.blocks @ t_op))
 
     def __repr__(self) -> str:
         return f"OperatorKernelTable(n={self.n}, dim_h={self.dim_h})"
@@ -296,11 +277,6 @@ def constant_kernel(label_set: LabelSet, block) -> OperatorKernelTable:
     return OperatorKernelTable(label_set, np.broadcast_to(block, (n, n, d, d)))
 
 
-def scalar_kernel(label_set: LabelSet, matrix) -> OperatorKernelTable:
-    """d = 1 table whose blocks are the entries of an n x n Hermitian matrix."""
-    return OperatorKernelTable.from_flat(label_set, 1, matrix)
-
-
 def _strict_contraction(h, label_set: LabelSet, point_map: Mapping) -> tuple[np.ndarray, float, np.ndarray]:
     """The square complex matrix ``h``, its operator norm, which must be
     below 1, and the ``(n, d, d)`` points of ``point_map`` in label order."""
@@ -360,6 +336,7 @@ def _series_length(q: float, max_norm: float, tol: float) -> int:
     return n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing table is refused as non-finite
 def neumann_series_kernel(h, label_set: LabelSet, point_map: Mapping, tol: float = 1e-12) -> OperatorKernelTable:
     """Geometric resolvent table ``sum_m h^{mH} (s_i^H s_j) h^m``.
 

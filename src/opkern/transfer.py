@@ -31,8 +31,8 @@ is dominated (``K1 <= K2``) its square root agrees with the transfer
 function on the span of the ``V_K2(s) a``, after the canonical isometric
 identification of the two dilation spaces.
 
-:func:`validate_system` factors each of the four tables once and the
-validated system carries those factorizations; the realization
+:func:`validate_system` factors each of the four tables once, measures the
+identity on their flat Grams and carries the factorizations; the realization
 ``real = construct_partial_isometry(sys)`` is built from them, and
 ``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label and
 derives every check from those values: the realization residuals, the
@@ -54,6 +54,7 @@ from .dilation import FeatureSystem, kolmogorov_factorize
 from .errors import (
     GramMismatch,
     InternalInvariantViolation,
+    InvalidKernel,
     NotDominated,
     NotEquivalent,
     NotInvertible,
@@ -67,6 +68,7 @@ from .kernels import (
     TINY,
     LabelSet,
     OperatorKernelTable,
+    block_layout,
     max_spectral_norm,
     require_psd,
 )
@@ -111,11 +113,12 @@ def validate_system(
 
     Positivity is decided by factoring each table (:func:`kolmogorov_factorize`
     at ``RANK_RTOL``); a non-positive table raises
-    :class:`NotPositiveDefinite` naming it.  The identity residual is
-    measured blockwise in spectral norm, relative to the largest flattened
-    norm among the four tables (the L-side scaled by ``max(1, ||T||^2)``).
-    A relative residual above ``1e-10`` raises :class:`NotEquivalent` with
-    the offending residual attached.
+    :class:`NotPositiveDefinite` naming it.  The identity residual is the
+    spectral norm of ``K1 - K2 - T^H (L1 - L2) T`` on flat Grams, relative
+    to the largest flattened norm among the four tables (the L-side scaled
+    by ``max(1, ||T||^2)``).  A relative residual above ``1e-10`` raises
+    :class:`NotEquivalent` with the offending residual attached; a defect,
+    residual or scale beyond the float range raises :class:`InvalidKernel`.
     """
     features = {}
     for name, tab in {"k1": k1, "k2": k2, "l1": l1, "l2": l2}.items():
@@ -125,17 +128,15 @@ def validate_system(
     if t_op.shape != (k1.dim_h, k1.dim_h):
         raise ShapeError(f"T must be ({k1.dim_h}, {k1.dim_h}), got {t_op.shape}")
 
-    lhs = (k1 - k2).flat
-    rhs = ((l1 - l2).conjugated(t_op)).flat
-    residual = float(np.linalg.norm(lhs - rhs, 2))
-    t_sq = max(1.0, float(np.linalg.norm(t_op, 2)) ** 2)
-    scale = max(
-        features["k1"].norm,
-        features["k2"].norm,
-        t_sq * features["l1"].norm,
-        t_sq * features["l2"].norm,
-        TINY,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is refused, unseen by the SVD
+        congruence = block_layout(t_op.conj().T @ ((l1.blocks - l2.blocks) @ t_op))
+        defect = (k1.flat - k2.flat) - 0.5 * (congruence + congruence.conj().T)
+    residual = float(np.linalg.norm(defect, 2)) if np.isfinite(defect).all() else math.inf
+    t_sq = max(1.0, _square(float(np.linalg.norm(t_op, 2))))
+    norm = {name: fs.norm for name, fs in features.items()}
+    scale = max(norm["k1"], norm["k2"], t_sq * norm["l1"], t_sq * norm["l2"], TINY)
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise InvalidKernel(f"system identity leaves the float range: residual {residual:.3e}, scale {scale:.3e}")
     rel = residual / scale
     if residual > 1e-10 * scale:
         raise NotEquivalent(
@@ -178,6 +179,14 @@ class TransferRealization:
         )
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or ``inf`` where the square leaves the float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values, orthonormal range basis and pseudo-inverse of ``a``.
 
@@ -210,7 +219,9 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     s_g, initial_basis, g_pinv = _svd(g, RANK_RTOL)
     s_f, final_basis, _ = _svd(f, RANK_RTOL)
     # ||X^H X||_2 is the square of the largest singular value of X.
-    gram_scale = max(float(s_g.max(initial=0.0)) ** 2, float(s_f.max(initial=0.0)) ** 2, TINY)
+    gram_scale = max(_square(float(s_g.max(initial=0.0))), _square(float(s_f.max(initial=0.0))), TINY)
+    if not math.isfinite(gram_scale):
+        raise InvalidKernel(f"stacked feature Grams G^H G and F^H F leave the float range (scale {gram_scale:.3e})")
     gram_defect = float(np.linalg.norm(g.conj().T @ g - f.conj().T @ f, 2)) / gram_scale
     if gram_defect > 1e-9:
         raise GramMismatch(
@@ -410,7 +421,7 @@ def _derivative(
 ) -> RNDerivative:
     """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
     hi_scale = fs.norm
-    require_psd(np.linalg.eigvalsh((hi - lo).flat), tol, NotDominated, "hi - lo", hi_scale)
+    require_psd(np.linalg.eigvalsh(hi.flat - lo.flat), tol, NotDominated, "hi - lo", hi_scale)
     pinv = _svd(fs.stacked, RANK_RTOL)[2]
     phi = pinv.conj().T @ lo.flat @ pinv
     phi = 0.5 * (phi + phi.conj().T)

@@ -21,7 +21,6 @@ from opkern import (
     construct_partial_isometry,
     design_matrices,
     generate_valid_system,
-    identity_kernel,
     is_positive_definite,
     kolmogorov_factorize,
     krr_fit,
@@ -29,14 +28,13 @@ from opkern import (
     neumann_series_kernel,
     radon_nikodym,
     random_pd_kernel,
-    scalar_kernel,
     transfer_function,
     validate_system,
     verify_realization,
 )
 from opkern.cli import main
 from opkern.regression import TrainingSet
-from conftest import labels, sample_paths
+from conftest import equal_conditional_instance, labels, sample_paths
 from wire import kernel_to_spec, training_set_to_csv
 import oracles
 
@@ -53,7 +51,7 @@ def criterion(number, description):
 
 def scalar_system(k1, k2, l1, l2, t=1.0):
     ls = labels(1)
-    mk = lambda v: scalar_kernel(ls, np.array([[float(v)]]))
+    mk = lambda v: OperatorKernelTable.from_flat(ls, 1, np.array([[float(v)]]))
     return validate_system(mk(k1), mk(k2), mk(l1), mk(l2), np.array([[float(t)]]))
 
 
@@ -85,7 +83,7 @@ def test_criterion_02_flattened_positivity_equals_quadratic_form():
             table = random_pd_kernel(20_000 + case, n, d)
             if case % 2:  # make half the instances clearly indefinite
                 shift = is_positive_definite(table).scale
-                table = table - (0.7 * shift) * identity_kernel(table.label_set, d)
+                table = OperatorKernelTable.from_flat(table.label_set, d, table.flat - 0.7 * shift * np.eye(n * d))
             vote = oracles.quadratic_form_pd_flag(
                 table.blocks, np.random.default_rng(30_000 + case), systems=100, rtol=1e-10
             )
@@ -148,7 +146,7 @@ def test_criterion_05_monte_carlo_covariance():
 def test_criterion_06_joint_conditioning():
     with criterion(6, "scalar conditional law exact at 1e-12, empirical at 5 SE, Schur gate matches brute force"):
         ls = labels(1)
-        one = scalar_kernel(ls, np.array([[1.0]]))
+        one = OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]]))
         half = np.full((1, 1, 1, 1), 0.5)
         joint = assemble_joint(one, one, half)
         assert abs(condition(joint, np.array([[2.0]]))[0, 0] - 1.0) <= 1e-12
@@ -188,47 +186,20 @@ def test_criterion_06_joint_conditioning():
                 assert accepted == (evals[0] > 0), f"case {case}, lam {lam}"
 
 
-def _equal_conditional_instance(rng, n, d):
-    """(k1, k2, l1, l2, coupling) with equal conditional covariances."""
-    nd = n * d
-    ls = labels(n)
-
-    def rand_pd(ridge):
-        g = rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))
-        return g.conj().T @ g + ridge * np.eye(nd)
-
-    k1_flat = rand_pd(1.0)
-    l1_flat = rand_pd(0.5)
-    l2_flat = l1_flat + rand_pd(0.0)
-    t_gram = rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))
-    gap = np.linalg.inv(l1_flat) - np.linalg.inv(l2_flat)
-    bump = t_gram @ gap @ t_gram.conj().T
-    bump = 0.5 * (bump + bump.conj().T)
-    lam_max = float(np.linalg.eigvalsh(bump)[-1])
-    lam_min_k1 = float(np.linalg.eigvalsh(k1_flat)[0])
-    scale = np.sqrt(0.5 * lam_min_k1 / max(lam_max, 1e-300))
-    t_gram *= scale
-    k2_flat = k1_flat - scale**2 * bump
-
-    blockize = lambda flat: OperatorKernelTable.from_flat(ls, d, flat)
-    coupling = t_gram.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-    return blockize(k1_flat), blockize(k2_flat), blockize(l1_flat), blockize(l2_flat), coupling
-
-
 def test_criterion_07_conditional_covariance_equivalence():
     with criterion(7, "equality decision tracks the 1e-10 residual in both directions on 20 instances"):
         rng = np.random.default_rng(7007)
         sizes = [(1, 1), (2, 2), (2, 1), (3, 1), (1, 2)]
         for case in range(20):
             n, d = sizes[case % len(sizes)]
-            k1, k2, l1, l2, coupling = _equal_conditional_instance(rng, n, d)
+            k1, k2, l1, l2, coupling = equal_conditional_instance(rng, n, d)
             report = conditional_cov_equal(k1, k2, l1, l2, coupling)
             assert report.equal, f"case {case}: residual {report.residual:.3e}"
             assert report.residual <= 1e-10
 
             # perturb one kernel well past tolerance: must flip the decision
             scale = is_positive_definite(k2).scale
-            k2_off = k2 + (1e-6 * scale) * identity_kernel(k2.label_set, d)
+            k2_off = OperatorKernelTable.from_flat(k2.label_set, d, k2.flat + 1e-6 * scale * np.eye(n * d))
             flipped = conditional_cov_equal(k1, k2_off, l1, l2, coupling)
             assert not flipped.equal, f"case {case}"
             assert flipped.residual > 1e-10
@@ -250,7 +221,8 @@ def test_criterion_08_ridge_equals_gp_posterior():
                     triples.append((s, e, observed[i, p]))
             train = TrainingSet.from_triples(triples)
             fit = krr_fit(design_matrices(k, noise, train), train.targets)
-            posterior = condition(assemble_joint(k, k + noise, k.blocks), observed)
+            signal_plus_noise = OperatorKernelTable.from_flat(k.label_set, d, k.flat + noise.flat)
+            posterior = condition(assemble_joint(k, signal_plus_noise, k.blocks), observed)
             scale = max(1.0, float(np.linalg.norm(observed)))
             gap = np.linalg.norm(fit.fitted - posterior.reshape(-1))
             assert gap <= 1e-9 * scale, f"case {case}: gap {gap:.3e}"
@@ -296,8 +268,8 @@ def test_criterion_09_neumann_builder():
 def test_criterion_10_cli_determinism(tmp_path):
     with criterion(10, "every subcommand is byte-identical across repeated runs"):
         ls = labels(1)
-        one = scalar_kernel(ls, np.array([[1.0]]))
-        four = scalar_kernel(ls, np.array([[4.0]]))
+        one = OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]]))
+        four = OperatorKernelTable.from_flat(ls, 1, np.array([[4.0]]))
         spec_one = tmp_path / "one.json"
         spec_one.write_text(json.dumps(kernel_to_spec(one)))
         spec_system = tmp_path / "system.json"

@@ -21,7 +21,6 @@ from opkern import (
     identity_kernel,
     kolmogorov_factorize,
     random_pd_kernel,
-    scalar_kernel,
     transfer,
 )
 from opkern import InternalInvariantViolation, OpKernError, cli, dilation, kernels, regression
@@ -46,7 +45,7 @@ from opkern.cli import main
 from opkern import specio
 from opkern.specio import SpecError
 from opkern.regression import TrainingSet
-from conftest import labels, scalar_table
+from conftest import labels, null_cone_system, scalar_table
 from wire import array_to_json, kernel_to_spec, training_set_to_csv
 import oracles
 
@@ -60,13 +59,13 @@ def write_json(path, payload):
 def specs(tmp_path):
     """A bundle of spec files shared by the CLI tests."""
     ls1 = labels(1)
-    one = scalar_kernel(ls1, np.array([[1.0]]))
-    four = scalar_kernel(ls1, np.array([[4.0]]))
+    one = OperatorKernelTable.from_flat(ls1, 1, np.array([[1.0]]))
+    four = OperatorKernelTable.from_flat(ls1, 1, np.array([[4.0]]))
     paths = {
         "identity": write_json(tmp_path / "identity.json", kernel_to_spec(identity_kernel(labels(2), 2))),
         "indefinite": write_json(
             tmp_path / "indefinite.json",
-            kernel_to_spec(scalar_kernel(labels(2), np.array([[1.0, 2.0], [2.0, 1.0]]))),
+            kernel_to_spec(scalar_table(np.array([[1.0, 2.0], [2.0, 1.0]]))),
         ),
         "builder": write_json(
             tmp_path / "builder.json",
@@ -238,7 +237,10 @@ class TestCostGates:
     # inputs, and every table it builds; a second decomposition of one Gram
     # fails here, not as noise in the benchmark.  ``block_frobenius`` counts
     # the asymmetry passes of the tables that are not exactly Hermitian, two
-    # for each: every spec here is written from exactly Hermitian tables.
+    # for each.  It reads 0 everywhere: every spec here is written from
+    # exactly Hermitian tables, the joint M and the Schur complement are
+    # exactly Hermitian when built, and differences and congruences of
+    # kernels are formed on flat Grams, not as tables.
     COMMANDS = {
         "check-pd": (
             lambda p: ["check-pd", "--spec", p["kernel"]],
@@ -260,22 +262,21 @@ class TestCostGates:
             # the images for transitivity, V_K2 in the derivative and V_K1 in
             # the identification; the table scales come from the factorizations.
             # Spectral norms: eleven residuals.  T12 once per label.
-            # tables: K1, K2, L1 and L2 from the spec; K1 - K2, L1 - L2 and
-            # T^H (L1 - L2) T for the system identity; K2 - K1 for the
-            # domination.  block_frobenius: the congruence T^H (L1 - L2) T,
-            # whose blockwise products are not exactly Hermitian.
+            # tables: K1, K2, L1 and L2 from the spec; the system identity
+            # and the domination are formed on their flat Grams.
             {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "svd": 7,
              "spectral_norm": 11, "construct_partial_isometry": 1, "transfer_function": 2,
-             "report_to_json": 1, "tables": 8, "block_frobenius": 2},
+             "report_to_json": 1, "tables": 4},
         ),
         "rn": (
             lambda p: ["rn", "--spec", p["pair"]],
             # eigh: the Gram of k and Phi.  eigvalsh: l, for its gate, and
             # k - l, for the domination.  require_psd: k's factorization, l
             # and k - l.  svd: V_k's pseudo-inverse.  Spectral norm: the
-            # reproduction residual.  tables: l and k from the spec, and k - l.
+            # reproduction residual.  tables: l and k from the spec; k - l is
+            # formed on their flat Grams.
             {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "svd": 1,
-             "spectral_norm": 1, "report_to_json": 1, "tables": 3},
+             "spectral_norm": 1, "report_to_json": 1, "tables": 2},
         ),
         "sample": (
             lambda p: ["sample", "--spec", p["kernel"], "--samples", "600"],
@@ -524,10 +525,12 @@ class TestSpecFuzz:
 
 
 # Numeric leaves of the spec arrays are replaced by these: non-finite
-# numbers, finite numbers within 1e6 (the smallest subnormal included), and
+# numbers, finite numbers within 1e6 (the smallest subnormal included),
+# numbers out to the float limit, whose squares and sums overflow, and
 # values that are not numbers.
 LEAF_VALUES = (
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 0.0, 1e6, -1e6])
+    | st.sampled_from([1e150, 1e154, 1e200, -1e308, 1.7e308, 8e307])
     | st.floats(-1e6, 1e6)
     | st.none()
     | st.booleans()
@@ -538,7 +541,7 @@ LEAF_VALUES = (
 
 
 def _scalar_spec(value):
-    return kernel_to_spec(scalar_kernel(LabelSet.of(["a"]), np.array([[value]])))
+    return kernel_to_spec(OperatorKernelTable.from_flat(LabelSet.of(["a"]), 1, np.array([[value]])))
 
 
 def _generated_system_spec():
@@ -553,6 +556,9 @@ def _neumann_spec(point):
 
 
 # Scalar tables over the label "a": CP = 3/4, N(1) = 4/3 and N(1/2) = 1/3.
+# In EQUAL_L, L1 = L2, so a huge t reaches the identity gate through ||T||^2 alone.
+EQUAL_L = {"k1": _scalar_spec(2.0), "k2": _scalar_spec(2.0), "l1": _scalar_spec(1.0), "l2": _scalar_spec(1.0),
+           "t": [[[0.5, 0.0]]]}
 CP = builder_spec("cp_contraction", {"h": [[[0.5, 0.0]]], "points": {"a": ONE_PAIR}})
 BASE_SPECS = {
     "realize": [
@@ -560,6 +566,7 @@ BASE_SPECS = {
         # 3/4 - (1/4)(4/3) = 1/2 - (1/4)(1/3)
         {"k1": CP, "k2": _scalar_spec(0.5), "l1": _neumann_spec(1.0), "l2": _neumann_spec(0.5),
          "t": [[[0.5, 0.0]]]},
+        EQUAL_L,
     ],
     "rn": [
         {"l": _scalar_spec(1.0), "k": _scalar_spec(4.0)},
@@ -610,7 +617,9 @@ def _reject_constant(token):
 
 
 class TestSpecLeafFuzz:
-    @pytest.mark.parametrize("command,spec", [(c, spec) for c in sorted(BASE_SPECS) for spec in BASE_SPECS[c]])
+    # EQUAL_L runs last, so that the earlier base specs keep their test ids.
+    @pytest.mark.parametrize("command,spec", [(c, spec) for c in sorted(BASE_SPECS) for spec in BASE_SPECS[c]
+                                              if spec is not EQUAL_L] + [("realize", EQUAL_L)])
     def test_base_specs_succeed(self, command, spec, tmp_path):
         path = write_json(tmp_path / "spec.json", spec)
         assert main([command, "--spec", path, *EXTRA_ARGS.get(command, []), "--out", str(tmp_path / "r")]) == 0
@@ -745,7 +754,7 @@ class TestHypothesisExitCodes:
         ids=["condition", "mc-verify", "condition-tol0"],
     )
     def test_condition_singular_l_exits_three(self, tmp_path, capsys, command, extra):
-        zero_spec = kernel_to_spec(scalar_kernel(labels(1), np.array([[0.0]])))
+        zero_spec = kernel_to_spec(scalar_table(np.array([[0.0]])))
         payload = {
             "k": zero_spec,
             "l": zero_spec,
@@ -758,7 +767,7 @@ class TestHypothesisExitCodes:
             # the mean map inverts.
             payload = {
                 "k": kernel_to_spec(identity_kernel(labels(2), 1)),
-                "l": kernel_to_spec(scalar_kernel(labels(2), np.diag([1.0, 1e-12]))),
+                "l": kernel_to_spec(scalar_table(np.diag([1.0, 1e-12]))),
                 "t_coupling": array_to_json(np.diag([0.5, 1e-7]).reshape(2, 2, 1, 1)),
                 "observed_l": [[[1.0, 0.0]], [[1.0, 0.0]]],
             }
@@ -770,7 +779,7 @@ class TestHypothesisExitCodes:
         # duplicated sample under a rank-one kernel: [L] + [K] is singular
         rank_one = write_json(
             tmp_path / "rank_one.json",
-            kernel_to_spec(scalar_kernel(labels(2), np.ones((2, 2)))),
+            kernel_to_spec(scalar_table(np.ones((2, 2)))),
         )
         train = tmp_path / "dup.csv"
         train.write_text(
@@ -796,6 +805,24 @@ class TestHypothesisExitCodes:
         assert f"hypothesis failure: {slot} design matrix is not positive" in capsys.readouterr().err
 
 
+def system_spec(path, k1, k2, l1, l2, t):
+    """Write the system spec of flat Grams over labels s1 .. sn and the operator ``t``."""
+    t = np.atleast_2d(np.asarray(t, dtype=np.complex128))
+    d = t.shape[0]
+    table = lambda flat: kernel_to_spec(OperatorKernelTable.from_flat(labels(len(flat) // d), d, flat))
+    return write_json(path, {"k1": table(k1), "k2": table(k2), "l1": table(l1), "l2": table(l2),
+                             "t": array_to_json(t)})
+
+
+def stderr_is(err, expected):
+    """Whether stderr is the one ``opkern:`` line starting with ``expected``, or empty when that is ``""``."""
+    return err == "" if not expected else err.startswith(f"opkern: {expected}") and err.count("\n") == 1
+
+
+SUMS = np.array([[1.0, 1.0], [1.0, 1.0]])
+DIFFERENCES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 class TestRealize:
     def test_scalar_system_report(self, specs, tmp_path):
         out = tmp_path / "r.json"
@@ -819,6 +846,38 @@ class TestRealize:
         code = main(["realize", "--spec", specs["degenerate_system"], "--out", str(out), "--no-timestamp"])
         assert code == 3
         assert json.loads(out.read_text())["results"]["condition"] == "rank_condition_failed"
+
+    def test_system_near_the_null_cone_of_l1_minus_l2_is_realized(self, tmp_path, capsys):
+        # T^H (L1 - L2) T cancels, so its rounding is far from Hermitian at its own size.
+        out = tmp_path / "r.json"
+        spec = system_spec(tmp_path / "system.json", *null_cone_system(0.5, 1e-6, np.array([1.0, 1j])))
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["system_identity_residual"] <= 1e-10 and results["dominated"] is True
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flats,t,code,err", [
+        # K1 - K2 reaches 1.6e308, which is representable: the identity fails
+        ((8e307 * SUMS, 8e307 * DIFFERENCES, np.eye(2), np.eye(2)), 1.0, 1, ""),
+        # ||T||^2 overflows: the scale leaves the float range
+        ((np.eye(2),) * 4, 1e200, 2, "input error: system identity leaves the float range"),
+        # the residual and the scale both overflow
+        ((np.eye(3), np.eye(3), 5e307 * np.ones((3, 3)), np.zeros((3, 3))), 1.3, 2,
+         "input error: system identity leaves the float range"),
+        # the congruence T^H (L1 - L2) T overflows
+        ((np.eye(2), np.eye(2), 2.0 * np.eye(2), np.eye(2)), 1e200 * np.eye(2), 2,
+         "input error: system identity leaves the float range"),
+        # the identity is exact and its scale finite, but G^H G is not
+        ((8e307 * np.eye(2), 8e307 * np.eye(2), 1e307 * np.eye(2), 1e307 * np.eye(2)), np.sqrt(10.0), 2,
+         "input error: stacked feature Grams"),
+    ], ids=["k-differences-at-1.6e308", "t-1e200", "l-5e307", "congruence-overflow", "feature-grams"])
+    def test_extreme_scales_exit_codes(self, flats, t, code, err, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        spec = system_spec(tmp_path / "system.json", *flats, t)
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == code
+        assert stderr_is(capsys.readouterr().err, err)
+        if code == 1:
+            assert json.loads(out.read_text())["results"]["condition"] == "not_equivalent"
 
 
 class TestRn:
@@ -847,6 +906,12 @@ class TestRn:
         pair = {"l": kernel_to_spec(scalar_table(l)), "k": kernel_to_spec(scalar_table(k))}
         assert main(["rn", "--spec", write_json(tmp_path / "pair.json", pair)]) == 3
         assert "opkern: hypothesis failure: kernel l is not positive" in capsys.readouterr().err
+
+    def test_pair_at_8e307_is_not_dominated(self, tmp_path, capsys):
+        # k - l reaches -1.6e308, which is representable
+        pair = {"l": kernel_to_spec(scalar_table(8e307 * SUMS)), "k": kernel_to_spec(scalar_table(8e307 * DIFFERENCES))}
+        assert main(["rn", "--spec", write_json(tmp_path / "pair.json", pair)]) == 3
+        assert stderr_is(capsys.readouterr().err, "hypothesis failure: hi - lo is not positive")
 
 
 def one_shot_csv(tmp_path, count):
@@ -1366,8 +1431,8 @@ class TestKrr:
 
         # |a|^2 = 1e10 is finite under the signal [[1]] and overflows under the noise [[1e300]]
         one = labels(1)
-        spec = write_json(tmp_path / "one.json", kernel_to_spec(scalar_kernel(one, np.array([[1.0]]))))
-        noise = write_json(tmp_path / "big.json", kernel_to_spec(scalar_kernel(one, np.array([[1e300]]))))
+        spec = write_json(tmp_path / "one.json", kernel_to_spec(OperatorKernelTable.from_flat(one, 1, np.array([[1.0]]))))
+        noise = write_json(tmp_path / "big.json", kernel_to_spec(OperatorKernelTable.from_flat(one, 1, np.array([[1e300]]))))
         train.write_text("label,a_0_re,a_0_im,y_re,y_im\ns1,1e5,0,1,0\n", encoding="utf-8")
         assert main(["krr-fit", "--spec", spec, "--noise-spec", noise, "--train", str(train), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(

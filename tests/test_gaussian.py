@@ -26,10 +26,9 @@ from opkern import (
     kolmogorov_factorize,
     mc_verify_conditional,
     random_pd_kernel,
-    scalar_kernel,
     standard_normal_rows,
 )
-from conftest import labels, sample_paths
+from conftest import equal_conditional_instance, labels, sample_paths
 import oracles
 
 
@@ -37,7 +36,7 @@ ONE_LABEL = labels(1)
 
 
 def scalar_one():
-    return scalar_kernel(ONE_LABEL, np.array([[1.0]]))
+    return OperatorKernelTable.from_flat(ONE_LABEL, 1, np.array([[1.0]]))
 
 
 def scalar_coupling(value):
@@ -143,17 +142,17 @@ class TestSampler:
         assert proc.stdout.strip() == "ok"
 
     def test_zero_kernel_paths_vanish(self):
-        batch = sample_paths(0.0 * identity_kernel(ONE_LABEL, 2), 1, 10)
+        batch = sample_paths(OperatorKernelTable.from_flat(ONE_LABEL, 2, np.zeros((2, 2))), 1, 10)
         assert np.all(batch.paths == 0)
 
     def test_rejects_indefinite_kernel(self):
-        bad = scalar_kernel(labels(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        bad = OperatorKernelTable.from_flat(labels(2), 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
             sample_paths(bad, 0, 1)
 
     def test_scalar_variance_concentration(self):
         # variance of N(0, 4) estimated from 1e5 draws: within 4 * 5/sqrt(2e5)
-        table = scalar_kernel(ONE_LABEL, np.array([[4.0]]))
+        table = OperatorKernelTable.from_flat(ONE_LABEL, 1, np.array([[4.0]]))
         batch = sample_paths(table, 3, 100_000)
         var = float(np.mean(np.abs(batch.paths) ** 2))
         assert abs(var - 4.0) <= 4.0 * 5.0 / np.sqrt(2.0 * 100_000)
@@ -331,7 +330,7 @@ class TestCondition:
     def test_singular_l_is_strict_by_default(self):
         k = random_pd_kernel(4, 1, 2)
         with pytest.raises(SingularL):
-            assemble_joint(k, 0.0 * identity_kernel(k.label_set, 2), np.zeros((1, 1, 2, 2)))
+            assemble_joint(k, OperatorKernelTable.from_flat(k.label_set, 2, np.zeros((2, 2))), np.zeros((1, 1, 2, 2)))
 
     def test_blockdiagonal_case_reduces_to_per_label_formula(self):
         # when L and the coupling vanish off the diagonal, the Gram-level
@@ -395,10 +394,10 @@ class TestConditionalCovEqual:
         # 2 - 1/1 = 1 versus 1 - 1/(1/2) = -1
         ls = ONE_LABEL
         report = conditional_cov_equal(
-            scalar_kernel(ls, np.array([[2.0]])),
-            scalar_kernel(ls, np.array([[1.0]])),
-            scalar_kernel(ls, np.array([[1.0]])),
-            scalar_kernel(ls, np.array([[0.5]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[2.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[0.5]])),
             scalar_coupling(1.0),
         )
         assert not report.equal
@@ -407,18 +406,36 @@ class TestConditionalCovEqual:
         # L1 = 1/2, L2 = 1: T(L1^{-1} - L2^{-1})T = 1 = K1 - K2
         ls = ONE_LABEL
         report = conditional_cov_equal(
-            scalar_kernel(ls, np.array([[2.0]])),
-            scalar_kernel(ls, np.array([[1.0]])),
-            scalar_kernel(ls, np.array([[0.5]])),
-            scalar_kernel(ls, np.array([[1.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[2.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[0.5]])),
+            OperatorKernelTable.from_flat(ls, 1, np.array([[1.0]])),
             scalar_coupling(1.0),
         )
         assert report.equal
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([(1, 1), (2, 2), (2, 1), (3, 1), (1, 2)]),
+        # 0, or a factor 10 or more from the 1e-10 threshold on either side
+        eps=st.just(0.0) | st.floats(1e-14, 1e-11) | st.floats(1e-9, 1e-3),
+    )
+    def test_swapped_sides_give_the_same_decision(self, seed, size, eps):
+        # Criterion 7's instances, with K2 shifted by eps ||K2|| I.
+        k1, k2, l1, l2, coupling = equal_conditional_instance(np.random.default_rng(seed), *size)
+        nd = k2.flat.shape[0]
+        shift = eps * np.linalg.norm(k2.flat, 2)
+        k2 = OperatorKernelTable.from_flat(k2.label_set, k2.dim_h, k2.flat + shift * np.eye(nd))
+        ab = conditional_cov_equal(k1, k2, l1, l2, coupling)
+        ba = conditional_cov_equal(k2, k1, l2, l1, coupling)
+        assert ab.equal == ba.equal
+        assert abs(ab.residual - ba.residual) <= 1e-12 * max(ab.residual, ba.residual)
+
     def test_singular_l_rejected(self):
         k = scalar_one()
         with pytest.raises(SingularL):
-            conditional_cov_equal(k, k, 0.0 * identity_kernel(ONE_LABEL, 1), k, scalar_coupling(0.0))
+            conditional_cov_equal(k, k, OperatorKernelTable.from_flat(ONE_LABEL, 1, [[0.0]]), k, scalar_coupling(0.0))
 
 
 class TestMcVerifyConditional:

@@ -15,7 +15,6 @@ from opkern import (
     NotPositiveDefinite,
     NotStrictContraction,
     OperatorKernelTable,
-    ShapeError,
     SingularL,
     SingularSystem,
     constant_kernel,
@@ -95,12 +94,6 @@ class TestTableConstruction:
         table = OperatorKernelTable(two_labels, blocks)
         assert table.blocks[0, 1, 0, 0] == table.blocks[1, 0, 0, 0].conjugate()
 
-    def test_shape_mismatch_in_arithmetic(self, two_labels):
-        a = identity_kernel(two_labels, 2)
-        b = identity_kernel(two_labels, 3)
-        with pytest.raises(ShapeError):
-            a + b
-
     def test_blocks_are_immutable(self, identity_22):
         with pytest.raises(ValueError):
             identity_22.blocks[0, 0, 0, 0] = 5.0
@@ -179,10 +172,6 @@ ONE_ARRAY_BUILDS = {
         labels(3), oracles.random_hermitian_blocks(np.random.default_rng(4), 3, 2)
     ),
     "from_flat": lambda: OperatorKernelTable.from_flat(labels(3), 2, _pd_table().flat),
-    "add": lambda: _pd_table() + random_pd_kernel(10, 3, 2),
-    "sub": lambda: _pd_table() - random_pd_kernel(10, 3, 2),
-    "real_scaling": lambda: 2.5 * _pd_table(),
-    "conjugated": lambda: _pd_table().conjugated(np.array([[1.0, 2.0j], [0.5, -1.0]])),
     "identity_kernel": lambda: identity_kernel(labels(3), 2),
     "constant_kernel": lambda: constant_kernel(labels(3), np.array([[2.0, 1.0j], [-1.0j, 3.0]])),
     "scalar_kernel": lambda: scalar_table(np.array([[2.0, 1.0], [1.0, 2.0]])),
@@ -346,7 +335,7 @@ class TestPositivity:
         assert is_positive_definite(table).pd is True
 
         shift = is_positive_definite(table).scale
-        indef = table - (0.7 * shift) * identity_kernel(table.label_set, d)
+        indef = OperatorKernelTable.from_flat(table.label_set, d, table.flat - 0.7 * shift * np.eye(n * d))
         vote = oracles.quadratic_form_pd_flag(indef.blocks, np.random.default_rng(2000 + seed))
         assert vote is False
         assert is_positive_definite(indef).pd is False
@@ -398,17 +387,22 @@ class TestRequirePsd:
 class TestOrdering:
     """The kernel order: ``lo <= hi`` iff ``hi - lo`` is positive."""
 
+    @staticmethod
+    def difference(hi, lo_flat):
+        """The table of ``hi - lo``, formed on the flat matrices."""
+        return OperatorKernelTable.from_flat(hi.label_set, hi.dim_h, hi.flat - lo_flat)
+
     def test_zero_below_identity(self, two_labels):
         eye = identity_kernel(two_labels, 2)
-        assert is_positive_definite(eye - 0.0 * eye).pd
+        assert is_positive_definite(self.difference(eye, 0.0 * eye.flat)).pd
 
     def test_reflexive(self):
         k = random_pd_kernel(3, 3, 2)
-        assert is_positive_definite(k - k).pd
+        assert is_positive_definite(self.difference(k, k.flat)).pd
 
     def test_double_identity_fails(self, two_labels):
         eye = identity_kernel(two_labels, 2)
-        assert not is_positive_definite(eye - 2.0 * eye).pd
+        assert not is_positive_definite(self.difference(eye, 2.0 * eye.flat)).pd
 
     @pytest.mark.parametrize("seed", range(5))
     def test_antisymmetry_up_to_tolerance(self, seed):
@@ -418,7 +412,8 @@ class TestOrdering:
         perturbed = OperatorKernelTable.from_flat(
             k.label_set, 2, k.flat + 0.25 * tol * np.eye(4)
         )
-        assert is_positive_definite(perturbed - k, tol).pd and is_positive_definite(k - perturbed, tol).pd
+        assert is_positive_definite(self.difference(perturbed, k.flat), tol).pd
+        assert is_positive_definite(self.difference(k, perturbed.flat), tol).pd
         assert np.linalg.norm(k.flat - perturbed.flat, 2) <= 2 * tol * scale
 
 

@@ -19,7 +19,6 @@ from opkern import (
     predict,
     random_pd_kernel,
     representer,
-    scalar_kernel,
 )
 from conftest import labels
 import oracles
@@ -29,7 +28,7 @@ ONE_LABEL = labels(1)
 
 
 def scalar_one():
-    return scalar_kernel(ONE_LABEL, np.array([[1.0]]))
+    return OperatorKernelTable.from_flat(ONE_LABEL, 1, np.array([[1.0]]))
 
 
 def scalar_training(y=2.0):
@@ -39,7 +38,8 @@ def scalar_training(y=2.0):
 def posterior_mean(kernel, noise, observed):
     """The signal's posterior mean given signal plus noise on the full grid:
     conditioning of the joint (K, K + L, T = K)."""
-    return condition(assemble_joint(kernel, kernel + noise, kernel.blocks), observed)
+    signal_plus_noise = OperatorKernelTable.from_flat(kernel.label_set, kernel.dim_h, kernel.flat + noise.flat)
+    return condition(assemble_joint(kernel, signal_plus_noise, kernel.blocks), observed)
 
 
 def full_grid_training(table, observed):
@@ -155,7 +155,7 @@ class TestKrrFit:
 
     def test_zero_noise_interpolates(self):
         k = random_pd_kernel(3, 2, 2)
-        noise = 0.0 * identity_kernel(k.label_set, 2)
+        noise = OperatorKernelTable.from_flat(k.label_set, 2, np.zeros((4, 4)))
         rng = np.random.default_rng(2)
         train = TrainingSet.from_triples(
             [("s1", rng.standard_normal(2), 1.0 + 2.0j), ("s2", rng.standard_normal(2), -0.5)]
@@ -166,7 +166,7 @@ class TestKrrFit:
     def test_degenerate_design_raises(self):
         # duplicated sample with a rank-one kernel makes [L] + [K] singular
         ls = labels(2)
-        rank_one = scalar_kernel(ls, np.ones((2, 2)))
+        rank_one = OperatorKernelTable.from_flat(ls, 1, np.ones((2, 2)))
         train = TrainingSet.from_triples([("s1", [1.0], 1.0), ("s2", [1.0], 1.0)])
         dm = design_matrices(rank_one, rank_one, train)
         with pytest.raises(SingularSystem):
@@ -307,7 +307,7 @@ class TestGpPosteriorMean:
     def test_zero_noise_returns_observation(self):
         k = random_pd_kernel(1, 2, 2)
         observed = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = posterior_mean(k, 0.0 * identity_kernel(k.label_set, 2), observed)
+        out = posterior_mean(k, OperatorKernelTable.from_flat(k.label_set, 2, np.zeros((4, 4))), observed)
         np.testing.assert_allclose(out, observed, atol=1e-10)
 
     def test_scalar_halving(self):
@@ -315,7 +315,7 @@ class TestGpPosteriorMean:
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_singular_resolvent_raises(self):
-        z = 0.0 * identity_kernel(ONE_LABEL, 1)
+        z = OperatorKernelTable.from_flat(ONE_LABEL, 1, [[0.0]])
         with pytest.raises(SingularL):
             posterior_mean(z, z, np.zeros((1, 1)))
 
@@ -431,7 +431,7 @@ class TestLabelPermutation:
     def test_regression(self, n, d, seed, shift, data):
         order = data.draw(st.permutations(range(n)))
         rank = data.draw(st.integers(1, n * d))
-        k = random_pd_kernel(seed, n, d) - shift * identity_kernel(labels(n), d)
+        k = OperatorKernelTable.from_flat(labels(n), d, random_pd_kernel(seed, n, d).flat - shift * np.eye(n * d))
         noise = random_pd_kernel(seed + 1, n, d, rank)
         rng = np.random.default_rng(seed)
         # One training point on each label but the last, which has none.

@@ -11,6 +11,7 @@ from opkern import (
     NotInvertible,
     NotPositiveDefinite,
     OperatorKernelTable,
+    ShapeError,
     SpectrumOutOfRange,
     construct_partial_isometry,
     generate_valid_system,
@@ -19,14 +20,13 @@ from opkern import (
     kolmogorov_factorize,
     radon_nikodym,
     random_pd_kernel,
-    scalar_kernel,
     transfer_function,
     validate_system,
     verify_realization,
 )
 from opkern.kernels import RANK_RTOL
 from opkern.transfer import _svd
-from conftest import labels
+from conftest import labels, null_cone_system
 
 
 ONE = np.array([[1.0]])
@@ -34,7 +34,7 @@ ONE = np.array([[1.0]])
 
 def scalar_system(k1, k2, l1, l2, t=1.0):
     ls = labels(1)
-    mk = lambda v: scalar_kernel(ls, np.array([[float(v)]]))
+    mk = lambda v: OperatorKernelTable.from_flat(ls, 1, np.array([[float(v)]]))
     return validate_system(mk(k1), mk(k2), mk(l1), mk(l2), np.array([[float(t)]]))
 
 
@@ -58,9 +58,19 @@ class TestValidateSystem:
     def test_rejects_indefinite_component(self):
         ls = labels(2)
         good = identity_kernel(ls, 1)
-        bad = scalar_kernel(ls, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        bad = OperatorKernelTable.from_flat(ls, 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite, match=r"kernel l1 is not positive"):
             validate_system(good, good, bad, bad, ONE)
+
+    @pytest.mark.parametrize("other", [identity_kernel(labels(2), 3), identity_kernel(labels(3), 2)],
+                             ids=["dim_h", "labels"])
+    def test_tables_of_another_shape_are_refused(self, other):
+        # The identity and the domination are formed on flat Grams, which must line up.
+        eye = identity_kernel(labels(2), 2)
+        with pytest.raises(ShapeError):
+            validate_system(eye, eye, eye, other, np.eye(2))
+        with pytest.raises(ShapeError):
+            radon_nikodym(other, eye)
 
     def test_symmetric_and_reflexive(self):
         sys_ = scalar_system(4, 1, 4, 1)
@@ -108,7 +118,7 @@ class TestPartialIsometry:
         # swapping in the factorization of a perturbed K1, must be caught by
         # the Gram gate
         sys_ = scalar_system(4, 1, 4, 1)
-        k1 = scalar_kernel(labels(1), np.array([[4.0 + 1e-7]]))
+        k1 = OperatorKernelTable.from_flat(labels(1), 1, np.array([[4.0 + 1e-7]]))
         sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
         with pytest.raises(GramMismatch) as exc:
             construct_partial_isometry(sys_)
@@ -144,10 +154,10 @@ class TestTransferFunction:
     def test_zero_l2_has_no_transfer_function(self):
         # with L2 = 0 the matrix M(s) has no rows at all
         ls = labels(1)
-        k2 = scalar_kernel(ls, ONE)
-        l1 = scalar_kernel(ls, ONE)
-        k1 = scalar_kernel(ls, 2 * ONE)  # K1 = K2 + T^H L1 T with T = 1
-        sys_ = validate_system(k1, k2, l1, 0.0 * identity_kernel(ls, 1), ONE)
+        k2 = OperatorKernelTable.from_flat(ls, 1, ONE)
+        l1 = OperatorKernelTable.from_flat(ls, 1, ONE)
+        k1 = OperatorKernelTable.from_flat(ls, 1, 2 * ONE)  # K1 = K2 + T^H L1 T with T = 1
+        sys_ = validate_system(k1, k2, l1, OperatorKernelTable.from_flat(ls, 1, 0.0 * ONE), ONE)
         real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible):
             transfer_function(real, sys_, "s1")
@@ -208,27 +218,27 @@ class TestRadonNikodym:
 
     def test_zero_numerator_gives_zero(self):
         k = random_pd_kernel(3, 2, 2)
-        rn = radon_nikodym(0.0 * identity_kernel(k.label_set, 2), k)
+        rn = radon_nikodym(OperatorKernelTable.from_flat(k.label_set, 2, np.zeros((4, 4))), k)
         np.testing.assert_allclose(rn.phi, 0, atol=1e-12)
 
     def test_scalar_quarter(self):
         ls = labels(1)
-        rn = radon_nikodym(scalar_kernel(ls, ONE), scalar_kernel(ls, 4 * ONE))
+        rn = radon_nikodym(OperatorKernelTable.from_flat(ls, 1, ONE), OperatorKernelTable.from_flat(ls, 1, 4 * ONE))
         assert rn.phi[0, 0] == pytest.approx(0.25, abs=1e-12)
         assert rn.sqrt_phi[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_not_dominated(self):
         k = random_pd_kernel(4, 2, 2)
         with pytest.raises(NotDominated):
-            radon_nikodym(2.0 * k, k)
+            radon_nikodym(OperatorKernelTable.from_flat(k.label_set, 2, 2.0 * k.flat), k)
 
     def test_domination_is_judged_relative_to_hi(self):
         # hi - lo = diag(-5e-9, 1e-3) fails at -1e-6 times the norm 1e-3 of hi,
         # where an absolute -1e-6 would let it pass
         ls = labels(2)
-        lo = scalar_kernel(ls, np.diag([1e-3 + 5e-9, 0.0]))
+        lo = OperatorKernelTable.from_flat(ls, 1, np.diag([1e-3 + 5e-9, 0.0]))
         with pytest.raises(NotDominated, match="hi - lo is not positive") as exc:
-            radon_nikodym(lo, scalar_kernel(ls, 1e-3 * np.eye(2)), tol=1e-6)
+            radon_nikodym(lo, OperatorKernelTable.from_flat(ls, 1, 1e-3 * np.eye(2)), tol=1e-6)
         assert exc.value.min_eig == pytest.approx(-5e-9, rel=1e-6)
 
     def test_out_of_range_spectrum_carries_its_extremes(self):
@@ -236,31 +246,31 @@ class TestRadonNikodym:
         # hi - lo = diag(100 + 5e-9, 0) is dominated, but Phi = lo / 100 has
         # eigenvalue -5e-11, beyond a tol of 1e-12
         ls = labels(2)
-        lo = scalar_kernel(ls, np.diag([-5e-9, 100.0]))
+        lo = OperatorKernelTable.from_flat(ls, 1, np.diag([-5e-9, 100.0]))
         with pytest.raises(SpectrumOutOfRange, match="leaves \\[0, 1\\]") as exc:
-            radon_nikodym(lo, scalar_kernel(ls, 100.0 * np.eye(2)), tol=1e-12)
+            radon_nikodym(lo, OperatorKernelTable.from_flat(ls, 1, 100.0 * np.eye(2)), tol=1e-12)
         assert exc.value.min_eig == pytest.approx(-5e-11, rel=1e-6)
         assert exc.value.max_eig == pytest.approx(1.0, abs=1e-12)
 
     def test_non_positive_lo_is_rejected_before_domination(self):
         # hi - lo = diag(1.5, 0.75) is dominated, but lo has eigenvalue -0.5
         ls = labels(2)
-        lo = scalar_kernel(ls, np.diag([-0.5, 0.25]))
+        lo = OperatorKernelTable.from_flat(ls, 1, np.diag([-0.5, 0.25]))
         with pytest.raises(NotPositiveDefinite, match="kernel l is not positive") as exc:
             radon_nikodym(lo, identity_kernel(ls, 1))
         assert exc.value.min_eig == pytest.approx(-0.5, abs=1e-12)
 
     def test_indefinite_hi_is_rejected_before_domination(self):
         ls = labels(2)
-        indefinite = scalar_kernel(ls, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        indefinite = OperatorKernelTable.from_flat(ls, 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            radon_nikodym(0.0 * identity_kernel(ls, 1), indefinite)
+            radon_nikodym(OperatorKernelTable.from_flat(ls, 1, np.zeros((2, 2))), indefinite)
 
     @pytest.mark.parametrize("factor", [0.0, 0.3, 1.0])
     def test_scaling_compatibility(self, factor):
         # lo = c * hi must give phi = c * I on the dilation space
         hi = random_pd_kernel(6, 3, 2)
-        rn = radon_nikodym(factor * hi, hi)
+        rn = radon_nikodym(OperatorKernelTable.from_flat(hi.label_set, 2, factor * hi.flat), hi)
         r = rn.feature_system.dilation_dim
         np.testing.assert_allclose(rn.phi, factor * np.eye(r), atol=1e-9)
 
@@ -336,6 +346,26 @@ class TestChangeOfBasis:
                 assert -1e-9 <= report.rn_spectrum[0] and report.rn_spectrum[1] <= 1.0 + 1e-9, report
 
 
+class TestNullCone:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        theta=st.floats(0.0, np.pi),
+        log_delta=st.floats(-9.0, -6.0),
+        w_angle=st.floats(0.0, np.pi / 2),
+        w_phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_signed_system_near_the_null_cone_is_realized(self, theta, log_delta, w_angle, w_phase):
+        # T^H (L1 - L2) T cancels to a small multiple of its terms, so its
+        # rounding is not Hermitian relative to its own size; the identity is
+        # judged on flat Grams at 1e-10 of the system scale, never as a table.
+        w = np.array([np.cos(w_angle), np.exp(1j * w_phase) * np.sin(w_angle)])
+        *flats, t_op = null_cone_system(theta, 10.0**log_delta, w)
+        sys_ = validate_system(*(OperatorKernelTable.from_flat(labels(1), 2, f) for f in flats), t_op)
+        assert sys_.identity_residual <= 1e-10
+        report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
+        assert report.passed and report.dominated, report
+
+
 class TestGenerator:
     def test_deterministic(self):
         a = generate_valid_system(42, 2, 2)
@@ -345,7 +375,8 @@ class TestGenerator:
 
     def test_dominated_flag_orders_kernels(self):
         sys_ = generate_valid_system(7, 3, 2, dominated=True)
-        assert is_positive_definite(sys_.k2 - sys_.k1).pd
+        k2_minus_k1 = OperatorKernelTable.from_flat(sys_.label_set, 2, sys_.k2.flat - sys_.k1.flat)
+        assert is_positive_definite(k2_minus_k1).pd
 
 
 def orthonormal_range(matrix, tol):
