@@ -28,10 +28,15 @@ count)``; there is no sampler state.  :func:`path_chunks` walks a range of
 samples in tile-aligned chunks, so a consumer that reduces or writes paths
 as they come holds one chunk at a time and runs in memory that does not
 grow with the sample count.  A coupled pair of processes is one process on
-``H + H``.  Its :class:`JointKernel` carries the factorization of the
-joint table, the one eigendecomposition of the L Gram, which decides
-once whether L is invertible, and the conditional law; :func:`condition`
-and :func:`mc_verify_conditional` read those instead of deciding again.
+``H + H``.  Its :class:`JointKernel` carries the joint table, the one
+eigendecomposition of the L Gram, which decides once whether L is
+invertible, and the conditional law; :func:`condition` and
+:func:`mc_verify_conditional` read those instead of deciding again.  The
+joint table is admitted by :func:`opkern.kernels.psd_certified`, one
+Cholesky factorization with a stated rounding allowance, and factored only
+where that declines, with the decision, message and exit code of the
+factorization.  Otherwise only :func:`mc_verify_conditional`, which
+samples the pair, factors it, once.
 :func:`mc_verify_conditional` streams: it accumulates the second moments
 of the pair centred by the exact regression map, chunk by chunk, and
 never holds the sampled paths.
@@ -39,7 +44,7 @@ never holds the sampled paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox
@@ -61,6 +66,7 @@ from .kernels import (
     block_layout,
     eig_extremes,
     gated_solve,
+    psd_certified,
     require_finite,
     require_invertible,
     require_psd,
@@ -169,17 +175,25 @@ class JointKernel:
 
     ``m`` is the assembled table with 2d x 2d blocks
     ``[[K(s,t), T(s,t)], [T(t,s)^H, L(s,t)]]`` and ``features`` its
-    factorization, from which the pair is sampled.  ``l_eigh`` is
-    ``np.linalg.eigh(conj(L_gram))``.  The law of the K-process given the
-    L-process is ``mean_map``, the Gram-level ``T L^{-1}``, and ``schur``,
-    the Schur complement ``K - T L^{-1} T^H`` as a kernel table.
+    factorization, from which the pair is sampled; it is computed on first
+    use, at most once, so a run that does not sample never factors ``m``.
+    ``l_eigh`` is ``np.linalg.eigh(conj(L_gram))``.  The law of the
+    K-process given the L-process is ``mean_map``, the Gram-level
+    ``T L^{-1}``, and ``schur``, the Schur complement ``K - T L^{-1} T^H``
+    as a kernel table.
     """
 
     m: OperatorKernelTable
-    features: FeatureSystem
     l_eigh: tuple[np.ndarray, np.ndarray]
     mean_map: np.ndarray
     schur: OperatorKernelTable
+    _features: FeatureSystem | None = field(default=None, repr=False)
+
+    @property
+    def features(self) -> FeatureSystem:
+        if self._features is None:
+            self._features = kolmogorov_factorize(self.m, what="joint table")
+        return self._features
 
     @property
     def label_set(self) -> LabelSet:
@@ -217,24 +231,33 @@ def assemble_joint(
 
     The coupling is an (n, n, d, d) block function on pairs of labels (no
     Hermitian symmetry required).  Admissibility = positivity of the
-    flattened joint table, decided by its factorization, and of the
+    flattened joint table, decided by its factorization's gate, and of the
     Gram-level Schur complement, each to ``PD_RTOL`` relative; rejections
     raise :class:`NotPositiveDefinite`.  An L singular to ``RANK_RTOL``
-    relative raises :class:`SingularL`.
+    relative raises :class:`SingularL`.  A joint table that
+    :func:`opkern.kernels.psd_certified` admits is not factored here; any
+    other is, before L is decided, so its rejection comes first.  The
+    Schur gate's scale is the larger of its own norm and the joint
+    table's, which only loosens it, so the joint norm is read only when
+    the complement fails against its own.
     """
     k._require_same_shape(l)
     t_blocks = _coupling_array(k.label_set, k.dim_h, coupling)
 
     t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
     m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
-    features = kolmogorov_factorize(m_table, what="joint table")
+    features = None if psd_certified(m_table.flat, RANK_RTOL) else kolmogorov_factorize(m_table, what="joint table")
 
     t_gram = block_layout(t_blocks)
     l_eigh, schur_table = _schur(k, l, t_gram)
-    evals = np.linalg.eigvalsh(schur_table.flat)
-    require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", max(eig_extremes(evals)[1], features.norm))
     mean_map = np.linalg.solve(l.flat, t_gram.conj().T).conj().T
-    return JointKernel(m_table, features, l_eigh, mean_map, schur_table)
+    joint = JointKernel(m_table, l_eigh, mean_map, schur_table, features)
+    evals = np.linalg.eigvalsh(schur_table.flat)
+    min_eig, scale = eig_extremes(evals)
+    if not min_eig >= -PD_RTOL * scale:  # the joint norm can only loosen the gate
+        scale = max(scale, joint.features.norm)
+    require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", scale)
+    return joint
 
 
 def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> np.ndarray:

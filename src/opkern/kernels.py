@@ -23,6 +23,11 @@ test of a Radon-Nikodym pair the norm of the dominating table.  An
 explicit ``tol`` of :func:`is_positive_definite` (``check-pd --tol``) is an
 absolute bound on the smallest eigenvalue.  Rank cutoffs are relative to
 the largest eigenvalue or singular value.
+A gate that needs only its verdict may first ask :func:`psd_certified`,
+one Cholesky factorization with a stated rounding allowance.  It says yes
+only where the eigendecomposition's gate passes as well, and otherwise the
+gate runs on the eigenvalues as before, so decisions, messages and exit
+codes are those of the eigendecomposition.
 Block-level comparisons use Frobenius norms, which bound the per-block
 spectral norm from above.
 """
@@ -51,6 +56,12 @@ PD_RTOL = 1e-10
 RANK_RTOL = 1e-10
 #: Floor for scales used as divisors or bounds.
 TINY = 1e-300
+#: Multiples of the unit roundoff ``u`` in the rounding allowance of
+#: :func:`psd_certified`: of ``(n+1) u max_row_sum(|R^H| |R|)``, the backward
+#: error of the Cholesky factor ``R``, and of ``n u ||gram||_F``, the error
+#: of the eigensolver whose gate it stands in for.
+CHOLESKY_ALLOWANCE = 4.0
+EIGENSOLVER_ALLOWANCE = 4.0
 
 
 @dataclass(frozen=True)
@@ -251,10 +262,57 @@ def require_invertible(evals: np.ndarray, tol: float, error: type[Exception], wh
         raise error(f"{what} is numerically singular (eigs in [{lo:.3e}, {hi:.3e}])")
 
 
+@np.errstate(all="ignore")  # a bound that overflows certifies nothing
+def psd_certified(gram: np.ndarray, tol: float, invertible: bool = False) -> bool:
+    """True only when the eigenvalues ``np.linalg.eigvalsh`` computes for the
+    Hermitian ``gram`` pass :func:`require_psd` at ``tol`` (the default) or,
+    with ``invertible``, :func:`require_invertible` at ``tol``; False
+    decides nothing.
+
+    One Cholesky factorization ``gram - shift I = R^H R`` bounds every
+    eigenvalue of ``gram`` from below by ``shift`` minus its backward error,
+    and the eigensolver's computed eigenvalues lie within its own error of
+    the exact ones.  The sum of the two, ``CHOLESKY_ALLOWANCE * (n+1) u
+    max_row_sum(|R^H| |R|) + EIGENSOLVER_ALLOWANCE * n u ||gram||_F``, must
+    be at most half the gate's threshold ``tol * max_i gram[i, i]``, which is
+    measured against the largest diagonal entry, a lower bound of the
+    spectral norm.  The positivity gate factors at ``shift = 0``.  The
+    invertibility gate factors at ``tol * ||gram||_F``, an upper bound of
+    ``tol`` times the largest eigenvalue, plus the threshold, so that the
+    computed eigenvalues keep half the threshold above it.  The matrix is
+    first scaled by a power of two, which is exact and keeps the factor and
+    the bound clear of overflow and underflow; a factorization that fails
+    or anything that is not finite certifies nothing.
+    """
+    n = gram.shape[0]
+    top = float(gram.diagonal().real.max(initial=0.0))
+    if not np.finfo(np.float64).tiny <= top < np.inf:  # a subnormal scale has no power of two to undo it
+        return False
+    mantissa, exponent = math.frexp(top)
+    scaled = gram * math.ldexp(1.0, -exponent)  # the largest diagonal entry becomes the mantissa, in [0.5, 1)
+    frobenius = float(np.linalg.norm(scaled))
+    threshold = tol * mantissa
+    if invertible:
+        scaled[np.diag_indices(n)] -= tol * frobenius + threshold
+    try:
+        factor = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        return False
+    moduli = np.abs(factor)
+    row_sum = float((moduli @ moduli.sum(axis=0)).max())  # of |R^H| |R| = |L| |L|^T, L = R^H
+    u = float(np.finfo(np.float64).eps) / 2
+    allowance = u * (CHOLESKY_ALLOWANCE * (n + 1) * row_sum + EIGENSOLVER_ALLOWANCE * n * frobenius)
+    return math.isfinite(allowance) and allowance <= 0.5 * threshold
+
+
 def gated_solve(gram: np.ndarray, rhs, tol: float, error: type[Exception], what: str) -> np.ndarray:
     """Solve ``gram x = rhs`` for a Hermitian ``gram`` that passes
-    :func:`require_invertible`."""
-    require_invertible(np.linalg.eigvalsh(gram), tol, error, what)
+    :func:`require_invertible`.  The gate is decided by
+    :func:`psd_certified` when it certifies ``gram`` invertible, and by the
+    eigenvalues otherwise; the solve is the same LU ``np.linalg.solve``
+    either way, so the gate never moves the solution."""
+    if not psd_certified(gram, tol, invertible=True):
+        require_invertible(np.linalg.eigvalsh(gram), tol, error, what)
     return np.linalg.solve(gram, rhs)
 
 

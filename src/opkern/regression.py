@@ -37,7 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidKernel, NotPositiveDefinite, ShapeError, SingularSystem
-from .kernels import PD_RTOL, RANK_RTOL, LabelSet, OperatorKernelTable, gated_solve, require_finite, require_psd
+from .kernels import (
+    PD_RTOL,
+    RANK_RTOL,
+    LabelSet,
+    OperatorKernelTable,
+    gated_solve,
+    psd_certified,
+    require_finite,
+    require_psd,
+)
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,8 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray,
         gram[part] = np.einsum("ip,ijpq,jq->ij", train.vectors[part].conj(), slab, train.vectors)
     gram = 0.5 * (gram + gram.conj().T)
     require_finite(InvalidKernel, what, gram)
-    require_psd(np.linalg.eigvalsh(gram), PD_RTOL, NotPositiveDefinite, what)
+    if not psd_certified(gram, PD_RTOL):
+        require_psd(np.linalg.eigvalsh(gram), PD_RTOL, NotPositiveDefinite, what)
     return gram
 
 

@@ -193,7 +193,7 @@ def spectral(x, ord=None, *args, **kwargs):
     return ord == 2
 
 
-LINALG = ("eigh", "eigvalsh", "svd", "solve", "pinv", "inv")
+LINALG = ("eigh", "eigvalsh", "cholesky", "svd", "solve", "pinv", "inv")
 # The opkern functions counted in every module that binds them.
 OPKERN_CALLS = ("kolmogorov_factorize", "require_psd", "standard_normal_rows")
 
@@ -287,28 +287,34 @@ class TestCostGates:
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
-            # eigh: the joint Gram M, once, for its admission and the sampler,
-            # and L, once, for the Schur pseudo-inverse, the gate and diag(L^-1).
-            # eigvalsh: the Schur complement's positivity and the empirical
-            # c_yy gate.  solve: the exact map T L^-1 and the regression.
+            # cholesky: the certificates of M's admission and of the
+            # empirical c_yy gate, which replaces that gate's eigvalsh.
+            # eigh: the joint Gram M, once, for the sampler (its gate passes
+            # again there), and L, once, for the Schur pseudo-inverse, the
+            # gate and diag(L^-1).  eigvalsh: the Schur complement's
+            # positivity.  solve: the exact map T L^-1 and the regression.
             # require_psd: M's factorization and the Schur complement.
             # tables: K and L from the spec, the joint M and the Schur
             # complement, which is symmetrized before it is built.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "solve": 2, "require_psd": 2,
-             "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 2, "solve": 2,
+             "require_psd": 2, "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
         ),
         "condition": (
             lambda p: ["condition", "--spec", p["joint"]],
-            # As mc-verify, without the draws and the empirical gate.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "solve": 1, "require_psd": 2,
+            # As mc-verify, without the draws and the empirical gate, and M
+            # is admitted by its Cholesky certificate and never factored:
+            # no factorization, and no eigh or require_psd of M.
+            {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "solve": 1, "require_psd": 1,
              "report_to_json": 1, "tables": 4},
         ),
         "krr-fit": (
             lambda p: ["krr-fit", *p["krr"]],
-            # eigvalsh: the signal and the noise design matrix, for their
-            # gates, and their sum, for its invertibility before the solve.
-            # tables: the signal and the noise spec's.
-            {"eigvalsh": 3, "require_psd": 2, "solve": 1, "report_to_json": 1, "tables": 2},
+            # cholesky: the certificates of the signal and the noise design
+            # matrix, for their gates, and of their sum, for its
+            # invertibility before the solve.  Each certifies, so no
+            # eigvalsh and no require_psd runs.  tables: the signal and the
+            # noise spec's.
+            {"cholesky": 3, "solve": 1, "report_to_json": 1, "tables": 2},
         ),
         "krr-predict": (
             lambda p: ["krr-predict", *p["krr"], "--fit", p["fit"], "--query", p["query"]],

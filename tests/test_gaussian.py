@@ -250,6 +250,59 @@ class TestAssembleJoint:
         )
 
 
+def diagonal_joint(k_diagonal, l_diagonal):
+    """K and L scalar kernels over two labels with diagonal Grams and zero
+    coupling: the joint table is diagonal, with exactly its diagonal as
+    eigenvalues."""
+    ls = labels(2)
+    k = OperatorKernelTable.from_flat(ls, 1, np.diag(k_diagonal))
+    l = OperatorKernelTable.from_flat(ls, 1, np.diag(l_diagonal))
+    return k, l, np.zeros((2, 2, 1, 1))
+
+
+class TestJointGateBoundary:
+    # The joint table's gate, -1e-10 times its norm (1), at (1 -/+ 1e-6)
+    # times the threshold.  The Cholesky certificate declines this close,
+    # so the joint is factored at once and its gate decides first.
+    GATE = -1e-10
+
+    def test_admits_just_inside_the_gate(self):
+        k, l, coupling = diagonal_joint([0.5, self.GATE * (1 - 1e-6)], [1.0, 0.25])
+        joint = assemble_joint(k, l, coupling)
+        np.testing.assert_array_equal(np.linalg.eigvalsh(joint.m.flat), [self.GATE * (1 - 1e-6), 0.25, 0.5, 1.0])
+        # The Schur complement K fails against its own norm and passes against the joint table's.
+        assert joint.schur.flat.tobytes() == k.flat.tobytes()
+
+    def test_rejects_just_outside_the_gate_before_l(self):
+        k, l, coupling = diagonal_joint([0.5, self.GATE * (1 + 1e-6)], [1.0, 0.0])  # L is singular too
+        with pytest.raises(NotPositiveDefinite, match=r"^joint table is not positive "
+                           r"\(min eig -1\.000e-10 < -1e-10 \* 1\.000e\+00\)$"):
+            assemble_joint(k, l, coupling)
+
+
+class TestLazyJointFactorization:
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        original = gaussian.kolmogorov_factorize
+        monkeypatch.setattr(gaussian, "kolmogorov_factorize", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        return calls
+
+    def test_certified_joint_is_factored_once_on_first_use(self, factorizations):
+        k, l, coupling = block_joint_instance(81)
+        joint = assemble_joint(k, l, coupling)
+        assert factorizations == []
+        assert joint.features is joint.features
+        assert factorizations == [1]
+        assert joint.features.stacked.tobytes() == kolmogorov_factorize(joint.m).stacked.tobytes()
+
+    def test_uncertified_joint_is_factored_once_at_admission(self, factorizations):
+        k, l, coupling = diagonal_joint([0.5, -0.5e-10], [1.0, 0.25])
+        joint = assemble_joint(k, l, coupling)
+        joint.features, joint.features
+        assert factorizations == [1]
+
+
 def gram_of_rank(rank, complex_entries, size=6):
     rng = np.random.default_rng(0)
     g = rng.standard_normal((rank, size))

@@ -30,6 +30,7 @@ from opkern.kernels import (
     _series_length,
     block_layout,
     gated_solve,
+    psd_certified,
     require_invertible,
     require_psd,
 )
@@ -603,3 +604,97 @@ class TestGatedSolve:
         with pytest.raises(error) as exc:
             gated_solve(np.zeros((2, 2)), np.ones(2), RANK_RTOL, error, "zero")
         assert type(exc.value) is error
+
+
+class TestPinnedConstants:
+    # Literals, not values read back from the library: a mutated tolerance
+    # fails here even where every test that reads it moves along.
+    def test_tolerances_and_certificate_allowance(self):
+        assert kernels.HERMITIAN_RTOL == 1e-12
+        assert kernels.PD_RTOL == 1e-10
+        assert kernels.RANK_RTOL == 1e-10
+        assert kernels.TINY == 1e-300
+        assert kernels.CHOLESKY_ALLOWANCE == 4.0
+        assert kernels.EIGENSOLVER_ALLOWANCE == 4.0
+
+
+@st.composite
+def certificate_cases(draw):
+    """A Hermitian matrix of prescribed spectrum whose smallest eigenvalue sits
+    near the positivity gate ``-PD_RTOL`` or the invertibility gate
+    ``RANK_RTOL`` (relative to a largest eigenvalue of 1), often within
+    rounding of it, or well inside, at an entry scale from 1e-150 to
+    1e150; and which gate it is.  The other eigenvalues are spread or
+    small, so the Frobenius norm ranges from the spectral norm upwards."""
+    invertible = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    gate = RANK_RTOL if invertible else -PD_RTOL
+    lowest = draw(
+        st.tuples(st.sampled_from([-1, 1]), st.floats(-9, -3)).map(lambda se: gate * (1 + se[0] * 10 ** se[1]))
+        | st.floats(-2, 2).map(lambda e: gate * 10**e)
+        | st.floats(-2, 2).map(lambda e: -gate * 10**e)
+        | st.floats(-6, 0).map(lambda e: 10**e)
+        | st.just(0.0)
+    )
+    scale = draw(st.floats(0.5, 1.0)) * 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    middle = rng.uniform(0.05, 1.0, max(n - 2, 0)) * draw(st.sampled_from([1.0, 1e-6]))
+    spectrum = np.concatenate([[lowest], middle, [1.0]]) if n > 1 else np.array([lowest])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    gram = (q * spectrum) @ q.conj().T
+    return scale * (0.5 * (gram + gram.conj().T)), invertible, lowest
+
+
+class TestPsdCertified:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=certificate_cases())
+    def test_certifies_only_what_the_eigenvalue_gate_passes(self, case):
+        gram, invertible, lowest = case
+        certified = psd_certified(gram, RANK_RTOL if invertible else PD_RTOL, invertible)
+        evals = np.linalg.eigvalsh(gram)
+        if certified and invertible:
+            require_invertible(evals, RANK_RTOL, SingularSystem, "gram")
+        elif certified:
+            require_psd(evals, PD_RTOL, NotPositiveDefinite, "gram")
+        if gram.shape[0] > 1 and lowest >= 1e-6:  # far inside both gates, where it must not be vacuous
+            assert certified
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-8])
+    def test_declines_within_rounding_below_the_invertibility_gate(self, offset):
+        # Spectrum [RANK_RTOL (1 - offset), 1]: the Frobenius norm is the
+        # spectral norm, and a Cholesky factorization shifted by the gate
+        # alone succeeds on about a third of these rotations, where the
+        # computed eigenvalues fail the gate.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            gram = (q * [RANK_RTOL * (1 - offset), 1.0]) @ q.conj().T
+            gram = 0.5 * (gram + gram.conj().T)
+            if psd_certified(gram, RANK_RTOL, invertible=True):
+                require_invertible(np.linalg.eigvalsh(gram), RANK_RTOL, SingularSystem, "gram")
+
+    def test_certifies_a_well_conditioned_gram_and_declines_a_singular_one(self):
+        gram = random_pd_kernel(5, 20, 3).flat
+        assert psd_certified(gram, PD_RTOL) and psd_certified(gram, RANK_RTOL, invertible=True)
+        singular = random_pd_kernel(5, 20, 3, rank=30).flat
+        assert not psd_certified(singular, RANK_RTOL, invertible=True)
+
+    @pytest.mark.parametrize("gram", [
+        np.diag([8e307, 8e307]),
+        np.full((3, 3), 1e300) + np.diag([1e300, 2e300, 3e300]),
+        np.diag([5e-324, 5e-324]),
+        np.array([[1e-300, 1e300], [1e300, 1e-300]]),
+        np.array([[1.0, 1e308], [1e308, 1.0]]),
+        np.zeros((2, 2)),
+        np.diag([-1.0, 2.0]),
+    ], ids=["near-overflow", "1e300", "subnormal", "huge-off-diagonal", "overflowing-off-diagonal", "zero", "indefinite"])
+    @pytest.mark.parametrize("invertible", [False, True])
+    def test_extreme_entries_certify_only_passing_gates_without_warnings(self, gram, invertible):
+        # RuntimeWarnings are errors here: an overflowing bound must read "not certified".
+        gram = gram.astype(np.complex128)
+        if psd_certified(gram, PD_RTOL, invertible):
+            evals = np.linalg.eigvalsh(gram)
+            if invertible:
+                require_invertible(evals, RANK_RTOL, SingularSystem, "gram")
+            else:
+                require_psd(evals, PD_RTOL, NotPositiveDefinite, "gram")

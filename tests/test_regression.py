@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from opkern import (
     LabelError,
     LabelSet,
+    NotPositiveDefinite,
     OperatorKernelTable,
     OpKernError,
     ShapeError,
@@ -137,6 +138,49 @@ class TestDesignMatrices:
             design_matrices(
                 scalar_one(), scalar_one(), TrainingSet.from_triples([("zz", [1.0], 0.0)])
             )
+
+
+def diagonal_fit_inputs(diagonal):
+    """A scalar kernel over distinct labels whose Gram is ``diag(diagonal)``
+    and one row ``a = 1`` per label, so the signal design matrix is that
+    Gram exactly; a diagonal Hermitian matrix has exactly its diagonal as
+    eigenvalues, so a gate threshold of a power of ten can be met at
+    ``(1 -/+ 1e-6)`` times it."""
+    ls = labels(len(diagonal))
+    kernel = OperatorKernelTable.from_flat(ls, 1, np.diag(diagonal))
+    train = TrainingSet.from_triples([(s, [1.0], 1.0) for s in ls.labels])
+    np.testing.assert_array_equal(np.linalg.eigvalsh(kernel.flat), np.sort(diagonal))
+    return kernel, train
+
+
+class TestGateBoundaries:
+    # Each gate that a Cholesky certificate fronts, at (1 -/+ 1e-6) times its
+    # threshold, pinned at the literal 1e-10; the certificate declines this
+    # close, so the eigenvalue gate decides and names what it measured.
+    def test_design_matrix_gate_at_minus_1e_10_times_the_norm(self):
+        gate = -1e-10  # PD_RTOL times the spectral norm, 1
+        kernel, train = diagonal_fit_inputs([0.5, gate * (1 - 1e-6), 1.0])
+        noise = identity_kernel(kernel.label_set, 1)
+        dm = design_matrices(kernel, noise, train)
+        assert dm.kernel_gram.tobytes() == kernel.flat.tobytes()
+        kernel, train = diagonal_fit_inputs([0.5, gate * (1 + 1e-6), 1.0])
+        with pytest.raises(NotPositiveDefinite, match=r"^signal design matrix is not positive "
+                           r"\(min eig -1\.000e-10 < -1e-10 \* 1\.000e\+00\)$"):
+            design_matrices(kernel, noise, train)
+
+    def test_ridge_system_gate_at_1e_10_times_the_largest_eigenvalue(self):
+        gate = 1e-10  # RANK_RTOL times the largest eigenvalue, 1
+        for factor in (1 + 1e-6, 1 - 1e-6):
+            kernel, train = diagonal_fit_inputs([1.0, gate * factor])
+            zero = OperatorKernelTable.from_flat(kernel.label_set, 1, np.zeros((2, 2)))
+            dm = design_matrices(kernel, zero, train)
+            if factor > 1:
+                fit = krr_fit(dm, train.targets)
+                np.testing.assert_allclose(fit.coefficients, [1.0, 1.0 / (gate * factor)], rtol=1e-15)
+            else:
+                with pytest.raises(SingularSystem, match=r"^\[L\] \+ \[K\] is numerically singular "
+                                   r"\(eigs in \[1\.000e-10, 1\.000e\+00\]\)$"):
+                    krr_fit(dm, train.targets)
 
 
 class TestKrrFit:
