@@ -35,16 +35,23 @@ invertible, and the conditional law; :func:`condition` and
 joint table is admitted by :func:`opkern.kernels.psd_certified`, one
 Cholesky factorization with a stated rounding allowance, and factored only
 where that declines, with the decision, message and exit code of the
-factorization.  Otherwise only :func:`mc_verify_conditional`, which
-samples the pair, factors it, once.
+factorization, or where the caller will sample the pair: ``mc-verify``
+admits it by the factorization it samples from, once.
 :func:`mc_verify_conditional` streams: it accumulates the second moments
 of the pair centred by the exact regression map, chunk by chunk, and
-never holds the sampled paths.
+never holds the sampled paths.  For a pair at most ``_DRAW_AHEAD_WIDTH``
+values wide, one helper thread draws the next tile's normals while the
+tile's GEMMs run, with numpy's OpenBLAS held at one thread for the loop;
+the normals are those of the serial loop, and the GEMMs round as they do
+at ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Philox
@@ -74,6 +81,7 @@ from .kernels import (
 
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 _TILE = 512  # rows of normals per path GEMM
+_DRAW_AHEAD_WIDTH = 320  # widest pair (2nd values) whose MC tile loop draws ahead at one BLAS thread
 
 
 def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.ndarray:
@@ -125,20 +133,36 @@ class PathBatch:
         return int(self.paths.shape[2])
 
 
-def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatch:
-    """Paths for sample indices ``start .. start + count - 1``."""
+def _path_weights(fs: FeatureSystem) -> np.ndarray:
+    """Columns interleave Re(stacked) and -Im(stacked), so one real GEMM
+    ``z @ weights`` writes ``z @ stacked.conj()`` in complex128 memory layout."""
+    n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
+    return np.stack([fs.stacked.real, -fs.stacked.imag], axis=-1).reshape(r, 2 * n * d)
+
+
+def _tile_normals(seed: int, tile: int, width: int) -> np.ndarray:
+    """The normals of the whole tile that starts at sample index ``tile``."""
+    return standard_normal_rows(seed, tile, _TILE, width)
+
+
+def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, weights=None, normals=None) -> PathBatch:
+    """Paths for sample indices ``start .. start + count - 1``.
+
+    ``weights`` is ``_path_weights(fs)`` and ``normals`` maps the first
+    sample index of a tile to its normals, ``_tile_normals(seed, tile, r)``;
+    each is built here when not given.  :func:`path_chunks` passes both, so
+    as to build the weights once per walk and draw normals ahead.
+    """
     if start < 0 or count < 0:
         raise ValueError(f"sample indices must be nonnegative (start={start}, count={count})")
     n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
     paths = np.zeros((count, n * d), dtype=np.complex128)
     if r:
-        # Columns interleave Re(stacked) and -Im(stacked), so one real GEMM
-        # writes z @ stacked.conj() in complex128 memory layout.
-        weights = np.stack([fs.stacked.real, -fs.stacked.imag], axis=-1).reshape(r, 2 * n * d)
+        weights = _path_weights(fs) if weights is None else weights
         flat = paths.view(np.float64)
         stop = start + count
         for tile in range(start - start % _TILE, stop, _TILE):
-            z = standard_normal_rows(seed, tile, _TILE, r)
+            z = _tile_normals(seed, tile, r) if normals is None else normals(tile)
             lo, hi = max(start, tile), min(stop, tile + _TILE)
             flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
     paths = paths.reshape(count, n, d)
@@ -146,13 +170,23 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatc
     return PathBatch(label_set=fs.label_set, paths=paths)
 
 
-def path_chunks(fs: FeatureSystem, seed: int, count: int):
+def path_chunks(fs: FeatureSystem, seed: int, count: int, helper=None):
     """Yield ``(start, draw_paths(fs, seed, start, c))`` over samples
     ``0 .. count - 1``, one tile of ``_TILE`` samples at a time (the last
     may be shorter).  The chunks draw exactly the tiles, and bytes, of one
-    ``draw_paths(fs, seed, 0, count)``."""
+    ``draw_paths(fs, seed, 0, count)``, and build the path weights once.
+
+    With ``helper``, an executor, the next tile's normals are drawn on it
+    while the caller works on the current chunk; every tile is still drawn
+    once, as :func:`standard_normal_rows` draws it alone."""
+    weights, r = _path_weights(fs), fs.dilation_dim
+    ahead = None
     for start in range(0, count, _TILE):
-        yield start, draw_paths(fs, seed, start, min(_TILE, count - start))
+        normals = None if ahead is None else lambda tile, z=ahead.result(): z
+        ahead = None
+        if helper is not None and r and start + _TILE < count:
+            ahead = helper.submit(_tile_normals, seed, start + _TILE, r)
+        yield start, draw_paths(fs, seed, start, min(_TILE, count - start), weights=weights, normals=normals)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +260,7 @@ def assemble_joint(
     k: OperatorKernelTable,
     l: OperatorKernelTable,
     coupling,
+    sampled: bool = False,
 ) -> JointKernel:
     """Assemble and admit the joint table of a coupled pair, with its conditional law.
 
@@ -234,9 +269,11 @@ def assemble_joint(
     flattened joint table, decided by its factorization's gate, and of the
     Gram-level Schur complement, each to ``PD_RTOL`` relative; rejections
     raise :class:`NotPositiveDefinite`.  An L singular to ``RANK_RTOL``
-    relative raises :class:`SingularL`.  A joint table that
-    :func:`opkern.kernels.psd_certified` admits is not factored here; any
-    other is, before L is decided, so its rejection comes first.  The
+    relative raises :class:`SingularL`.  A caller that will sample the pair
+    passes ``sampled``, and the joint table is admitted by its
+    factorization; otherwise one that :func:`opkern.kernels.psd_certified`
+    admits is not factored here.  Any other is factored before L is
+    decided, so its rejection comes first.  The
     Schur gate's scale is the larger of its own norm and the joint
     table's, which only loosens it, so the joint norm is read only when
     the complement fails against its own.
@@ -246,7 +283,8 @@ def assemble_joint(
 
     t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
     m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
-    features = None if psd_certified(m_table.flat, RANK_RTOL) else kolmogorov_factorize(m_table, what="joint table")
+    certified = not sampled and psd_certified(m_table.flat, RANK_RTOL)
+    features = None if certified else kolmogorov_factorize(m_table, what="joint table")
 
     t_gram = block_layout(t_blocks)
     l_eigh, schur_table = _schur(k, l, t_gram)
@@ -378,7 +416,8 @@ def _regress(joint: JointKernel, b: np.ndarray, seed: int, count: int) -> tuple[
     """Empirical regression map ``b_hat`` of K-paths ``x`` on L-paths ``y``
     and residual covariance ``s_hat``, over joint samples ``0 .. count - 1``.
 
-    Each chunk of paths adds to one second-moment matrix of the pair
+    Each chunk of paths, its normals drawn ahead by :func:`_draw_ahead`'s
+    helper where there is one, adds to one second-moment matrix of the pair
     ``(u, y)``, centred by the exact map ``b``: ``u = x - b y``.  With
     ``c_uu``, ``c_uy`` and ``c_yy`` its blocks and ``db = c_uy c_yy^{-1}``,
     ``b_hat = b + db`` and ``s_hat = c_uu - db c_uy^H`` are the one-batch
@@ -393,15 +432,65 @@ def _regress(joint: JointKernel, b: np.ndarray, seed: int, count: int) -> tuple[
     ``sqrt(count) eps`` times those scales (and ``b_hat`` times the
     condition number of ``L``).
     """
-    d, nd = joint.dim_h, joint.label_set.n * joint.dim_h
+    fs, d, nd = joint.features, joint.dim_h, joint.label_set.n * joint.dim_h
     moments = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
-    for _, chunk in path_chunks(joint.features, seed, count):
-        x, y = chunk.paths[:, :, :d].reshape(-1, nd), chunk.paths[:, :, d:].reshape(-1, nd)
-        pair = np.concatenate([x - y @ b.T, y], axis=1)
-        moments += pair.T @ pair.conj()
+    with _draw_ahead(2 * nd) as helper:
+        for _, chunk in path_chunks(fs, seed, count, helper):
+            x, y = chunk.paths[:, :, :d].reshape(-1, nd), chunk.paths[:, :, d:].reshape(-1, nd)
+            pair = np.concatenate([x - y @ b.T, y], axis=1)
+            moments += pair.T @ pair.conj()
     moments /= count
     c_uu, c_uy, c_yy = moments[:nd, :nd], moments[:nd, nd:], moments[nd:, nd:]
     c_yy = 0.5 * (c_yy + c_yy.conj().T)
     require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_uu, c_uy, c_yy)
     db = gated_solve(c_yy.conj().T, c_uy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
     return b + db, c_uu - db @ c_uy.conj().T
+
+
+@functools.cache
+def _openblas():
+    """``get_num_threads``, ``set_num_threads`` and ``blas_thread_shutdown_``
+    of the OpenBLAS bundled with numpy (its wheels' ``numpy.libs``), or None
+    where numpy bundles none or it lacks one of them."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}",
+                     "blas_thread_shutdown_")
+            if all(hasattr(handle, name) for name in names):
+                get, put, shutdown = (getattr(handle, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return get, put, shutdown
+    return None
+
+
+@contextmanager
+def _draw_ahead(width: int):
+    """One helper thread that draws normals ahead of the tile loop of a
+    pair ``width`` values wide, or None: the serial loop, for pairs wider
+    than ``_DRAW_AHEAD_WIDTH`` or where :func:`_openblas` finds nothing.
+
+    While the helper runs, numpy's OpenBLAS is held at one thread with its
+    pool stopped (``blas_thread_shutdown_``, which OpenBLAS also runs before
+    every fork), so no BLAS thread spins on the CPU the helper needs; this
+    holds for the whole process.  On exit the helper is joined and the
+    thread count restored, which restarts the pool."""
+    blas = _openblas() if width <= _DRAW_AHEAD_WIDTH else None
+    if blas is None:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only mc-verify draws ahead
+
+    get, put, shutdown = blas
+    threads = get()
+    put(1)
+    shutdown()
+    try:
+        with ThreadPoolExecutor(1, thread_name_prefix="opkern-normals") as helper:
+            yield helper
+    finally:
+        put(threads)

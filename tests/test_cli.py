@@ -287,16 +287,17 @@ class TestCostGates:
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
-            # cholesky: the certificates of M's admission and of the
-            # empirical c_yy gate, which replaces that gate's eigvalsh.
-            # eigh: the joint Gram M, once, for the sampler (its gate passes
-            # again there), and L, once, for the Schur pseudo-inverse, the
-            # gate and diag(L^-1).  eigvalsh: the Schur complement's
-            # positivity.  solve: the exact map T L^-1 and the regression.
-            # require_psd: M's factorization and the Schur complement.
-            # tables: K and L from the spec, the joint M and the Schur
-            # complement, which is symmetrized before it is built.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 2, "solve": 2,
+            # cholesky: the certificate of the empirical c_yy gate, which
+            # replaces that gate's eigvalsh; M is admitted by the
+            # factorization it is sampled from, with no certificate.
+            # eigh: the joint Gram M, once, for the sampler and its gate,
+            # and L, once, for the Schur pseudo-inverse, the gate and
+            # diag(L^-1).  eigvalsh: the Schur complement's positivity.
+            # solve: the exact map T L^-1 and the regression.  require_psd:
+            # M's factorization and the Schur complement.  tables: K and L
+            # from the spec, the joint M and the Schur complement, which is
+            # symmetrized before it is built.
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 1, "solve": 2,
              "require_psd": 2, "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
         ),
         "condition": (
@@ -1107,10 +1108,10 @@ class TestOut:
     def fail_on_second_tile(self, monkeypatch):
         draw = gaussian.draw_paths
 
-        def draw_one_tile(fs, seed, start, count):
+        def draw_one_tile(fs, seed, start, count, **kwargs):
             if start > 0:
                 raise MemoryError("second tile")
-            return draw(fs, seed, start, count)
+            return draw(fs, seed, start, count, **kwargs)
 
         monkeypatch.setattr(gaussian, "draw_paths", draw_one_tile)
 

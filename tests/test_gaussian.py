@@ -1,7 +1,11 @@
+import contextlib
+import ctypes
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +306,15 @@ class TestLazyJointFactorization:
         joint.features, joint.features
         assert factorizations == [1]
 
+    def test_sampled_joint_is_admitted_by_its_factorization(self, factorizations, monkeypatch):
+        certificates = []
+        monkeypatch.setattr(gaussian, "psd_certified", lambda *a, **kw: certificates.append(1))
+        k, l, coupling = block_joint_instance(81)
+        joint = assemble_joint(k, l, coupling, sampled=True)
+        assert factorizations == [1] and certificates == []
+        joint.features
+        assert factorizations == [1]
+
 
 def gram_of_rank(rank, complex_entries, size=6):
     rng = np.random.default_rng(0)
@@ -573,3 +586,110 @@ class TestStreamedRegression:
         assert [start for start, _ in chunks] == [0, 512, 1024]
         joined = np.concatenate([batch.paths for _, batch in chunks])
         assert joined.tobytes() == draw_paths(fs, 4, 0, 1025).paths.tobytes()
+
+    def test_chunks_drawn_ahead_are_the_tiles_of_one_draw(self):
+        fs = kolmogorov_factorize(random_pd_kernel(2, 3, 2))
+        with ThreadPoolExecutor(1) as helper:
+            joined = np.concatenate([batch.paths for _, batch in gaussian.path_chunks(fs, 4, 1537, helper)])
+        assert joined.tobytes() == draw_paths(fs, 4, 0, 1537).paths.tobytes()
+
+
+def openblas_thread_calls():
+    """``(get, set)`` of the thread count of the OpenBLAS bundled with numpy,
+    or None where numpy bundles none."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get, put = f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}"
+            if hasattr(handle, get) and hasattr(handle, put):
+                getattr(handle, put).argtypes = [ctypes.c_int]
+                return getattr(handle, get), getattr(handle, put)
+    return None
+
+
+OPENBLAS = openblas_thread_calls()
+
+
+def openblas_threads():
+    return None if OPENBLAS is None else OPENBLAS[0]()
+
+
+# A joint whose M is 16 x 16, and a count whose last tile has 458 rows.
+DRAW_AHEAD_COUNT = 3 * 512 + 458
+
+
+class TestDrawAhead:
+    """``mc_verify_conditional`` draws the next tile's normals on a helper
+    thread, with numpy's OpenBLAS held at one thread, up to a pair width."""
+
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self):
+        """Each test starts at two BLAS threads, so that a hold left behind shows."""
+        if OPENBLAS is None:
+            yield
+            return
+        get, put = OPENBLAS
+        threads = get()
+        put(2)
+        yield
+        put(threads)
+
+    def test_statistics_are_those_of_a_one_thread_process(self):
+        joint = assemble_joint(*block_joint_instance(5, n=4), sampled=True)
+        report = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
+        script = textwrap.dedent(
+            f"""
+            from opkern import assemble_joint, mc_verify_conditional, random_pd_kernel, OperatorKernelTable
+            big = random_pd_kernel(5, 4, 4)
+            k = OperatorKernelTable(big.label_set, big.blocks[:, :, :2, :2])
+            l = OperatorKernelTable(big.label_set, big.blocks[:, :, 2:, 2:])
+            joint = assemble_joint(k, l, big.blocks[:, :, :2, 2:], sampled=True)
+            report = mc_verify_conditional(joint, 2, {DRAW_AHEAD_COUNT})
+            print(report.mean_map_dev_se.hex(), report.residual_cov_dev_se.hex())
+            """
+        )
+        src = str(Path(opkern.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [report.mean_map_dev_se.hex(), report.residual_cov_dev_se.hex()]
+
+    @pytest.fixture
+    def normals_seen(self, monkeypatch):
+        """Per drawn tile: its start, the drawing thread and numpy's OpenBLAS
+        thread count at that moment; a tile starting at 3 * 512 raises."""
+        seen = []
+        original = gaussian.standard_normal_rows
+
+        def spy(seed, start, count, width):
+            seen.append((start, threading.current_thread() is threading.main_thread(), openblas_threads()))
+            if start == 3 * 512:
+                raise RuntimeError("tile 3")
+            return original(seed, start, count, width)
+
+        monkeypatch.setattr(gaussian, "standard_normal_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises_at_tile_3"])
+    def test_threads_are_restored(self, fails, normals_seen):
+        joint = assemble_joint(*block_joint_instance(5, n=4), sampled=True)
+        before = threading.active_count(), openblas_threads()
+        with pytest.raises(RuntimeError, match="tile 3") if fails else contextlib.nullcontext():
+            mc_verify_conditional(joint, 2, 5 * 512 if fails else 3 * 512)
+        assert (threading.active_count(), openblas_threads()) == before
+        # Each tile up to the failing one is drawn once, every one after the
+        # first on the helper where numpy bundles an OpenBLAS to hold.
+        tiles = sorted(normals_seen)
+        assert [start for start, *_ in tiles] == ([0, 512, 1024, 1536] if fails else [0, 512, 1024])
+        assert [on_main for _, on_main, _ in tiles] == [True] + [OPENBLAS is None] * (len(tiles) - 1)
+        if OPENBLAS is not None:
+            assert {threads for *_, threads in tiles} == {1}
+
+    def test_wide_pair_keeps_the_serial_loop(self, normals_seen):
+        # 2nd = 328 values, beyond the draw-ahead width: BLAS keeps its threads.
+        k, l, coupling = block_joint_instance(5, n=82)
+        joint = assemble_joint(k, l, coupling, sampled=True)
+        threads = openblas_threads()
+        mc_verify_conditional(joint, 2, 1024)
+        assert normals_seen == [(0, True, threads), (512, True, threads)]
