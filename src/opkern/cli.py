@@ -272,7 +272,7 @@ def cmd_sample(args) -> int:
 def cmd_mc_verify(args) -> int:
     k, l, coupling, _ = specio.joint_from_spec(specio.load_json(args.spec))
     _require_path_budget(args.samples, 2 * k.n * k.dim_h)
-    joint = gaussian.assemble_joint(k, l, coupling, sampled=True)
+    joint = gaussian.assemble_joint(k, l, coupling)
     report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
     results = {
         "mean_map_dev_se": report.mean_map_dev_se,

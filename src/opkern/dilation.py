@@ -6,7 +6,9 @@ flattened matrix: with ``flat = U diag(w) U^H`` and eigenpairs kept above a
 relative cutoff, the stacked feature matrix is ``diag(sqrt(w)) U^H`` and
 ``V(s_i)`` is its i-th column block.  The dilation dimension ``r`` is the
 numerical rank of the flattened matrix, which makes the factorization
-minimal: the feature columns span all of ``C^r``.
+minimal: the feature columns span all of ``C^r``.  A table that passes the
+positivity gate factors: its reconstruction is checked against the
+truncation bound plus the eigensolver allowance of ``psd_certified``.
 
 Feature matrices are unique only up to a unitary on ``C^r`` (eigenvector
 sign/phase freedom included), so consumers must compare factorizations via
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, NotPositiveDefinite
-from .kernels import RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_psd
+from .kernels import EIGENSOLVER_ALLOWANCE, RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_psd
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ def kolmogorov_factorize(
     numerical rank.  Raises :class:`NotPositiveDefinite`, naming the table
     ``what``, when the smallest eigenvalue is below ``-tol`` times the
     spectral norm, and checks the reconstruction residual against its
-    guaranteed bound, ``max(tol, 1e-10)`` times the spectral norm.
+    guaranteed bound, ``max(tol, 1e-10) + EIGENSOLVER_ALLOWANCE * n * u``
+    times the spectral norm (``n`` the order of the flattened matrix, ``u``
+    the unit roundoff).
     """
     flat = table.flat
     w, u = np.linalg.eigh(flat)
@@ -74,12 +78,13 @@ def kolmogorov_factorize(
     lam.setflags(write=False)
 
     # Dropped eigenvalues lie in [-tol * scale, tol * scale], so truncation
-    # moves the reconstruction by at most that much.  The Frobenius norm
+    # moves the reconstruction by at most that much, and the eigensolver's
+    # rounding by its allowance in psd_certified more.  The Frobenius norm
     # bounds the spectral norm from above, so the SVD behind the spectral
     # norm is needed only when Frobenius fails the bound (an overflowing
     # Frobenius norm fails it).
     defect = stacked.conj().T @ stacked - flat
-    rtol = max(tol, 1e-10)
+    rtol = max(tol, 1e-10) + EIGENSOLVER_ALLOWANCE * flat.shape[0] * np.finfo(np.float64).eps / 2
     bound = max(rtol * scale, TINY)
     with np.errstate(over="ignore"):
         frobenius = np.linalg.norm(defect)

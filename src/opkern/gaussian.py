@@ -33,17 +33,17 @@ eigendecomposition of the L Gram, which decides once whether L is
 invertible, and the conditional law; :func:`condition` and
 :func:`mc_verify_conditional` read those instead of deciding again.  The
 joint table is admitted by :func:`opkern.kernels.psd_certified`, one
-Cholesky factorization with a stated rounding allowance, and factored only
-where that declines, with the decision, message and exit code of the
-factorization, or where the caller will sample the pair: ``mc-verify``
-admits it by the factorization it samples from, once.
+Cholesky factorization with a stated rounding allowance, and factored where
+that declines, with the factorization's decision, message and exit code,
+or else on first use, which ``mc-verify`` makes before its tile loop.
 :func:`mc_verify_conditional` streams: it accumulates the second moments
 of the pair centred by the exact regression map, chunk by chunk, and
 never holds the sampled paths.  For a pair at most ``_DRAW_AHEAD_WIDTH``
 values wide, one helper thread draws the next tile's normals while the
-tile's GEMMs run, with numpy's OpenBLAS held at one thread for the loop;
-the normals are those of the serial loop, and the GEMMs round as they do
-at ``OPENBLAS_NUM_THREADS=1``.
+tile's GEMMs run, with numpy's OpenBLAS held at one thread for the loop
+and its pool stopped again when the thread count is restored; the normals
+are those of the serial loop, and the GEMMs round as they do at
+``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -133,32 +133,24 @@ class PathBatch:
         return int(self.paths.shape[2])
 
 
-def _path_weights(fs: FeatureSystem) -> np.ndarray:
-    """Columns interleave Re(stacked) and -Im(stacked), so one real GEMM
-    ``z @ weights`` writes ``z @ stacked.conj()`` in complex128 memory layout."""
-    n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
-    return np.stack([fs.stacked.real, -fs.stacked.imag], axis=-1).reshape(r, 2 * n * d)
-
-
 def _tile_normals(seed: int, tile: int, width: int) -> np.ndarray:
     """The normals of the whole tile that starts at sample index ``tile``."""
     return standard_normal_rows(seed, tile, _TILE, width)
 
 
-def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, weights=None, normals=None) -> PathBatch:
+def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, normals=None) -> PathBatch:
     """Paths for sample indices ``start .. start + count - 1``.
 
-    ``weights`` is ``_path_weights(fs)`` and ``normals`` maps the first
-    sample index of a tile to its normals, ``_tile_normals(seed, tile, r)``;
-    each is built here when not given.  :func:`path_chunks` passes both, so
-    as to build the weights once per walk and draw normals ahead.
+    ``normals`` maps the first sample index of a tile to its normals,
+    ``_tile_normals(seed, tile, r)``, which are drawn here when not given;
+    :func:`path_chunks` passes them so as to draw normals ahead.
     """
     if start < 0 or count < 0:
         raise ValueError(f"sample indices must be nonnegative (start={start}, count={count})")
     n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
     paths = np.zeros((count, n * d), dtype=np.complex128)
     if r:
-        weights = _path_weights(fs) if weights is None else weights
+        weights = fs.stacked.conj().view(np.float64)  # so the real z @ weights is z @ stacked.conj()
         flat = paths.view(np.float64)
         stop = start + count
         for tile in range(start - start % _TILE, stop, _TILE):
@@ -174,19 +166,18 @@ def path_chunks(fs: FeatureSystem, seed: int, count: int, helper=None):
     """Yield ``(start, draw_paths(fs, seed, start, c))`` over samples
     ``0 .. count - 1``, one tile of ``_TILE`` samples at a time (the last
     may be shorter).  The chunks draw exactly the tiles, and bytes, of one
-    ``draw_paths(fs, seed, 0, count)``, and build the path weights once.
+    ``draw_paths(fs, seed, 0, count)``.
 
     With ``helper``, an executor, the next tile's normals are drawn on it
     while the caller works on the current chunk; every tile is still drawn
     once, as :func:`standard_normal_rows` draws it alone."""
-    weights, r = _path_weights(fs), fs.dilation_dim
     ahead = None
     for start in range(0, count, _TILE):
         normals = None if ahead is None else lambda tile, z=ahead.result(): z
         ahead = None
-        if helper is not None and r and start + _TILE < count:
-            ahead = helper.submit(_tile_normals, seed, start + _TILE, r)
-        yield start, draw_paths(fs, seed, start, min(_TILE, count - start), weights=weights, normals=normals)
+        if helper is not None and fs.dilation_dim and start + _TILE < count:
+            ahead = helper.submit(_tile_normals, seed, start + _TILE, fs.dilation_dim)
+        yield start, draw_paths(fs, seed, start, min(_TILE, count - start), normals=normals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +247,7 @@ def _schur(
     return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, 0.5 * (schur_flat + schur_flat.conj().T))
 
 
-def assemble_joint(
-    k: OperatorKernelTable,
-    l: OperatorKernelTable,
-    coupling,
-    sampled: bool = False,
-) -> JointKernel:
+def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> JointKernel:
     """Assemble and admit the joint table of a coupled pair, with its conditional law.
 
     The coupling is an (n, n, d, d) block function on pairs of labels (no
@@ -269,12 +255,10 @@ def assemble_joint(
     flattened joint table, decided by its factorization's gate, and of the
     Gram-level Schur complement, each to ``PD_RTOL`` relative; rejections
     raise :class:`NotPositiveDefinite`.  An L singular to ``RANK_RTOL``
-    relative raises :class:`SingularL`.  A caller that will sample the pair
-    passes ``sampled``, and the joint table is admitted by its
-    factorization; otherwise one that :func:`opkern.kernels.psd_certified`
-    admits is not factored here.  Any other is factored before L is
-    decided, so its rejection comes first.  The
-    Schur gate's scale is the larger of its own norm and the joint
+    relative raises :class:`SingularL`.  A joint table that
+    :func:`opkern.kernels.psd_certified` admits is not factored here; any
+    other is factored before L is decided, so its rejection comes first.
+    The Schur gate's scale is the larger of its own norm and the joint
     table's, which only loosens it, so the joint norm is read only when
     the complement fails against its own.
     """
@@ -283,8 +267,7 @@ def assemble_joint(
 
     t_adjoint = t_blocks.transpose(1, 0, 3, 2).conj()
     m_table = OperatorKernelTable(k.label_set, np.block([[k.blocks, t_blocks], [t_adjoint, l.blocks]]))
-    certified = not sampled and psd_certified(m_table.flat, RANK_RTOL)
-    features = None if certified else kolmogorov_factorize(m_table, what="joint table")
+    features = None if psd_certified(m_table.flat, RANK_RTOL) else kolmogorov_factorize(m_table, what="joint table")
 
     t_gram = block_layout(t_blocks)
     l_eigh, schur_table = _schur(k, l, t_gram)
@@ -389,7 +372,7 @@ def mc_verify_conditional(
     """
     if count < 2:
         raise InvalidKernel("Monte-Carlo verification needs at least two samples")
-    b_hat, s_hat = _regress(joint, joint.mean_map, seed, count)
+    b_hat, s_hat = _regress(joint, seed, count)
 
     l_inv_diag = np.abs(joint.l_eigh[1]) ** 2 @ (1.0 / joint.l_eigh[0])
     schur_flat = joint.schur.flat
@@ -412,13 +395,15 @@ def mc_verify_conditional(
     )
 
 
-def _regress(joint: JointKernel, b: np.ndarray, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _regress(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical regression map ``b_hat`` of K-paths ``x`` on L-paths ``y``
     and residual covariance ``s_hat``, over joint samples ``0 .. count - 1``.
 
-    Each chunk of paths, its normals drawn ahead by :func:`_draw_ahead`'s
-    helper where there is one, adds to one second-moment matrix of the pair
-    ``(u, y)``, centred by the exact map ``b``: ``u = x - b y``.  With
+    The joint features are read before :func:`_draw_ahead` holds BLAS at
+    one thread, so a certified table is factored as ``condition`` would.
+    Each chunk of paths, its normals drawn ahead by the helper where there
+    is one, adds to one second-moment matrix of the pair ``(u, y)``,
+    centred by the exact map ``b = joint.mean_map``: ``u = x - b y``.  With
     ``c_uu``, ``c_uy`` and ``c_yy`` its blocks and ``db = c_uy c_yy^{-1}``,
     ``b_hat = b + db`` and ``s_hat = c_uu - db c_uy^H`` are the one-batch
     regression ``c_xy c_yy^{-1}`` and ``E[(x - b_hat y)(x - b_hat y)^H]``
@@ -432,7 +417,7 @@ def _regress(joint: JointKernel, b: np.ndarray, seed: int, count: int) -> tuple[
     ``sqrt(count) eps`` times those scales (and ``b_hat`` times the
     condition number of ``L``).
     """
-    fs, d, nd = joint.features, joint.dim_h, joint.label_set.n * joint.dim_h
+    fs, b, d, nd = joint.features, joint.mean_map, joint.dim_h, joint.label_set.n * joint.dim_h
     moments = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
     with _draw_ahead(2 * nd) as helper:
         for _, chunk in path_chunks(fs, seed, count, helper):
@@ -477,8 +462,8 @@ def _draw_ahead(width: int):
     While the helper runs, numpy's OpenBLAS is held at one thread with its
     pool stopped (``blas_thread_shutdown_``, which OpenBLAS also runs before
     every fork), so no BLAS thread spins on the CPU the helper needs; this
-    holds for the whole process.  On exit the helper is joined and the
-    thread count restored, which restarts the pool."""
+    holds for the whole process.  On exit the helper is joined and the thread
+    count restored; the pool stays stopped until the next threaded BLAS call."""
     blas = _openblas() if width <= _DRAW_AHEAD_WIDTH else None
     if blas is None:
         yield None
@@ -494,3 +479,4 @@ def _draw_ahead(width: int):
             yield helper
     finally:
         put(threads)
+        shutdown()

@@ -287,9 +287,8 @@ class TestCostGates:
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
-            # cholesky: the certificate of the empirical c_yy gate, which
-            # replaces that gate's eigvalsh; M is admitted by the
-            # factorization it is sampled from, with no certificate.
+            # cholesky: the certificate of M, as in condition, and that of
+            # the empirical c_yy gate, which replaces that gate's eigvalsh.
             # eigh: the joint Gram M, once, for the sampler and its gate,
             # and L, once, for the Schur pseudo-inverse, the gate and
             # diag(L^-1).  eigvalsh: the Schur complement's positivity.
@@ -297,14 +296,14 @@ class TestCostGates:
             # M's factorization and the Schur complement.  tables: K and L
             # from the spec, the joint M and the Schur complement, which is
             # symmetrized before it is built.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 1, "solve": 2,
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 2, "solve": 2,
              "require_psd": 2, "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
         ),
         "condition": (
             lambda p: ["condition", "--spec", p["joint"]],
-            # As mc-verify, without the draws and the empirical gate, and M
-            # is admitted by its Cholesky certificate and never factored:
-            # no factorization, and no eigh or require_psd of M.
+            # As mc-verify, without the draws, the empirical gate and the
+            # factorization of M, which is never sampled: one cholesky, and
+            # no eigh or require_psd of M.
             {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "solve": 1, "require_psd": 1,
              "report_to_json": 1, "tables": 4},
         ),

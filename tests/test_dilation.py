@@ -130,6 +130,43 @@ class TestFactorize:
             kolmogorov_factorize(table, tol)
         assert exc.value.residual > tol * np.linalg.norm(table.flat, 2)
 
+    @pytest.mark.parametrize("n,count", [(4, 200), (60, 30), (300, 8)])
+    def test_tables_just_inside_the_gate_factor(self, n, count):
+        # Spectrum [-(1 - 1e-7) 1e-10, ..., 1]: the computed smallest eigenvalue
+        # falls on either side of the gate, and a table inside it has that
+        # eigenvalue truncated, a residual of 1e-10 plus the eigensolver's rounding.
+        rng = np.random.default_rng(53)
+        refused = []
+        for _ in range(count):
+            q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            w = np.concatenate([[-1e-10 * (1 - 1e-7)], rng.uniform(0, 1, n - 2), [1.0]])
+            table = OperatorKernelTable.from_flat(labels(n), 1, (q * w) @ q.conj().T)
+            evals = np.linalg.eigh(table.flat)[0]
+            refused.append(evals[0] < -RANK_RTOL * max(-evals[0], evals[-1]))
+            if refused[-1]:
+                with pytest.raises(NotPositiveDefinite):
+                    kolmogorov_factorize(table)
+            else:
+                assert kolmogorov_factorize(table).dilation_dim == n - 1
+        assert 0 < sum(refused) < count  # the gate decides the family both ways
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_residual_bound_boundary(self, inside, monkeypatch):
+        # The identity on C^60 with its largest eigenvalue reported as 1 + x:
+        # the reconstruction is off by x, and by rounding in the last ulp.
+        n = 60
+        allowance = 4.0 * n * np.finfo(np.float64).eps / 2
+        x = RANK_RTOL + allowance * (0.5 if inside else 1.5)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + np.eye(n)[-1] * x, np.eye(n)))
+        table = OperatorKernelTable.from_flat(labels(n), 1, np.eye(n))
+        if inside:
+            assert kolmogorov_factorize(table).dilation_dim == n
+            return
+        with pytest.raises(InternalInvariantViolation, match="factorization residual") as exc:
+            kolmogorov_factorize(table)
+        assert exc.value.residual == pytest.approx(x, rel=1e-9)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
         n=st.integers(1, 4),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -306,15 +307,6 @@ class TestLazyJointFactorization:
         joint.features, joint.features
         assert factorizations == [1]
 
-    def test_sampled_joint_is_admitted_by_its_factorization(self, factorizations, monkeypatch):
-        certificates = []
-        monkeypatch.setattr(gaussian, "psd_certified", lambda *a, **kw: certificates.append(1))
-        k, l, coupling = block_joint_instance(81)
-        joint = assemble_joint(k, l, coupling, sampled=True)
-        assert factorizations == [1] and certificates == []
-        joint.features
-        assert factorizations == [1]
-
 
 def gram_of_rank(rank, complex_entries, size=6):
     rng = np.random.default_rng(0)
@@ -498,6 +490,16 @@ class TestConditionalCovEqual:
         assert ab.equal == ba.equal
         assert abs(ab.residual - ba.residual) <= 1e-12 * max(ab.residual, ba.residual)
 
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_threshold_boundary(self, factor):
+        # T = 0: the conditional covariances are K1 and K2, which differ by eps
+        # in spectral norm, against the scale ||K1|| = 1.
+        eps = 1e-10 * factor
+        table = lambda diag: OperatorKernelTable.from_flat(labels(2), 1, np.diag(diag))
+        eye = table([1.0, 1.0])
+        report = conditional_cov_equal(table([1.0, 0.0]), table([1.0, eps]), eye, eye, np.zeros((2, 2, 1, 1)))
+        assert (report.equal, report.residual) == (factor < 1, eps)
+
     def test_singular_l_rejected(self):
         k = scalar_one()
         with pytest.raises(SingularL):
@@ -557,7 +559,7 @@ class TestStreamedRegression:
     def test_estimates_match_full_batch_to_rounding(self, make_joint):
         joint = make_joint()
         count = 5000
-        b_hat, s_hat = gaussian._regress(joint, joint.mean_map, 7, count)
+        b_hat, s_hat = gaussian._regress(joint, 7, count)
         b_ref, s_ref, *_ = oracles.mc_verify_full_batch(joint, 7, count)
         # Sums of `count` terms in another order: sqrt(count) eps, times the
         # conditioning of L for the solve, and for s_hat times the scale at
@@ -635,7 +637,7 @@ class TestDrawAhead:
         put(threads)
 
     def test_statistics_are_those_of_a_one_thread_process(self):
-        joint = assemble_joint(*block_joint_instance(5, n=4), sampled=True)
+        joint = assemble_joint(*block_joint_instance(5, n=4))
         report = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
         script = textwrap.dedent(
             f"""
@@ -643,7 +645,7 @@ class TestDrawAhead:
             big = random_pd_kernel(5, 4, 4)
             k = OperatorKernelTable(big.label_set, big.blocks[:, :, :2, :2])
             l = OperatorKernelTable(big.label_set, big.blocks[:, :, 2:, 2:])
-            joint = assemble_joint(k, l, big.blocks[:, :, :2, 2:], sampled=True)
+            joint = assemble_joint(k, l, big.blocks[:, :, :2, 2:])
             report = mc_verify_conditional(joint, 2, {DRAW_AHEAD_COUNT})
             print(report.mean_map_dev_se.hex(), report.residual_cov_dev_se.hex())
             """
@@ -654,6 +656,25 @@ class TestDrawAhead:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [report.mean_map_dev_se.hex(), report.residual_cov_dev_se.hex()]
+
+    def test_joint_table_is_factored_before_the_hold(self, monkeypatch):
+        # Factored inside the hold, the features, and so the report, would
+        # round as at one BLAS thread.
+        threads = []
+        factorize = gaussian.kolmogorov_factorize
+        monkeypatch.setattr(gaussian, "kolmogorov_factorize",
+                            lambda *a, **kw: threads.append(openblas_threads()) or factorize(*a, **kw))
+        joint = assemble_joint(*block_joint_instance(5, n=4))
+        assert threads == []  # admitted by its certificate
+        mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
+        assert threads == [None if OPENBLAS is None else 2]
+
+    @pytest.mark.skipif(gaussian._openblas() is None, reason="numpy bundles no OpenBLAS to hold")
+    def test_restored_pool_does_not_spin(self):
+        mc_verify_conditional(assemble_joint(*block_joint_instance(5, n=4)), 2, DRAW_AHEAD_COUNT)
+        cpu = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - cpu < 0.03
 
     @pytest.fixture
     def normals_seen(self, monkeypatch):
@@ -673,7 +694,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises_at_tile_3"])
     def test_threads_are_restored(self, fails, normals_seen):
-        joint = assemble_joint(*block_joint_instance(5, n=4), sampled=True)
+        joint = assemble_joint(*block_joint_instance(5, n=4))
         before = threading.active_count(), openblas_threads()
         with pytest.raises(RuntimeError, match="tile 3") if fails else contextlib.nullcontext():
             mc_verify_conditional(joint, 2, 5 * 512 if fails else 3 * 512)
@@ -689,7 +710,7 @@ class TestDrawAhead:
     def test_wide_pair_keeps_the_serial_loop(self, normals_seen):
         # 2nd = 328 values, beyond the draw-ahead width: BLAS keeps its threads.
         k, l, coupling = block_joint_instance(5, n=82)
-        joint = assemble_joint(k, l, coupling, sampled=True)
+        joint = assemble_joint(k, l, coupling)
         threads = openblas_threads()
         mc_verify_conditional(joint, 2, 1024)
         assert normals_seen == [(0, True, threads), (512, True, threads)]

@@ -55,6 +55,17 @@ class TestValidateSystem:
             scalar_system(4, 1, 1, 1)
         assert exc.value.residual == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_identity_gate_boundary(self, factor):
+        # K1 - K2 - T^H (L1 - L2) T = delta exactly, against the scale ||L1|| = 1.
+        delta = 1e-10 * factor
+        if factor < 1:
+            assert scalar_system(delta, 0, 1, 1, t=0).identity_residual == delta
+            return
+        with pytest.raises(NotEquivalent, match=r"relative 1\.000e-10 > 1e-10") as exc:
+            scalar_system(delta, 0, 1, 1, t=0)
+        assert exc.value.relative == delta
+
     def test_rejects_indefinite_component(self):
         ls = labels(2)
         good = identity_kernel(ls, 1)
