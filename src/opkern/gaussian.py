@@ -25,10 +25,9 @@ ulp, as it can for every LAPACK-backed result.
 
 A path batch is ``draw_paths(kolmogorov_factorize(table), seed, start,
 count)``; there is no sampler state.  :func:`path_chunks` walks a range of
-samples in tile-aligned chunks, so a consumer that reduces or writes paths
-as they come holds one chunk at a time and runs in memory that does not
-grow with the sample count.  A coupled pair of processes is one process on
-``H + H``.  Its :class:`JointKernel` carries the joint table, the one
+samples in tile-aligned chunks, in memory that does not grow with the
+sample count.  A coupled pair of processes is one process on ``H + H``.
+Its :class:`JointKernel` carries the joint table, the one
 eigendecomposition of the L Gram, which decides once whether L is
 invertible, and the conditional law; :func:`condition` and
 :func:`mc_verify_conditional` read those instead of deciding again.  The
@@ -36,25 +35,24 @@ joint table is admitted by :func:`opkern.kernels.psd_certified`, one
 Cholesky factorization with a stated rounding allowance, and factored where
 that declines, with the factorization's decision, message and exit code,
 or else on first use, which ``mc-verify`` makes before its tile loop.
-:func:`mc_verify_conditional` streams: it accumulates the second moments
-of the pair centred by the exact regression map, chunk by chunk, and
-never holds the sampled paths.  For a pair at most ``_DRAW_AHEAD_WIDTH``
-values wide, one helper thread draws the next tile's normals while the
-tile's GEMMs run, with numpy's OpenBLAS held at one thread for the loop
-and its pool stopped again when the thread count is restored; the normals
-are those of the serial loop, and the GEMMs round as they do at
-``OPENBLAS_NUM_THREADS=1``.
+:func:`mc_verify_conditional` never forms a path: the pair centred by the
+exact regression map is ``z P`` for a sample's normals ``z``, so it sums
+the r x r Gram ``z^T z`` of each tile, at even positions on the calling
+thread and at odd ones on a helper, and adds the two sums: the partition,
+not the scheduling, fixes the bytes.  numpy's OpenBLAS is held at one
+thread with its pool stopped for that loop and the final product.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .dilation import FeatureSystem, kolmogorov_factorize
 from .errors import (
@@ -81,18 +79,18 @@ from .kernels import (
 
 _RAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 _TILE = 512  # rows of normals per path GEMM
-_DRAW_AHEAD_WIDTH = 320  # widest pair (2nd values) whose MC tile loop draws ahead at one BLAS thread
 
 
-def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.ndarray:
+def standard_normal_rows(seed: int, start: int, count: int, width: int, out=None) -> np.ndarray:
     """Deterministic (count, width) matrix of N(0, 1) variates.
 
     Row ``k`` depends only on ``(seed, start + k)``: each sample index owns
     ``ceil(width / 4)`` Philox counter blocks, and uniforms are mapped
     through the inverse CDF.  The stream is therefore stable across
     platforms and arbitrary re-batching.  ``seed`` is the Philox key, an
-    integer in ``[0, 2**64)``; any other raises :class:`ValueError`.
-    """
+    integer in ``[0, 2**64)``; any other raises :class:`ValueError`.  With
+    ``out``, a C-contiguous (count, 4 ceil(width / 4)) float64 array, the
+    normals are its first ``width`` columns, and nothing is allocated."""
     from scipy.special import ndtri  # deferred: importing scipy.special dominates CLI start-up
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -103,11 +101,11 @@ def standard_normal_rows(seed: int, start: int, count: int, width: int) -> np.nd
     blocks_per = max(1, -(-width // _RAWS_PER_BLOCK))
     gen = Philox(key=np.uint64(seed))
     gen.advance(start * blocks_per)
-    raw = gen.random_raw(count * blocks_per * _RAWS_PER_BLOCK)
-    raw = raw.reshape(count, blocks_per * _RAWS_PER_BLOCK)[:, :width]
-    # 53-bit uniform in (0, 1): half-ulp offset keeps ndtri finite.
-    uniform = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(uniform)
+    out = np.empty((count, blocks_per * _RAWS_PER_BLOCK)) if out is None else out
+    Generator(gen).random(out=out)  # (raw >> 11) * 2**-53, one raw output per entry
+    uniform = out[:, :width]
+    uniform += 2.0**-54  # 53-bit uniform in (0, 1): the half-ulp offset keeps ndtri finite
+    return ndtri(uniform, out=uniform)
 
 
 @dataclass(frozen=True)
@@ -133,18 +131,8 @@ class PathBatch:
         return int(self.paths.shape[2])
 
 
-def _tile_normals(seed: int, tile: int, width: int) -> np.ndarray:
-    """The normals of the whole tile that starts at sample index ``tile``."""
-    return standard_normal_rows(seed, tile, _TILE, width)
-
-
-def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, normals=None) -> PathBatch:
-    """Paths for sample indices ``start .. start + count - 1``.
-
-    ``normals`` maps the first sample index of a tile to its normals,
-    ``_tile_normals(seed, tile, r)``, which are drawn here when not given;
-    :func:`path_chunks` passes them so as to draw normals ahead.
-    """
+def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatch:
+    """Paths for sample indices ``start .. start + count - 1``."""
     if start < 0 or count < 0:
         raise ValueError(f"sample indices must be nonnegative (start={start}, count={count})")
     n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
@@ -154,7 +142,7 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, normals=
         flat = paths.view(np.float64)
         stop = start + count
         for tile in range(start - start % _TILE, stop, _TILE):
-            z = _tile_normals(seed, tile, r) if normals is None else normals(tile)
+            z = standard_normal_rows(seed, tile, _TILE, r)
             lo, hi = max(start, tile), min(stop, tile + _TILE)
             flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
     paths = paths.reshape(count, n, d)
@@ -162,22 +150,13 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int, *, normals=
     return PathBatch(label_set=fs.label_set, paths=paths)
 
 
-def path_chunks(fs: FeatureSystem, seed: int, count: int, helper=None):
+def path_chunks(fs: FeatureSystem, seed: int, count: int):
     """Yield ``(start, draw_paths(fs, seed, start, c))`` over samples
     ``0 .. count - 1``, one tile of ``_TILE`` samples at a time (the last
     may be shorter).  The chunks draw exactly the tiles, and bytes, of one
-    ``draw_paths(fs, seed, 0, count)``.
-
-    With ``helper``, an executor, the next tile's normals are drawn on it
-    while the caller works on the current chunk; every tile is still drawn
-    once, as :func:`standard_normal_rows` draws it alone."""
-    ahead = None
+    ``draw_paths(fs, seed, 0, count)``."""
     for start in range(0, count, _TILE):
-        normals = None if ahead is None else lambda tile, z=ahead.result(): z
-        ahead = None
-        if helper is not None and fs.dilation_dim and start + _TILE < count:
-            ahead = helper.submit(_tile_normals, seed, start + _TILE, fs.dilation_dim)
-        yield start, draw_paths(fs, seed, start, min(_TILE, count - start), normals=normals)
+        yield start, draw_paths(fs, seed, start, min(_TILE, count - start))
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +340,12 @@ def mc_verify_conditional(
     ``T_gram L_gram^{-1}`` and the empirical residual covariance against the
     Schur complement, each deviation expressed in asymptotic standard
     errors (Gaussian plug-in formulas); the check passes when every entry
-    stays within ``tol_sigma`` standard errors.  The paths are drawn from
-    the joint factorization; a numerically singular empirical L covariance
-    raises :class:`SingularL`, and a statistic that overflows raises
-    :class:`InternalInvariantViolation` instead of being compared.
-
-    Paths are drawn one tile at a time and reduced to the second moments
-    of the pair centred by the exact map, so memory stays flat in
-    ``count``.
+    stays within ``tol_sigma`` standard errors.  The paths are those of
+    the joint factorization, reduced to the Gram of their normals one tile
+    at a time, so memory stays flat in ``count``; a numerically singular
+    empirical L covariance raises :class:`SingularL`, and a statistic that
+    overflows raises :class:`InternalInvariantViolation` instead of being
+    compared.
     """
     if count < 2:
         raise InvalidKernel("Monte-Carlo verification needs at least two samples")
@@ -399,37 +376,67 @@ def _regress(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.
     """Empirical regression map ``b_hat`` of K-paths ``x`` on L-paths ``y``
     and residual covariance ``s_hat``, over joint samples ``0 .. count - 1``.
 
-    The joint features are read before :func:`_draw_ahead` holds BLAS at
-    one thread, so a certified table is factored as ``condition`` would.
-    Each chunk of paths, its normals drawn ahead by the helper where there
-    is one, adds to one second-moment matrix of the pair ``(u, y)``,
-    centred by the exact map ``b = joint.mean_map``: ``u = x - b y``.  With
-    ``c_uu``, ``c_uy`` and ``c_yy`` its blocks and ``db = c_uy c_yy^{-1}``,
+    A joint path is ``z W``, ``z`` the sample's normals and ``W`` the
+    conjugated features, so the pair ``(u, y)`` centred by the exact map
+    ``b = joint.mean_map``, ``u = x - b y``, is ``z P`` with
+    ``P = [W_x - W_y b^T, W_y]``; its second moments are
+    ``P^T (G / count) conj(P)``, ``G`` the Gram of the normals.  With
+    ``c_uu``, ``c_uy`` and ``c_yy`` their blocks and ``db = c_uy c_yy^{-1}``,
     ``b_hat = b + db`` and ``s_hat = c_uu - db c_uy^H`` are the one-batch
     regression ``c_xy c_yy^{-1}`` and ``E[(x - b_hat y)(x - b_hat y)^H]``
-    in exact arithmetic.  Centring sets the rounding: each ``u`` is formed
-    per sample, as a one-batch residual ``x - b_hat y`` is, so ``s_hat``
-    rounds at ``eps sqrt(||S|| ||M||)`` (``S`` the Schur complement, ``M``
-    the joint table), where the uncentred ``c_xx - b_hat c_xy^H`` would
-    round at ``eps ||M||``, far above ``||S||`` for a near-saturated
-    coupling.  The chunked sums add in another order than one GEMM over
-    every sample, so both results move by rounding only, about
-    ``sqrt(count) eps`` times those scales (and ``b_hat`` times the
-    condition number of ``L``).
+    in exact arithmetic.  Centring sets the rounding: ``P``'s ``u`` columns
+    are formed once, as a one-batch residual ``x - b_hat y`` is per sample,
+    so ``s_hat`` rounds at ``eps sqrt(||S|| ||M||)`` (``S`` the Schur
+    complement, ``M`` the joint table), not at the ``eps ||M||`` of the
+    uncentred ``c_xx - b_hat c_xy^H``, far above ``||S||`` for a
+    near-saturated coupling.  ``G`` sums in another order than one GEMM
+    over every path, so both move by rounding only, about ``sqrt(count)
+    eps`` times those scales (``b_hat`` times L's condition number too).
+    The features are read before BLAS is held at one thread, so a
+    certified table is factored as ``condition`` would.
     """
     fs, b, d, nd = joint.features, joint.mean_map, joint.dim_h, joint.label_set.n * joint.dim_h
-    moments = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
-    with _draw_ahead(2 * nd) as helper:
-        for _, chunk in path_chunks(fs, seed, count, helper):
-            x, y = chunk.paths[:, :, :d].reshape(-1, nd), chunk.paths[:, :, d:].reshape(-1, nd)
-            pair = np.concatenate([x - y @ b.T, y], axis=1)
-            moments += pair.T @ pair.conj()
-    moments /= count
+    w = fs.stacked.conj().reshape(fs.dilation_dim, -1, 2, d)
+    w_x, w_y = w[:, :, 0].reshape(-1, nd), w[:, :, 1].reshape(-1, nd)
+    p = np.concatenate([w_x - w_y @ b.T, w_y], axis=1)
+    with _one_blas_thread() as held:
+        moments = p.T @ (_normals_gram(seed, fs.dilation_dim, count, held) / count) @ p.conj()
     c_uu, c_uy, c_yy = moments[:nd, :nd], moments[:nd, nd:], moments[nd:, nd:]
     c_yy = 0.5 * (c_yy + c_yy.conj().T)
     require_finite(InternalInvariantViolation, "a Monte-Carlo moment", c_uu, c_uy, c_yy)
     db = gated_solve(c_yy.conj().T, c_uy.conj().T, RANK_RTOL, SingularL, "empirical L covariance").conj().T
     return b + db, c_uu - db @ c_uy.conj().T
+
+
+def _normals_gram(seed: int, r: int, count: int, helper: bool) -> np.ndarray:
+    """Sum of ``z^T z`` over the normals of samples ``0 .. count - 1``, in
+    :func:`draw_paths`' tiles, the last cut to ``count``, as two streams over
+    their tiles in order: even positions here, odd ones on a helper thread
+    if ``helper``.  A stream that raises stops the other at its next tile.
+    Both streams' buffers of normals live throughout, so memory is flat."""
+    stop = threading.Event()
+    normals = np.empty((2, _TILE, -(-r // _RAWS_PER_BLOCK) * _RAWS_PER_BLOCK))
+
+    def stream(first: int) -> np.ndarray:
+        gram = np.zeros((r, r))
+        try:
+            for tile in range(first * _TILE, count, 2 * _TILE):
+                if stop.is_set():
+                    break
+                z = standard_normal_rows(seed, tile, _TILE, r, normals[first])[: count - tile]
+                gram += z.T @ z
+        except BaseException:
+            stop.set()
+            raise
+        return gram
+
+    if not helper:
+        return stream(0) + stream(1)
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only mc-verify runs a helper
+    with ThreadPoolExecutor(1, thread_name_prefix="opkern-normals") as pool:
+        odd = pool.submit(stream, 1)
+        even = stream(0)
+        return even + odd.result()
 
 
 @functools.cache
@@ -454,29 +461,22 @@ def _openblas():
 
 
 @contextmanager
-def _draw_ahead(width: int):
-    """One helper thread that draws normals ahead of the tile loop of a
-    pair ``width`` values wide, or None: the serial loop, for pairs wider
-    than ``_DRAW_AHEAD_WIDTH`` or where :func:`_openblas` finds nothing.
-
-    While the helper runs, numpy's OpenBLAS is held at one thread with its
-    pool stopped (``blas_thread_shutdown_``, which OpenBLAS also runs before
-    every fork), so no BLAS thread spins on the CPU the helper needs; this
-    holds for the whole process.  On exit the helper is joined and the thread
-    count restored; the pool stays stopped until the next threaded BLAS call."""
-    blas = _openblas() if width <= _DRAW_AHEAD_WIDTH else None
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, its pool stopped so that no BLAS
+    thread spins on the CPU a helper needs, and yield True, or yield False
+    where :func:`_openblas` finds nothing.  The hold is process-wide; on exit
+    the thread count is restored and the pool stopped again, to restart at
+    the next threaded BLAS call instead of spinning."""
+    blas = _openblas()
     if blas is None:
-        yield None
+        yield False
         return
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only mc-verify draws ahead
-
     get, put, shutdown = blas
     threads = get()
     put(1)
     shutdown()
     try:
-        with ThreadPoolExecutor(1, thread_name_prefix="opkern-normals") as helper:
-            yield helper
+        yield True
     finally:
         put(threads)
         shutdown()

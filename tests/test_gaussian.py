@@ -6,7 +6,7 @@ import sys
 import textwrap
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -545,20 +545,28 @@ def saturated_joint(delta):
     return assemble_joint(k, k, (1 - delta) * k.blocks)
 
 
+# A count whose last tile has 458 rows.
+DRAW_AHEAD_COUNT = 3 * 512 + 458
+
+
 class TestStreamedRegression:
     """``mc_verify_conditional`` streams centred moments; ``oracles`` keeps
     the one-batch regression it replaced."""
 
-    @pytest.mark.parametrize("make_joint", [
-        lambda: assemble_joint(*block_joint_instance(40)),
-        lambda: assemble_joint(*block_joint_instance(41)),
-        lambda: assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5)),
-        lambda: saturated_joint(1e-6),
-        lambda: saturated_joint(1e-9),
-    ], ids=["block40", "block41", "scalar", "delta1e-6", "delta1e-9"])
-    def test_estimates_match_full_batch_to_rounding(self, make_joint):
-        joint = make_joint()
-        count = 5000
+    JOINTS = {
+        "block40": lambda: assemble_joint(*block_joint_instance(40)),
+        "block41": lambda: assemble_joint(*block_joint_instance(41)),
+        "scalar": lambda: assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5)),
+        "delta1e-6": lambda: saturated_joint(1e-6),
+        "delta1e-9": lambda: saturated_joint(1e-9),
+        "wide328": lambda: assemble_joint(*block_joint_instance(5, n=82)),
+    }
+
+    @pytest.mark.parametrize("name,count", [pytest.param(name, 5000, id=name) for name in JOINTS] + [
+        pytest.param(name, DRAW_AHEAD_COUNT, id=f"{name}-last458") for name in JOINTS
+    ])
+    def test_estimates_match_full_batch_to_rounding(self, name, count):
+        joint = self.JOINTS[name]()
         b_hat, s_hat = gaussian._regress(joint, 7, count)
         b_ref, s_ref, *_ = oracles.mc_verify_full_batch(joint, 7, count)
         # Sums of `count` terms in another order: sqrt(count) eps, times the
@@ -589,11 +597,24 @@ class TestStreamedRegression:
         joined = np.concatenate([batch.paths for _, batch in chunks])
         assert joined.tobytes() == draw_paths(fs, 4, 0, 1025).paths.tobytes()
 
-    def test_chunks_drawn_ahead_are_the_tiles_of_one_draw(self):
-        fs = kolmogorov_factorize(random_pd_kernel(2, 3, 2))
-        with ThreadPoolExecutor(1) as helper:
-            joined = np.concatenate([batch.paths for _, batch in gaussian.path_chunks(fs, 4, 1537, helper)])
-        assert joined.tobytes() == draw_paths(fs, 4, 0, 1537).paths.tobytes()
+    @pytest.mark.parametrize("n", [4, 82], ids=["narrow16", "wide328"])
+    def test_serial_streams_give_the_same_statistics(self, n, monkeypatch):
+        # Where numpy bundles no OpenBLAS to hold, both streams run on the
+        # main thread, one after the other.  Both runs are pinned at one BLAS
+        # thread, so that only the scheduling of the streams differs.
+        joint = assemble_joint(*block_joint_instance(5, n=n))
+        threads = openblas_threads()
+        if OPENBLAS is not None:
+            OPENBLAS[1](1)
+        try:
+            threaded = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
+            monkeypatch.setattr(gaussian, "_openblas", lambda: None)
+            serial = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
+        finally:
+            if OPENBLAS is not None:
+                OPENBLAS[1](threads)
+        assert [serial.mean_map_dev_se.hex(), serial.residual_cov_dev_se.hex()] == [
+            threaded.mean_map_dev_se.hex(), threaded.residual_cov_dev_se.hex()]
 
 
 def openblas_thread_calls():
@@ -616,13 +637,14 @@ def openblas_threads():
     return None if OPENBLAS is None else OPENBLAS[0]()
 
 
-# A joint whose M is 16 x 16, and a count whose last tile has 458 rows.
-DRAW_AHEAD_COUNT = 3 * 512 + 458
+HELD = gaussian._openblas() is not None
 
 
 class TestDrawAhead:
-    """``mc_verify_conditional`` draws the next tile's normals on a helper
-    thread, with numpy's OpenBLAS held at one thread, up to a pair width."""
+    """``mc_verify_conditional`` sums the Gram of each tile of normals in two
+    streams, the tiles at even positions on the main thread and those at odd
+    positions on one helper, with numpy's OpenBLAS held at one thread at
+    every pair width."""
 
     @pytest.fixture(autouse=True)
     def two_blas_threads(self):
@@ -678,39 +700,135 @@ class TestDrawAhead:
 
     @pytest.fixture
     def normals_seen(self, monkeypatch):
-        """Per drawn tile: its start, the drawing thread and numpy's OpenBLAS
-        thread count at that moment; a tile starting at 3 * 512 raises."""
-        seen = []
+        """Per drawn tile: its start, whether the main thread drew it and
+        numpy's OpenBLAS thread count at that moment.  ``hooks[start]`` runs
+        when the tile at ``start`` is drawn."""
+        seen, hooks = [], {}
         original = gaussian.standard_normal_rows
 
-        def spy(seed, start, count, width):
+        def spy(seed, start, count, width, *out):
             seen.append((start, threading.current_thread() is threading.main_thread(), openblas_threads()))
-            if start == 3 * 512:
-                raise RuntimeError("tile 3")
-            return original(seed, start, count, width)
+            hooks.get(start, lambda: None)()
+            return original(seed, start, count, width, *out)
 
         monkeypatch.setattr(gaussian, "standard_normal_rows", spy)
-        return seen
+        return seen, hooks
 
-    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises_at_tile_3"])
+    @staticmethod
+    def assert_streams(seen, threads=1):
+        """Each tile drawn at most once, by its stream's thread, at ``threads``."""
+        starts = [start for start, *_ in seen]
+        assert len(starts) == len(set(starts))
+        assert [on_main for start, on_main, _ in seen] == [not HELD or start % 1024 == 0 for start in starts]
+        if OPENBLAS is not None:
+            assert {t for *_, t in seen} == {threads}
+
+    @pytest.mark.parametrize("fails", [None, 3, 4], ids=["returns", "raises_at_tile_3", "raises_at_tile_4"])
     def test_threads_are_restored(self, fails, normals_seen):
+        # Tile 3 is the helper's, tile 4 the main thread's.
+        seen, hooks = normals_seen
+
+        def fail():
+            raise RuntimeError(f"tile {fails}")
+
+        if fails is not None:
+            hooks[fails * 512] = fail
         joint = assemble_joint(*block_joint_instance(5, n=4))
         before = threading.active_count(), openblas_threads()
-        with pytest.raises(RuntimeError, match="tile 3") if fails else contextlib.nullcontext():
-            mc_verify_conditional(joint, 2, 5 * 512 if fails else 3 * 512)
+        with pytest.raises(RuntimeError, match=f"tile {fails}") if fails else contextlib.nullcontext():
+            mc_verify_conditional(joint, 2, 8 * 512 if fails else DRAW_AHEAD_COUNT)
         assert (threading.active_count(), openblas_threads()) == before
-        # Each tile up to the failing one is drawn once, every one after the
-        # first on the helper where numpy bundles an OpenBLAS to hold.
-        tiles = sorted(normals_seen)
-        assert [start for start, *_ in tiles] == ([0, 512, 1024, 1536] if fails else [0, 512, 1024])
-        assert [on_main for _, on_main, _ in tiles] == [True] + [OPENBLAS is None] * (len(tiles) - 1)
-        if OPENBLAS is not None:
-            assert {threads for *_, threads in tiles} == {1}
+        self.assert_streams(seen, 1 if HELD else before[1])
+        starts = {start for start, *_ in seen}
+        assert fails * 512 in starts if fails else starts == {0, 512, 1024, 1536}
 
-    def test_wide_pair_keeps_the_serial_loop(self, normals_seen):
-        # 2nd = 328 values, beyond the draw-ahead width: BLAS keeps its threads.
-        k, l, coupling = block_joint_instance(5, n=82)
-        joint = assemble_joint(k, l, coupling)
+    @pytest.mark.skipif(not HELD, reason="both streams run on the main thread")
+    @pytest.mark.parametrize("fails", [3, 4], ids=["helper_raises", "main_raises"])
+    def test_a_failure_stops_the_other_stream_at_its_next_tile(self, fails, normals_seen):
+        # The failing tile waits until the other stream is drawing the next
+        # tile, which returns only once the failure is raised: the other
+        # stream then finds the stop before its next draw.
+        seen, hooks = normals_seen
+        meeting, failed = threading.Event(), threading.Event()
+
+        def fail():
+            meeting.wait(10)
+            failed.set()
+            raise RuntimeError("stream failure")
+
+        def meet():
+            meeting.set()
+            failed.wait(10)
+            time.sleep(0.05)
+
+        hooks[fails * 512], hooks[(fails + 1) * 512] = fail, meet
+        with pytest.raises(RuntimeError, match="stream failure"):
+            mc_verify_conditional(assemble_joint(*block_joint_instance(5, n=4)), 2, 12 * 512)
+        self.assert_streams(seen)
+        assert sorted(start for start, *_ in seen) == list(range(0, (fails + 2) * 512, 512))
+
+    def test_final_product_is_held(self, monkeypatch):
+        # The Gram enters the moments as the right operand of P^T @ (G / count).
+        threads = []
+
+        class Recorder(np.ndarray):
+            def __rmatmul__(self, other):
+                threads.append(openblas_threads())
+                return other @ self.view(np.ndarray)
+
+        gram = gaussian._normals_gram
+        monkeypatch.setattr(gaussian, "_normals_gram", lambda *args: gram(*args).view(Recorder))
+        mc_verify_conditional(assemble_joint(*block_joint_instance(5, n=4)), 2, 1024)
+        assert threads == [1 if HELD else openblas_threads()]
+
+    def test_concurrent_calls_add_their_own_streams(self):
+        # Four callers, each with its helper, under a short switch interval:
+        # a buffer or a partial sum shared between streams or calls would
+        # show as a Gram that differs from the serial one.
+        serial = gaussian._normals_gram(3, 17, DRAW_AHEAD_COUNT, False)
+        grams = [None] * 4
+
+        def call(i):
+            grams[i] = gaussian._normals_gram(3, 17, DRAW_AHEAD_COUNT, True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(gram is not None and gram.tobytes() == serial.tobytes() for gram in grams)
+
+    def test_wide_pair_is_held_at_one_thread(self, normals_seen):
+        # 2nd = 328 values: the tiles and their Grams run at one BLAS thread too.
+        seen, _ = normals_seen
+        joint = assemble_joint(*block_joint_instance(5, n=82))
         threads = openblas_threads()
         mc_verify_conditional(joint, 2, 1024)
-        assert normals_seen == [(0, True, threads), (512, True, threads)]
+        assert sorted(seen) == [(0, True, 1 if HELD else threads), (512, not HELD, 1 if HELD else threads)]
+
+
+class TestRegressionMemory:
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_peak_is_a_few_grams_and_one_tile(self, n):
+        # The moments of a pair of 2nd = 4n values are (2nd)^2 complex
+        # entries, and a tile of normals 512 x r reals.  Forming each
+        # tile's paths takes 11-15 tiles' worth here and fails the bound.
+        joint = assemble_joint(*block_joint_instance(5, n=n))
+        gram_bytes, tile_bytes = (4 * n) ** 2 * 16, 512 * joint.features.dilation_dim * 8
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                mc_verify_conditional(joint, 2, count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2048)  # warm-up: the first draw imports scipy.special, the first use caches the Schur Gram
+        assert max(peak(2048), peak(4 * 2048)) <= 8 * (gram_bytes + tile_bytes)

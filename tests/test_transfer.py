@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from opkern import (
     GramMismatch,
+    InternalInvariantViolation,
     NotDominated,
     NotEquivalent,
     NotInvertible,
@@ -25,6 +26,7 @@ from opkern import (
     verify_realization,
 )
 from opkern.kernels import RANK_RTOL
+from opkern import transfer
 from opkern.transfer import _svd
 from conftest import labels, null_cone_system
 
@@ -137,6 +139,21 @@ class TestPartialIsometry:
         assert exc.value.relative == pytest.approx(1e-7 / (5 + 1e-7), rel=1e-6)
         assert f"{exc.value.relative:.3e}" in str(exc.value)
 
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_gram_defect_boundary(self, factor):
+        # Column Grams 5 and 5 + x, as above: the relative defect x / (5 + x)
+        # sits at factor * 1e-9; rounding moves it by about 1e-7 of itself.
+        defect = 1e-9 * factor
+        k1 = OperatorKernelTable.from_flat(labels(1), 1, np.array([[4.0 + 5 * defect / (1 - defect)]]))
+        sys_ = scalar_system(4, 1, 4, 1)
+        sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
+        if factor < 1:
+            assert construct_partial_isometry(sys_).gram_defect == pytest.approx(defect, rel=1e-7)
+        else:
+            with pytest.raises(GramMismatch) as exc:
+                construct_partial_isometry(sys_)
+            assert exc.value.relative == pytest.approx(defect, rel=1e-7)
+
 
 class TestTransferFunction:
     def test_scalar_value_forward(self):
@@ -172,6 +189,27 @@ class TestTransferFunction:
         real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible):
             transfer_function(real, sys_, "s1")
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1.0, 1 + 1e-6], ids=["below", "equal", "above"])
+    def test_rank_gate_boundary(self, factor, monkeypatch):
+        # M(s)'s singular values reported as (2, 2 tol factor): the gate
+        # refuses sigma_min <= tol * sigma_max, the equal case included.
+        sys_ = generate_valid_system(0, 2, 2)
+        real = construct_partial_isometry(sys_)
+        svd = transfer._svd
+
+        def pinned(a, rcond):
+            _, basis, pinv = svd(a, rcond)
+            return np.array([2.0, 2.0 * rcond * factor]), basis, pinv
+
+        monkeypatch.setattr(transfer, "_svd", pinned)
+        label = sys_.label_set.labels[0]
+        if factor > 1:
+            assert np.isfinite(transfer_function(real, sys_, label)).all()
+        else:
+            with pytest.raises(NotInvertible) as exc:
+                transfer_function(real, sys_, label)
+            assert (exc.value.label, exc.value.sigma_min) == (label, 2.0 * RANK_RTOL * factor)
 
 
 class TestVerifyRealization:
@@ -251,6 +289,54 @@ class TestRadonNikodym:
         with pytest.raises(NotDominated, match="hi - lo is not positive") as exc:
             radon_nikodym(lo, OperatorKernelTable.from_flat(ls, 1, 1e-3 * np.eye(2)), tol=1e-6)
         assert exc.value.min_eig == pytest.approx(-5e-9, rel=1e-6)
+
+    @staticmethod
+    def derivative_with_eigenvalue(monkeypatch, lo_diag, index, value, tol):
+        """``_derivative`` of ``lo = diag(lo_diag)`` under ``hi = I`` on two
+        labels, with the eigh of ``Phi = lo`` reporting ``value`` as its
+        eigenvalue ``index``."""
+        ls = labels(2)
+        hi = OperatorKernelTable.from_flat(ls, 1, np.eye(2))
+        fs = kolmogorov_factorize(hi)
+        eigh = np.linalg.eigh
+
+        def reported(a):
+            w, u = eigh(a)
+            w = w.copy()
+            w[index] = value
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", reported)
+        return transfer._derivative(OperatorKernelTable.from_flat(ls, 1, np.diag(lo_diag)), hi, fs, tol)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_spectrum_range_boundary(self, end, factor, monkeypatch):
+        # Phi = diag(0, 1), its 0 reported as -tol factor or its 1 as
+        # 1 + tol factor; inside, the clamped spectrum reproduces lo.
+        tol = 1e-9
+        index, value = (0, -tol * factor) if end == "low" else (1, 1.0 + tol * factor)
+        derive = lambda: self.derivative_with_eigenvalue(monkeypatch, [0.0, 1.0], index, value, tol)
+        if factor < 1:
+            assert derive().spectrum[index] == value
+        else:
+            with pytest.raises(SpectrumOutOfRange) as exc:
+                derive()
+            assert (exc.value.min_eig, exc.value.max_eig)[index] == value
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8], ids=["floor", "tol"])
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_reproduction_bound_boundary(self, tol, factor, monkeypatch):
+        # Phi = I / 2 with its top eigenvalue reported as 1/2 + x reproduces
+        # lo with residual x against the norm 1 of hi; the bound is tol, but
+        # never below 10 RANK_RTOL = 1e-9.
+        x = max(tol, 1e-9) * factor
+        derive = lambda: self.derivative_with_eigenvalue(monkeypatch, [0.5, 0.5], 1, 0.5 + x, tol)
+        if factor < 1:
+            assert derive().reproduction_residual == pytest.approx(x, rel=1e-6)
+        else:
+            with pytest.raises(InternalInvariantViolation, match="reproduces lo"):
+                derive()
 
     def test_out_of_range_spectrum_carries_its_extremes(self):
         # lo = diag(-5e-9, 100) is positive to 1e-10 times its norm, and
