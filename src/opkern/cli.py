@@ -44,7 +44,7 @@ import numpy as np
 from . import gaussian, regression, transfer
 from .dilation import kolmogorov_factorize
 from .errors import NotEquivalent, NotInvertible, OpKernError
-from .kernels import is_positive_definite
+from .kernels import is_positive_definite, require_at_most
 from . import specio
 from .specio import SpecError
 
@@ -91,10 +91,8 @@ def _training_set(path: str):
 def _require_path_budget(samples: int, width: int) -> None:
     """Refuse, before any draw, ``samples`` paths of ``width`` values each
     beyond ``specio.MAX_PATH_VALUES`` in all."""
-    if samples * width > specio.MAX_PATH_VALUES:
-        raise SpecError(
-            f"--samples {samples} x path width {width} exceeds the supported {specio.MAX_PATH_VALUES} path values"
-        )
+    require_at_most(samples * width, specio.MAX_PATH_VALUES, SpecError,
+                    f"--samples {samples} x path width {width} exceeds the supported {specio.MAX_PATH_VALUES} path values")
 
 
 @contextmanager

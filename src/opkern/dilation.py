@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, NotPositiveDefinite
-from .kernels import EIGENSOLVER_ALLOWANCE, RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_psd
+from .kernels import EIGENSOLVER_ALLOWANCE, RANK_RTOL, TINY, LabelSet, OperatorKernelTable, require_at_most, require_psd
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,16 @@ def kolmogorov_factorize(
     # moves the reconstruction by at most that much, and the eigensolver's
     # rounding by its allowance in psd_certified more.  The Frobenius norm
     # bounds the spectral norm from above, so the SVD behind the spectral
-    # norm is needed only when Frobenius fails the bound (an overflowing
-    # Frobenius norm fails it).
+    # norm is needed only when Frobenius exceeds the bound (an overflowing
+    # Frobenius norm does; a NaN one is the residual).
     defect = stacked.conj().T @ stacked - flat
     rtol = max(tol, 1e-10) + EIGENSOLVER_ALLOWANCE * flat.shape[0] * np.finfo(np.float64).eps / 2
     bound = max(rtol * scale, TINY)
     with np.errstate(over="ignore"):
-        frobenius = np.linalg.norm(defect)
-    if frobenius > bound and (residual := float(np.linalg.norm(defect, 2))) > bound:
-        raise InternalInvariantViolation(
-            f"factorization residual {residual:.3e} exceeds {rtol:g} * {scale:.3e}", residual=residual
-        )
+        frobenius = float(np.linalg.norm(defect))
+    residual = float(np.linalg.norm(defect, 2)) if frobenius > bound else frobenius
+    require_at_most(residual, bound, InternalInvariantViolation,
+                    f"factorization residual {residual:.3e} exceeds {rtol:g} * {scale:.3e}", residual=residual)
     return FeatureSystem(
         label_set=table.label_set,
         dim_h=table.dim_h,

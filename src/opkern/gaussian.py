@@ -299,21 +299,14 @@ def conditional_cov_equal(
     Both L-tables must be numerically invertible; degeneracy raises
     :class:`SingularL`.
     """
-    k1._require_same_shape(k2)
-    k1._require_same_shape(l1)
-    k1._require_same_shape(l2)
+    for table in (k2, l1, l2):
+        k1._require_same_shape(table)
     t_gram = block_layout(_coupling_array(k1.label_set, k1.dim_h, coupling))
 
     conds = [_schur(k, l, t_gram)[1].flat for k, l in ((k1, l1), (k2, l2))]
 
     residual = float(np.linalg.norm(conds[0] - conds[1], 2))
-    scale = max(
-        float(np.linalg.norm(k1.flat, 2)),
-        float(np.linalg.norm(k2.flat, 2)),
-        float(np.linalg.norm(conds[0], 2)),
-        float(np.linalg.norm(conds[1], 2)),
-        TINY,
-    )
+    scale = max(*(float(np.linalg.norm(flat, 2)) for flat in (k1.flat, k2.flat, *conds)), TINY)
     return CondCovComparison(equal=residual <= 1e-10 * scale, residual=residual / scale)
 
 
@@ -460,23 +453,34 @@ def _openblas():
     return None
 
 
+_BLAS_LOCK = threading.Lock()
+_blas_hold = {"holders": 0, "threads": 0}  # under _BLAS_LOCK: how many hold, and the count to restore
+
+
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS at one thread, its pool stopped so that no BLAS
     thread spins on the CPU a helper needs, and yield True, or yield False
-    where :func:`_openblas` finds nothing.  The hold is process-wide; on exit
-    the thread count is restored and the pool stopped again, to restart at
-    the next threaded BLAS call instead of spinning."""
+    where :func:`_openblas` finds nothing.  Holds are process-wide and
+    counted: the first saves the count and sets 1, and the last one out
+    restores it and stops the pool again, to restart at the next threaded
+    BLAS call instead of spinning."""
     blas = _openblas()
     if blas is None:
         yield False
         return
     get, put, shutdown = blas
-    threads = get()
-    put(1)
-    shutdown()
+    with _BLAS_LOCK:
+        if not _blas_hold["holders"]:
+            _blas_hold["threads"] = get()
+            put(1)
+            shutdown()
+        _blas_hold["holders"] += 1
     try:
         yield True
     finally:
-        put(threads)
-        shutdown()
+        with _BLAS_LOCK:
+            _blas_hold["holders"] -= 1
+            if not _blas_hold["holders"]:
+                put(_blas_hold["threads"])
+                shutdown()

@@ -15,14 +15,16 @@ A table stores only its flattened matrix; the ``(n, n, d, d)`` block array
 is a zero-copy view of it.  A table is a validated kernel, not a value to
 compute with: differences and congruences are formed on flat matrices.
 
-Positivity is decided by :func:`require_psd`: the smallest eigenvalue must
-be at least ``-tol`` times a scale, by default the matrix's own spectral
-norm.  Two gates pass a different scale: the Schur complement of a joint
-table uses ``max(own norm, norm of the joint table)``, and the domination
-test of a Radon-Nikodym pair the norm of the dominating table.  An
-explicit ``tol`` of :func:`is_positive_definite` (``check-pd --tol``) is an
-absolute bound on the smallest eigenvalue.  Rank cutoffs are relative to
-the largest eigenvalue or singular value.
+Every gate that raises and is neither strict nor a finiteness check
+decides in :func:`require_at_most`, and a NaN fails every gate.  Positivity
+(:func:`require_psd`) needs the smallest eigenvalue to be at least ``-tol``
+times a scale, by default the matrix's own spectral norm.  Two gates pass
+a different scale: the Schur complement of a joint table uses ``max(own
+norm, norm of the joint table)``, and the domination test of a
+Radon-Nikodym pair the norm of the dominating table.  An explicit ``tol``
+of :func:`is_positive_definite` (``check-pd --tol``) is an absolute bound
+on the smallest eigenvalue.  Rank cutoffs are relative to the largest
+eigenvalue or singular value.
 A gate that needs only its verdict may first ask :func:`psd_certified`,
 one Cholesky factorization with a stated rounding allowance.  It says yes
 only where the eigendecomposition's gate passes as well, and otherwise the
@@ -129,11 +131,9 @@ class OperatorKernelTable:
         if not np.array_equal(flat, adjoint):  # an exact adjoint has zero asymmetry at any scale
             scale = float(_block_frobenius(blocks).max())
             asym = float(_block_frobenius(_block_view(flat - adjoint, n)).max())
-            if asym > HERMITIAN_RTOL * max(scale, TINY):
-                raise InvalidKernel(
-                    f"block pattern is not Hermitian: asymmetry {asym:.3e} "
-                    f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}"
-                )
+            require_at_most(asym, HERMITIAN_RTOL * max(scale, TINY), InvalidKernel,
+                            f"block pattern is not Hermitian: asymmetry {asym:.3e} "
+                            f"exceeds {HERMITIAN_RTOL:g} * {scale:.3e}", residual=asym)
         flat = 0.5 * (flat + adjoint)
         require_finite(InvalidKernel, "symmetrized kernel table", flat)  # entries near the float limit
         flat.setflags(write=False)
@@ -241,6 +241,15 @@ def require_finite(error: type[Exception], what: str, *arrays) -> None:
         raise error(f"{what} contains non-finite entries")
 
 
+def require_at_most(value: float, bound: float, error: type[Exception], message: str, **measured) -> None:
+    """Raise ``error(message, **measured)`` unless ``value <= bound``; a NaN
+    fails.  Verdicts that are returned, not raised, compare where they are
+    reported: ``check-pd``'s ``pd``, the ``passed`` of ``verify_realization``
+    and ``mc-verify``, and ``conditional_cov_equal``."""
+    if not value <= bound:
+        raise error(message, **measured)
+
+
 def require_psd(evals: np.ndarray, tol: float, error: type[Exception], what: str, scale: float | None = None) -> float:
     """Raise ``error``, naming the matrix ``what`` and carrying ``min_eig``,
     unless the smallest of its ascending Hermitian eigenvalues ``evals`` is
@@ -248,8 +257,8 @@ def require_psd(evals: np.ndarray, tol: float, error: type[Exception], what: str
     spectral norm; the scale used is returned."""
     min_eig, own = eig_extremes(evals)
     scale = own if scale is None else scale
-    if not min_eig >= -tol * scale:
-        raise error(f"{what} is not positive (min eig {min_eig:.3e} < -{tol:g} * {scale:.3e})", min_eig=min_eig)
+    require_at_most(-min_eig, tol * scale, error,
+                    f"{what} is not positive (min eig {min_eig:.3e} < -{tol:g} * {scale:.3e})", min_eig=min_eig)
     return scale
 
 

@@ -51,6 +51,8 @@ from .kernels import (
     identity_kernel,
     neumann_series_kernel,
     random_pd_kernel,
+    require_at_most,
+    require_finite,
 )
 from .regression import TrainingSet
 
@@ -138,8 +140,7 @@ def kernel_from_spec(data: dict) -> OperatorKernelTable:
     n = labels.n
     if dim_h < 1:
         raise SpecError("dim_h must be >= 1")
-    if n * dim_h > MAX_GRAM_DIM:
-        raise SpecError(f"n * dim_h = {n * dim_h} exceeds the supported {MAX_GRAM_DIM}")
+    require_at_most(n * dim_h, MAX_GRAM_DIM, SpecError, f"n * dim_h = {n * dim_h} exceeds the supported {MAX_GRAM_DIM}")
     kind = _field(data, "kind")
 
     if kind == "explicit":
@@ -304,8 +305,7 @@ def _array_template(arr: np.ndarray, indent: str, values: list[float]) -> str:
     """The ``%r`` template of the nested ``[re, im]`` lists of ``arr`` as json
     lays them out at ``indent``; the values go to ``values`` in that order."""
     a = np.asarray(arr, dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
-        raise InternalInvariantViolation("report array contains non-finite entries")
+    require_finite(InternalInvariantViolation, "report array", a)
     dims = a.shape + (2,)
     item = "%r"
     for depth in reversed(range(len(dims))):

@@ -70,6 +70,7 @@ from .kernels import (
     OperatorKernelTable,
     block_layout,
     max_spectral_norm,
+    require_at_most,
     require_psd,
 )
 
@@ -138,12 +139,9 @@ def validate_system(
     if not (math.isfinite(residual) and math.isfinite(scale)):
         raise InvalidKernel(f"system identity leaves the float range: residual {residual:.3e}, scale {scale:.3e}")
     rel = residual / scale
-    if residual > 1e-10 * scale:
-        raise NotEquivalent(
-            f"signed decompositions disagree: residual {residual:.3e} (relative {rel:.3e} > 1e-10)",
-            residual=residual,
-            relative=rel,
-        )
+    require_at_most(residual, 1e-10 * scale, NotEquivalent,
+                    f"signed decompositions disagree: residual {residual:.3e} (relative {rel:.3e} > 1e-10)",
+                    residual=residual, relative=rel)
     return SignedKernelSystem(k1, k2, l1, l2, t_op, identity_residual=rel, features=features)
 
 
@@ -223,12 +221,9 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     if not math.isfinite(gram_scale):
         raise InvalidKernel(f"stacked feature Grams G^H G and F^H F leave the float range (scale {gram_scale:.3e})")
     gram_defect = float(np.linalg.norm(g.conj().T @ g - f.conj().T @ f, 2)) / gram_scale
-    if gram_defect > 1e-9:
-        raise GramMismatch(
-            f"initial/final column Grams differ by relative {gram_defect:.3e}; "
-            "the column correspondence is not isometric",
-            relative=gram_defect,
-        )
+    require_at_most(gram_defect, 1e-9, GramMismatch,
+                    f"initial/final column Grams differ by relative {gram_defect:.3e}; "
+                    "the column correspondence is not isometric", relative=gram_defect)
 
     w = f @ g_pinv
     r_k1, r_k2 = fs["k1"].dilation_dim, fs["k2"].dilation_dim
@@ -265,12 +260,9 @@ def transfer_function(
     sv, _, m_pinv = _svd(v_l2 - real.d @ v_l1, tol)
     sigma_max = float(sv[0]) if sv.size else 0.0
     sigma_min = float(sv[d_h - 1]) if sv.size >= d_h else 0.0
-    if sv.size < d_h or sigma_min <= tol * sigma_max or sigma_max == 0.0:
-        raise NotInvertible(
-            f"rank condition fails at label {s!r}: sigma_min {sigma_min:.3e}, sigma_max {sigma_max:.3e}",
-            label=s,
-            sigma_min=sigma_min,
-        )
+    if not (sv.size >= d_h and sigma_min > tol * sigma_max):  # a NaN fails; so does sigma_max = 0
+        raise NotInvertible(f"rank condition fails at label {s!r}: sigma_min {sigma_min:.3e}, sigma_max {sigma_max:.3e}",
+                            label=s, sigma_min=sigma_min)
     return real.a + real.b @ v_l1 @ m_pinv @ real.c
 
 
@@ -427,22 +419,18 @@ def _derivative(
     phi = 0.5 * (phi + phi.conj().T)
     w, u = np.linalg.eigh(phi) if phi.size else (np.zeros(0), np.zeros((0, 0)))
     raw = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
-    if w.size and (raw[0] < -tol or raw[1] > 1.0 + tol):
-        raise SpectrumOutOfRange(
-            f"derivative spectrum [{raw[0]:.3e}, {raw[1]:.3e}] leaves [0, 1] beyond {tol:g}",
-            min_eig=raw[0],
-            max_eig=raw[1],
-        )
+    if w.size:
+        message = f"derivative spectrum [{raw[0]:.3e}, {raw[1]:.3e}] leaves [0, 1] beyond {tol:g}"
+        require_at_most(-raw[0], tol, SpectrumOutOfRange, message, min_eig=raw[0], max_eig=raw[1])
+        require_at_most(raw[1], 1.0 + tol, SpectrumOutOfRange, message, min_eig=raw[0], max_eig=raw[1])
     clamped = np.clip(w, 0.0, 1.0)
     phi_c = (u * clamped) @ u.conj().T
     sqrt_phi = (u * np.sqrt(clamped)) @ u.conj().T
 
     residual = float(np.linalg.norm(fs.stacked.conj().T @ phi_c @ fs.stacked - lo.flat, 2))
     rel = residual / max(hi_scale, TINY)
-    if rel > max(tol, 10 * RANK_RTOL):
-        raise InternalInvariantViolation(
-            f"derivative reproduces lo with relative residual {rel:.3e}"
-        )
+    require_at_most(rel, max(tol, 10 * RANK_RTOL), InternalInvariantViolation,
+                    f"derivative reproduces lo with relative residual {rel:.3e}", relative=rel)
     return RNDerivative(
         phi=phi_c,
         sqrt_phi=sqrt_phi,

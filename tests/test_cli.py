@@ -153,6 +153,17 @@ class TestCheckPd:
         assert main(["check-pd", "--spec", specs["indefinite"], "--out", str(out), "--no-timestamp"]) == 1
         assert json.loads(out.read_text())["results"]["min_eig"] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_tol_verdict_boundary(self, factor, tmp_path):
+        # diag(-x, 1) has smallest eigenvalue -x exactly; --tol 1e-3 is an
+        # absolute bound on it.
+        x = 1e-3 * factor
+        spec = write_json(tmp_path / "spec.json", kernel_to_spec(scalar_table(np.diag([-x, 1.0]))))
+        out = tmp_path / "r.json"
+        code = main(["check-pd", "--spec", spec, "--tol", "1e-3", "--out", str(out), "--no-timestamp"])
+        assert code == (0 if factor < 1 else 1)
+        assert json.loads(out.read_text())["results"] == {"pd": factor < 1, "min_eig": -x, "n": 2, "d": 1}
+
     def test_builder_spec(self, specs, tmp_path):
         assert main(["check-pd", "--spec", specs["builder"], "--out", str(tmp_path / "r.json")]) == 0
 
@@ -195,7 +206,7 @@ def spectral(x, ord=None, *args, **kwargs):
 
 LINALG = ("eigh", "eigvalsh", "cholesky", "svd", "solve", "pinv", "inv")
 # The opkern functions counted in every module that binds them.
-OPKERN_CALLS = ("kolmogorov_factorize", "require_psd", "standard_normal_rows")
+OPKERN_CALLS = ("kolmogorov_factorize", "require_psd", "require_at_most", "standard_normal_rows")
 
 
 @pytest.fixture
@@ -233,9 +244,14 @@ def cost_specs(tmp_path):
 
 class TestCostGates:
     # Every call to a decomposition, a solve, a spectral norm, a factorization, a
-    # positivity gate and a tile of normals that each subcommand makes on small
-    # inputs, and every table it builds; a second decomposition of one Gram
-    # fails here, not as noise in the benchmark.  ``block_frobenius`` counts
+    # positivity gate, a gate of ``require_at_most`` and a tile of normals that
+    # each subcommand makes on small inputs, and every table it builds; a
+    # second decomposition of one Gram, or a dropped or doubled gate, fails
+    # here, not as noise in the benchmark.  ``require_psd`` decides through
+    # ``require_at_most``, so each positivity gate counts in both, and so does
+    # the size bound of each kernel spec read (``MAX_GRAM_DIM``).  The
+    # strict gates (``require_invertible``, the rank condition) are not
+    # counted.  ``block_frobenius`` counts
     # the asymmetry passes of the tables that are not exactly Hermitian, two
     # for each.  It reads 0 everywhere: every spec here is written from
     # exactly Hermitian tables, the joint M and the Schur complement are
@@ -245,12 +261,15 @@ class TestCostGates:
         "check-pd": (
             lambda p: ["check-pd", "--spec", p["kernel"]],
             # eigvalsh: the kernel's Gram, for the verdict.  tables: the spec's.
-            {"eigvalsh": 1, "report_to_json": 1, "tables": 1},
+            # require_at_most: the spec's size bound; the verdict is reported, not raised.
+            {"eigvalsh": 1, "require_at_most": 1, "report_to_json": 1, "tables": 1},
         ),
         "factorize": (
             lambda p: ["factorize", "--spec", p["kernel"]],
             # eigh: the kernel's Gram, for the features and their gate.  tables: the spec's.
-            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "report_to_json": 1, "tables": 1},
+            # require_at_most: the spec's size bound, the positivity gate and the residual bound.
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "require_at_most": 3, "report_to_json": 1,
+             "tables": 1},
         ),
         "realize": (
             lambda p: ["realize", "--spec", p["system"]],
@@ -264,7 +283,11 @@ class TestCostGates:
             # Spectral norms: eleven residuals.  T12 once per label.
             # tables: K1, K2, L1 and L2 from the spec; the system identity
             # and the domination are formed on their flat Grams.
-            {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "svd": 7,
+            # require_at_most: 4 size bounds, 4 x 2 for the factorizations'
+            # positivity gates and residual bounds, the identity, the Gram
+            # defect, the domination, both ends of Phi's spectrum and its
+            # reproduction bound.
+            {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "require_at_most": 18, "svd": 7,
              "spectral_norm": 11, "construct_partial_isometry": 1, "transfer_function": 2,
              "report_to_json": 1, "tables": 4},
         ),
@@ -274,16 +297,19 @@ class TestCostGates:
             # k - l, for the domination.  require_psd: k's factorization, l
             # and k - l.  svd: V_k's pseudo-inverse.  Spectral norm: the
             # reproduction residual.  tables: l and k from the spec; k - l is
-            # formed on their flat Grams.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "svd": 1,
+            # formed on their flat Grams.  require_at_most: 2 size bounds,
+            # k's positivity gate and residual bound, l, the domination, both
+            # ends of Phi's spectrum and its reproduction bound.
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "require_at_most": 9, "svd": 1,
              "spectral_norm": 1, "report_to_json": 1, "tables": 2},
         ),
         "sample": (
             lambda p: ["sample", "--spec", p["kernel"], "--samples", "600"],
             # eigh: the kernel's Gram; one draw of normals per tile of 512.
-            # tables: the spec's.
-            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "standard_normal_rows": 2,
-             "tables": 1},
+            # tables: the spec's.  require_at_most: the spec's size bound,
+            # the path budget, the positivity gate and the residual bound.
+            {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "require_at_most": 4,
+             "standard_normal_rows": 2, "tables": 1},
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
@@ -295,16 +321,21 @@ class TestCostGates:
             # solve: the exact map T L^-1 and the regression.  require_psd:
             # M's factorization and the Schur complement.  tables: K and L
             # from the spec, the joint M and the Schur complement, which is
-            # symmetrized before it is built.
+            # symmetrized before it is built.  require_at_most: the size
+            # bounds of K and L, the path budget, M's positivity gate and
+            # residual bound, and the Schur complement's positivity; the
+            # verdict is reported, not raised.
             {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 1, "cholesky": 2, "solve": 2,
-             "require_psd": 2, "standard_normal_rows": 4, "report_to_json": 1, "tables": 4},
+             "require_psd": 2, "require_at_most": 6, "standard_normal_rows": 4, "report_to_json": 1,
+             "tables": 4},
         ),
         "condition": (
             lambda p: ["condition", "--spec", p["joint"]],
             # As mc-verify, without the draws, the empirical gate and the
             # factorization of M, which is never sampled: one cholesky, and
-            # no eigh or require_psd of M.
-            {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "solve": 1, "require_psd": 1,
+            # no eigh or require_psd of M.  require_at_most: the size bounds
+            # of K and L and the Schur complement's positivity.
+            {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "solve": 1, "require_psd": 1, "require_at_most": 3,
              "report_to_json": 1, "tables": 4},
         ),
         "krr-fit": (
@@ -313,12 +344,12 @@ class TestCostGates:
             # matrix, for their gates, and of their sum, for its
             # invertibility before the solve.  Each certifies, so no
             # eigvalsh and no require_psd runs.  tables: the signal and the
-            # noise spec's.
-            {"cholesky": 3, "solve": 1, "report_to_json": 1, "tables": 2},
+            # noise spec's.  require_at_most: their size bounds.
+            {"cholesky": 3, "solve": 1, "require_at_most": 2, "report_to_json": 1, "tables": 2},
         ),
         "krr-predict": (
             lambda p: ["krr-predict", *p["krr"], "--fit", p["fit"], "--query", p["query"]],
-            # F is read from the fit: no table and no decomposition
+            # F is read from the fit: no table, no decomposition and no gate
             {"report_to_json": 1},
         ),
     }
@@ -329,7 +360,7 @@ class TestCostGates:
         linalg = count_calls(monkeypatch, np.linalg, LINALG)
         norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
         ours = [count_calls(monkeypatch, module, [name for name in OPKERN_CALLS if hasattr(module, name)])
-                for module in (cli, dilation, gaussian, kernels, regression, transfer)]
+                for module in (cli, dilation, gaussian, kernels, regression, specio, transfer)]
         realization = count_calls(monkeypatch, transfer, ["construct_partial_isometry", "transfer_function"])
         reports = count_calls(monkeypatch, specio, ["report_to_json"])
         tables = count_calls(monkeypatch, kernels.OperatorKernelTable, ["__init__"])

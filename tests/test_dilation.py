@@ -167,6 +167,15 @@ class TestFactorize:
             kolmogorov_factorize(table)
         assert exc.value.residual == pytest.approx(x, rel=1e-9)
 
+    def test_nan_residual_fails_the_residual_check(self, monkeypatch):
+        # Finite eigenvalues pass the positivity gate; NaN eigenvectors make
+        # the reconstruction, and so both of its norms, NaN.
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.full(a.shape, np.nan)))
+        with pytest.raises(InternalInvariantViolation, match="factorization residual nan exceeds") as exc:
+            kolmogorov_factorize(random_pd_kernel(8, 3, 2))
+        assert exc.value.exit_code == 1 and np.isnan(exc.value.residual)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
         n=st.integers(1, 4),

@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -283,6 +284,30 @@ class TestJointGateBoundary:
         with pytest.raises(NotPositiveDefinite, match=r"^joint table is not positive "
                            r"\(min eig -1\.000e-10 < -1e-10 \* 1\.000e\+00\)$"):
             assemble_joint(k, l, coupling)
+
+
+class TestSchurGateBoundary:
+    # The Schur complement's gate, -1e-10 times the larger of its own norm
+    # and the joint table's, at (1 -/+ 1e-6) times the threshold.  The
+    # eigvalsh of the complement reports (value, top); K = I and L = 4 I
+    # with zero coupling make a joint table of norm 4, admitted by its
+    # certificate, whose norm is read only when the complement fails against
+    # its own.
+    @pytest.mark.parametrize("top,scale", [(8.0, 8.0), (0.5, 4.0)], ids=["own_norm", "joint_norm"])
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_gate_boundary(self, top, scale, factor, monkeypatch):
+        value = -1e-10 * scale * factor
+        reported = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: reported.append(a) or np.array([value, top]))
+        k, l, coupling = diagonal_joint([1.0, 1.0], [4.0, 4.0])
+        if factor < 1:
+            assert assemble_joint(k, l, coupling).schur.flat.tobytes() == k.flat.tobytes()
+        else:
+            message = f"Schur complement is not positive (min eig {value:.3e} < -1e-10 * {scale:.3e})"
+            with pytest.raises(NotPositiveDefinite, match=f"^{re.escape(message)}$") as exc:
+                assemble_joint(k, l, coupling)
+            assert exc.value.min_eig == value
+        assert len(reported) == 1
 
 
 class TestLazyJointFactorization:
@@ -803,6 +828,34 @@ class TestDrawAhead:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert all(gram is not None and gram.tobytes() == serial.tobytes() for gram in grams)
+
+    @pytest.mark.skipif(not HELD, reason="numpy bundles no OpenBLAS to hold")
+    def test_overlapping_holds_restore_the_count(self):
+        # Two threads interleave enter A, enter B, exit A, exit B.  A hold
+        # that saved the count on entry would save B's 1 and restore it last.
+        steps = {name: threading.Event() for name in ("a_in", "b_in", "a_out")}
+        inside = []
+
+        def hold(enter_after, entered, exit_after, exited):
+            if enter_after:
+                steps[enter_after].wait(10)
+            with gaussian._one_blas_thread():
+                inside.append(openblas_threads())
+                steps[entered].set()
+                steps[exit_after].wait(10)
+            if exited:
+                steps[exited].set()
+
+        a = threading.Thread(target=hold, args=(None, "a_in", "b_in", "a_out"))
+        b = threading.Thread(target=hold, args=("a_in", "b_in", "a_out", None))
+        before = openblas_threads()
+        a.start()
+        b.start()
+        a.join(30)
+        b.join(30)
+        assert not a.is_alive() and not b.is_alive()
+        assert inside == [1, 1]
+        assert before == 2 and openblas_threads() == before
 
     def test_wide_pair_is_held_at_one_thread(self, normals_seen):
         # 2nd = 328 values: the tiles and their Grams run at one BLAS thread too.

@@ -31,6 +31,8 @@ from opkern.kernels import (
     block_layout,
     gated_solve,
     psd_certified,
+    _strict_contraction,
+    require_at_most,
     require_invertible,
     require_psd,
 )
@@ -290,6 +292,22 @@ class TestExactlyHermitianTables:
             )
         assert passes == [2]
 
+    def test_nan_asymmetry_is_refused(self, monkeypatch):
+        # An asymmetry of about 1e-15 relative, repaired when measured, reads NaN.
+        blocks = oracles.random_hermitian_blocks(np.random.default_rng(3), 3, 2)
+        blocks[0, 1, 0, 1] = blocks[1, 0, 1, 0].conj() * (1 + 2.0**-50)
+        original, passes = kernels._block_frobenius, []
+
+        def nan_asymmetry(b):
+            passes.append(b)
+            return original(b) if len(passes) == 1 else np.full(b.shape[:2], np.nan)
+
+        monkeypatch.setattr(kernels, "_block_frobenius", nan_asymmetry)
+        with pytest.raises(InvalidKernel, match="asymmetry nan exceeds") as exc:
+            OperatorKernelTable(labels(3), blocks)
+        assert exc.value.exit_code == 2 and np.isnan(exc.value.residual)
+        assert len(passes) == 2
+
     def test_entries_near_the_float_limit_exit_two(self, tmp_path, capsys):
         # Exactly Hermitian, but K + K^H overflows before it is halved.
         spec = tmp_path / "spec.json"
@@ -385,6 +403,19 @@ class TestRequirePsd:
         assert type(exc.value) is error and exc.value.min_eig == -1.0
 
 
+class TestRequireAtMost:
+    @pytest.mark.parametrize("value,bound", [(1.0, 1.0), (-np.inf, 0.0), (0.0, np.inf), (np.nextafter(1.0, 0), 1.0)])
+    def test_passes_at_or_below_the_bound(self, value, bound):
+        assert require_at_most(value, bound, NotDominated, "m") is None
+
+    @pytest.mark.parametrize("value,bound", [(np.nextafter(1.0, 2), 1.0), (np.nan, 1.0), (1.0, np.nan),
+                                             (np.nan, np.inf), (np.inf, 1e308)])
+    def test_raises_above_the_bound_or_at_a_nan(self, value, bound):
+        with pytest.raises(InternalInvariantViolation, match="^over$") as exc:
+            require_at_most(value, bound, InternalInvariantViolation, "over", residual=value, label="s")
+        assert (exc.value.residual, exc.value.label) == (value, "s") or np.isnan(exc.value.residual)
+
+
 class TestOrdering:
     """The kernel order: ``lo <= hi`` iff ``hi - lo`` is positive."""
 
@@ -441,6 +472,24 @@ class TestCpContractionKernel:
         oracle_min = oracles.min_eig_bruteforce(table.blocks)
         assert oracle_min < -1e-3
         assert is_positive_definite(table).pd is False
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1.0], ids=["inside", "at_one"])
+    def test_strict_contraction_boundary(self, factor):
+        # ||factor I|| = factor exactly; the gate refuses a norm of 1 itself.
+        h, points = factor * np.eye(2), {"s1": np.eye(2)}
+        if factor < 1:
+            assert _strict_contraction(h, labels(1), points)[1] == factor
+            assert cp_contraction_kernel(h, labels(1), points).blocks[0, 0, 0, 0] == 1 - factor**2
+        else:
+            with pytest.raises(NotStrictContraction, match="operator norm 1 is not < 1") as exc:
+                cp_contraction_kernel(h, labels(1), points)
+            assert exc.value.exit_code == 3
+
+    def test_nan_norm_is_not_a_strict_contraction(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: np.nan)
+        with pytest.raises(NotStrictContraction, match="operator norm nan is not < 1") as exc:
+            cp_contraction_kernel(0.5 * np.eye(2), labels(1), {"s1": np.eye(2)})
+        assert exc.value.exit_code == 3
 
     def test_requires_strict_contraction(self):
         with pytest.raises(NotStrictContraction):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opkern import (
     GramMismatch,
     InternalInvariantViolation,
+    InvalidKernel,
     NotDominated,
     NotEquivalent,
     NotInvertible,
@@ -32,6 +33,12 @@ from conftest import labels, null_cone_system
 
 
 ONE = np.array([[1.0]])
+
+
+def nan_spectral_norms(monkeypatch):
+    """Make every spectral norm ``np.linalg.norm(x, 2)`` read NaN from now on."""
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *a, **kw: np.nan if ord == 2 else norm(x, ord, *a, **kw))
 
 
 def scalar_system(k1, k2, l1, l2, t=1.0):
@@ -67,6 +74,14 @@ class TestValidateSystem:
         with pytest.raises(NotEquivalent, match=r"relative 1\.000e-10 > 1e-10") as exc:
             scalar_system(delta, 0, 1, 1, t=0)
         assert exc.value.relative == delta
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        # The float-range check in front of the identity refuses a NaN
+        # residual as an input error.
+        nan_spectral_norms(monkeypatch)
+        with pytest.raises(InvalidKernel, match="system identity leaves the float range: residual nan") as exc:
+            scalar_system(4, 1, 4, 1)
+        assert exc.value.exit_code == 2
 
     def test_rejects_indefinite_component(self):
         ls = labels(2)
@@ -155,6 +170,14 @@ class TestPartialIsometry:
             assert exc.value.relative == pytest.approx(defect, rel=1e-7)
 
 
+    def test_nan_gram_defect_is_a_mismatch(self, monkeypatch):
+        sys_ = scalar_system(4, 1, 4, 1)
+        nan_spectral_norms(monkeypatch)
+        with pytest.raises(GramMismatch, match="differ by relative nan") as exc:
+            construct_partial_isometry(sys_)
+        assert exc.value.exit_code == 1 and np.isnan(exc.value.relative)
+
+
 class TestTransferFunction:
     def test_scalar_value_forward(self):
         sys_ = scalar_system(4, 1, 4, 1)
@@ -210,6 +233,17 @@ class TestTransferFunction:
             with pytest.raises(NotInvertible) as exc:
                 transfer_function(real, sys_, label)
             assert (exc.value.label, exc.value.sigma_min) == (label, 2.0 * RANK_RTOL * factor)
+
+
+    def test_nan_singular_values_fail_the_rank_condition(self, monkeypatch):
+        sys_ = generate_valid_system(0, 2, 2)
+        real = construct_partial_isometry(sys_)
+        svd = transfer._svd
+        monkeypatch.setattr(transfer, "_svd", lambda a, rcond: (np.full(2, np.nan), *svd(a, rcond)[1:]))
+        label = sys_.label_set.labels[0]
+        with pytest.raises(NotInvertible, match="sigma_min nan, sigma_max nan") as exc:
+            transfer_function(real, sys_, label)
+        assert exc.value.exit_code == 3 and exc.value.label == label and np.isnan(exc.value.sigma_min)
 
 
 class TestVerifyRealization:
@@ -337,6 +371,47 @@ class TestRadonNikodym:
         else:
             with pytest.raises(InternalInvariantViolation, match="reproduces lo"):
                 derive()
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["low", "high"])
+    def test_nan_spectrum_is_out_of_range(self, index, monkeypatch):
+        with pytest.raises(SpectrumOutOfRange, match="leaves \\[0, 1\\]") as exc:
+            self.derivative_with_eigenvalue(monkeypatch, [0.0, 1.0], index, np.nan, 1e-9)
+        assert exc.value.exit_code == 1
+        assert np.isnan((exc.value.min_eig, exc.value.max_eig)[index])
+
+    def test_nan_reproduction_residual_fails(self, monkeypatch):
+        ls = labels(2)
+        hi = OperatorKernelTable.from_flat(ls, 1, np.eye(2))
+        fs = kolmogorov_factorize(hi)
+        nan_spectral_norms(monkeypatch)
+        with pytest.raises(InternalInvariantViolation, match="relative residual nan") as exc:
+            transfer._derivative(OperatorKernelTable.from_flat(ls, 1, 0.5 * np.eye(2)), hi, fs, 1e-9)
+        assert exc.value.exit_code == 1 and np.isnan(exc.value.relative)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
+    def test_domination_gate_boundary(self, factor, monkeypatch):
+        # hi = 2 I, lo = I on two labels, with the eigvalsh of hi - lo
+        # reporting its smallest eigenvalue as -tol factor times the norm 2 of hi.
+        tol, ls = 1e-9, labels(2)
+        hi = OperatorKernelTable.from_flat(ls, 1, 2.0 * np.eye(2))
+        fs = kolmogorov_factorize(hi)
+        value = -tol * 2.0 * factor
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([value, 1.0]))
+        derive = lambda: transfer._derivative(OperatorKernelTable.from_flat(ls, 1, np.eye(2)), hi, fs, tol)
+        if factor < 1:
+            assert derive().spectrum == pytest.approx((0.5, 0.5), abs=1e-15)
+        else:
+            with pytest.raises(NotDominated, match=r"hi - lo is not positive .* < -1e-09 \* 2\.000e\+00") as exc:
+                derive()
+            assert exc.value.min_eig == value and exc.value.exit_code == 3
+
+    def test_nan_spectrum_of_l_is_not_positive(self, monkeypatch):
+        # rn's gate on l reads eigvalsh after k's factorization.
+        ls = labels(2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[0], np.nan))
+        with pytest.raises(NotPositiveDefinite, match="kernel l is not positive") as exc:
+            radon_nikodym(identity_kernel(ls, 1), OperatorKernelTable.from_flat(ls, 1, 2.0 * np.eye(2)))
+        assert exc.value.exit_code == 3 and np.isnan(exc.value.min_eig)
 
     def test_out_of_range_spectrum_carries_its_extremes(self):
         # lo = diag(-5e-9, 100) is positive to 1e-10 times its norm, and
