@@ -182,6 +182,8 @@ def cmd_realize(args) -> int:
     try:
         report = transfer.verify_realization(real, sys_, args.tol)
     except NotInvertible as exc:
+        if not math.isfinite(exc.sigma_min):  # a report cannot hold it: stderr alone
+            raise
         results["condition"] = "rank_condition_failed"
         results["label"] = exc.label
         results["sigma_min"] = exc.sigma_min

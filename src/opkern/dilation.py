@@ -47,6 +47,12 @@ class FeatureSystem:
         or 0 when ``r = 0``.  ``||stacked||_2`` is its square root."""
         return float(self.basis_eigs[0]) if self.dilation_dim else 0.0
 
+    @property
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse of ``stacked``: its rows are orthogonal with squared
+        norms ``basis_eigs``, so it is ``stacked^H diag(1 / basis_eigs)``."""
+        return self.stacked.conj().T / self.basis_eigs
+
     def operator(self, label: str) -> np.ndarray:
         """Feature operator V(s), an (r, d) matrix."""
         i = self.label_set.index(label)

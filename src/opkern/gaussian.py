@@ -37,10 +37,7 @@ that declines, with the factorization's decision, message and exit code,
 or else on first use, which ``mc-verify`` makes before its tile loop.
 :func:`mc_verify_conditional` never forms a path: the pair centred by the
 exact regression map is ``z P`` for a sample's normals ``z``, so it sums
-the r x r Gram ``z^T z`` of each tile, at even positions on the calling
-thread and at odd ones on a helper, and adds the two sums: the partition,
-not the scheduling, fixes the bytes.  numpy's OpenBLAS is held at one
-thread with its pool stopped for that loop and the final product.
+the r x r Gram ``z^T z`` of each tile, on two threads at one BLAS thread (README.md).
 """
 
 from __future__ import annotations
@@ -65,12 +62,12 @@ from .errors import (
 from .kernels import (
     PD_RTOL,
     RANK_RTOL,
-    TINY,
     LabelSet,
     OperatorKernelTable,
     block_layout,
     eig_extremes,
     gated_solve,
+    max_scale,
     psd_certified,
     require_finite,
     require_invertible,
@@ -250,6 +247,7 @@ def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> 
 
     t_gram = block_layout(t_blocks)
     l_eigh, schur_table = _schur(k, l, t_gram)
+    # LU, not l_eigh: T L^-1 formed from L's eigenpairs has a backward error that grows with cond(L).
     mean_map = np.linalg.solve(l.flat, t_gram.conj().T).conj().T
     joint = JointKernel(m_table, l_eigh, mean_map, schur_table, features)
     evals = np.linalg.eigvalsh(schur_table.flat)
@@ -306,7 +304,7 @@ def conditional_cov_equal(
     conds = [_schur(k, l, t_gram)[1].flat for k, l in ((k1, l1), (k2, l2))]
 
     residual = float(np.linalg.norm(conds[0] - conds[1], 2))
-    scale = max(*(float(np.linalg.norm(flat, 2)) for flat in (k1.flat, k2.flat, *conds)), TINY)
+    scale = max_scale(*(float(np.linalg.norm(flat, 2)) for flat in (k1.flat, k2.flat, *conds)))
     return CondCovComparison(equal=residual <= 1e-10 * scale, residual=residual / scale)
 
 
@@ -385,8 +383,7 @@ def _regress(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.
     near-saturated coupling.  ``G`` sums in another order than one GEMM
     over every path, so both move by rounding only, about ``sqrt(count)
     eps`` times those scales (``b_hat`` times L's condition number too).
-    The features are read before BLAS is held at one thread, so a
-    certified table is factored as ``condition`` would.
+    The features are read before the one-thread BLAS hold (README.md).
     """
     fs, b, d, nd = joint.features, joint.mean_map, joint.dim_h, joint.label_set.n * joint.dim_h
     w = fs.stacked.conj().reshape(fs.dilation_dim, -1, 2, d)
@@ -403,10 +400,8 @@ def _regress(joint: JointKernel, seed: int, count: int) -> tuple[np.ndarray, np.
 
 def _normals_gram(seed: int, r: int, count: int, helper: bool) -> np.ndarray:
     """Sum of ``z^T z`` over the normals of samples ``0 .. count - 1``, in
-    :func:`draw_paths`' tiles, the last cut to ``count``, as two streams over
-    their tiles in order: even positions here, odd ones on a helper thread
-    if ``helper``.  A stream that raises stops the other at its next tile.
-    Both streams' buffers of normals live throughout, so memory is flat."""
+    :func:`draw_paths`' tiles, the last cut to ``count``, in two fixed buffers.
+    Even tiles are summed here, odd ones on a helper if ``helper`` (README.md)."""
     stop = threading.Event()
     normals = np.empty((2, _TILE, -(-r // _RAWS_PER_BLOCK) * _RAWS_PER_BLOCK))
 
@@ -459,12 +454,8 @@ _blas_hold = {"holders": 0, "threads": 0}  # under _BLAS_LOCK: how many hold, an
 
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, its pool stopped so that no BLAS
-    thread spins on the CPU a helper needs, and yield True, or yield False
-    where :func:`_openblas` finds nothing.  Holds are process-wide and
-    counted: the first saves the count and sets 1, and the last one out
-    restores it and stops the pool again, to restart at the next threaded
-    BLAS call instead of spinning."""
+    """Yield True holding numpy's OpenBLAS at one thread as README.md tells,
+    or False where :func:`_openblas` finds nothing."""
     blas = _openblas()
     if blas is None:
         yield False

@@ -212,9 +212,17 @@ def eig_extremes(evals: np.ndarray) -> tuple[float, float]:
     return float(evals[0]), float(max(abs(evals[0]), abs(evals[-1])))
 
 
-def max_spectral_norm(blocks) -> float:
-    """Largest spectral norm among equally shaped blocks, in one batched SVD."""
-    return float(np.linalg.norm(np.stack(list(blocks)), 2, axis=(1, 2)).max())
+def max_spectral_norm(a: np.ndarray, rows: int, cols: int) -> float:
+    """Largest spectral norm of the ``rows x cols`` equal blocks of ``a``, in one batched SVD."""
+    p, q = a.shape[0] // rows, a.shape[1] // cols
+    blocks = a.reshape(rows, p, cols, q).transpose(0, 2, 1, 3).reshape(rows * cols, p, q)
+    return float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
+
+
+def max_scale(*values: float) -> float:
+    """The largest of ``values`` and ``TINY``; NaN when any value is NaN, which
+    Python's ``max`` drops after its first argument."""
+    return float(np.max((*values, TINY)))
 
 
 def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -> PDReport:
@@ -421,7 +429,7 @@ def neumann_series_kernel(h, label_set: LabelSet, point_map: Mapping, tol: float
         raise ValueError("truncation tolerance must be positive")
 
     base = np.einsum("ipq,jpr->ijqr", points.conj(), points)
-    n_terms = _series_length(q, max_spectral_norm(base.reshape(-1, d, d)), tol)
+    n_terms = _series_length(q, max_spectral_norm(block_layout(base), label_set.n, label_set.n), tol)
 
     acc, shift = np.zeros_like(base), np.eye(d, dtype=np.complex128)  # S(done), h^done
     part, power = base, h  # S(2^k), h^(2^k)

@@ -34,13 +34,14 @@ identification of the two dilation spaces.
 :func:`validate_system` factors each of the four tables once, measures the
 identity on their flat Grams and carries the factorizations; the realization
 ``real = construct_partial_isometry(sys)`` is built from them, and
-``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label and
-derives every check from those values: the realization residuals, the
-transitive action and, for a dominated system, ``sqrt(dK1/dK2) = T12``.
+``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label into
+``X``, whose column block ``t`` is ``T12(t) V_K2(t)``; each check is an
+identity of ``X``, measured by one product and one batched norm of its blocks.
 
-Every pseudo-inverse and range basis comes from one SVD per matrix
-(:func:`_svd`): of ``G``, ``F``, each ``M(s)`` and the stacked features behind
-a derivative; table norms come from the factorizations (:attr:`FeatureSystem.norm`).
+Every pseudo-inverse and range basis comes from one factorization per matrix:
+an SVD (:func:`_svd`) of ``G``, ``F``, each ``M(s)`` and ``X``; those of the
+stacked features, and the table norms, from the tables' factorizations
+(:attr:`FeatureSystem.pinv`, :attr:`FeatureSystem.norm`).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .kernels import (
     LabelSet,
     OperatorKernelTable,
     block_layout,
+    max_scale,
     max_spectral_norm,
     require_at_most,
     require_psd,
@@ -133,9 +135,12 @@ def validate_system(
         congruence = block_layout(t_op.conj().T @ ((l1.blocks - l2.blocks) @ t_op))
         defect = (k1.flat - k2.flat) - 0.5 * (congruence + congruence.conj().T)
     residual = float(np.linalg.norm(defect, 2)) if np.isfinite(defect).all() else math.inf
-    t_sq = max(1.0, _square(float(np.linalg.norm(t_op, 2))))
+    t_norm = float(np.linalg.norm(t_op, 2))
+    t_sq = max_scale(1.0, t_norm * t_norm)
     norm = {name: fs.norm for name, fs in features.items()}
-    scale = max(norm["k1"], norm["k2"], t_sq * norm["l1"], t_sq * norm["l2"], TINY)
+    # A zero L-side table adds nothing, however large T is (inf * 0 would read NaN).
+    l_side = [t_sq * norm[name] for name in ("l1", "l2") if norm[name] != 0.0]
+    scale = max_scale(norm["k1"], norm["k2"], *l_side)
     if not (math.isfinite(residual) and math.isfinite(scale)):
         raise InvalidKernel(f"system identity leaves the float range: residual {residual:.3e}, scale {scale:.3e}")
     rel = residual / scale
@@ -152,7 +157,7 @@ class TransferRealization:
 
     ``initial_basis`` / ``final_basis`` are orthonormal column bases of the
     initial and final spaces; ``g_columns`` / ``f_columns`` are the stacked
-    feature columns the isometry was fitted to.
+    feature columns the isometry was fitted to; ``f_norm = ||f_columns||_2``.
     """
 
     w: np.ndarray
@@ -164,6 +169,7 @@ class TransferRealization:
     final_basis: np.ndarray
     g_columns: np.ndarray
     f_columns: np.ndarray
+    f_norm: float
     gram_defect: float
 
     def partial_isometry_defect(self) -> float:
@@ -175,14 +181,6 @@ class TransferRealization:
             float(np.linalg.norm(w.conj().T @ w - p_init, 2)),
             float(np.linalg.norm(w @ w.conj().T - p_fin, 2)),
         )
-
-
-def _square(x: float) -> float:
-    """``x ** 2``, or ``inf`` where the square leaves the float range."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,8 +214,9 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
 
     s_g, initial_basis, g_pinv = _svd(g, RANK_RTOL)
     s_f, final_basis, _ = _svd(f, RANK_RTOL)
+    g_norm, f_norm = float(s_g.max(initial=0.0)), float(s_f.max(initial=0.0))
     # ||X^H X||_2 is the square of the largest singular value of X.
-    gram_scale = max(_square(float(s_g.max(initial=0.0))), _square(float(s_f.max(initial=0.0))), TINY)
+    gram_scale = max_scale(g_norm * g_norm, f_norm * f_norm)
     if not math.isfinite(gram_scale):
         raise InvalidKernel(f"stacked feature Grams G^H G and F^H F leave the float range (scale {gram_scale:.3e})")
     gram_defect = float(np.linalg.norm(g.conj().T @ g - f.conj().T @ f, 2)) / gram_scale
@@ -237,6 +236,7 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
         final_basis=final_basis,
         g_columns=g,
         f_columns=f,
+        f_norm=f_norm,
         gram_defect=gram_defect,
     )
 
@@ -316,28 +316,18 @@ def verify_realization(
     Propagates :class:`NotInvertible`.
     """
     fs_k1, fs_k2 = sys.features["k1"], sys.features["k2"]
-    labels = sys.label_set.labels
-    t12 = {s: transfer_function(real, sys, s) for s in labels}
-    images = [t12[s] @ fs_k2.operator(s) for s in labels]
+    n = sys.label_set.n
+    # Column block t of x is T12(t) V_K2(t): the image of V_K2(t) in C^r.
+    x = np.hstack([transfer_function(real, sys, s) @ fs_k2.operator(s) for s in sys.label_set.labels])
 
     # ||stacked||_2^2 = ||flat||_2 = the largest kept eigenvalue.
-    k1_stack_scale = max(math.sqrt(fs_k1.norm), TINY)
-    feature_dev = max_spectral_norm(fs_k1.operator(s) - image for s, image in zip(labels, images))
-    k1_flat_scale = max(fs_k1.norm, TINY)
-    recon_dev = max_spectral_norm(
-        sys.k1.block(s, t) - fs_k1.operator(s).conj().T @ t12[t] @ fs_k2.operator(t)
-        for s in labels
-        for t in labels
-    )
-    f_scale = max(float(np.linalg.norm(real.f_columns, 2)), TINY)
-    intertwine_dev = float(np.linalg.norm(real.f_columns - real.w @ real.g_columns, 2))
     residuals = (
-        feature_dev / k1_stack_scale,
-        recon_dev / k1_flat_scale,
-        intertwine_dev / f_scale,
+        max_spectral_norm(fs_k1.stacked - x, 1, n) / max(math.sqrt(fs_k1.norm), TINY),
+        max_spectral_norm(sys.k1.flat - fs_k1.stacked.conj().T @ x, n, n) / max(fs_k1.norm, TINY),
+        float(np.linalg.norm(real.f_columns - real.w @ real.g_columns, 2)) / max(real.f_norm, TINY),
         real.partial_isometry_defect(),
     )
-    transitive = _svd(np.hstack(images), RANK_RTOL)[1].shape[1] == fs_k1.dilation_dim
+    transitive = _svd(x, RANK_RTOL)[1].shape[1] == fs_k1.dilation_dim
 
     rn_spectrum = rn_vs_transfer = None
     try:
@@ -345,12 +335,9 @@ def verify_realization(
     except NotDominated:
         rn = None
     else:
-        ident = rn.sqrt_phi @ fs_k2.stacked @ _svd(fs_k1.stacked, RANK_RTOL)[2]
-        k2_stack_scale = max(math.sqrt(fs_k2.norm), TINY)
-        rn_dev = max_spectral_norm(
-            rn.sqrt_phi @ fs_k2.operator(s) - ident @ t12[s] @ fs_k2.operator(s) for s in labels
-        )
-        rn_spectrum, rn_vs_transfer = rn.spectrum, rn_dev / k2_stack_scale
+        root_k2 = rn.sqrt_phi @ fs_k2.stacked
+        rn_dev = max_spectral_norm(root_k2 - root_k2 @ fs_k1.pinv @ x, 1, n)
+        rn_spectrum, rn_vs_transfer = rn.spectrum, rn_dev / max(math.sqrt(fs_k2.norm), TINY)
 
     return RealizationReport(
         *residuals,
@@ -414,8 +401,7 @@ def _derivative(
     """:func:`radon_nikodym` given the factorization ``fs`` of ``hi``."""
     hi_scale = fs.norm
     require_psd(np.linalg.eigvalsh(hi.flat - lo.flat), tol, NotDominated, "hi - lo", hi_scale)
-    pinv = _svd(fs.stacked, RANK_RTOL)[2]
-    phi = pinv.conj().T @ lo.flat @ pinv
+    phi = fs.pinv.conj().T @ lo.flat @ fs.pinv
     phi = 0.5 * (phi + phi.conj().T)
     w, u = np.linalg.eigh(phi) if phi.size else (np.zeros(0), np.zeros((0, 0)))
     raw = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)

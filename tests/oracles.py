@@ -180,3 +180,29 @@ def mc_verify_full_batch(joint, seed: int, count: int, tol_sigma: float = 5.0):
         se_cov = np.sqrt((np.outer(diag_s, diag_s) + np.abs(schur_flat) ** 2) / count)
         cov_dev = float(np.max(np.abs(s_hat - schur_flat) / np.maximum(se_cov, se_floor)))
     return b_hat, s_hat, mean_dev, cov_dev, mean_dev <= tol_sigma and cov_dev <= tol_sigma
+
+
+def realization_residuals_by_label(k1_blocks, v_k1, v_k2, t12, sqrt_phi=None):
+    """The realization checks one label or pair at a time, unscaled, given
+    the stacked features ``v_k1``, ``v_k2`` and ``t12[i] = T12(s_i)``.
+
+    Returns ``(feature, reconstruction, rank, rn)``: the worst
+    ``||V_K1(s) - T12(s) V_K2(s)||``, the worst ``||K1(s, t) - V_K1(s)^H
+    T12(t) V_K2(t)||`` over pairs, the numerical rank (cutoff ``1e-10``
+    relative) of the images ``T12(s) V_K2(s)`` side by side, and, given
+    ``sqrt_phi``, the worst ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` with
+    ``U = sqrt(Phi) V_K2 pinv(V_K1)``, else None.  Norms are spectral.
+    """
+    n, _, d, _ = k1_blocks.shape
+    block = lambda v, i: v[:, i * d : (i + 1) * d]
+    images = [t12[i] @ block(v_k2, i) for i in range(n)]
+    feature = max(np.linalg.norm(block(v_k1, i) - images[i], 2) for i in range(n))
+    reconstruction = max(np.linalg.norm(k1_blocks[i, j] - block(v_k1, i).conj().T @ images[j], 2)
+                         for i in range(n) for j in range(n))
+    sv = np.linalg.svd(np.hstack(images), compute_uv=False)
+    rank = int((sv > 1e-10 * sv.max(initial=0.0)).sum())
+    rn = None
+    if sqrt_phi is not None:
+        ident = sqrt_phi @ v_k2 @ np.linalg.pinv(v_k1)
+        rn = max(np.linalg.norm(sqrt_phi @ block(v_k2, i) - ident @ images[i], 2) for i in range(n))
+    return feature, reconstruction, rank, rn

@@ -276,31 +276,32 @@ class TestCostGates:
             # eigh: the Grams of K1, K2, L1 and L2, once each, and Phi.
             # eigvalsh: K2 - K1, for the domination of K1 by K2.
             # require_psd: the four factorizations' gates and the domination.
-            # svd: every pseudo-inverse or basis comes from one SVD
-            # (transfer._svd, no pinv): G, F, M(s) at each of the two labels,
-            # the images for transitivity, V_K2 in the derivative and V_K1 in
-            # the identification; the table scales come from the factorizations.
-            # Spectral norms: eleven residuals.  T12 once per label.
+            # svd: every pseudo-inverse or basis of G, F, M(s) at each of the
+            # two labels and the images X for transitivity comes from one SVD
+            # (transfer._svd, no pinv); those of V_K1 and V_K2, and the table
+            # scales, come from the factorizations.  Spectral norms: ten
+            # residuals, ||F|| read off its SVD.  T12 once per label.
             # tables: K1, K2, L1 and L2 from the spec; the system identity
             # and the domination are formed on their flat Grams.
             # require_at_most: 4 size bounds, 4 x 2 for the factorizations'
             # positivity gates and residual bounds, the identity, the Gram
             # defect, the domination, both ends of Phi's spectrum and its
             # reproduction bound.
-            {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "require_at_most": 18, "svd": 7,
-             "spectral_norm": 11, "construct_partial_isometry": 1, "transfer_function": 2,
+            {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "require_at_most": 18, "svd": 5,
+             "spectral_norm": 10, "construct_partial_isometry": 1, "transfer_function": 2,
              "report_to_json": 1, "tables": 4},
         ),
         "rn": (
             lambda p: ["rn", "--spec", p["pair"]],
             # eigh: the Gram of k and Phi.  eigvalsh: l, for its gate, and
             # k - l, for the domination.  require_psd: k's factorization, l
-            # and k - l.  svd: V_k's pseudo-inverse.  Spectral norm: the
+            # and k - l.  No svd: V_k's pseudo-inverse comes from its
+            # factorization.  Spectral norm: the
             # reproduction residual.  tables: l and k from the spec; k - l is
             # formed on their flat Grams.  require_at_most: 2 size bounds,
             # k's positivity gate and residual bound, l, the domination, both
             # ends of Phi's spectrum and its reproduction bound.
-            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "require_at_most": 9, "svd": 1,
+            {"kolmogorov_factorize": 1, "eigh": 2, "eigvalsh": 2, "require_psd": 3, "require_at_most": 9,
              "spectral_norm": 1, "report_to_json": 1, "tables": 2},
         ),
         "sample": (
@@ -883,6 +884,22 @@ class TestRealize:
         code = main(["realize", "--spec", specs["degenerate_system"], "--out", str(out), "--no-timestamp"])
         assert code == 3
         assert json.loads(out.read_text())["results"]["condition"] == "rank_condition_failed"
+
+    def test_nan_rank_condition_exits_three_without_report(self, tmp_path, capsys, monkeypatch):
+        # A report cannot hold a NaN sigma_min, so the refusal is the stderr line alone.
+        sys_ = generate_valid_system(0, 2, 2)
+        spec = system_spec(tmp_path / "system.json", *(tab.flat for tab in sys_.tables().values()), sys_.t_op)
+        svd = transfer._svd
+
+        def nan_for_m(a, rcond):
+            s, basis, pinv = svd(a, rcond)
+            return (np.full_like(s, np.nan) if a.shape[1] == 2 else s), basis, pinv  # M(s) alone has d = 2 columns
+
+        monkeypatch.setattr(transfer, "_svd", nan_for_m)
+        out = tmp_path / "r.json"
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == 3
+        assert stderr_is(capsys.readouterr().err, "hypothesis failure: rank condition fails at label 's1': sigma_min nan")
+        assert not out.exists()
 
     def test_system_near_the_null_cone_of_l1_minus_l2_is_realized(self, tmp_path, capsys):
         # T^H (L1 - L2) T cancels, so its rounding is far from Hermitian at its own size.

@@ -94,6 +94,25 @@ class TestFactorize:
         assert fs.norm == pytest.approx(np.linalg.norm(table.flat, 2), rel=1e-14)
         assert np.sqrt(fs.norm) == pytest.approx(np.linalg.norm(fs.stacked, 2), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["near_cutoff", "rank_5"])
+    def test_pinv_is_the_pseudo_inverse_of_the_features(self, kind):
+        if kind == "near_cutoff":
+            # One eigenvalue 1.001e-10 times the largest: kept, and the smallest singular value is 1e-5.
+            rng = np.random.default_rng(7)
+            q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+            w = np.concatenate([[RANK_RTOL * (1 + 1e-3)], rng.uniform(0.1, 1, 4), [1.0]])
+            table = OperatorKernelTable.from_flat(labels(3), 2, (q * w) @ q.conj().T)
+        else:
+            table = random_pd_kernel(3, 4, 3, rank=5)
+        fs = kolmogorov_factorize(table)
+        assert fs.dilation_dim == {"near_cutoff": 6, "rank_5": 5}[kind]
+        expected = np.linalg.pinv(fs.stacked)
+        assert np.linalg.norm(fs.pinv - expected, 2) <= 1e-12 * np.linalg.norm(expected, 2)
+        # The eigenvectors are orthonormal to rounding; scaling them by sqrt(basis_eigs)
+        # magnifies that by at most the condition number of stacked.
+        cond = np.sqrt(fs.basis_eigs[0] / fs.basis_eigs[-1])
+        assert np.linalg.norm(fs.stacked @ fs.pinv - np.eye(fs.dilation_dim), 2) <= 1e-14 * cond
+
     def test_norm_of_the_zero_table_is_zero(self):
         assert kolmogorov_factorize(scalar_table([[0.0]])).norm == 0.0
 

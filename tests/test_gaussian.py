@@ -525,6 +525,18 @@ class TestConditionalCovEqual:
         report = conditional_cov_equal(table([1.0, 0.0]), table([1.0, eps]), eye, eye, np.zeros((2, 2, 1, 1)))
         assert (report.equal, report.residual) == (factor < 1, eps)
 
+    @pytest.mark.parametrize("which", ["k1", "k2"])
+    def test_nan_norm_fails_the_verdict(self, which, monkeypatch):
+        # A NaN norm in any place of the scale fails the verdict, not only in the first.
+        ls = ONE_LABEL
+        k1, k2 = (OperatorKernelTable.from_flat(ls, 1, np.array([[v]])) for v in (2.0, 1.0))
+        l1, l2 = (OperatorKernelTable.from_flat(ls, 1, np.array([[v]])) for v in (0.5, 1.0))
+        nan_of, norm = {"k1": k1, "k2": k2}[which].flat, np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, ord=None, *a, **kw: np.nan if x is nan_of and ord == 2 else norm(x, ord, *a, **kw))
+        report = conditional_cov_equal(k1, k2, l1, l2, scalar_coupling(1.0))
+        assert not report.equal and np.isnan(report.residual)
+
     def test_singular_l_rejected(self):
         k = scalar_one()
         with pytest.raises(SingularL):

@@ -30,6 +30,7 @@ from opkern.kernels import RANK_RTOL
 from opkern import transfer
 from opkern.transfer import _svd
 from conftest import labels, null_cone_system
+import oracles
 
 
 ONE = np.array([[1.0]])
@@ -83,6 +84,24 @@ class TestValidateSystem:
             scalar_system(4, 1, 4, 1)
         assert exc.value.exit_code == 2
 
+    @pytest.mark.parametrize("name", ["k1", "k2", "l1", "l2"])
+    def test_nan_table_norm_is_refused(self, name, monkeypatch):
+        # A NaN norm in any place of the scale is refused, not only in the first.
+        factorize = transfer.kolmogorov_factorize
+
+        def nan_norm(table, what):
+            fs = factorize(table, what=what)
+            return replace(fs, basis_eigs=np.full(1, np.nan)) if what == f"kernel {name}" else fs
+
+        monkeypatch.setattr(transfer, "kolmogorov_factorize", nan_norm)
+        with pytest.raises(InvalidKernel, match="scale nan") as exc:
+            scalar_system(4, 1, 4, 1)
+        assert exc.value.exit_code == 2
+
+    def test_zero_l_side_adds_nothing_to_the_scale(self):
+        # ||T||^2 overflows, but with L1 = L2 = 0 the scale is that of K1 and K2.
+        assert scalar_system(1, 1, 0, 0, t=1e200).identity_residual == 0.0
+
     def test_rejects_indefinite_component(self):
         ls = labels(2)
         good = identity_kernel(ls, 1)
@@ -115,6 +134,22 @@ class TestPartialIsometry:
         real = construct_partial_isometry(scalar_system(4, 1, 4, 1))
         np.testing.assert_allclose(real.w.real, [[0.4, 0.8], [0.2, 0.4]], atol=1e-12)
         np.testing.assert_allclose(real.w.imag, 0, atol=1e-14)
+
+    @pytest.mark.parametrize("nan_at", [0, 1], ids=["g", "f"])
+    def test_nan_singular_values_are_refused(self, nan_at, monkeypatch):
+        # The largest singular values of G and F both make the Gram scale; a NaN in either is refused.
+        sys_ = scalar_system(4, 1, 4, 1)
+        svd, calls = transfer._svd, []
+
+        def nan_once(a, rcond):
+            s, basis, pinv = svd(a, rcond)
+            calls.append(a)
+            return (np.full_like(s, np.nan) if len(calls) == nan_at + 1 else s), basis, pinv
+
+        monkeypatch.setattr(transfer, "_svd", nan_once)
+        with pytest.raises(InvalidKernel, match=r"\(scale nan\)") as exc:
+            construct_partial_isometry(sys_)
+        assert exc.value.exit_code == 2
 
     def test_scalar_worked_example_reverse(self):
         real = construct_partial_isometry(scalar_system(1, 4, 1, 4))
@@ -261,6 +296,30 @@ class TestVerifyRealization:
         real = construct_partial_isometry(sys_)
         report = verify_realization(real, sys_, tol=1e-8)
         assert report.passed, report
+
+    @pytest.mark.parametrize("dominated", [True, False], ids=["dominated", "free"])
+    def test_matches_the_label_by_label_residuals(self, dominated):
+        # W perturbed by 1e-3 moves T12 off the realization, so every residual
+        # is far above rounding and a transposed or mis-cut block shows.
+        sys_ = generate_valid_system(5, 3, 2, dominated=dominated)
+        real = construct_partial_isometry(sys_)
+        w = real.w + 1e-3 * np.random.default_rng(0).standard_normal(real.w.shape)
+        r1, r2 = sys_.features["k1"].dilation_dim, sys_.features["k2"].dilation_dim
+        real = replace(real, w=w, a=w[:r1, :r2], b=w[:r1, r2:], c=w[r1:, :r2], d=w[r1:, r2:])
+        fs_k1, fs_k2 = sys_.features["k1"], sys_.features["k2"]
+        t12 = [transfer_function(real, sys_, s) for s in sys_.label_set.labels]
+        sqrt_phi = radon_nikodym(sys_.k1, sys_.k2).sqrt_phi if dominated else None
+        feature, recon, rank, rn = oracles.realization_residuals_by_label(
+            sys_.k1.blocks, fs_k1.stacked, fs_k2.stacked, t12, sqrt_phi)
+        report = verify_realization(real, sys_)
+        assert min(feature, recon) > 1e-6 * fs_k1.norm and report.transitive_action == (rank == r1)
+        assert report.feature_map_residual == pytest.approx(feature / np.sqrt(fs_k1.norm), rel=1e-10)
+        assert report.reconstruction_residual == pytest.approx(recon / fs_k1.norm, rel=1e-10)
+        if dominated:
+            assert rn > 1e-6 * np.sqrt(fs_k2.norm)
+            assert report.rn_vs_transfer == pytest.approx(rn / np.sqrt(fs_k2.norm), rel=1e-10)
+        else:
+            assert report.rn_vs_transfer is None
 
     def test_not_invertible_propagates(self):
         ls = labels(1)
