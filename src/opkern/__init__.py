@@ -60,13 +60,11 @@ from .gaussian import (
     standard_normal_rows,
 )
 from .regression import (
-    DesignMatrices,
     RegressionFit,
     TrainingSet,
     design_matrices,
     krr_fit,
     predict,
-    representer,
 )
 
 __version__ = "0.1.0"

@@ -304,14 +304,12 @@ def cmd_krr_fit(args) -> int:
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
     noise = specio.kernel_from_spec(specio.load_json(args.noise_spec))
     train = _training_set(args.train)
-    dm = regression.design_matrices(kernel, noise, train)
-    fit = regression.krr_fit(dm, train.targets)
-    f_values = regression.representer(kernel, train, fit.coefficients)
+    fit = regression.krr_fit(kernel, noise, train)
     results = {
         "coefficients": fit.coefficients,
         "fitted": fit.fitted,
         "m": train.size,
-        "regression_function": dict(zip(kernel.labels, f_values)),
+        "regression_function": dict(zip(kernel.labels, fit.regression_function)),
     }
     _emit_report(args, {}, results, noise_spec=args.noise_spec, train=args.train)
     return EXIT_OK

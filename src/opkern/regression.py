@@ -18,10 +18,10 @@ f(s, a) = sum_i <a, K(s, s_i) a_i> c_i = <a, F(s)>.
 The H-valued function ``F(s) = sum_i K(s, s_i) a_i c_i`` in ``C^d`` is the
 regression function of the H-valued Gaussian process: an H-valued target
 at s is the d scalar rows ``a = e_p``, so on a full grid F is the posterior
-mean.  :func:`representer` forms F once, one GEMV with the flattened
-kernel, and :func:`predict` reads every query from it; ``krr-fit`` writes
-F into its report, so ``krr-predict`` needs neither the kernel nor the
-training set.
+mean.  :func:`krr_fit` solves for c and forms F once, one GEMV with the
+flattened kernel, and :func:`predict` reads every query from it;
+``krr-fit`` writes F into its report, so ``krr-predict`` needs neither the
+kernel nor the training set.
 
 On a full observation grid this coincides with Gaussian-process
 conditioning of the noisy sum: the posterior mean
@@ -85,15 +85,6 @@ class TrainingSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Pairwise scalarized kernel values of the training pairs, for K and L."""
-
-    kernel_gram: np.ndarray
-    noise_gram: np.ndarray
-    training: TrainingSet
-
-
 def _training_rows(kernel: OperatorKernelTable, train: TrainingSet) -> np.ndarray:
     """The position of each training label in the kernel's label set."""
     if train.vectors.shape[1] != kernel.dim_h:
@@ -121,72 +112,54 @@ def _pair_gram(table: OperatorKernelTable, train: TrainingSet, rows: np.ndarray,
     return gram
 
 
-def design_matrices(
-    kernel: OperatorKernelTable,
-    noise_kernel: OperatorKernelTable,
-    train: TrainingSet,
-) -> DesignMatrices:
-    """Evaluate both m x m design matrices; a non-positive one raises
+def design_matrices(kernel: OperatorKernelTable, noise_kernel: OperatorKernelTable,
+                    train: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Both m x m design matrices, ``([K], [L])``; a non-positive one raises
     :class:`NotPositiveDefinite` and an overflowing one
     :class:`InvalidKernel`, each naming its slot (``signal`` or ``noise``)."""
     kernel._require_same_shape(noise_kernel)
     rows = _training_rows(kernel, train)
-    return DesignMatrices(
-        kernel_gram=_pair_gram(kernel, train, rows, "signal design matrix"),
-        noise_gram=_pair_gram(noise_kernel, train, rows, "noise design matrix"),
-        training=train,
-    )
+    return (_pair_gram(kernel, train, rows, "signal design matrix"),
+            _pair_gram(noise_kernel, train, rows, "noise design matrix"))
 
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Representer coefficients c = ([L] + [K])^{-1} y and fitted values [K] c."""
+    """Representer coefficients c = ([L] + [K])^{-1} y, fitted values [K] c,
+    and the (n, d) regression function F with one row per kernel label."""
 
     coefficients: np.ndarray
     fitted: np.ndarray
+    regression_function: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def krr_fit(dm: DesignMatrices, y) -> RegressionFit:
-    """Solve the ridge system; raises :class:`SingularSystem` when ``[L] + [K]``
-    is singular to ``RANK_RTOL`` relative, and :class:`InvalidKernel` when
-    the system, the coefficients or the fitted values overflow."""
-    y = np.asarray(y, dtype=np.complex128)
-    m = dm.training.size
-    if y.shape != (m,):
-        raise ShapeError(f"targets must be ({m},), got {y.shape}")
-    total = dm.noise_gram + dm.kernel_gram
-    require_finite(InvalidKernel, "[L] + [K]", total)
-    c = gated_solve(total, y, RANK_RTOL, SingularSystem, "[L] + [K]")
-    fitted = dm.kernel_gram @ c
-    require_finite(InvalidKernel, "ridge solution", c, fitted)
-    return RegressionFit(coefficients=c, fitted=fitted)
+def krr_fit(kernel: OperatorKernelTable, noise_kernel: OperatorKernelTable, train: TrainingSet) -> RegressionFit:
+    """Fit the training targets and form ``F(s) = sum_j K(s, s_j) a_j c_j``.
 
-
-@np.errstate(over="ignore", invalid="ignore")
-def representer(kernel: OperatorKernelTable, train: TrainingSet, coefficients) -> np.ndarray:
-    """The H-valued regression function ``F(s) = sum_j K(s, s_j) a_j c_j``,
-    as an (n, d) array with one row per label of ``kernel``.
-
-    The weights ``a_j c_j`` are summed per label, then F is one product
-    with the flattened kernel.  An overflowing F raises :class:`InvalidKernel`.
+    Raises :class:`SingularSystem` when ``[L] + [K]`` is singular to
+    ``RANK_RTOL`` relative, and :class:`InvalidKernel` when the system, the
+    coefficients, the fitted values or F overflow.  F sums the weights
+    ``a_j c_j`` per label, then takes one product with the flattened kernel.
     """
-    rows = _training_rows(kernel, train)
-    c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape != (train.size,):
-        raise ShapeError(f"coefficients must be ({train.size},), got {c.shape}")
+    kernel_gram, noise_gram = design_matrices(kernel, noise_kernel, train)
+    total = noise_gram + kernel_gram
+    require_finite(InvalidKernel, "[L] + [K]", total)
+    c = gated_solve(total, train.targets, RANK_RTOL, SingularSystem, "[L] + [K]")
+    fitted = kernel_gram @ c
+    require_finite(InvalidKernel, "ridge solution", c, fitted)
     weights = np.zeros((kernel.n, kernel.dim_h), dtype=np.complex128)
-    np.add.at(weights, rows, train.vectors * c[:, None])
+    np.add.at(weights, _training_rows(kernel, train), train.vectors * c[:, None])
     f_values = (kernel.flat @ weights.reshape(-1)).reshape(kernel.n, kernel.dim_h)
     require_finite(InvalidKernel, "regression function", f_values)
-    return f_values
+    return RegressionFit(coefficients=c, fitted=fitted, regression_function=f_values)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def predict(label_set: LabelSet, f_values: np.ndarray, labels, vectors) -> np.ndarray:
     """Evaluate the fitted function at every query ``(labels[q], vectors[q])``:
-    ``f(s, a) = <a, F(s)>``, where ``f_values`` is the (n, d) output of
-    :func:`representer` over ``label_set``.
+    ``f(s, a) = <a, F(s)>``, where ``f_values`` is the (n, d) regression
+    function of a :func:`krr_fit` over ``label_set``.
 
     At training point i this is ``([K] c)[i]`` up to rounding.  An
     overflowing value raises :class:`InvalidKernel`.

@@ -19,7 +19,6 @@ from opkern import (
     condition,
     conditional_cov_equal,
     construct_partial_isometry,
-    design_matrices,
     generate_valid_system,
     is_positive_definite,
     kolmogorov_factorize,
@@ -220,7 +219,7 @@ def test_criterion_08_ridge_equals_gp_posterior():
                     e[p] = 1.0
                     triples.append((s, e, observed[i, p]))
             train = TrainingSet.from_triples(triples)
-            fit = krr_fit(design_matrices(k, noise, train), train.targets)
+            fit = krr_fit(k, noise, train)
             signal_plus_noise = OperatorKernelTable.from_flat(k.label_set, d, k.flat + noise.flat)
             posterior = condition(assemble_joint(k, signal_plus_noise, k.blocks), observed)
             scale = max(1.0, float(np.linalg.norm(observed)))

@@ -445,6 +445,20 @@ class TestSpecValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("names,dim_h", [(["a"], 8193), ([f"s{i}" for i in range(8193)], 1)],
+                             ids=["dim_h", "labels"])
+    def test_gram_one_above_the_size_bound_exits_two_before_any_table(self, names, dim_h, tmp_path,
+                                                                       monkeypatch, capsys):
+        # The bound is the literal 8192, so a raised bound fails here rather than building the table.
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(specio, "identity_kernel", no_table)
+        monkeypatch.setattr(kernels.OperatorKernelTable, "__init__", no_table)
+        spec = write_json(tmp_path / "spec.json", {**builder_spec("identity", {}, dim_h=dim_h), "labels": names})
+        assert main(["check-pd", "--spec", spec]) == 2
+        assert stderr_is(capsys.readouterr().err, "input error: n * dim_h = 8193 exceeds the supported 8192")
+
     def test_nan_observed_value_exits_two(self, specs, tmp_path, capsys):
         with open(specs["joint"], encoding="utf-8") as fh:
             joint = json.load(fh)
@@ -1244,11 +1258,19 @@ class TestSampleCount:
     def test_count_above_the_path_bound_exits_two_before_drawing(
         self, command, spec, width, specs, tmp_path, monkeypatch, capsys
     ):
-        calls = count_calls(monkeypatch, gaussian, ["standard_normal_rows"])
+        # The bound is the literal 2**32, and the first draw raises, so a loosened bound fails
+        # at once instead of streaming the paths.
+        calls = []
+
+        def first_draw_fails(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(gaussian, "standard_normal_rows", first_draw_fails)
         out = tmp_path / "r.out"
-        samples = specio.MAX_PATH_VALUES // width + 1
+        samples = 2**32 // width + 1
         assert main([command, "--spec", specs[spec], "--samples", str(samples), "--out", str(out)]) == 2
-        assert calls == {"standard_normal_rows": 0}
+        assert calls == []
         assert "path values" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1430,8 +1452,7 @@ class TestKrr:
         noise = specio.kernel_from_spec(specio.load_json(cost_specs["noise"]))
         with open(cost_specs["train"], encoding="utf-8") as fh:
             train = specio.training_set_from_csv(fh.read())
-        fit = regression.krr_fit(regression.design_matrices(table, noise, train), train.targets)
-        f_values = regression.representer(table, train, fit.coefficients)
+        f_values = regression.krr_fit(table, noise, train).regression_function
         queries = specio.load_json(cost_specs["query"])
         want = regression.predict(table.label_set, f_values, [q["label"] for q in queries],
                                   specio.json_to_array([q["a"] for q in queries], (len(queries), 2)))

@@ -21,6 +21,7 @@ from opkern import (
     InvalidKernel,
     NotPositiveDefinite,
     OperatorKernelTable,
+    PathBatch,
     ShapeError,
     SingularL,
     assemble_joint,
@@ -87,6 +88,10 @@ class TestNormalStream:
         row = standard_normal_rows(42, 0, 1, 2)[0]
         np.testing.assert_allclose(row, [0.9161204856345226, -0.8806796243156723], rtol=1e-13)
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            standard_normal_rows(1, 0, -1, 4)
+
 
 class TestSampler:
     def test_bit_identical_for_fixed_seed(self):
@@ -106,6 +111,12 @@ class TestSampler:
         fs = kolmogorov_factorize(random_pd_kernel(5, 2, 3))
         with pytest.raises(ValueError):
             draw_paths(fs, 11, 0, -1)
+
+    def test_path_batch_shape_is_checked(self):
+        with pytest.raises(ShapeError, match=r"paths must be \(N, 2, d\), got \(3, 1, 1\)"):
+            PathBatch(labels(2), np.zeros((3, 1, 1)))
+        with pytest.raises(InvalidKernel, match="a path batch holds at least one sample"):
+            PathBatch(labels(2), np.zeros((0, 2, 1)))
 
     def test_paths_match_einsum_reference(self):
         # The GEMM sums in another order than the einsum formula it replaced.
@@ -208,6 +219,10 @@ class TestAssembleJoint:
     def test_overcoupled_scalar_is_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             assemble_joint(scalar_one(), scalar_one(), scalar_coupling(2.0))
+
+    def test_coupling_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ShapeError, match=r"coupling must be \(1, 1, 1, 1\), got \(1, 1, 2, 2\)"):
+            assemble_joint(scalar_one(), scalar_one(), np.zeros((1, 1, 2, 2)))
 
     def test_acceptance_matches_bruteforce_psd_scalar_family(self):
         # |T| <= 1 is exactly the admissible range for K = L = 1
@@ -525,6 +540,24 @@ class TestConditionalCovEqual:
         report = conditional_cov_equal(table([1.0, 0.0]), table([1.0, eps]), eye, eye, np.zeros((2, 2, 1, 1)))
         assert (report.equal, report.residual) == (factor < 1, eps)
 
+    @pytest.mark.parametrize("above", [False, True], ids=["at", "one-ulp-above"])
+    def test_threshold_equality(self, above, monkeypatch):
+        # The first spectral norm is the residual, pinned at 1e-10 times the
+        # scale or one ulp above it; every norm of the scale is pinned at 1.
+        table = lambda diag: OperatorKernelTable.from_flat(labels(2), 1, np.diag(diag))
+        k1, k2, eye = table([1.0, 0.0]), table([1.0, 1e-10]), table([1.0, 1.0])
+        residual = np.nextafter(1e-10, 1.0) if above else 1e-10
+        orders = []
+
+        def pinned(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return residual if len(orders) == 1 else 1.0
+
+        monkeypatch.setattr(np.linalg, "norm", pinned)
+        report = conditional_cov_equal(k1, k2, eye, eye, np.zeros((2, 2, 1, 1)))
+        assert orders == [2] * 5
+        assert (report.equal, report.residual) == (not above, residual)
+
     @pytest.mark.parametrize("which", ["k1", "k2"])
     def test_nan_norm_fails_the_verdict(self, which, monkeypatch):
         # A NaN norm in any place of the scale fails the verdict, not only in the first.
@@ -573,6 +606,18 @@ class TestMcVerifyConditional:
         joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.0))
         with pytest.raises(InvalidKernel):
             mc_verify_conditional(joint, 0, 1)
+
+    @pytest.mark.parametrize("seed,larger", [(0, "mean"), (2, "cov")])
+    def test_verdict_at_the_larger_statistic(self, seed, larger):
+        # The verdict admits a statistic equal to tol_sigma and refuses it one
+        # ulp above; each seed makes a different statistic the larger one.
+        joint = assemble_joint(scalar_one(), scalar_one(), scalar_coupling(0.5))
+        report = mc_verify_conditional(joint, seed, 2000)
+        mean, cov = report.mean_map_dev_se, report.residual_cov_dev_se
+        assert (mean > cov) == (larger == "mean")
+        top = max(mean, cov)
+        assert mc_verify_conditional(joint, seed, 2000, tol_sigma=top).passed
+        assert not mc_verify_conditional(joint, seed, 2000, tol_sigma=np.nextafter(top, 0.0)).passed
 
 
 def saturated_joint(delta):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from opkern import (
     NotPositiveDefinite,
     NotStrictContraction,
     OperatorKernelTable,
+    ShapeError,
     SingularL,
     SingularSystem,
     constant_kernel,
@@ -100,6 +102,24 @@ class TestTableConstruction:
     def test_blocks_are_immutable(self, identity_22):
         with pytest.raises(ValueError):
             identity_22.blocks[0, 0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("shape,message", [
+        ((2, 1, 1, 1), r"expected \(2, 2, d, d\) blocks, got \(2, 1, 1, 1\)"),
+        ((2, 2, 1), r"expected \(2, 2, d, d\) blocks, got \(2, 2, 1\)"),
+        ((2, 2, 1, 2), r"blocks must be square and non-empty, got \(2, 2, 1, 2\)"),
+        ((2, 2, 0, 0), r"blocks must be square and non-empty, got \(2, 2, 0, 0\)"),
+    ])
+    def test_rejects_blocks_of_the_wrong_shape(self, two_labels, shape, message):
+        with pytest.raises(ShapeError, match=message):
+            OperatorKernelTable(two_labels, np.zeros(shape))
+
+    def test_from_flat_rejects_a_matrix_of_the_wrong_size(self, two_labels):
+        with pytest.raises(ShapeError, match=r"expected \(4, 4\) matrix, got \(3, 3\)"):
+            OperatorKernelTable.from_flat(two_labels, 2, np.eye(3))
+
+    def test_constant_block_must_be_square(self, two_labels):
+        with pytest.raises(ShapeError, match=r"constant block must be square, got \(1, 2\)"):
+            constant_kernel(two_labels, np.ones((1, 2)))
 
 
 class TestFlatten:
@@ -499,6 +519,16 @@ class TestCpContractionKernel:
         with pytest.raises(LabelError):
             cp_contraction_kernel(0.1 * np.eye(2), labels(2), {"s1": np.eye(2)})
 
+    @pytest.mark.parametrize("h,points,message", [
+        (np.zeros((1, 2)), {"s1": np.eye(1)}, r"contraction must be square, got \(1, 2\)"),
+        (np.zeros((2, 2)), [np.eye(2)], r"point_map must be a mapping label -> matrix"),
+        (np.zeros((2, 2)), {"s1": np.eye(3)}, r"point for 's1' must be \(2, 2\), got \(3, 3\)"),
+    ], ids=["h", "point_map", "point"])
+    def test_malformed_arguments_are_shape_errors(self, h, points, message):
+        for build in (cp_contraction_kernel, neumann_series_kernel):
+            with pytest.raises(ShapeError, match=message):
+                build(h, labels(1), points)
+
 
 class TestNeumannSeriesKernel:
     def test_zero_contraction_keeps_first_term_only(self):
@@ -591,6 +621,22 @@ class TestNeumannSeriesKernel:
             max_norm = float(10.0 ** rng.uniform(-14, 8))
             tol = float(10.0 ** rng.uniform(-15, -2))
             assert _series_length(q, max_norm, tol) == sequential(q, max_norm, tol), (q, max_norm, tol)
+
+    @pytest.mark.parametrize("q,max_norm,tol,closed_form,length", [
+        # q^2 max_norm = tol exactly: one term is not enough, and the closed form says it is
+        (0.5, 1.0, 0.25, 1, 2),
+        # the rounded logarithms overshoot by one term
+        (0.9491620040164243, 0.013131505505897489, 3.428576200567518e-05, 58, 57),
+    ], ids=["step-up", "step-down"])
+    def test_series_length_corrects_its_closed_form(self, q, max_norm, tol, closed_form, length):
+        assert math.ceil((math.log(tol) - math.log(max_norm)) / (2 * math.log(q))) == closed_form
+        assert q ** (2 * length) * max_norm < tol <= q ** (2 * (length - 1)) * max_norm
+        assert _series_length(q, max_norm, tol) == length
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_nonpositive_truncation_tolerance_is_refused(self, tol):
+        with pytest.raises(ValueError, match="truncation tolerance must be positive"):
+            neumann_series_kernel(np.zeros((1, 1)), labels(1), {"s1": np.eye(1)}, tol=tol)
 
     def test_positivity_is_asserted(self):
         rng = np.random.default_rng(9)

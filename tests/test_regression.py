@@ -19,7 +19,6 @@ from opkern import (
     krr_fit,
     predict,
     random_pd_kernel,
-    representer,
 )
 from conftest import labels
 import oracles
@@ -77,18 +76,24 @@ class TestTrainingSet:
         with pytest.raises(Exception):
             TrainingSet.from_triples([])
 
+    def test_rejects_arrays_of_the_wrong_shape(self):
+        with pytest.raises(ShapeError, match=r"vectors must be \(2, d\), got \(3, 1\)"):
+            TrainingSet(labels=("a", "b"), vectors=np.ones((3, 1)), targets=np.ones(2))
+        with pytest.raises(ShapeError, match=r"targets must be \(2,\), got \(2, 1\)"):
+            TrainingSet(labels=("a", "b"), vectors=np.ones((2, 1)), targets=np.ones((2, 1)))
+
 
 class TestDesignMatrices:
     def test_single_scalar_sample(self):
-        dm = design_matrices(scalar_one(), scalar_one(), scalar_training())
-        np.testing.assert_array_equal(dm.kernel_gram, [[1.0]])
-        np.testing.assert_array_equal(dm.noise_gram, [[1.0]])
+        kernel_gram, noise_gram = design_matrices(scalar_one(), scalar_one(), scalar_training())
+        np.testing.assert_array_equal(kernel_gram, [[1.0]])
+        np.testing.assert_array_equal(noise_gram, [[1.0]])
 
     def test_zero_vectors_give_zero_matrices(self):
         k = random_pd_kernel(1, 2, 2)
         train = TrainingSet.from_triples([("s1", [0.0, 0.0], 1.0), ("s2", [0.0, 0.0], 2.0)])
-        dm = design_matrices(k, k, train)
-        np.testing.assert_array_equal(dm.kernel_gram, np.zeros((2, 2)))
+        kernel_gram, _ = design_matrices(k, k, train)
+        np.testing.assert_array_equal(kernel_gram, np.zeros((2, 2)))
 
     def test_identity_kernel_basis_samples(self):
         # samples (s1,e1), (s1,e2), (s2,e1) under K = delta * I give the 3x3 identity
@@ -97,8 +102,8 @@ class TestDesignMatrices:
         train = TrainingSet.from_triples(
             [("s1", [1.0, 0.0], 0.0), ("s1", [0.0, 1.0], 0.0), ("s2", [1.0, 0.0], 0.0)]
         )
-        dm = design_matrices(k, k, train)
-        np.testing.assert_allclose(dm.kernel_gram, np.eye(3), atol=1e-15)
+        kernel_gram, _ = design_matrices(k, k, train)
+        np.testing.assert_allclose(kernel_gram, np.eye(3), atol=1e-15)
 
     def test_entries_match_direct_pairing(self):
         k = random_pd_kernel(9, 3, 2)
@@ -109,13 +114,13 @@ class TestDesignMatrices:
                 for s in ("s2", "s1", "s3", "s1")
             ]
         )
-        dm = design_matrices(k, k, train)
+        kernel_gram, _ = design_matrices(k, k, train)
         for i in range(4):
             for j in range(4):
                 expected = train.vectors[i].conj() @ (
                     k.block(train.labels[i], train.labels[j]) @ train.vectors[j]
                 )
-                assert dm.kernel_gram[i, j] == pytest.approx(expected, abs=1e-12)
+                assert kernel_gram[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_row_blocks_equal_one_einsum_bitwise(self):
         # m = 203 spans four row blocks of 64; labels repeat in shuffled order
@@ -128,8 +133,7 @@ class TestDesignMatrices:
             targets=np.zeros(m, dtype=complex),
         )
         rows = np.array([k.label_set.index(s) for s in train.labels])
-        dm = design_matrices(k, noise, train)
-        for table, gram in ((k, dm.kernel_gram), (noise, dm.noise_gram)):
+        for table, gram in zip((k, noise), design_matrices(k, noise, train)):
             whole = np.einsum("ip,ijpq,jq->ij", train.vectors.conj(), table.blocks[np.ix_(rows, rows)], train.vectors)
             assert gram.tobytes() == (0.5 * (whole + whole.conj().T)).tobytes()
 
@@ -138,6 +142,11 @@ class TestDesignMatrices:
             design_matrices(
                 scalar_one(), scalar_one(), TrainingSet.from_triples([("zz", [1.0], 0.0)])
             )
+
+    def test_vectors_of_another_length_than_the_kernel(self):
+        train = TrainingSet.from_triples([("s1", [1.0, 0.0], 0.0)])
+        with pytest.raises(ShapeError, match="training vectors have length 2, kernel expects 1"):
+            design_matrices(scalar_one(), scalar_one(), train)
 
 
 def diagonal_fit_inputs(diagonal):
@@ -161,8 +170,8 @@ class TestGateBoundaries:
         gate = -1e-10  # PD_RTOL times the spectral norm, 1
         kernel, train = diagonal_fit_inputs([0.5, gate * (1 - 1e-6), 1.0])
         noise = identity_kernel(kernel.label_set, 1)
-        dm = design_matrices(kernel, noise, train)
-        assert dm.kernel_gram.tobytes() == kernel.flat.tobytes()
+        kernel_gram, _ = design_matrices(kernel, noise, train)
+        assert kernel_gram.tobytes() == kernel.flat.tobytes()
         kernel, train = diagonal_fit_inputs([0.5, gate * (1 + 1e-6), 1.0])
         with pytest.raises(NotPositiveDefinite, match=r"^signal design matrix is not positive "
                            r"\(min eig -1\.000e-10 < -1e-10 \* 1\.000e\+00\)$"):
@@ -173,27 +182,25 @@ class TestGateBoundaries:
         for factor in (1 + 1e-6, 1 - 1e-6):
             kernel, train = diagonal_fit_inputs([1.0, gate * factor])
             zero = OperatorKernelTable.from_flat(kernel.label_set, 1, np.zeros((2, 2)))
-            dm = design_matrices(kernel, zero, train)
             if factor > 1:
-                fit = krr_fit(dm, train.targets)
+                fit = krr_fit(kernel, zero, train)
                 np.testing.assert_allclose(fit.coefficients, [1.0, 1.0 / (gate * factor)], rtol=1e-15)
             else:
                 with pytest.raises(SingularSystem, match=r"^\[L\] \+ \[K\] is numerically singular "
                                    r"\(eigs in \[1\.000e-10, 1\.000e\+00\]\)$"):
-                    krr_fit(dm, train.targets)
+                    krr_fit(kernel, zero, train)
 
 
 class TestKrrFit:
     def test_scalar_closed_form(self):
-        dm = design_matrices(scalar_one(), scalar_one(), scalar_training(2.0))
-        fit = krr_fit(dm, [2.0])
+        fit = krr_fit(scalar_one(), scalar_one(), scalar_training(2.0))
         assert fit.coefficients[0] == pytest.approx(1.0)
         assert fit.fitted[0] == pytest.approx(1.0)
 
     def test_zero_targets_zero_fit(self):
         k = random_pd_kernel(2, 2, 2)
         train = TrainingSet.from_triples([("s1", [1.0, 0.0], 0.0), ("s2", [0.0, 1.0], 0.0)])
-        fit = krr_fit(design_matrices(k, k, train), np.zeros(2))
+        fit = krr_fit(k, k, train)
         np.testing.assert_array_equal(fit.coefficients, np.zeros(2))
         np.testing.assert_array_equal(fit.fitted, np.zeros(2))
 
@@ -204,7 +211,7 @@ class TestKrrFit:
         train = TrainingSet.from_triples(
             [("s1", rng.standard_normal(2), 1.0 + 2.0j), ("s2", rng.standard_normal(2), -0.5)]
         )
-        fit = krr_fit(design_matrices(k, noise, train), train.targets)
+        fit = krr_fit(k, noise, train)
         np.testing.assert_allclose(fit.fitted, train.targets, atol=1e-10)
 
     def test_degenerate_design_raises(self):
@@ -212,14 +219,8 @@ class TestKrrFit:
         ls = labels(2)
         rank_one = OperatorKernelTable.from_flat(ls, 1, np.ones((2, 2)))
         train = TrainingSet.from_triples([("s1", [1.0], 1.0), ("s2", [1.0], 1.0)])
-        dm = design_matrices(rank_one, rank_one, train)
         with pytest.raises(SingularSystem):
-            krr_fit(dm, train.targets)
-
-
-def fit_and_representer(k, noise, train):
-    fit = krr_fit(design_matrices(k, noise, train), train.targets)
-    return fit, representer(k, train, fit.coefficients)
+            krr_fit(rank_one, rank_one, train)
 
 
 class TestPredict:
@@ -233,7 +234,8 @@ class TestPredict:
                 for s in ("s1", "s2", "s3", "s2")
             ]
         )
-        fit, f_values = fit_and_representer(k, noise, train)
+        fit = krr_fit(k, noise, train)
+        f_values = fit.regression_function
         values = predict(k.label_set, f_values, train.labels, train.vectors)
         np.testing.assert_allclose(values, fit.fitted, rtol=0, atol=1e-12)
 
@@ -245,7 +247,8 @@ class TestPredict:
             [(s, rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal())
              for s in ("s4", "s1", "s4", "s2", "s1")]
         )
-        fit, f_values = fit_and_representer(k, random_pd_kernel(8, 4, 3), train)
+        fit = krr_fit(k, random_pd_kernel(8, 4, 3), train)
+        f_values = fit.regression_function
         q_labels = ["s3", "s1", "s4", "s1"]
         q_vectors = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         values = predict(k.label_set, f_values, q_labels, q_vectors)
@@ -255,19 +258,19 @@ class TestPredict:
             assert values[q] == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
     def test_zero_vector_gives_zero(self):
-        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        f_values = krr_fit(scalar_one(), scalar_one(), scalar_training()).regression_function
         assert predict(ONE_LABEL, f_values, ["s1"], [[0.0]])[0] == 0.0
 
     def test_scalar_example(self):
-        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training(2.0))
+        f_values = krr_fit(scalar_one(), scalar_one(), scalar_training(2.0)).regression_function
         assert predict(ONE_LABEL, f_values, ["s1"], [[1.0]])[0] == pytest.approx(1.0)
 
     def test_no_queries(self):
-        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        f_values = krr_fit(scalar_one(), scalar_one(), scalar_training()).regression_function
         assert predict(ONE_LABEL, f_values, [], np.zeros((0, 1))).shape == (0,)
 
     def test_unknown_label_and_wrong_length(self):
-        _, f_values = fit_and_representer(scalar_one(), scalar_one(), scalar_training())
+        f_values = krr_fit(scalar_one(), scalar_one(), scalar_training()).regression_function
         with pytest.raises(LabelError):
             predict(ONE_LABEL, f_values, ["zz"], [[1.0]])
         with pytest.raises(ShapeError):
@@ -299,7 +302,7 @@ class TestObjective:
                 for s in ("s1", "s2", "s1")
             ]
         )
-        fit = krr_fit(design_matrices(k, noise, train), train.targets)
+        fit = krr_fit(k, noise, train)
         base = oracles.ridge_objective(k, noise, train, train.targets, fit.coefficients)
         for _ in range(34):
             direction = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -317,7 +320,7 @@ class TestObjective:
                 for s in ("s1", "s2")
             ]
         )
-        fit = krr_fit(design_matrices(k, noise, train), train.targets)
+        fit = krr_fit(k, noise, train)
         fun = lambda g: oracles.ridge_objective(k, noise, train, train.targets, g)
         grad = fd_gradient(fun, fit.coefficients.copy())
         scale = max(1.0, fun(fit.coefficients))
@@ -328,9 +331,9 @@ class TestObjective:
         # within 1e-6 of the optimizer; the resolvent eigenvalues certify it
         k = identity_kernel(labels(2), 1)
         train = TrainingSet.from_triples([("s1", [1.0], 1.0), ("s2", [1.0], -2.0)])
-        dm = design_matrices(k, k, train)
-        fit = krr_fit(dm, train.targets)
-        h = dm.kernel_gram + dm.noise_gram
+        fit = krr_fit(k, k, train)
+        kernel_gram, noise_gram = design_matrices(k, k, train)
+        h = kernel_gram + noise_gram
         lam_min = float(np.linalg.eigvalsh(h)[0])
         assert lam_min >= 1.0
         rng = np.random.default_rng(4)
@@ -373,7 +376,7 @@ class TestRidgeGpEquivalence:
         noise = random_pd_kernel(seed + 100, n, d)
         observed = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         train = full_grid_training(k, observed)
-        fit = krr_fit(design_matrices(k, noise, train), train.targets)
+        fit = krr_fit(k, noise, train)
         posterior = posterior_mean(k, noise, observed)
         scale = max(1.0, float(np.linalg.norm(observed)))
         assert np.linalg.norm(fit.fitted - posterior.reshape(-1)) <= 1e-9 * scale
@@ -397,7 +400,8 @@ class TestRidgeGpEquivalence:
         train = TrainingSet(
             labels=tuple(grid.labels[i] for i in order), vectors=grid.vectors[order], targets=grid.targets[order]
         )
-        fit, f_values = fit_and_representer(k, noise, train)
+        fit = krr_fit(k, noise, train)
+        f_values = fit.regression_function
         posterior = posterior_mean(k, noise, observed)
         scale = np.linalg.norm(posterior)
         assert np.linalg.norm(fit.fitted - posterior.reshape(-1)[order]) <= 1e-9 * scale
@@ -408,8 +412,8 @@ class TestRidgeGpEquivalence:
     def test_full_grid_design_equals_flattened_kernel(self):
         k = random_pd_kernel(8, 2, 2)
         train = full_grid_training(k, np.zeros((2, 2)))
-        dm = design_matrices(k, k, train)
-        np.testing.assert_allclose(dm.kernel_gram, k.flat, atol=1e-14)
+        kernel_gram, _ = design_matrices(k, k, train)
+        np.testing.assert_allclose(kernel_gram, k.flat, atol=1e-14)
 
 
 class TestRegularizationScaling:
@@ -426,10 +430,10 @@ class TestRegularizationScaling:
                 for s in ("s1", "s2", "s1")
             ]
         )
-        dm = design_matrices(k, noise, train)
+        kernel_gram, noise_gram = design_matrices(k, noise, train)
         norms, forms = [], []
         for lam in (1.0, 2.0, 10.0):
-            h = dm.kernel_gram + lam * dm.noise_gram
+            h = kernel_gram + lam * noise_gram
             c = np.linalg.solve(h, train.targets)
             norms.append(float(np.linalg.norm(c)))
             forms.append(float((train.targets.conj() @ c).real))
@@ -487,8 +491,7 @@ class TestLabelPermutation:
         q_vectors = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
 
         def run(table, noise_table):
-            fit = krr_fit(design_matrices(table, noise_table, train), train.targets)
-            f_values = representer(table, train, fit.coefficients)
+            f_values = krr_fit(table, noise_table, train).regression_function
             return f_values, predict(table.label_set, f_values, q_labels, q_vectors)
 
         first = outcome(lambda: run(k, noise))

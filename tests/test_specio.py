@@ -87,6 +87,17 @@ class TestComplexArrays:
     def test_integer_leaves_are_numbers(self):
         np.testing.assert_array_equal(json_to_array([[1, -2], [0, 3]], (2,)), [1 - 2j, 3j])
 
+    def test_ragged_lists_fail_the_shape_check(self):
+        # numpy holds ragged JSON lists as an object array of lists, which no shape accepts.
+        with pytest.raises(SpecError, match="expected array of shape"):
+            json_to_array([[1.0, 0.0], [1.0]], (2,))
+
+    def test_arrays_that_numpy_cannot_stack_are_refused(self):
+        # No JSON value reaches this refusal: only arrays that agree in their
+        # first axis and disagree past it do.
+        with pytest.raises(SpecError, match="not a numeric nested array: could not broadcast"):
+            json_to_array([np.zeros((2, 2)), np.zeros((2, 3))], (2, 2))
+
 
 def wire_form(value):
     """``value`` with every ndarray replaced by its nested [re, im] lists."""
@@ -239,6 +250,22 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(SpecError):
             training_set_from_csv("foo,bar\n1,2\n")
+
+    def test_empty_file_rejected(self):
+        with pytest.raises(SpecError, match="^training CSV is empty$"):
+            training_set_from_csv("")
+
+    def test_unexpected_vector_column_rejected(self):
+        with pytest.raises(SpecError, match="^unexpected training CSV column 'b_0_re'$"):
+            training_set_from_csv("label,b_0_re,b_0_im,y_re,y_im\ns1,1,0,2,0\n")
+
+    def test_blank_rows_are_skipped(self):
+        header = "label,a_0_re,a_0_im,y_re,y_im\n"
+        spaced = training_set_from_csv(header + "\ns1,1,0,2,0\n\n\ns2,0,1,3,0\n\n")
+        plain = training_set_from_csv(header + "s1,1,0,2,0\ns2,0,1,3,0\n")
+        assert spaced.labels == plain.labels == ("s1", "s2")
+        np.testing.assert_array_equal(spaced.vectors, plain.vectors)
+        np.testing.assert_array_equal(spaced.targets, plain.targets)
 
     def test_path_csv_layout(self):
         batch = sample_paths(identity_kernel(labels(2), 1), 3, 2)

@@ -127,6 +127,11 @@ class TestValidateSystem:
         reflexive = validate_system(sys_.k1, sys_.k1, arbitrary, arbitrary, ONE)
         assert reflexive.identity_residual <= 1e-15
 
+    def test_transfer_operator_of_the_wrong_shape_is_refused(self):
+        one = identity_kernel(labels(1), 1)
+        with pytest.raises(ShapeError, match=r"T must be \(1, 1\), got \(2, 2\)"):
+            validate_system(one, one, one, one, np.eye(2))
+
 
 class TestPartialIsometry:
     def test_scalar_worked_example_forward(self):
@@ -329,6 +334,37 @@ class TestVerifyRealization:
         real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible):
             verify_realization(real, sys_)
+
+    def test_verdict_at_the_largest_residual(self):
+        # tol equal to the largest of the four residuals passes; one ulp below fails.
+        sys_ = generate_valid_system(1, 2, 2)
+        real = construct_partial_isometry(sys_)
+        report = verify_realization(real, sys_)
+        assert report.transitive_action and report.rn_vs_transfer is None
+        top = max(report.feature_map_residual, report.reconstruction_residual,
+                  report.intertwining_residual, report.partial_isometry_defect)
+        assert verify_realization(real, sys_, tol=top).passed
+        assert not verify_realization(real, sys_, tol=np.nextafter(top, 0.0)).passed
+
+    def test_verdict_at_rn_vs_transfer(self, monkeypatch):
+        # sqrt(Phi) scaled by 1e6 lifts rn_vs_transfer far above every residual,
+        # so it alone decides at tol equal to it and one ulp below.
+        sys_ = generate_valid_system(1, 2, 2, dominated=True)
+        real = construct_partial_isometry(sys_)
+        derivative = transfer._derivative
+
+        def scaled(*args):
+            rn = derivative(*args)
+            return replace(rn, sqrt_phi=1e6 * rn.sqrt_phi)
+
+        monkeypatch.setattr(transfer, "_derivative", scaled)
+        report = verify_realization(real, sys_)
+        assert report.transitive_action
+        rn = report.rn_vs_transfer
+        assert rn > 1e3 * max(report.feature_map_residual, report.reconstruction_residual,
+                              report.intertwining_residual, report.partial_isometry_defect)
+        assert verify_realization(real, sys_, tol=rn).passed
+        assert not verify_realization(real, sys_, tol=np.nextafter(rn, 0.0)).passed
 
 
 class TestTransitiveAction:
@@ -608,6 +644,30 @@ class TestGenerator:
         sys_ = generate_valid_system(7, 3, 2, dominated=True)
         k2_minus_k1 = OperatorKernelTable.from_flat(sys_.label_set, 2, sys_.k2.flat - sys_.k1.flat)
         assert is_positive_definite(k2_minus_k1).pd
+
+    def test_a_draw_that_fails_the_rank_condition_is_rejected(self, monkeypatch):
+        # The first draw is refused at its first label; the second passes at both.
+        first = generate_valid_system(3, 2, 1)
+        original, calls = transfer.transfer_function, []
+
+        def refuse_first(real, sys_, s, tol=RANK_RTOL):
+            calls.append(s)
+            if len(calls) == 1:
+                raise NotInvertible(f"rank condition fails at label {s!r}", label=s)
+            return original(real, sys_, s, tol)
+
+        monkeypatch.setattr(transfer, "transfer_function", refuse_first)
+        second = generate_valid_system(3, 2, 1)
+        assert calls == ["s1", "s1", "s2"]
+        assert second.k2.blocks.tobytes() != first.k2.blocks.tobytes()
+
+    def test_exhausted_draws_raise(self, monkeypatch):
+        def refuse(real, sys_, s, tol=RANK_RTOL):
+            raise NotInvertible(f"rank condition fails at label {s!r}", label=s)
+
+        monkeypatch.setattr(transfer, "transfer_function", refuse)
+        with pytest.raises(InternalInvariantViolation, match=r"^no admissible system found in 100 draws \(seed 3\)$"):
+            generate_valid_system(3, 1, 1)
 
 
 def orthonormal_range(matrix, tol):
