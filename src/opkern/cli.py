@@ -21,8 +21,9 @@ to ``1e-10`` relative, or to a larger ``condition --tol``).
 to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 
 ``sample`` writes its CSV and ``mc-verify`` reduces its paths one tile of
-samples at a time, so neither holds the whole batch; ``sample`` formats a
-tile in two processes if it may use two CPUs, with unchanged bytes.
+samples at a time, so neither holds the whole batch; if it may use two CPUs,
+``sample`` forks one child that draws and formats the odd tiles, both
+processes at one BLAS thread, with unchanged bytes (README.md).
 ``--out`` appears only when its command succeeds; on stdout, a reader that
 closes the pipe ends the output (``opkern sample ... | head``) and the
 command exits as if it had written everything.
@@ -220,52 +221,77 @@ def cmd_rn(args) -> int:
     return EXIT_OK
 
 
-def _write_csv_tile(out, batch, start: int, fork: bool) -> None:
-    """Write ``specio.path_batch_to_csv(batch, start)`` to ``out``; with ``fork``, a forked child formats
-    the second half of the samples into a pipe.  A half whose child failed or could not be forked is
-    formatted here: its error is the parent's."""
-    if not fork or batch.count < 2:
-        out.write(specio.path_batch_to_csv(batch, start))
-        return
+def _tile_csv(fs, seed: int, samples: int, start: int, first: int = 0):
+    """Yield the CSV of the tile of samples at ``start``, drawn whole, as two
+    half-tile texts (one for a one-sample tile), from half ``first`` on."""
+    batch = gaussian.draw_paths(fs, seed, start, min(gaussian._TILE, samples - start))
     half = -(-batch.count // 2)
-    first = (gaussian.PathBatch(batch.label_set, batch.paths[:half]), start)
-    second = (gaussian.PathBatch(batch.label_set, batch.paths[half:]), start + half)
+    for lo in range(0, batch.count, half)[first:]:
+        yield specio.path_batch_to_csv(gaussian.PathBatch(batch.label_set, batch.paths[lo : lo + half]), start + lo)
+
+
+def _fork_odd_tiles(fs, seed: int, samples: int) -> tuple:
+    """Fork a child that writes the CSV of the odd tiles of ``samples`` to a
+    pipe, one length-prefixed frame per half-tile, and return its pid and the
+    pipe's read end as a binary stream; ``(None, None)`` if no process could
+    be forked.  The child formats a whole tile before its first write, so
+    that it works while the parent formats the tile before it, and it is at
+    most one tile ahead."""
     r, w = os.pipe()
-    pid = None  # the child's, until it is reaped
     try:
-        with open(w, "wb") as pipe:  # the parent's write end closes once the child is forked
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the pipe stays empty
-                pass
-            if pid == 0:  # draws nothing, calls no BLAS, flushes no inherited stream
-                try:
-                    os.close(r)
-                    pipe.write(specio.path_batch_to_csv(*second).encode())
+        pid = os.fork()
+    except OSError:
+        for fd in (r, w):
+            os.close(fd)
+        return None, None
+    if pid == 0:  # ends in os._exit, so it flushes no inherited stream
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for start in range(gaussian._TILE, samples, 2 * gaussian._TILE):
+                    for text in [text.encode() for text in _tile_csv(fs, seed, samples, start)]:
+                        pipe.write(len(text).to_bytes(8, "little") + text)
                     pipe.flush()
-                except BaseException:
-                    os._exit(1)
-                os._exit(0)
-        out.write(specio.path_batch_to_csv(*first))
-        text = open(r, "rb", closefd=False).read()  # r is closed in finally
-        failed = pid is None or os.waitpid(pid, 0)[1]
-        pid = None
-        out.write(specio.path_batch_to_csv(*second) if failed else text.decode())
-    finally:
-        os.close(r)  # first, so that a child blocked on a full pipe can exit
-        if pid:
-            os.waitpid(pid, 0)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _write_frames(pipe, out, count: int) -> int:
+    """Write to ``out``, as text, up to ``count`` frames of
+    :func:`_fork_odd_tiles` read from the binary stream ``pipe``; return how
+    many, fewer where the pipe ends or cuts a frame short."""
+    for done in range(count):
+        head = pipe.read(8)
+        text = pipe.read(size := int.from_bytes(head, "little"))
+        if len(head) < 8 or len(text) < size:
+            return done
+        out.write(text.decode())
+    return count
 
 
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
     _require_path_budget(args.samples, table.n * table.dim_h)
-    fs = kolmogorov_factorize(table)
-    # Two formatting processes at most: more CPUs, or a CPU quota below the mask, were never measured.
-    fork = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-    with _output(args) as out:
-        for start, batch in gaussian.path_chunks(fs, args.seed, args.samples):
-            _write_csv_tile(out, batch, start, fork)
+    fs = kolmogorov_factorize(table)  # before the BLAS hold: its eigh runs at the default thread count
+    starts = range(0, args.samples, gaussian._TILE)
+    # One child at most: more CPUs, or a CPU quota below the mask, were never measured.
+    fork = len(starts) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    with _output(args) as out, gaussian._one_blas_thread():
+        pid, pipe = _fork_odd_tiles(fs, args.seed, args.samples) if fork else (None, None)
+        try:
+            for tile, start in enumerate(starts):
+                # An odd tile is the child's; what it did not send is formatted here, so its error is ours.
+                halves = min(2, args.samples - start)
+                done = _write_frames(pipe, out, halves) if pid and tile % 2 else 0
+                if done < halves:
+                    out.writelines(_tile_csv(fs, args.seed, args.samples, start, done))
+        finally:
+            if pid:
+                pipe.close()  # first, so that a child blocked on a full pipe gets EPIPE
+                os.waitpid(pid, 0)
     return EXIT_OK
 
 

@@ -361,12 +361,10 @@ def training_set_from_csv(text: str) -> TrainingSet:
         raise SpecError("training CSV is empty") from None
     if not header or header[0] != "label" or header[-2:] != ["y_re", "y_im"]:
         raise SpecError("training CSV must have columns label, a_*_re/im, y_re, y_im")
-    d, expected = 0, 1
-    while expected < len(header) - 2:
-        if header[expected : expected + 2] != [f"a_{d}_re", f"a_{d}_im"]:
-            raise SpecError(f"unexpected training CSV column {header[expected]!r}")
-        d += 1
-        expected += 2
+    d = (len(header) - 2) // 2
+    for got, want in zip(header[1:], (f"a_{p}_{part}" for p in range(d) for part in ("re", "im"))):
+        if got != want:
+            raise SpecError(f"unexpected training CSV column {got!r}, expected {want!r}")
     triples = []
     for row in rows:
         if not row:

@@ -306,11 +306,13 @@ class TestCostGates:
         ),
         "sample": (
             lambda p: ["sample", "--spec", p["kernel"], "--samples", "600"],
-            # eigh: the kernel's Gram; one draw of normals per tile of 512.
-            # tables: the spec's.  require_at_most: the spec's size bound,
-            # the path budget, the positivity gate and the residual bound.
+            # eigh: the kernel's Gram.  Normals: tile 0 (samples 0..511) is
+            # drawn here; tile 1, an odd tile, is drawn by the forked child,
+            # whose call this process does not see.  tables: the spec's.
+            # require_at_most: the spec's size bound, the path budget, the
+            # positivity gate and the residual bound.
             {"kolmogorov_factorize": 1, "eigh": 1, "require_psd": 1, "require_at_most": 4,
-             "standard_normal_rows": 2, "tables": 1},
+             "standard_normal_rows": 1, "tables": 1},
         ),
         "mc-verify": (
             lambda p: ["mc-verify", "--spec", p["joint"], "--seed", "1", "--samples", "2000"],
@@ -358,6 +360,7 @@ class TestCostGates:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_calls_per_subcommand(self, command, cost_specs, tmp_path, monkeypatch):
         argv, expected = self.COMMANDS[command]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # sample forks on any machine
         linalg = count_calls(monkeypatch, np.linalg, LINALG)
         norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
         ours = [count_calls(monkeypatch, module, [name for name in OPKERN_CALLS if hasattr(module, name)])
@@ -1008,13 +1011,15 @@ class TestSample:
 
     @pytest.mark.parametrize("count,cpus", [
         pytest.param(count, cpus, id=f"{count}{mask}")
-        for count in (1, 511, 512, 513, 514, 1025)
+        for count in (1, 511, 512, 513, 514, 1025, 2100)
         for mask, cpus in (("", None), ("-1cpu", {0}), ("-2cpus", {0, 1}), ("-64cpus", set(range(64))))
     ])
     def test_streamed_csv_equals_one_shot(self, count, cpus, tmp_path, capsys, monkeypatch):
-        # One tile of samples is written at a time, to --out and to stdout, and
-        # formatted in up to two processes; 514 leaves a last tile of one-sample
-        # parts.  Without a mask the test runs on this machine's own.
+        # One tile of samples is written at a time, to --out and to stdout, the
+        # odd tiles by a forked child if two CPUs may be used; 514 leaves the
+        # child a last tile of one-sample halves, and 2100 leaves the command
+        # its own last tile after a full odd one.  Without a mask the test
+        # runs on this machine's own.
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         spec, whole = one_shot_csv(tmp_path, count)
@@ -1028,27 +1033,28 @@ class TestSample:
         with pytest.raises(ChildProcessError):  # every formatter was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cpus,forks", [(None, 0), ({0}, 0), (set(range(64)), 2)],
-                             ids=["no-affinity", "1cpu", "64cpus"])
-    def test_a_tile_forks_one_formatter_at_most(self, cpus, forks, specs, tmp_path, monkeypatch):
-        # 1025 samples: two full tiles and a one-sample tile, which is not split.
+    @pytest.mark.parametrize("cpus,count,forks", [(None, 1025, 0), ({0}, 1025, 0), (set(range(64)), 1025, 1),
+                                                  (set(range(64)), 512, 0)],
+                             ids=["no-affinity", "1cpu", "64cpus", "512-samples"])
+    def test_a_run_forks_one_formatter_at_most(self, cpus, count, forks, specs, tmp_path, monkeypatch):
+        # 1025 samples: two full tiles and a one-sample tile; 512 are one tile, which is the command's.
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity")
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         fork, pids = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
-        assert main(["sample", "--spec", specs["one"], "--samples", "1025", "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["sample", "--spec", specs["one"], "--samples", str(count), "--out", str(tmp_path / "p.csv")]) == 0
         assert len(pids) == forks
 
     @pytest.fixture
     def fail_in_the_second_part(self, monkeypatch):
-        # With two CPUs, part 1 of the first tile holds samples 256..511.
+        # With two CPUs, the odd tile that holds samples 512..1023 is the child's.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         to_csv = specio.path_batch_to_csv
 
         def failing(batch, start=0):
-            if 256 <= start < 512:
+            if 512 <= start < 1024:
                 raise MemoryError("late part")
             return to_csv(batch, start)
 
@@ -1081,30 +1087,83 @@ class TestSample:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
     def test_part_that_could_not_be_forked_is_formatted_here(self, tmp_path, monkeypatch):
-        # The second tile's fork fails; the command still writes the whole CSV.
+        # The fork fails; the command writes the whole CSV itself and closes both ends of the pipe.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         spec, whole = one_shot_csv(tmp_path, 1025)
-        fork, forks = os.fork, []
+        forks = []
 
-        def fork_once():
+        def failing_fork():
             forks.append(None)
-            if len(forks) > 1:
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-            return fork()
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, "fork", failing_fork)
         out = tmp_path / "paths.csv"
         open_fds = len(os.listdir("/proc/self/fd"))
         assert main(["sample", "--spec", spec, "--seed", "4", "--samples", "1025", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == whole
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_child_that_ends_early_leaves_its_tiles_here(self, tmp_path, monkeypatch):
+        # The child sends the frames of tile 1, then exits while formatting tile 3 (samples 1536..2047).
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec, whole = one_shot_csv(tmp_path, 2100)
+        parent, to_csv = os.getpid(), specio.path_batch_to_csv
+
+        def exiting_in_the_child(batch, start=0):
+            if os.getpid() != parent and start == 1536:
+                os._exit(0)
+            return to_csv(batch, start)
+
+        monkeypatch.setattr(specio, "path_batch_to_csv", exiting_in_the_child)
+        out = tmp_path / "paths.csv"
+        assert main(["sample", "--spec", spec, "--seed", "4", "--samples", "2100", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_frame_missing_mid_tile_is_formatted_here(self, tmp_path, monkeypatch):
+        # Only the first frame (samples 512..767) is read from the pipe: the command formats
+        # the tile's second half and every later odd tile, and the child, blocked on the
+        # pipe, gets EPIPE once the command closes it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec, whole = one_shot_csv(tmp_path, 3000)
+        write_frames, calls = cli._write_frames, []
+
+        def first_frame_only(pipe, out, count):
+            calls.append(count)
+            return write_frames(pipe, out, 1) if len(calls) == 1 else 0
+
+        monkeypatch.setattr(cli, "_write_frames", first_frame_only)
+        out = tmp_path / "paths.csv"
+        assert main(["sample", "--spec", spec, "--seed", "4", "--samples", "3000", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == whole
+        assert calls == [2, 2, 2]  # tiles 1, 3 and 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(gaussian._openblas() is None, reason="numpy bundles no OpenBLAS to hold")
+    def test_both_processes_draw_at_one_blas_thread(self, specs, tmp_path, monkeypatch):
+        # Each draw appends its process and BLAS thread count to a file; the count is restored after the run.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        get, draw, log = gaussian._openblas()[0], gaussian.draw_paths, tmp_path / "draws.txt"
+        before = get()
+
+        def spy(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {get()}\n")
+            return draw(*args)
+
+        monkeypatch.setattr(gaussian, "draw_paths", spy)
+        assert main(["sample", "--spec", specs["one"], "--samples", "2100", "--out", str(tmp_path / "p.csv")]) == 0
+        draws = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(draws) == 5 and {threads for _, threads in draws} == {"1"}
+        assert sorted(pid == str(os.getpid()) for pid, _ in draws) == [False, False, True, True, True]
+        assert get() == before
+
     def test_closed_stdout_reaps_every_formatter(self, tmp_path):
-        # The reader is gone before the first part is written, and the child's
-        # part (about 100 KB) still waits on a full pipe.  A pipe end left open
+        # The reader is gone before the first tile is written, and the child's
+        # odd tile (about 300 KB) still waits on a full pipe.  A pipe end left open
         # would deadlock the command and its child, so both run in a process
         # group of their own that is killed at the deadline.
         spec = write_json(tmp_path / "k.json", kernel_to_spec(identity_kernel(labels(8), 2)))
@@ -1374,6 +1433,17 @@ class TestKrr:
         assert code == 0
         pred = json.loads(out.read_text())["results"]["predictions"][0]
         assert pred["value"] == pytest.approx([1.0, 0.0])
+
+    @pytest.mark.parametrize("header,got,want", [
+        ("label,a_0_re,a_1_im,y_re,y_im", "a_1_im", "a_0_im"),
+        ("label,a_0_re,y_re,y_im", "y_re", "a_0_im"),
+    ], ids=["second-of-the-pair", "pair-cut-short"])
+    def test_misnamed_training_column_is_the_one_named(self, header, got, want, specs, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text(f"{header}\ns1,1,0,2,0\n", encoding="utf-8")
+        assert main(["krr-fit", "--spec", specs["one"], "--noise-spec", specs["one"], "--train", str(train)]) == 2
+        assert capsys.readouterr().err == (
+            f"opkern: input error: unexpected training CSV column {got!r}, expected {want!r}\n")
 
     @pytest.fixture
     def predict_args(self, specs, tmp_path):

@@ -768,6 +768,20 @@ class TestPsdCertified:
             if psd_certified(gram, RANK_RTOL, invertible=True):
                 require_invertible(np.linalg.eigvalsh(gram), RANK_RTOL, SingularSystem, "gram")
 
+    @pytest.mark.parametrize("multiple,certified", [(4 / 3, False), (4.0, True)], ids=["4/3", "4"])
+    def test_allowance_must_fit_in_half_the_threshold(self, multiple, certified):
+        # README's allowance, 4 (n+1) u max_row_sum(|R^H| |R|) + 4 n u ||A||_F, of a
+        # fixed positive Gram, computed here from its Cholesky factor L = R^H; tol
+        # puts the threshold tol * max_i gram[i, i] at `multiple` times it.  At 4/3
+        # the allowance is 3/4 of the threshold, beyond the half the certificate
+        # keeps; at 4 it is a quarter.
+        gram = random_pd_kernel(5, 4, 2).flat
+        n = gram.shape[0]
+        moduli = np.abs(np.linalg.cholesky(gram))
+        u = np.finfo(np.float64).eps / 2
+        allowance = 4 * (n + 1) * u * (moduli @ moduli.T).sum(axis=1).max() + 4 * n * u * np.linalg.norm(gram)
+        assert psd_certified(gram, multiple * allowance / gram.diagonal().real.max()) == certified
+
     def test_certifies_a_well_conditioned_gram_and_declines_a_singular_one(self):
         gram = random_pd_kernel(5, 20, 3).flat
         assert psd_certified(gram, PD_RTOL) and psd_certified(gram, RANK_RTOL, invertible=True)

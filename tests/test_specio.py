@@ -256,7 +256,7 @@ class TestCsv:
             training_set_from_csv("")
 
     def test_unexpected_vector_column_rejected(self):
-        with pytest.raises(SpecError, match="^unexpected training CSV column 'b_0_re'$"):
+        with pytest.raises(SpecError, match="^unexpected training CSV column 'b_0_re', expected 'a_0_re'$"):
             training_set_from_csv("label,b_0_re,b_0_im,y_re,y_im\ns1,1,0,2,0\n")
 
     def test_blank_rows_are_skipped(self):

@@ -287,6 +287,22 @@ class TestTransferFunction:
 
 
 class TestVerifyRealization:
+    @pytest.mark.parametrize("excess,dominated", [(5e-9, False), (5e-10, True)], ids=["5e-9", "5e-10"])
+    def test_domination_is_decided_at_1e_9(self, excess, dominated):
+        # K2 = I and K1 = K2 + excess e e^H, with L1 = K1, L2 = K2 and T = I, so
+        # lambda_max(K1 - K2) is excess * ||K2||.  The derivative's domination gate
+        # runs at 1e-9 relative: 5e-9 leaves the system free, 5e-10 dominated, and
+        # neither raises.
+        e = np.random.default_rng(0).standard_normal(4) + 1j * np.random.default_rng(1).standard_normal(4)
+        e /= np.linalg.norm(e)
+        k2 = np.eye(4, dtype=np.complex128)
+        k1 = k2 + excess * np.outer(e, e.conj())
+        k1, k2 = (OperatorKernelTable.from_flat(labels(2), 2, 0.5 * (g + g.conj().T)) for g in (k1, k2))
+        sys_ = validate_system(k1, k2, k1, k2, np.eye(2))
+        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        assert report.dominated is dominated and report.passed
+        assert (report.rn_spectrum is None) is not dominated
+
     def test_scalar_example_identities(self):
         sys_ = scalar_system(4, 1, 4, 1)
         real = construct_partial_isometry(sys_)
