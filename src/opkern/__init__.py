@@ -56,7 +56,6 @@ from .gaussian import (
     conditional_cov_equal,
     draw_paths,
     mc_verify_conditional,
-    path_chunks,
     standard_normal_rows,
 )
 from .regression import (

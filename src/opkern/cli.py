@@ -12,8 +12,9 @@ it parses none of the three and reads every query from the fit's F.
 
 Exit codes come from the error categories in ``opkern.errors``: 0 success,
 1 tolerance failure or ``check-pd``'s not-positive verdict, 2 input/parse
-error (also an input beyond the UTF-8, JSON or CSV parsers' limits, and a
-``--samples`` count whose paths exceed ``specio.MAX_PATH_VALUES`` values),
+error (also an input beyond the UTF-8, JSON or CSV parsers' limits, a table
+whose spectral norm overflows, and a ``--samples`` count whose paths exceed
+``specio.MAX_PATH_VALUES`` values),
 3 violated hypothesis (rank condition, domination, a non-positive ``realize``
 table, ``rn`` kernel or ``krr-fit`` design matrix, an L Gram matrix singular
 to ``1e-10`` relative, or to a larger ``condition --tol``).

@@ -24,9 +24,8 @@ Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
 ulp, as it can for every LAPACK-backed result.
 
 A path batch is ``draw_paths(kolmogorov_factorize(table), seed, start,
-count)``; there is no sampler state.  :func:`path_chunks` walks a range of
-samples in tile-aligned chunks, in memory that does not grow with the
-sample count.  A coupled pair of processes is one process on ``H + H``.
+count)``; there is no sampler state.  A coupled pair of processes is one
+process on ``H + H``.
 Its :class:`JointKernel` carries the joint table, the one
 eigendecomposition of the L Gram, which decides once whether L is
 invertible, and the conditional law; :func:`condition` and
@@ -134,26 +133,16 @@ def draw_paths(fs: FeatureSystem, seed: int, start: int, count: int) -> PathBatc
         raise ValueError(f"sample indices must be nonnegative (start={start}, count={count})")
     n, d, r = fs.label_set.n, fs.dim_h, fs.dilation_dim
     paths = np.zeros((count, n * d), dtype=np.complex128)
-    if r:
-        weights = fs.stacked.conj().view(np.float64)  # so the real z @ weights is z @ stacked.conj()
-        flat = paths.view(np.float64)
-        stop = start + count
-        for tile in range(start - start % _TILE, stop, _TILE):
-            z = standard_normal_rows(seed, tile, _TILE, r)
-            lo, hi = max(start, tile), min(stop, tile + _TILE)
-            flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
+    weights = fs.stacked.conj().view(np.float64)  # so the real z @ weights is z @ stacked.conj()
+    flat = paths.view(np.float64)
+    stop = start + count
+    for tile in range(start - start % _TILE, stop, _TILE):
+        z = standard_normal_rows(seed, tile, _TILE, r)
+        lo, hi = max(start, tile), min(stop, tile + _TILE)
+        flat[lo - start : hi - start] = (z @ weights)[lo - tile : hi - tile]
     paths = paths.reshape(count, n, d)
     paths.setflags(write=False)
     return PathBatch(label_set=fs.label_set, paths=paths)
-
-
-def path_chunks(fs: FeatureSystem, seed: int, count: int):
-    """Yield ``(start, draw_paths(fs, seed, start, c))`` over samples
-    ``0 .. count - 1``, one tile of ``_TILE`` samples at a time (the last
-    may be shorter).  The chunks draw exactly the tiles, and bytes, of one
-    ``draw_paths(fs, seed, 0, count)``."""
-    for start in range(0, count, _TILE):
-        yield start, draw_paths(fs, seed, start, min(_TILE, count - start))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +240,7 @@ def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> 
     mean_map = np.linalg.solve(l.flat, t_gram.conj().T).conj().T
     joint = JointKernel(m_table, l_eigh, mean_map, schur_table, features)
     evals = np.linalg.eigvalsh(schur_table.flat)
-    min_eig, scale = eig_extremes(evals)
+    min_eig, scale = eig_extremes(evals, "Schur complement")
     if not min_eig >= -PD_RTOL * scale:  # the joint norm can only loosen the gate
         scale = max(scale, joint.features.norm)
     require_psd(evals, PD_RTOL, NotPositiveDefinite, "Schur complement", scale)

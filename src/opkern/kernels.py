@@ -18,7 +18,8 @@ compute with: differences and congruences are formed on flat matrices.
 Every gate that raises and is neither strict nor a finiteness check
 decides in :func:`require_at_most`, and a NaN fails every gate.  Positivity
 (:func:`require_psd`) needs the smallest eigenvalue to be at least ``-tol``
-times a scale, by default the matrix's own spectral norm.  Two gates pass
+times a scale, by default the matrix's own spectral norm, and an
+infinite spectral norm is refused as input.  Two gates pass
 a different scale: the Schur complement of a joint table uses ``max(own
 norm, norm of the joint table)``, and the domination test of a
 Radon-Nikodym pair the norm of the dominating table.  An explicit ``tol``
@@ -207,9 +208,14 @@ class PDReport:
     scale: float
 
 
-def eig_extremes(evals: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue and spectral norm, from ascending Hermitian eigenvalues."""
-    return float(evals[0]), float(max(abs(evals[0]), abs(evals[-1])))
+def eig_extremes(evals: np.ndarray, what: str) -> tuple[float, float]:
+    """Smallest eigenvalue and spectral norm, from ascending Hermitian
+    eigenvalues; a NaN extreme makes the norm NaN.  An infinite norm, from
+    a matrix ``what`` whose spectrum overflows, raises :class:`InvalidKernel`."""
+    scale = float(np.maximum(abs(evals[0]), abs(evals[-1])))
+    if math.isinf(scale):
+        raise InvalidKernel(f"{what} leaves the float range: spectral norm {scale:.3e}")
+    return float(evals[0]), scale
 
 
 def max_spectral_norm(a: np.ndarray, rows: int, cols: int) -> float:
@@ -234,7 +240,7 @@ def is_positive_definite(table: OperatorKernelTable, tol: float | None = None) -
     of the quadratic form over all coefficient systems, up to the same
     tolerance relative to ``sum ||a_i||^2``.
     """
-    min_eig, scale = eig_extremes(np.linalg.eigvalsh(table.flat))
+    min_eig, scale = eig_extremes(np.linalg.eigvalsh(table.flat), "kernel table")
     if tol is None:
         tol = PD_RTOL * scale
     elif tol < 0:
@@ -262,8 +268,9 @@ def require_psd(evals: np.ndarray, tol: float, error: type[Exception], what: str
     """Raise ``error``, naming the matrix ``what`` and carrying ``min_eig``,
     unless the smallest of its ascending Hermitian eigenvalues ``evals`` is
     at least ``-tol * scale``; a NaN fails.  ``scale`` defaults to the
-    spectral norm; the scale used is returned."""
-    min_eig, own = eig_extremes(evals)
+    spectral norm; the scale used is returned.  An infinite spectral norm
+    raises :class:`InvalidKernel` whatever ``scale`` is."""
+    min_eig, own = eig_extremes(evals, what)
     scale = own if scale is None else scale
     require_at_most(-min_eig, tol * scale, error,
                     f"{what} is not positive (min eig {min_eig:.3e} < -{tol:g} * {scale:.3e})", min_eig=min_eig)

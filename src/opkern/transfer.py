@@ -173,14 +173,12 @@ class TransferRealization:
     gram_defect: float
 
     def partial_isometry_defect(self) -> float:
-        """max of ||W^H W - P_init|| and ||W W^H - P_fin|| (spectral)."""
+        """max of ||W^H W - P_init|| and ||W W^H - P_fin|| (spectral); NaN if either is."""
         w = self.w
         p_init = self.initial_basis @ self.initial_basis.conj().T
         p_fin = self.final_basis @ self.final_basis.conj().T
-        return max(
-            float(np.linalg.norm(w.conj().T @ w - p_init, 2)),
-            float(np.linalg.norm(w @ w.conj().T - p_fin, 2)),
-        )
+        return float(np.maximum(np.linalg.norm(w.conj().T @ w - p_init, 2),
+                                np.linalg.norm(w @ w.conj().T - p_fin, 2)))
 
 
 def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

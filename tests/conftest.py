@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opkern import LabelSet, OperatorKernelTable, draw_paths, identity_kernel, kolmogorov_factorize
+from opkern import LabelSet, OperatorKernelTable, draw_paths, gaussian, identity_kernel, kolmogorov_factorize
 
 
 def labels(n):
@@ -77,3 +77,23 @@ def identity_22(two_labels):
 def constant_one(two_labels):
     """n = 2, d = 1 kernel that is 1 everywhere."""
     return OperatorKernelTable.from_flat(two_labels, 1, np.ones((2, 2)))
+
+
+@pytest.fixture
+def blas_threads():
+    """``set(count)`` of numpy's OpenBLAS thread count, through
+    ``gaussian._openblas()``.  On exit the count found is restored and the
+    pool stopped, as ``gaussian._one_blas_thread`` leaves it, so that no pool
+    spins into the next test.  Where there is no handle, ``set`` does
+    nothing and BLAS runs at its default count."""
+    blas = gaussian._openblas()
+    if blas is None:
+        yield lambda count: None
+        return
+    get, put, shutdown = blas
+    threads = get()
+    try:
+        yield put
+    finally:
+        put(threads)
+        shutdown()

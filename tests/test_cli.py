@@ -1400,6 +1400,34 @@ class TestMcVerify:
         assert not out.exists()
 
 
+class TestOverflowingSpectrum:
+    """Finite entries whose spectrum overflows: 4 x 5e307 is the one nonzero
+    eigenvalue, so the spectral norm of the table is infinite."""
+
+    LABELS = ["s0", "s1", "s2", "s3"]
+    TABLE = {"labels": LABELS, "dim_h": 1, "kind": "explicit", "blocks": [[[[[5e307, 0.0]]]] * 4] * 4}
+    EYE = {"labels": LABELS, "dim_h": 1, "kind": "builder", "builder": {"name": "identity", "params": {}}}
+    ZERO = [[[[[0.0, 0.0]]]] * 4] * 4
+    SPECS = {
+        "mc-verify": {"k": TABLE, "l": EYE, "t_coupling": ZERO},
+        "rn": {"l": EYE, "k": TABLE},
+        "condition": {"k": TABLE, "l": EYE, "t_coupling": ZERO, "observed_l": [[[0.0, 0.0]]] * 4},
+    }
+
+    @pytest.mark.parametrize("command,args", [("check-pd", []), ("factorize", []), ("sample", ["--samples", "3"]),
+                                              ("mc-verify", ["--samples", "100"]), ("rn", []), ("condition", [])])
+    def test_is_refused_as_input(self, command, args, tmp_path, capsys):
+        # Against an infinite scale every positivity gate passes: check-pd
+        # would report pd, factorize keep no eigenvalue and sample draw zeros.
+        spec = write_json(tmp_path / "spec.json", self.SPECS.get(command, self.TABLE))
+        out = tmp_path / "r.out"
+        assert main([command, "--spec", spec, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("leaves the float range: spectral norm inf\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCondition:
     def test_scalar_conditioning(self, specs, tmp_path):
         out = tmp_path / "r.json"

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import os
 import re
 import subprocess
@@ -127,36 +126,21 @@ class TestSampler:
         tol = 512 * np.finfo(np.float64).eps * np.max(np.abs(ref))
         assert np.max(np.abs(batch.paths - ref)) <= tol
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_batch_invariance_across_tiles(self, threads):
-        # OPENBLAS_NUM_THREADS is read when numpy is imported, hence the
-        # subprocess.  Bytes must agree within one thread count only.
-        script = textwrap.dedent(
-            """
-            import numpy as np
-            from opkern import draw_paths, kolmogorov_factorize, random_pd_kernel
-
-            table = random_pd_kernel(6, 40, 3)
-            fs = kolmogorov_factorize(table)
-            start, count = 3, 3000
-            whole = draw_paths(fs, 21, start, count).paths
-            rng = np.random.default_rng(0)
-            for _ in range(12):
-                cuts = rng.choice(np.arange(1, count), size=int(rng.integers(1, 40)), replace=False)
-                bounds = [0, *sorted(cuts.tolist()), count]
-                parts = [draw_paths(fs, 21, start + a, b - a).paths for a, b in zip(bounds, bounds[1:])]
-                assert np.concatenate(parts).tobytes() == whole.tobytes()
-            for index in (511, 512):
-                assert draw_paths(fs, 21, index, 1).paths[0].tobytes() == whole[index - start].tobytes()
-            print("ok")
-            """
-        )
-        src = str(Path(opkern.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batch_invariance_across_tiles(self, threads, blas_threads):
+        # Bytes must agree within one thread count only.
+        blas_threads(threads)
+        fs = kolmogorov_factorize(random_pd_kernel(6, 40, 3))
+        start, count = 3, 3000
+        whole = draw_paths(fs, 21, start, count).paths
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            cuts = rng.choice(np.arange(1, count), size=int(rng.integers(1, 40)), replace=False)
+            bounds = [0, *sorted(cuts.tolist()), count]
+            parts = [draw_paths(fs, 21, start + a, b - a).paths for a, b in zip(bounds, bounds[1:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+        for index in (511, 512):
+            assert draw_paths(fs, 21, index, 1).paths[0].tobytes() == whole[index - start].tobytes()
 
     def test_zero_kernel_paths_vanish(self):
         batch = sample_paths(OperatorKernelTable.from_flat(ONE_LABEL, 2, np.zeros((2, 2))), 1, 10)
@@ -672,54 +656,28 @@ class TestStreamedRegression:
             [report.mean_map_dev_se, report.residual_cov_dev_se], [mean_dev, cov_dev], rtol=1e-3, atol=1e-3
         )
 
-    def test_chunks_are_tiles_of_one_draw(self):
-        fs = kolmogorov_factorize(random_pd_kernel(2, 3, 2))
-        chunks = list(gaussian.path_chunks(fs, 4, 1025))
-        assert [start for start, _ in chunks] == [0, 512, 1024]
-        joined = np.concatenate([batch.paths for _, batch in chunks])
-        assert joined.tobytes() == draw_paths(fs, 4, 0, 1025).paths.tobytes()
-
     @pytest.mark.parametrize("n", [4, 82], ids=["narrow16", "wide328"])
-    def test_serial_streams_give_the_same_statistics(self, n, monkeypatch):
+    def test_serial_streams_give_the_same_statistics(self, n, monkeypatch, blas_threads):
         # Where numpy bundles no OpenBLAS to hold, both streams run on the
         # main thread, one after the other.  Both runs are pinned at one BLAS
         # thread, so that only the scheduling of the streams differs.
         joint = assemble_joint(*block_joint_instance(5, n=n))
-        threads = openblas_threads()
-        if OPENBLAS is not None:
-            OPENBLAS[1](1)
-        try:
-            threaded = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
-            monkeypatch.setattr(gaussian, "_openblas", lambda: None)
-            serial = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
-        finally:
-            if OPENBLAS is not None:
-                OPENBLAS[1](threads)
+        blas_threads(1)
+        threaded = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
+        monkeypatch.setattr(gaussian, "_openblas", lambda: None)
+        serial = mc_verify_conditional(joint, 2, DRAW_AHEAD_COUNT)
         assert [serial.mean_map_dev_se.hex(), serial.residual_cov_dev_se.hex()] == [
             threaded.mean_map_dev_se.hex(), threaded.residual_cov_dev_se.hex()]
 
 
-def openblas_thread_calls():
-    """``(get, set)`` of the thread count of the OpenBLAS bundled with numpy,
-    or None where numpy bundles none."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
-            get, put = f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}"
-            if hasattr(handle, get) and hasattr(handle, put):
-                getattr(handle, put).argtypes = [ctypes.c_int]
-                return getattr(handle, get), getattr(handle, put)
-    return None
-
-
-OPENBLAS = openblas_thread_calls()
+OPENBLAS = gaussian._openblas()
 
 
 def openblas_threads():
     return None if OPENBLAS is None else OPENBLAS[0]()
 
 
-HELD = gaussian._openblas() is not None
+HELD = OPENBLAS is not None
 
 
 class TestDrawAhead:
@@ -729,16 +687,9 @@ class TestDrawAhead:
     every pair width."""
 
     @pytest.fixture(autouse=True)
-    def two_blas_threads(self):
+    def two_blas_threads(self, blas_threads):
         """Each test starts at two BLAS threads, so that a hold left behind shows."""
-        if OPENBLAS is None:
-            yield
-            return
-        get, put = OPENBLAS
-        threads = get()
-        put(2)
-        yield
-        put(threads)
+        blas_threads(2)
 
     def test_statistics_are_those_of_a_one_thread_process(self):
         joint = assemble_joint(*block_joint_instance(5, n=4))

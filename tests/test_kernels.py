@@ -31,6 +31,7 @@ from opkern.kernels import (
     _block_frobenius,
     _series_length,
     block_layout,
+    eig_extremes,
     gated_solve,
     psd_certified,
     _strict_contraction,
@@ -358,6 +359,12 @@ class TestPositivity:
         assert not report.pd
         assert report.min_eig == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("tol", [None, 1.0])
+    def test_overflowing_spectrum_is_an_input_error(self, tol):
+        # Every entry is finite; the one nonzero eigenvalue, 4 x 5e307, is not.
+        with pytest.raises(InvalidKernel, match="kernel table leaves the float range"):
+            is_positive_definite(scalar_table(np.full((4, 4), 5e307)), tol)
+
     def test_negative_tol_rejected(self, identity_22):
         with pytest.raises(ValueError):
             is_positive_definite(identity_22, -1.0)
@@ -414,6 +421,19 @@ class TestRequirePsd:
     @pytest.mark.parametrize("evals", [[np.nan, 1.0], [np.nan, np.nan], [np.nan]])
     def test_nan_minimum_fails(self, evals, scale):
         with pytest.raises(NotPositiveDefinite):
+            require_psd(np.array(evals), PD_RTOL, NotPositiveDefinite, "m", scale)
+
+    def test_nan_maximum_fails(self):
+        # Python's max(0.0, nan) is 0.0, a scale at which the gate would pass.
+        assert np.isnan(eig_extremes(np.array([0.0, np.nan]), "m")[1])
+        with pytest.raises(NotPositiveDefinite):
+            require_psd(np.array([0.0, np.nan]), PD_RTOL, NotPositiveDefinite, "m")
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    @pytest.mark.parametrize("evals", [[0.0, np.inf], [-np.inf, 1.0], [-1.0, np.inf]])
+    def test_infinite_spectral_norm_is_an_input_error(self, evals, scale):
+        # At scale inf, -min_eig <= tol * inf would pass any finite minimum.
+        with pytest.raises(InvalidKernel, match=r"^m leaves the float range: spectral norm inf$"):
             require_psd(np.array(evals), PD_RTOL, NotPositiveDefinite, "m", scale)
 
     @pytest.mark.parametrize("error", [NotPositiveDefinite, NotDominated, InternalInvariantViolation])

@@ -156,6 +156,19 @@ class TestPartialIsometry:
             construct_partial_isometry(sys_)
         assert exc.value.exit_code == 2
 
+    @pytest.mark.parametrize("nan_at", [0, 1], ids=["initial", "final"])
+    def test_nan_defect_is_reported(self, nan_at, monkeypatch):
+        # Python's max keeps a finite first defect past a NaN second one.
+        real = construct_partial_isometry(scalar_system(4, 1, 4, 1))
+        norm, calls = np.linalg.norm, []
+
+        def nan_once(x, *args, **kwargs):
+            calls.append(x)
+            return np.nan if len(calls) == nan_at + 1 else norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", nan_once)
+        assert np.isnan(real.partial_isometry_defect())
+
     def test_scalar_worked_example_reverse(self):
         real = construct_partial_isometry(scalar_system(1, 4, 1, 4))
         np.testing.assert_allclose(real.w.real, [[0.4, 0.2], [0.8, 0.4]], atol=1e-12)
