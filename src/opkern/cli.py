@@ -11,10 +11,11 @@ requires the fit to record the hashes of ``--spec``, ``--noise-spec`` and
 it parses none of the three and reads every query from the fit's F.
 
 Exit codes come from the error categories in ``opkern.errors``: 0 success,
-1 tolerance failure or ``check-pd``'s not-positive verdict, 2 input/parse
-error (also an input beyond the UTF-8, JSON or CSV parsers' limits, a table
-whose spectral norm overflows, and a ``--samples`` count whose paths exceed
-``specio.MAX_PATH_VALUES`` values),
+1 tolerance failure, ``check-pd``'s not-positive verdict or a ``realize``
+residual that is not finite, 2 input/parse error (also an input beyond the
+UTF-8, JSON or CSV parsers' limits, a table whose spectral norm overflows, a
+conditional law beyond the float range, and a ``--samples`` count whose
+paths exceed ``specio.MAX_PATH_VALUES`` values),
 3 violated hypothesis (rank condition, domination, a non-positive ``realize``
 table, ``rn`` kernel or ``krr-fit`` design matrix, an L Gram matrix singular
 to ``1e-10`` relative, or to a larger ``condition --tol``).
@@ -25,6 +26,8 @@ to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 samples at a time, so neither holds the whole batch; if it may use two CPUs,
 ``sample`` forks one child that draws and formats the odd tiles, both
 processes at one BLAS thread, with unchanged bytes (README.md).
+The ``results`` of ``realize``, ``rn`` and ``mc-verify`` are the fields of
+their result objects (``realize``'s without ``passed``, its exit code).
 ``--out`` appears only when its command succeeds; on stdout, a reader that
 closes the pipe ends the output (``opkern sample ... | head``) and the
 command exits as if it had written everything.
@@ -191,19 +194,8 @@ def cmd_realize(args) -> int:
         results["sigma_min"] = exc.sigma_min
         _emit_report(args, {"tol": args.tol}, results)
         return exc.exit_code
-    results.update(
-        {
-            "partial_isometry_defect": report.partial_isometry_defect,
-            "gram_defect": report.gram_defect,
-            "intertwining_residual": report.intertwining_residual,
-            "feature_map_residual": report.feature_map_residual,
-            "kernel_reconstruction_residual": report.reconstruction_residual,
-            "transitive_action": report.transitive_action,
-            "dominated": report.dominated,
-            "rn_spectrum": report.rn_spectrum,
-            "rn_vs_transfer": report.rn_vs_transfer,
-        }
-    )
+    results.update(vars(report))
+    del results["passed"]  # the exit code
     _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
@@ -211,14 +203,7 @@ def cmd_realize(args) -> int:
 def cmd_rn(args) -> int:
     lo, hi = specio.pair_from_spec(specio.load_json(args.spec))
     rn = transfer.radon_nikodym(lo, hi, args.tol)
-    results = {
-        "rn_spectrum": list(rn.spectrum),
-        "reproduction_residual": rn.reproduction_residual,
-        "dilation_dim": rn.feature_system.dilation_dim,
-        "phi": rn.phi,
-        "sqrt_phi": rn.sqrt_phi,
-    }
-    _emit_report(args, {"tol": args.tol}, results)
+    _emit_report(args, {"tol": args.tol}, vars(rn))
     return EXIT_OK
 
 
@@ -301,14 +286,7 @@ def cmd_mc_verify(args) -> int:
     _require_path_budget(args.samples, 2 * k.n * k.dim_h)
     joint = gaussian.assemble_joint(k, l, coupling)
     report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
-    results = {
-        "mean_map_dev_se": report.mean_map_dev_se,
-        "residual_cov_dev_se": report.residual_cov_dev_se,
-        "samples": report.count,
-        "tol_sigma": args.tol,
-        "passed": bool(report.passed),
-    }
-    _emit_report(args, {"seed": args.seed, "samples": args.samples}, results)
+    _emit_report(args, {"seed": args.seed, "samples": args.samples}, vars(report))
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 

@@ -194,6 +194,7 @@ class JointKernel:
         return self.m.dim_h // 2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a complement that overflows is refused as a table
 def _schur(
     k: OperatorKernelTable, l: OperatorKernelTable, t_gram: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], OperatorKernelTable]:
@@ -220,7 +221,8 @@ def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> 
     flattened joint table, decided by its factorization's gate, and of the
     Gram-level Schur complement, each to ``PD_RTOL`` relative; rejections
     raise :class:`NotPositiveDefinite`.  An L singular to ``RANK_RTOL``
-    relative raises :class:`SingularL`.  A joint table that
+    relative raises :class:`SingularL`, and a complement or a mean map
+    beyond the float range :class:`InvalidKernel`.  A joint table that
     :func:`opkern.kernels.psd_certified` admits is not factored here; any
     other is factored before L is decided, so its rejection comes first.
     The Schur gate's scale is the larger of its own norm and the joint
@@ -238,6 +240,7 @@ def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> 
     l_eigh, schur_table = _schur(k, l, t_gram)
     # LU, not l_eigh: T L^-1 formed from L's eigenpairs has a backward error that grows with cond(L).
     mean_map = np.linalg.solve(l.flat, t_gram.conj().T).conj().T
+    require_finite(InvalidKernel, "mean map T L^-1", mean_map)
     joint = JointKernel(m_table, l_eigh, mean_map, schur_table, features)
     evals = np.linalg.eigvalsh(schur_table.flat)
     min_eig, scale = eig_extremes(evals, "Schur complement")
@@ -247,6 +250,7 @@ def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> 
     return joint
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> np.ndarray:
     """Posterior mean of the K-process given observed values of the
     L-process, ``T_gram L_gram^{-1} vec(observed)`` as an (n, d) array.
@@ -254,7 +258,8 @@ def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> np.ndar
     Conditioning is over the full finite label grid; the covariance is
     ``joint.schur``.  :func:`assemble_joint` has refused an L singular to
     ``RANK_RTOL`` relative; a larger ``tol`` refuses more, raising
-    :class:`SingularL`, and a smaller one refuses nothing more.
+    :class:`SingularL`, and a smaller one refuses nothing more.  A posterior
+    mean beyond the float range raises :class:`InvalidKernel`.
     """
     n, d = joint.label_set.n, joint.dim_h
     observed = np.asarray(observed_l, dtype=np.complex128)
@@ -262,7 +267,9 @@ def condition(joint: JointKernel, observed_l, tol: float = RANK_RTOL) -> np.ndar
         raise ShapeError(f"observed values must be ({n}, {d}), got {observed.shape}")
 
     require_invertible(joint.l_eigh[0], tol, SingularL, "L Gram matrix")
-    return (joint.mean_map @ observed.reshape(n * d)).reshape(n, d)
+    posterior = (joint.mean_map @ observed.reshape(n * d)).reshape(n, d)
+    require_finite(InvalidKernel, "posterior mean", posterior)
+    return posterior
 
 
 @dataclass(frozen=True)
@@ -299,11 +306,13 @@ def conditional_cov_equal(
 
 @dataclass(frozen=True)
 class ConditionalMcReport:
-    """Monte-Carlo check of the conditional law, in standard-error units."""
+    """Monte-Carlo check of the conditional law, in standard-error units,
+    over ``samples`` joint samples against the budget ``tol_sigma``."""
 
     mean_map_dev_se: float
     residual_cov_dev_se: float
-    count: int
+    samples: int
+    tol_sigma: float
     passed: bool
 
 
@@ -347,7 +356,8 @@ def mc_verify_conditional(
     return ConditionalMcReport(
         mean_map_dev_se=mean_dev,
         residual_cov_dev_se=cov_dev,
-        count=count,
+        samples=count,
+        tol_sigma=tol_sigma,
         passed=mean_dev <= tol_sigma and cov_dev <= tol_sigma,
     )
 

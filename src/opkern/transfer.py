@@ -73,6 +73,7 @@ from .kernels import (
     max_scale,
     max_spectral_norm,
     require_at_most,
+    require_finite,
     require_psd,
 )
 
@@ -152,8 +153,8 @@ def validate_system(
 
 @dataclass(frozen=True)
 class TransferRealization:
-    """Partial isometry ``W = F G^+`` and its blocks A, B, C, D, which are
-    views of ``w``.
+    """Partial isometry ``W = F G^+``; its blocks A, B, C, D are cut by
+    :func:`transfer_function`.
 
     ``initial_basis`` / ``final_basis`` are orthonormal column bases of the
     initial and final spaces; ``g_columns`` / ``f_columns`` are the stacked
@@ -161,10 +162,6 @@ class TransferRealization:
     """
 
     w: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
     initial_basis: np.ndarray
     final_basis: np.ndarray
     g_columns: np.ndarray
@@ -222,14 +219,8 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
                     f"initial/final column Grams differ by relative {gram_defect:.3e}; "
                     "the column correspondence is not isometric", relative=gram_defect)
 
-    w = f @ g_pinv
-    r_k1, r_k2 = fs["k1"].dilation_dim, fs["k2"].dilation_dim
     return TransferRealization(
-        w=w,
-        a=w[:r_k1, :r_k2],
-        b=w[:r_k1, r_k2:],
-        c=w[r_k1:, :r_k2],
-        d=w[r_k1:, r_k2:],
+        w=f @ g_pinv,
         initial_basis=initial_basis,
         final_basis=final_basis,
         g_columns=g,
@@ -245,7 +236,9 @@ def transfer_function(
     s: str,
     tol: float = RANK_RTOL,
 ) -> np.ndarray:
-    """Evaluate ``T12(s) = A + B V_L1(s) M(s)^+ C`` at one label.
+    """Evaluate ``T12(s) = A + B V_L1(s) M(s)^+ C`` at one label, with A-D
+    the blocks of ``real.w`` cut at the K1 (rows) and K2 (columns) dilation
+    dimensions of ``sys.features``.
 
     ``M(s) = V_L2(s) - D V_L1(s)`` must have full column rank with
     ``sigma_min > tol * sigma_max``; otherwise the fractional-linear
@@ -253,15 +246,16 @@ def transfer_function(
     That failure reflects a violated hypothesis, not a numerical bug.
     """
     d_h = sys.dim_h
+    w, r_k1, r_k2 = real.w, sys.features["k1"].dilation_dim, sys.features["k2"].dilation_dim
     v_l1 = sys.features["l1"].operator(s)
     v_l2 = sys.features["l2"].operator(s)
-    sv, _, m_pinv = _svd(v_l2 - real.d @ v_l1, tol)
+    sv, _, m_pinv = _svd(v_l2 - w[r_k1:, r_k2:] @ v_l1, tol)
     sigma_max = float(sv[0]) if sv.size else 0.0
     sigma_min = float(sv[d_h - 1]) if sv.size >= d_h else 0.0
     if not (sv.size >= d_h and sigma_min > tol * sigma_max):  # a NaN fails; so does sigma_max = 0
         raise NotInvertible(f"rank condition fails at label {s!r}: sigma_min {sigma_min:.3e}, sigma_max {sigma_max:.3e}",
                             label=s, sigma_min=sigma_min)
-    return real.a + real.b @ v_l1 @ m_pinv @ real.c
+    return w[:r_k1, :r_k2] + w[:r_k1, r_k2:] @ v_l1 @ m_pinv @ w[r_k1:, :r_k2]
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,7 @@ class RealizationReport:
     """
 
     feature_map_residual: float
-    reconstruction_residual: float
+    kernel_reconstruction_residual: float
     intertwining_residual: float
     partial_isometry_defect: float
     gram_defect: float
@@ -297,7 +291,7 @@ def verify_realization(
     dominated system, ``sqrt(dK1/dK2) = T12``, from one ``T12(s)`` per label.
 
     ``feature_map_residual`` is the worst ``||V_K1(s) - T12(s) V_K2(s)||``
-    relative to ``||stacked V_K1||``; ``reconstruction_residual`` the worst
+    relative to ``||stacked V_K1||``; ``kernel_reconstruction_residual`` the worst
     ``||K1(s, t) - V_K1(s)^H T12(t) V_K2(t)||`` over pairs, relative to the
     flattened norm of K1.  The action is transitive when the image vectors
     ``T12(s) V_K2(s) a``, which live in the K1 dilation space ``C^r``, have
@@ -311,7 +305,8 @@ def verify_realization(
     least squares); ``rn_vs_transfer`` is the worst
     ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` relative to
     ``||stacked V_K2||``, and ``rn_spectrum`` the raw extremes of ``Phi``.
-    Propagates :class:`NotInvertible`.
+    Propagates :class:`NotInvertible`; a residual or ``rn_vs_transfer`` that
+    is not finite raises :class:`InternalInvariantViolation`.
     """
     fs_k1, fs_k2 = sys.features["k1"], sys.features["k2"]
     n = sys.label_set.n
@@ -335,7 +330,10 @@ def verify_realization(
     else:
         root_k2 = rn.sqrt_phi @ fs_k2.stacked
         rn_dev = max_spectral_norm(root_k2 - root_k2 @ fs_k1.pinv @ x, 1, n)
-        rn_spectrum, rn_vs_transfer = rn.spectrum, rn_dev / max(math.sqrt(fs_k2.norm), TINY)
+        rn_spectrum, rn_vs_transfer = rn.rn_spectrum, rn_dev / max(math.sqrt(fs_k2.norm), TINY)
+    checks = residuals if rn is None else (*residuals, rn_vs_transfer)
+    # A NaN would fail the verdict, but no report can hold it.
+    require_finite(InternalInvariantViolation, "a realization residual", checks)
 
     return RealizationReport(
         *residuals,
@@ -344,11 +342,7 @@ def verify_realization(
         dominated=rn is not None,
         rn_spectrum=rn_spectrum,
         rn_vs_transfer=rn_vs_transfer,
-        passed=(
-            all(r <= tol for r in residuals)
-            and transitive
-            and (rn_vs_transfer is None or rn_vs_transfer <= tol)
-        ),
+        passed=all(r <= tol for r in checks) and transitive,
     )
 
 
@@ -358,13 +352,14 @@ class RNDerivative:
 
     ``phi`` acts on the dilation space of ``hi``; its eigenvalues are
     clamped to [0, 1] (legal only within tolerance, enforced upstream).
-    ``spectrum`` records the raw pre-clamp extremes.
+    ``rn_spectrum`` records the raw pre-clamp extremes, ``dilation_dim``
+    the dimension of that space.
     """
 
     phi: np.ndarray
     sqrt_phi: np.ndarray
-    spectrum: tuple[float, float]
-    feature_system: FeatureSystem
+    rn_spectrum: tuple[float, float]
+    dilation_dim: int
     reproduction_residual: float
 
 
@@ -418,8 +413,8 @@ def _derivative(
     return RNDerivative(
         phi=phi_c,
         sqrt_phi=sqrt_phi,
-        spectrum=raw,
-        feature_system=fs,
+        rn_spectrum=raw,
+        dilation_dim=fs.dilation_dim,
         reproduction_residual=rel,
     )
 

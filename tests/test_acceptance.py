@@ -100,7 +100,7 @@ def test_criterion_03_transfer_realization():
             assert report.partial_isometry_defect <= 1e-8, f"case {case}: {report}"
             assert report.intertwining_residual <= 1e-8, f"case {case}: {report}"
             assert report.feature_map_residual <= 1e-8, f"case {case}: {report}"
-            assert report.reconstruction_residual <= 1e-8, f"case {case}: {report}"
+            assert report.kernel_reconstruction_residual <= 1e-8, f"case {case}: {report}"
 
         sys_ = scalar_system(4, 1, 4, 1)
         real = construct_partial_isometry(sys_)

@@ -918,6 +918,29 @@ class TestRealize:
         assert stderr_is(capsys.readouterr().err, "hypothesis failure: rank condition fails at label 's1': sigma_min nan")
         assert not out.exists()
 
+    # Spectral norms of realize, in call order: 1 the identity defect, 2 ||T||, 3 the Gram defect, 4 the
+    # feature-map and 5 the reconstruction residuals (batched), 6 the intertwining residual, 7 and 8 the
+    # partial-isometry defect, 9 Phi's reproduction residual, 10 rn_vs_transfer (batched).
+    @pytest.mark.parametrize("call", [4, 5, 6, 7, 8, 10], ids=[
+        "feature-map", "reconstruction", "intertwining", "initial-projection", "final-projection", "rn-vs-transfer"])
+    def test_nan_residual_exits_one_without_report(self, call, tmp_path, capsys, monkeypatch):
+        # A NaN fails the verdict, and no report can hold it: the check refuses it, not the report writer.
+        sys_ = generate_valid_system(3, 2, 2, dominated=True)
+        spec = system_spec(tmp_path / "system.json", *(tab.flat for tab in sys_.tables().values()), sys_.t_op)
+        norm, calls = np.linalg.norm, []
+
+        def nan_at_call(x, ord=None, *args, **kwargs):
+            value = norm(x, ord, *args, **kwargs)
+            calls.append(ord == 2)
+            return np.full_like(value, np.nan) if ord == 2 and sum(calls) == call else value
+
+        monkeypatch.setattr(np.linalg, "norm", nan_at_call)
+        out = tmp_path / "r.json"
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == 1
+        assert stderr_is(capsys.readouterr().err, "a realization residual contains non-finite entries")
+        assert not out.exists()
+        assert sum(calls) == 10
+
     def test_system_near_the_null_cone_of_l1_minus_l2_is_realized(self, tmp_path, capsys):
         # T^H (L1 - L2) T cancels, so its rounding is far from Hermitian at its own size.
         out = tmp_path / "r.json"
@@ -1436,6 +1459,30 @@ class TestCondition:
         assert results["posterior_mean"][0][0] == pytest.approx([1.0, 0.0])
         assert results["cond_cov_blocks"][0][0][0][0] == pytest.approx([0.75, 0.0])
 
+    @pytest.mark.parametrize("k,l,t,observed", [
+        (1.0, 1e-300, 1e-160, 1e300),  # the mean map is 1e140, the posterior mean 1e440
+        (1e300, 1e-300, 1e10, 1.0),  # T L^-1 T^H is 1e320
+    ], ids=["posterior-mean", "schur-complement"])
+    def test_overflow_is_an_input_error(self, k, l, t, observed, tmp_path, capsys):
+        joint = write_json(tmp_path / "joint.json", {
+            "k": kernel_to_spec(scalar_table([[k]])),
+            "l": kernel_to_spec(scalar_table([[l]])),
+            "t_coupling": [[[[[t, 0.0]]]]],
+            "observed_l": [[[observed, 0.0]]],
+        })
+        out = tmp_path / "r.json"
+        assert main(["condition", "--spec", joint, "--out", str(out)]) == 2
+        assert stderr_is(capsys.readouterr().err, "input error: ")
+        assert not out.exists()
+
+    def test_infinite_mean_map_is_an_input_error(self, specs, tmp_path, capsys, monkeypatch):
+        # The map is solved by LU, apart from the eigh that forms the Schur complement.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.inf, dtype=b.dtype))
+        out = tmp_path / "r.json"
+        assert main(["condition", "--spec", specs["joint"], "--out", str(out)]) == 2
+        assert stderr_is(capsys.readouterr().err, "input error: mean map T L^-1 contains non-finite entries")
+        assert not out.exists()
+
     def test_observed_is_not_an_option(self, capsys):
         # observed values come only from the spec's observed_l
         with pytest.raises(SystemExit) as exc:
@@ -1722,6 +1769,40 @@ class TestDeterminism:
             main(argv)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    REALIZED = ["dominated", "feature_map_residual", "gram_defect", "intertwining_residual",
+                "kernel_reconstruction_residual", "partial_isometry_defect", "rn_spectrum", "rn_vs_transfer",
+                "system_identity_residual", "transitive_action"]
+    # The sorted keys of each report's inputs, params and results; sample writes a CSV, whose header is pinned.
+    SCHEMAS = {
+        "check-pd": (["spec"], ["tol"], ["d", "min_eig", "n", "pd"]),
+        "factorize": (["spec"], ["tol"], ["basis_eigs", "dilation_dim", "dim_h", "features", "labels"]),
+        "realize": (["spec"], ["tol"], REALIZED),
+        "realize:not_equivalent": (["spec"], ["tol"], ["condition", "system_identity_residual"]),
+        "realize:rank_condition_failed": (["spec"], ["tol"],
+                                          ["condition", "label", "sigma_min", "system_identity_residual"]),
+        "rn": (["spec"], ["tol"], ["dilation_dim", "phi", "reproduction_residual", "rn_spectrum", "sqrt_phi"]),
+        "sample": "sample,label,coordinate,re,im",
+        "mc-verify": (["spec"], ["samples", "seed"],
+                      ["mean_map_dev_se", "passed", "residual_cov_dev_se", "samples", "tol_sigma"]),
+        "condition": (["spec"], ["tol"], ["cond_cov_blocks", "mean_map", "null_dim", "posterior_mean"]),
+        "krr-fit": (["noise_spec", "spec", "train"], [], ["coefficients", "fitted", "m", "regression_function"]),
+        "krr-predict": (["fit", "noise_spec", "query", "spec", "train"], [], ["predictions"]),
+    }
+    FAILED_SYSTEMS = {"realize:not_equivalent": "bad_system", "realize:rank_condition_failed": "degenerate_system"}
+
+    @pytest.mark.parametrize("case", sorted(SCHEMAS))
+    def test_report_keys(self, case, specs, tmp_path):
+        out = tmp_path / "report.out"
+        failed = self.FAILED_SYSTEMS.get(case)
+        argv = ["realize", "--spec", specs[failed]] if failed else self.COMMANDS[case](specs)
+        main(argv + ["--out", str(out), "--no-timestamp"])
+        if case == "sample":
+            assert out.read_text().split("\n", 1)[0] == self.SCHEMAS[case]
+            return
+        report = json.loads(out.read_text())
+        assert sorted(report) == ["command", "inputs", "params", "results"]
+        assert tuple(sorted(report[key]) for key in ("inputs", "params", "results")) == self.SCHEMAS[case]
 
     def test_timestamp_is_present_by_default(self, specs, tmp_path):
         out = tmp_path / "ts.json"
