@@ -1770,14 +1770,13 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    REALIZED = ["dominated", "feature_map_residual", "gram_defect", "intertwining_residual",
-                "kernel_reconstruction_residual", "partial_isometry_defect", "rn_spectrum", "rn_vs_transfer",
-                "system_identity_residual", "transitive_action"]
     # The sorted keys of each report's inputs, params and results; sample writes a CSV, whose header is pinned.
     SCHEMAS = {
         "check-pd": (["spec"], ["tol"], ["d", "min_eig", "n", "pd"]),
         "factorize": (["spec"], ["tol"], ["basis_eigs", "dilation_dim", "dim_h", "features", "labels"]),
-        "realize": (["spec"], ["tol"], REALIZED),
+        "realize": (["spec"], ["tol"], ["dominated", "feature_map_residual", "gram_defect", "intertwining_residual",
+                                        "kernel_reconstruction_residual", "partial_isometry_defect", "rn_spectrum",
+                                        "rn_vs_transfer", "system_identity_residual", "transitive_action"]),
         "realize:not_equivalent": (["spec"], ["tol"], ["condition", "system_identity_residual"]),
         "realize:rank_condition_failed": (["spec"], ["tol"],
                                           ["condition", "label", "sigma_min", "system_identity_residual"]),
