@@ -38,8 +38,6 @@ from .transfer import (
     RealizationReport,
     RNDerivative,
     SignedKernelSystem,
-    TransferRealization,
-    construct_partial_isometry,
     generate_valid_system,
     radon_nikodym,
     transfer_function,

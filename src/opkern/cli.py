@@ -183,9 +183,8 @@ def cmd_realize(args) -> int:
         return exc.exit_code
     results["system_identity_residual"] = sys_.identity_residual
 
-    real = transfer.construct_partial_isometry(sys_)
     try:
-        report = transfer.verify_realization(real, sys_, args.tol)
+        report = transfer.verify_realization(sys_, args.tol)
     except NotInvertible as exc:
         if not math.isfinite(exc.sigma_min):  # a report cannot hold it: stderr alone
             raise

@@ -194,13 +194,14 @@ class JointKernel:
         return self.m.dim_h // 2
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a complement that overflows is refused as a table
+@np.errstate(over="ignore", invalid="ignore")  # a complement that overflows is refused by name
 def _schur(
     k: OperatorKernelTable, l: OperatorKernelTable, t_gram: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], OperatorKernelTable]:
     """``np.linalg.eigh(conj(L_gram))`` and the Gram-level Schur complement
     ``K - T L^{-1} T^H`` as a kernel table, the one place it is formed.  An
-    L that is singular to ``RANK_RTOL`` relative raises :class:`SingularL`.
+    L that is singular to ``RANK_RTOL`` relative raises :class:`SingularL`,
+    and a complement beyond the float range :class:`InvalidKernel`.
     The complement is symmetrized: a near-saturated one is small against
     its rounding, which is not Hermitian.  ``L^{-1}`` is formed from the
     eigh in the descending order of ``np.linalg.pinv(L, hermitian=True)``,
@@ -210,7 +211,9 @@ def _schur(
     order = np.argsort(w)[::-1]
     u = u[:, order]
     schur_flat = k.flat - t_gram @ (u.conj() @ ((1 / w[order])[:, None] * u.T)) @ t_gram.conj().T
-    return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, 0.5 * (schur_flat + schur_flat.conj().T))
+    schur_flat = 0.5 * (schur_flat + schur_flat.conj().T)
+    require_finite(InvalidKernel, "Schur complement K - T L^-1 T^H", schur_flat)
+    return l_eigh, OperatorKernelTable.from_flat(k.label_set, k.dim_h, schur_flat)
 
 
 def assemble_joint(k: OperatorKernelTable, l: OperatorKernelTable, coupling) -> JointKernel:

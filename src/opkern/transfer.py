@@ -32,11 +32,11 @@ function on the span of the ``V_K2(s) a``, after the canonical isometric
 identification of the two dilation spaces.
 
 :func:`validate_system` factors each of the four tables once, measures the
-identity on their flat Grams and carries the factorizations; the realization
-``real = construct_partial_isometry(sys)`` is built from them, and
-``verify_realization(real, sys, tol)`` evaluates ``T12`` once per label into
-``X``, whose column block ``t`` is ``T12(t) V_K2(t)``; each check is an
-identity of ``X``, measured by one product and one batched norm of its blocks.
+identity on their flat Grams, and builds ``W`` from the factorizations; the
+system it returns carries both.  ``verify_realization(sys, tol)`` evaluates
+``T12`` once per label into ``X``, whose column block ``t`` is
+``T12(t) V_K2(t)``; each check is an identity of ``X``, measured by one
+product and one batched norm of its blocks.
 
 Every pseudo-inverse and range basis comes from one factorization per matrix:
 an SVD (:func:`_svd`) of ``G``, ``F``, each ``M(s)`` and ``X``; those of the
@@ -80,10 +80,15 @@ from .kernels import (
 
 @dataclass(frozen=True)
 class SignedKernelSystem:
-    """Validated system (K1, K2, L1, L2, T); see :func:`validate_system`.
+    """Validated system (K1, K2, L1, L2, T) and its realization; see
+    :func:`validate_system`.
 
     ``features`` maps ``"k1"``, ``"k2"``, ``"l1"``, ``"l2"`` to the
-    factorization of each table at ``RANK_RTOL``.
+    factorization of each table at ``RANK_RTOL``.  ``w = F G^+`` is the
+    partial isometry; its blocks A, B, C, D are cut by
+    :func:`transfer_function`.  ``initial_basis`` / ``final_basis`` are
+    orthonormal column bases of the initial and final spaces, the ranges of
+    the stacked feature columns ``G`` and ``F``; ``f_norm = ||F||_2``.
     """
 
     k1: OperatorKernelTable
@@ -93,6 +98,11 @@ class SignedKernelSystem:
     t_op: np.ndarray
     identity_residual: float
     features: dict[str, FeatureSystem]
+    w: np.ndarray
+    initial_basis: np.ndarray
+    final_basis: np.ndarray
+    f_norm: float
+    gram_defect: float
 
     @property
     def label_set(self) -> LabelSet:
@@ -105,6 +115,34 @@ class SignedKernelSystem:
     def tables(self) -> dict[str, OperatorKernelTable]:
         return {"k1": self.k1, "k2": self.k2, "l1": self.l1, "l2": self.l2}
 
+    def partial_isometry_defect(self) -> float:
+        """max of ||W^H W - P_init|| and ||W W^H - P_fin|| (spectral); NaN if either is."""
+        w = self.w
+        p_init = self.initial_basis @ self.initial_basis.conj().T
+        p_fin = self.final_basis @ self.final_basis.conj().T
+        return float(np.maximum(np.linalg.norm(w.conj().T @ w - p_init, 2),
+                                np.linalg.norm(w @ w.conj().T - p_fin, 2)))
+
+
+def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values, orthonormal range basis and pseudo-inverse of ``a``.
+
+    One SVD of ``a.conj()``, the matrix ``np.linalg.pinv`` factors, so the
+    pseudo-inverse is bitwise ``np.linalg.pinv(a, rcond)``.
+    """
+    u, s, vh = np.linalg.svd(a.conj(), full_matrices=False)
+    keep = s > rcond * s.max(initial=0.0)
+    inv = np.zeros_like(s)
+    np.divide(1, s, where=keep, out=inv)
+    return s, u[:, keep].conj(), vh.T @ (inv[:, None] * u.T)
+
+
+def _columns(features: dict[str, FeatureSystem], t_op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked feature columns ``G = [V_K2; V_L1 T]`` and ``F = [V_K1; V_L2 T]``."""
+    t_lift = np.kron(np.eye(features["k1"].label_set.n), t_op)
+    return (np.vstack([features["k2"].stacked, features["l1"].stacked @ t_lift]),
+            np.vstack([features["k1"].stacked, features["l2"].stacked @ t_lift]))
+
 
 def validate_system(
     k1: OperatorKernelTable,
@@ -113,7 +151,8 @@ def validate_system(
     l2: OperatorKernelTable,
     t_op,
 ) -> SignedKernelSystem:
-    """Check shapes, positivity, and the defining identity of a system.
+    """Check shapes, positivity, and the defining identity of a system, and
+    realize it.
 
     Positivity is decided by factoring each table (:func:`kolmogorov_factorize`
     at ``RANK_RTOL``); a non-positive table raises
@@ -123,6 +162,14 @@ def validate_system(
     by ``max(1, ||T||^2)``).  A relative residual above ``1e-10`` raises
     :class:`NotEquivalent` with the offending residual attached; a defect,
     residual or scale beyond the float range raises :class:`InvalidKernel`.
+
+    Once the identity holds, ``W = F G^+`` is built from the stacked feature
+    columns of the factorizations (:func:`_columns`); the pseudo-inverse and
+    the range bases cut off at ``RANK_RTOL``.  Well-definedness rests on the
+    equality of the Gram matrices of the two column families, which the
+    identity implies; a relative mismatch above ``1e-9`` signals a numerical
+    rank pathology and raises :class:`GramMismatch`, and feature Grams
+    beyond the float range raise :class:`InvalidKernel`.
     """
     features = {}
     for name, tab in {"k1": k1, "k2": k2, "l1": l1, "l2": l2}.items():
@@ -148,65 +195,8 @@ def validate_system(
     require_at_most(residual, 1e-10 * scale, NotEquivalent,
                     f"signed decompositions disagree: residual {residual:.3e} (relative {rel:.3e} > 1e-10)",
                     residual=residual, relative=rel)
-    return SignedKernelSystem(k1, k2, l1, l2, t_op, identity_residual=rel, features=features)
 
-
-@dataclass(frozen=True)
-class TransferRealization:
-    """Partial isometry ``W = F G^+``; its blocks A, B, C, D are cut by
-    :func:`transfer_function`.
-
-    ``initial_basis`` / ``final_basis`` are orthonormal column bases of the
-    initial and final spaces; ``g_columns`` / ``f_columns`` are the stacked
-    feature columns the isometry was fitted to; ``f_norm = ||f_columns||_2``.
-    """
-
-    w: np.ndarray
-    initial_basis: np.ndarray
-    final_basis: np.ndarray
-    g_columns: np.ndarray
-    f_columns: np.ndarray
-    f_norm: float
-    gram_defect: float
-
-    def partial_isometry_defect(self) -> float:
-        """max of ||W^H W - P_init|| and ||W W^H - P_fin|| (spectral); NaN if either is."""
-        w = self.w
-        p_init = self.initial_basis @ self.initial_basis.conj().T
-        p_fin = self.final_basis @ self.final_basis.conj().T
-        return float(np.maximum(np.linalg.norm(w.conj().T @ w - p_init, 2),
-                                np.linalg.norm(w @ w.conj().T - p_fin, 2)))
-
-
-def _svd(a: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values, orthonormal range basis and pseudo-inverse of ``a``.
-
-    One SVD of ``a.conj()``, the matrix ``np.linalg.pinv`` factors, so the
-    pseudo-inverse is bitwise ``np.linalg.pinv(a, rcond)``.
-    """
-    u, s, vh = np.linalg.svd(a.conj(), full_matrices=False)
-    keep = s > rcond * s.max(initial=0.0)
-    inv = np.zeros_like(s)
-    np.divide(1, s, where=keep, out=inv)
-    return s, u[:, keep].conj(), vh.T @ (inv[:, None] * u.T)
-
-
-def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
-    """Build W = F G^+ from the stacked feature columns of a valid system.
-
-    The columns come from the factorizations ``sys.features``; the
-    pseudo-inverse and the range bases cut off at ``RANK_RTOL``.
-    Well-definedness rests on the equality of the Gram matrices of the two
-    column families, which is implied by the system identity; a mismatch
-    beyond tolerance signals a numerical rank pathology and raises
-    :class:`GramMismatch`.
-    """
-    fs = sys.features
-    n = sys.label_set.n
-    t_lift = np.kron(np.eye(n), sys.t_op)
-    g = np.vstack([fs["k2"].stacked, fs["l1"].stacked @ t_lift])
-    f = np.vstack([fs["k1"].stacked, fs["l2"].stacked @ t_lift])
-
+    g, f = _columns(features, t_op)
     s_g, initial_basis, g_pinv = _svd(g, RANK_RTOL)
     s_f, final_basis, _ = _svd(f, RANK_RTOL)
     g_norm, f_norm = float(s_g.max(initial=0.0)), float(s_f.max(initial=0.0))
@@ -218,26 +208,17 @@ def construct_partial_isometry(sys: SignedKernelSystem) -> TransferRealization:
     require_at_most(gram_defect, 1e-9, GramMismatch,
                     f"initial/final column Grams differ by relative {gram_defect:.3e}; "
                     "the column correspondence is not isometric", relative=gram_defect)
-
-    return TransferRealization(
-        w=f @ g_pinv,
-        initial_basis=initial_basis,
-        final_basis=final_basis,
-        g_columns=g,
-        f_columns=f,
-        f_norm=f_norm,
-        gram_defect=gram_defect,
-    )
+    return SignedKernelSystem(k1, k2, l1, l2, t_op, rel, features, f @ g_pinv, initial_basis, final_basis,
+                              f_norm, gram_defect)
 
 
 def transfer_function(
-    real: TransferRealization,
     sys: SignedKernelSystem,
     s: str,
     tol: float = RANK_RTOL,
 ) -> np.ndarray:
     """Evaluate ``T12(s) = A + B V_L1(s) M(s)^+ C`` at one label, with A-D
-    the blocks of ``real.w`` cut at the K1 (rows) and K2 (columns) dilation
+    the blocks of ``sys.w`` cut at the K1 (rows) and K2 (columns) dilation
     dimensions of ``sys.features``.
 
     ``M(s) = V_L2(s) - D V_L1(s)`` must have full column rank with
@@ -246,7 +227,7 @@ def transfer_function(
     That failure reflects a violated hypothesis, not a numerical bug.
     """
     d_h = sys.dim_h
-    w, r_k1, r_k2 = real.w, sys.features["k1"].dilation_dim, sys.features["k2"].dilation_dim
+    w, r_k1, r_k2 = sys.w, sys.features["k1"].dilation_dim, sys.features["k2"].dilation_dim
     v_l1 = sys.features["l1"].operator(s)
     v_l2 = sys.features["l2"].operator(s)
     sv, _, m_pinv = _svd(v_l2 - w[r_k1:, r_k2:] @ v_l1, tol)
@@ -283,7 +264,6 @@ class RealizationReport:
 
 
 def verify_realization(
-    real: TransferRealization,
     sys: SignedKernelSystem,
     tol: float = 1e-8,
 ) -> RealizationReport:
@@ -305,27 +285,32 @@ def verify_realization(
     least squares); ``rn_vs_transfer`` is the worst
     ``||sqrt(Phi) V_K2(s) - U T12(s) V_K2(s)||`` relative to
     ``||stacked V_K2||``, and ``rn_spectrum`` the raw extremes of ``Phi``.
-    Propagates :class:`NotInvertible`; a residual or ``rn_vs_transfer`` that
-    is not finite raises :class:`InternalInvariantViolation`.
+    Propagates :class:`NotInvertible`, and :class:`NotDominated` when the
+    smallest eigenvalue of ``K2 - K1`` is not finite, which decides nothing;
+    a residual or ``rn_vs_transfer`` that is not finite raises
+    :class:`InternalInvariantViolation`.
     """
     fs_k1, fs_k2 = sys.features["k1"], sys.features["k2"]
     n = sys.label_set.n
     # Column block t of x is T12(t) V_K2(t): the image of V_K2(t) in C^r.
-    x = np.hstack([transfer_function(real, sys, s) @ fs_k2.operator(s) for s in sys.label_set.labels])
+    x = np.hstack([transfer_function(sys, s) @ fs_k2.operator(s) for s in sys.label_set.labels])
 
+    g, f = _columns(sys.features, sys.t_op)
     # ||stacked||_2^2 = ||flat||_2 = the largest kept eigenvalue.
     residuals = (
         max_spectral_norm(fs_k1.stacked - x, 1, n) / max(math.sqrt(fs_k1.norm), TINY),
         max_spectral_norm(sys.k1.flat - fs_k1.stacked.conj().T @ x, n, n) / max(fs_k1.norm, TINY),
-        float(np.linalg.norm(real.f_columns - real.w @ real.g_columns, 2)) / max(real.f_norm, TINY),
-        real.partial_isometry_defect(),
+        float(np.linalg.norm(f - sys.w @ g, 2)) / max(sys.f_norm, TINY),
+        sys.partial_isometry_defect(),
     )
     transitive = _svd(x, RANK_RTOL)[1].shape[1] == fs_k1.dilation_dim
 
     rn_spectrum = rn_vs_transfer = None
     try:
         rn = _derivative(sys.k1, sys.k2, fs_k2, 1e-9)
-    except NotDominated:
+    except NotDominated as exc:
+        if not math.isfinite(exc.min_eig):  # a NaN spectrum is no verdict on domination
+            raise
         rn = None
     else:
         root_k2 = rn.sqrt_phi @ fs_k2.stacked
@@ -337,7 +322,7 @@ def verify_realization(
 
     return RealizationReport(
         *residuals,
-        gram_defect=real.gram_defect,
+        gram_defect=sys.gram_defect,
         transitive_action=transitive,
         dominated=rn is not None,
         rn_spectrum=rn_spectrum,
@@ -475,9 +460,8 @@ def generate_valid_system(
         }
         try:
             sys = validate_system(tables["k1"], tables["k2"], tables["l1"], tables["l2"], t_op)
-            real = construct_partial_isometry(sys)
             for s in labels.labels:
-                transfer_function(real, sys, s, tol=1e-6)
+                transfer_function(sys, s, tol=1e-6)
         except (NotPositiveDefinite, NotEquivalent, GramMismatch, NotInvertible):
             continue
         return sys

@@ -18,7 +18,6 @@ from opkern import (
     assemble_joint,
     condition,
     conditional_cov_equal,
-    construct_partial_isometry,
     generate_valid_system,
     is_positive_definite,
     kolmogorov_factorize,
@@ -95,17 +94,15 @@ def test_criterion_03_transfer_realization():
         for case in range(25):
             n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
             sys_ = generate_valid_system(40_000 + case, n, d)
-            real = construct_partial_isometry(sys_)
-            report = verify_realization(real, sys_, tol=1e-8)
+            report = verify_realization(sys_, tol=1e-8)
             assert report.partial_isometry_defect <= 1e-8, f"case {case}: {report}"
             assert report.intertwining_residual <= 1e-8, f"case {case}: {report}"
             assert report.feature_map_residual <= 1e-8, f"case {case}: {report}"
             assert report.kernel_reconstruction_residual <= 1e-8, f"case {case}: {report}"
 
         sys_ = scalar_system(4, 1, 4, 1)
-        real = construct_partial_isometry(sys_)
-        np.testing.assert_allclose(real.w, 0.2 * np.array([[2, 4], [1, 2]]), atol=1e-12)
-        t12 = transfer_function(real, sys_, "s1")
+        np.testing.assert_allclose(sys_.w, 0.2 * np.array([[2, 4], [1, 2]]), atol=1e-12)
+        t12 = transfer_function(sys_, "s1")
         assert abs(t12[0, 0] - 2.0) <= 1e-12
 
 
@@ -115,15 +112,14 @@ def test_criterion_04_radon_nikodym_vs_transfer():
         rn = radon_nikodym(sys_.k1, sys_.k2)
         assert abs(rn.phi[0, 0] - 0.25) <= 1e-12
         assert abs(rn.sqrt_phi[0, 0] - 0.5) <= 1e-12
-        real = construct_partial_isometry(sys_)
-        t12 = transfer_function(real, sys_, "s1")
+        t12 = transfer_function(sys_, "s1")
         assert abs(rn.sqrt_phi[0, 0] - t12[0, 0]) <= 1e-12
 
         rng = np.random.default_rng(4004)
         for case in range(25):
             n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
             sys_ = generate_valid_system(50_000 + case, n, d, dominated=True)
-            report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
+            report = verify_realization(sys_, tol=1e-8)
             assert report.rn_vs_transfer <= 1e-8, f"case {case}: {report}"
             assert report.rn_spectrum[0] >= -1e-9, f"case {case}: {report}"
             assert report.rn_spectrum[1] <= 1.0 + 1e-9, f"case {case}: {report}"

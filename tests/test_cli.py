@@ -288,7 +288,7 @@ class TestCostGates:
             # defect, the domination, both ends of Phi's spectrum and its
             # reproduction bound.
             {"kolmogorov_factorize": 4, "eigh": 5, "eigvalsh": 1, "require_psd": 5, "require_at_most": 18, "svd": 5,
-             "spectral_norm": 10, "construct_partial_isometry": 1, "transfer_function": 2,
+             "spectral_norm": 10, "transfer_function": 2,
              "report_to_json": 1, "tables": 4},
         ),
         "rn": (
@@ -365,7 +365,7 @@ class TestCostGates:
         norms = count_calls(monkeypatch, np.linalg, ["norm"], spectral)
         ours = [count_calls(monkeypatch, module, [name for name in OPKERN_CALLS if hasattr(module, name)])
                 for module in (cli, dilation, gaussian, kernels, regression, specio, transfer)]
-        realization = count_calls(monkeypatch, transfer, ["construct_partial_isometry", "transfer_function"])
+        realization = count_calls(monkeypatch, transfer, ["transfer_function"])
         reports = count_calls(monkeypatch, specio, ["report_to_json"])
         tables = count_calls(monkeypatch, kernels.OperatorKernelTable, ["__init__"])
         asymmetry = count_calls(monkeypatch, kernels, ["_block_frobenius"])
@@ -374,6 +374,61 @@ class TestCostGates:
         calls.update(linalg, spectral_norm=norms["norm"], **realization, **reports)
         calls.update(tables=tables["__init__"], block_frobenius=asymmetry["_block_frobenius"])
         assert {name: count for name, count in calls.items() if count} == expected
+
+
+# What a poisoned call of each numpy.linalg function returns: its eigenvalues, singular values,
+# Cholesky factor, solution or spectral norm, every entry set to ``value``.
+POISONS = {
+    "eigh": lambda out, value: out._replace(eigenvalues=np.full_like(out.eigenvalues, value)),
+    "eigvalsh": np.full_like,
+    "svd": lambda out, value: out._replace(S=np.full_like(out.S, value)),
+    "cholesky": np.full_like,
+    "solve": np.full_like,
+    "norm": np.full_like,
+}
+
+
+class TestFaultInjection:
+    # Each subcommand on its TestCostGates input, with the k-th call of one
+    # decomposition, solve or spectral norm made to return NaN, then inf,
+    # for every k: a gate refuses it with exit 1, 2 or 3, one stderr line
+    # and no --out, never a traceback.  sample runs on one CPU, so that no
+    # call happens in a forked child.  Two poisons are no fault:
+    # - a Cholesky factor: the certificate declines and the eigenvalues
+    #   decide, so the command may succeed;
+    # - realize's 5th svd, that of the images X: the action reads as not
+    #   transitive, a failed verdict that is reported (exit 1, no stderr).
+    @pytest.mark.parametrize("command", list(TestCostGates.COMMANDS))
+    def test_every_poisoned_call_is_refused(self, command, cost_specs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        counts, target = dict.fromkeys(POISONS, 0), {}
+        for name, poison in POISONS.items():
+            def poisoned(*args, _name=name, _original=getattr(np.linalg, name), _poison=poison, **kwargs):
+                out = _original(*args, **kwargs)
+                caller = sys._getframe(1).f_globals.get("__name__", "")
+                if not caller.startswith("opkern") or (_name == "norm" and not spectral(*args, **kwargs)):
+                    return out
+                counts[_name] += 1
+                return _poison(out, target["value"]) if target.get("call") == (_name, counts[_name]) else out
+            monkeypatch.setattr(np.linalg, name, poisoned)
+        out = tmp_path / "out"
+        argv = [*TestCostGates.COMMANDS[command][0](cost_specs), "--out", str(out), "--no-timestamp"]
+        assert main(argv) == 0
+        runs = [(name, k, value) for name, n in counts.items() for k in range(1, n + 1) for value in (np.nan, np.inf)]
+        wrong = []
+        for name, k, value in runs:
+            counts.update(dict.fromkeys(counts, 0))
+            target.update(call=(name, k), value=value)
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            err = capsys.readouterr().err
+            if name == "cholesky" and code == 0 or (command, name, k) == ("realize", "svd", 5):
+                ok = code == (0 if name == "cholesky" else 1) and err == "" and out.exists()
+            else:
+                ok = code in (1, 2, 3) and err.startswith("opkern: ") and err.count("\n") == 1 and not out.exists()
+            if not ok:
+                wrong.append((name, k, value, code, err))
+        assert wrong == []
 
 
 def builder_spec(name, params, dim_h=1):
@@ -941,6 +996,20 @@ class TestRealize:
         assert not out.exists()
         assert sum(calls) == 10
 
+    def test_nan_domination_test_exits_three_without_report(self, tmp_path, capsys, monkeypatch):
+        # A NaN spectrum of K2 - K1 decides nothing: read as "not dominated", it would skip the
+        # sqrt(dK1/dK2) = T12 check of this dominated system.
+        sys_ = generate_valid_system(3, 2, 2, dominated=True)
+        spec = system_spec(tmp_path / "system.json", *(tab.flat for tab in sys_.tables().values()), sys_.t_op)
+        out = tmp_path / "r.json"
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["results"]["dominated"] is True
+        out.unlink()
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[-1], np.nan))
+        assert main(["realize", "--spec", spec, "--out", str(out), "--no-timestamp"]) == 3
+        assert stderr_is(capsys.readouterr().err, "hypothesis failure: hi - lo is not positive (min eig nan")
+        assert not out.exists()
+
     def test_system_near_the_null_cone_of_l1_minus_l2_is_realized(self, tmp_path, capsys):
         # T^H (L1 - L2) T cancels, so its rounding is far from Hermitian at its own size.
         out = tmp_path / "r.json"
@@ -1473,6 +1542,20 @@ class TestCondition:
         out = tmp_path / "r.json"
         assert main(["condition", "--spec", joint, "--out", str(out)]) == 2
         assert stderr_is(capsys.readouterr().err, "input error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["condition", "mc-verify"])
+    def test_overflowing_schur_complement_is_named(self, command, tmp_path, capsys):
+        # The spec's tables are finite, but T L^-1 T^H is 1e320: the refusal names the complement.
+        joint = write_json(tmp_path / "joint.json", {
+            "k": kernel_to_spec(scalar_table([[1e300]])),
+            "l": kernel_to_spec(scalar_table([[1e-300]])),
+            "t_coupling": [[[[[1e10, 0.0]]]]],
+            "observed_l": [[[1.0, 0.0]]],
+        })
+        out = tmp_path / "r.json"
+        assert main([command, "--spec", joint, "--out", str(out)]) == 2
+        assert stderr_is(capsys.readouterr().err, "input error: Schur complement K - T L^-1 T^H contains non-finite entries")
         assert not out.exists()
 
     def test_infinite_mean_map_is_an_input_error(self, specs, tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from opkern import (
     OperatorKernelTable,
     ShapeError,
     SpectrumOutOfRange,
-    construct_partial_isometry,
     generate_valid_system,
     identity_kernel,
     is_positive_definite,
@@ -36,10 +35,22 @@ import oracles
 ONE = np.array([[1.0]])
 
 
-def nan_spectral_norms(monkeypatch):
-    """Make every spectral norm ``np.linalg.norm(x, 2)`` read NaN from now on."""
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *a, **kw: np.nan if ord == 2 else norm(x, ord, *a, **kw))
+def nan_spectral_norms(monkeypatch, after=0):
+    """Make every spectral norm ``np.linalg.norm(x, 2)`` after the next ``after`` read NaN."""
+    norm, calls = np.linalg.norm, []
+
+    def nan_norm(x, ord=None, *args, **kwargs):
+        calls.append(ord == 2)
+        return np.nan if ord == 2 and sum(calls) > after else norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", nan_norm)
+
+
+def pass_gate(monkeypatch, gate):
+    """Let every system past the gate of :func:`validate_system` that raises ``gate``."""
+    require = transfer.require_at_most
+    monkeypatch.setattr(transfer, "require_at_most", lambda value, bound, error, *args, **kwargs:
+                        None if error is gate else require(value, bound, error, *args, **kwargs))
 
 
 def scalar_system(k1, k2, l1, l2, t=1.0):
@@ -66,9 +77,11 @@ class TestValidateSystem:
         assert exc.value.residual == pytest.approx(3.0)
 
     @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
-    def test_identity_gate_boundary(self, factor):
+    def test_identity_gate_boundary(self, factor, monkeypatch):
         # K1 - K2 - T^H (L1 - L2) T = delta exactly, against the scale ||L1|| = 1.
+        # With T = 0 the column G is 0 and F is not, so the Gram gate behind the identity is let pass.
         delta = 1e-10 * factor
+        pass_gate(monkeypatch, GramMismatch)
         if factor < 1:
             assert scalar_system(delta, 0, 1, 1, t=0).identity_residual == delta
             return
@@ -136,14 +149,13 @@ class TestValidateSystem:
 class TestPartialIsometry:
     def test_scalar_worked_example_forward(self):
         # rank-one map [1; 2] -> [2; 1]: W = F G^H / ||G||^2 = (1/5)[[2,4],[1,2]]
-        real = construct_partial_isometry(scalar_system(4, 1, 4, 1))
-        np.testing.assert_allclose(real.w.real, [[0.4, 0.8], [0.2, 0.4]], atol=1e-12)
-        np.testing.assert_allclose(real.w.imag, 0, atol=1e-14)
+        sys_ = scalar_system(4, 1, 4, 1)
+        np.testing.assert_allclose(sys_.w.real, [[0.4, 0.8], [0.2, 0.4]], atol=1e-12)
+        np.testing.assert_allclose(sys_.w.imag, 0, atol=1e-14)
 
     @pytest.mark.parametrize("nan_at", [0, 1], ids=["g", "f"])
     def test_nan_singular_values_are_refused(self, nan_at, monkeypatch):
         # The largest singular values of G and F both make the Gram scale; a NaN in either is refused.
-        sys_ = scalar_system(4, 1, 4, 1)
         svd, calls = transfer._svd, []
 
         def nan_once(a, rcond):
@@ -153,13 +165,13 @@ class TestPartialIsometry:
 
         monkeypatch.setattr(transfer, "_svd", nan_once)
         with pytest.raises(InvalidKernel, match=r"\(scale nan\)") as exc:
-            construct_partial_isometry(sys_)
+            scalar_system(4, 1, 4, 1)
         assert exc.value.exit_code == 2
 
     @pytest.mark.parametrize("nan_at", [0, 1], ids=["initial", "final"])
     def test_nan_defect_is_reported(self, nan_at, monkeypatch):
         # Python's max keeps a finite first defect past a NaN second one.
-        real = construct_partial_isometry(scalar_system(4, 1, 4, 1))
+        sys_ = scalar_system(4, 1, 4, 1)
         norm, calls = np.linalg.norm, []
 
         def nan_once(x, *args, **kwargs):
@@ -167,81 +179,73 @@ class TestPartialIsometry:
             return np.nan if len(calls) == nan_at + 1 else norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", nan_once)
-        assert np.isnan(real.partial_isometry_defect())
+        assert np.isnan(sys_.partial_isometry_defect())
 
     def test_scalar_worked_example_reverse(self):
-        real = construct_partial_isometry(scalar_system(1, 4, 1, 4))
-        np.testing.assert_allclose(real.w.real, [[0.4, 0.2], [0.8, 0.4]], atol=1e-12)
+        sys_ = scalar_system(1, 4, 1, 4)
+        np.testing.assert_allclose(sys_.w.real, [[0.4, 0.2], [0.8, 0.4]], atol=1e-12)
 
     def test_identity_action_on_initial_space(self):
         k = random_pd_kernel(3, 2, 2)
         l = random_pd_kernel(4, 2, 2)
         sys_ = validate_system(k, k, l, l, np.eye(2))
-        real = construct_partial_isometry(sys_)
-        g = real.g_columns
-        assert np.linalg.norm(real.w @ g - g, 2) <= 1e-10 * np.linalg.norm(g, 2)
+        g, _ = transfer._columns(sys_.features, sys_.t_op)
+        assert np.linalg.norm(sys_.w @ g - g, 2) <= 1e-10 * np.linalg.norm(g, 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partial_isometry_law(self, seed):
         sys_ = generate_valid_system(seed, 3, 2)
-        real = construct_partial_isometry(sys_)
-        w = real.w
+        w = sys_.w
         assert np.linalg.norm(w.conj().T @ w @ w.conj().T - w.conj().T, 2) <= 1e-8
-        assert real.partial_isometry_defect() <= 1e-8
+        assert sys_.partial_isometry_defect() <= 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gram_matching_invariant(self, seed):
-        real = construct_partial_isometry(generate_valid_system(seed, 2, 3))
-        assert real.gram_defect <= 1e-9
+        sys_ = generate_valid_system(seed, 2, 3)
+        assert sys_.gram_defect <= 1e-9
 
-    def test_gram_mismatch_detected(self):
-        # a system violating the identity at 1e-7, slipped past validation by
-        # swapping in the factorization of a perturbed K1, must be caught by
-        # the Gram gate
-        sys_ = scalar_system(4, 1, 4, 1)
-        k1 = OperatorKernelTable.from_flat(labels(1), 1, np.array([[4.0 + 1e-7]]))
-        sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
+    def test_gram_mismatch_detected(self, monkeypatch):
+        # a system violating the identity at 1e-7, let past the identity gate,
+        # must be caught by the Gram gate
+        pass_gate(monkeypatch, NotEquivalent)
         with pytest.raises(GramMismatch) as exc:
-            construct_partial_isometry(sys_)
+            scalar_system(4 + 1e-7, 1, 4, 1)
         # column Grams 5 (g = [1, 2]) and 5 + 1e-7 (f = [sqrt(4 + 1e-7), 1])
         assert exc.value.relative == pytest.approx(1e-7 / (5 + 1e-7), rel=1e-6)
         assert f"{exc.value.relative:.3e}" in str(exc.value)
 
     @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
-    def test_gram_defect_boundary(self, factor):
+    def test_gram_defect_boundary(self, factor, monkeypatch):
         # Column Grams 5 and 5 + x, as above: the relative defect x / (5 + x)
         # sits at factor * 1e-9; rounding moves it by about 1e-7 of itself.
         defect = 1e-9 * factor
-        k1 = OperatorKernelTable.from_flat(labels(1), 1, np.array([[4.0 + 5 * defect / (1 - defect)]]))
-        sys_ = scalar_system(4, 1, 4, 1)
-        sys_ = replace(sys_, k1=k1, features={**sys_.features, "k1": kolmogorov_factorize(k1)})
+        k1 = 4.0 + 5 * defect / (1 - defect)
+        pass_gate(monkeypatch, NotEquivalent)
         if factor < 1:
-            assert construct_partial_isometry(sys_).gram_defect == pytest.approx(defect, rel=1e-7)
+            assert scalar_system(k1, 1, 4, 1).gram_defect == pytest.approx(defect, rel=1e-7)
         else:
             with pytest.raises(GramMismatch) as exc:
-                construct_partial_isometry(sys_)
+                scalar_system(k1, 1, 4, 1)
             assert exc.value.relative == pytest.approx(defect, rel=1e-7)
 
 
     def test_nan_gram_defect_is_a_mismatch(self, monkeypatch):
-        sys_ = scalar_system(4, 1, 4, 1)
-        nan_spectral_norms(monkeypatch)
+        # The identity defect and ||T|| stay finite, so the identity passes and the Gram gate reads the NaN.
+        nan_spectral_norms(monkeypatch, after=2)
         with pytest.raises(GramMismatch, match="differ by relative nan") as exc:
-            construct_partial_isometry(sys_)
+            scalar_system(4, 1, 4, 1)
         assert exc.value.exit_code == 1 and np.isnan(exc.value.relative)
 
 
 class TestTransferFunction:
     def test_scalar_value_forward(self):
         sys_ = scalar_system(4, 1, 4, 1)
-        real = construct_partial_isometry(sys_)
-        t12 = transfer_function(real, sys_, "s1")
+        t12 = transfer_function(sys_, "s1")
         assert t12[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_scalar_value_reverse(self):
         sys_ = scalar_system(1, 4, 1, 4)
-        real = construct_partial_isometry(sys_)
-        t12 = transfer_function(real, sys_, "s1")
+        t12 = transfer_function(sys_, "s1")
         assert t12[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_rank_deficient_system_is_not_invertible(self):
@@ -250,9 +254,8 @@ class TestTransferFunction:
         k = OperatorKernelTable(ls, np.diag([1.0, 0.0]).reshape(1, 1, 2, 2))
         l = identity_kernel(ls, 2)
         sys_ = validate_system(k, k, l, l, np.eye(2))
-        real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible) as exc:
-            transfer_function(real, sys_, "s1")
+            transfer_function(sys_, "s1")
         assert exc.value.label == "s1"
 
     def test_zero_l2_has_no_transfer_function(self):
@@ -262,16 +265,14 @@ class TestTransferFunction:
         l1 = OperatorKernelTable.from_flat(ls, 1, ONE)
         k1 = OperatorKernelTable.from_flat(ls, 1, 2 * ONE)  # K1 = K2 + T^H L1 T with T = 1
         sys_ = validate_system(k1, k2, l1, OperatorKernelTable.from_flat(ls, 1, 0.0 * ONE), ONE)
-        real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible):
-            transfer_function(real, sys_, "s1")
+            transfer_function(sys_, "s1")
 
     @pytest.mark.parametrize("factor", [1 - 1e-6, 1.0, 1 + 1e-6], ids=["below", "equal", "above"])
     def test_rank_gate_boundary(self, factor, monkeypatch):
         # M(s)'s singular values reported as (2, 2 tol factor): the gate
         # refuses sigma_min <= tol * sigma_max, the equal case included.
         sys_ = generate_valid_system(0, 2, 2)
-        real = construct_partial_isometry(sys_)
         svd = transfer._svd
 
         def pinned(a, rcond):
@@ -281,21 +282,20 @@ class TestTransferFunction:
         monkeypatch.setattr(transfer, "_svd", pinned)
         label = sys_.label_set.labels[0]
         if factor > 1:
-            assert np.isfinite(transfer_function(real, sys_, label)).all()
+            assert np.isfinite(transfer_function(sys_, label)).all()
         else:
             with pytest.raises(NotInvertible) as exc:
-                transfer_function(real, sys_, label)
+                transfer_function(sys_, label)
             assert (exc.value.label, exc.value.sigma_min) == (label, 2.0 * RANK_RTOL * factor)
 
 
     def test_nan_singular_values_fail_the_rank_condition(self, monkeypatch):
         sys_ = generate_valid_system(0, 2, 2)
-        real = construct_partial_isometry(sys_)
         svd = transfer._svd
         monkeypatch.setattr(transfer, "_svd", lambda a, rcond: (np.full(2, np.nan), *svd(a, rcond)[1:]))
         label = sys_.label_set.labels[0]
         with pytest.raises(NotInvertible, match="sigma_min nan, sigma_max nan") as exc:
-            transfer_function(real, sys_, label)
+            transfer_function(sys_, label)
         assert exc.value.exit_code == 3 and exc.value.label == label and np.isnan(exc.value.sigma_min)
 
 
@@ -312,14 +312,13 @@ class TestVerifyRealization:
         k1 = k2 + excess * np.outer(e, e.conj())
         k1, k2 = (OperatorKernelTable.from_flat(labels(2), 2, 0.5 * (g + g.conj().T)) for g in (k1, k2))
         sys_ = validate_system(k1, k2, k1, k2, np.eye(2))
-        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        report = verify_realization(sys_)
         assert report.dominated is dominated and report.passed
         assert (report.rn_spectrum is None) is not dominated
 
     def test_scalar_example_identities(self):
         sys_ = scalar_system(4, 1, 4, 1)
-        real = construct_partial_isometry(sys_)
-        report = verify_realization(real, sys_)
+        report = verify_realization(sys_)
         assert report.passed
         assert report.feature_map_residual <= 1e-12
         assert report.kernel_reconstruction_residual <= 1e-12
@@ -327,8 +326,7 @@ class TestVerifyRealization:
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_systems_within_tolerance(self, seed):
         sys_ = generate_valid_system(seed, 3, 2)
-        real = construct_partial_isometry(sys_)
-        report = verify_realization(real, sys_, tol=1e-8)
+        report = verify_realization(sys_, tol=1e-8)
         assert report.passed, report
 
     @pytest.mark.parametrize("dominated", [True, False], ids=["dominated", "free"])
@@ -336,16 +334,15 @@ class TestVerifyRealization:
         # W perturbed by 1e-3 moves T12 off the realization, so every residual
         # is far above rounding and a transposed or mis-cut block shows.
         sys_ = generate_valid_system(5, 3, 2, dominated=dominated)
-        real = construct_partial_isometry(sys_)
-        w = real.w + 1e-3 * np.random.default_rng(0).standard_normal(real.w.shape)
+        w = sys_.w + 1e-3 * np.random.default_rng(0).standard_normal(sys_.w.shape)
         r1 = sys_.features["k1"].dilation_dim
-        real = replace(real, w=w)
+        sys_ = replace(sys_, w=w)
         fs_k1, fs_k2 = sys_.features["k1"], sys_.features["k2"]
-        t12 = [transfer_function(real, sys_, s) for s in sys_.label_set.labels]
+        t12 = [transfer_function(sys_, s) for s in sys_.label_set.labels]
         sqrt_phi = radon_nikodym(sys_.k1, sys_.k2).sqrt_phi if dominated else None
         feature, recon, rank, rn = oracles.realization_residuals_by_label(
             sys_.k1.blocks, fs_k1.stacked, fs_k2.stacked, t12, sqrt_phi)
-        report = verify_realization(real, sys_)
+        report = verify_realization(sys_)
         assert min(feature, recon) > 1e-6 * fs_k1.norm and report.transitive_action == (rank == r1)
         assert report.feature_map_residual == pytest.approx(feature / np.sqrt(fs_k1.norm), rel=1e-10)
         assert report.kernel_reconstruction_residual == pytest.approx(recon / fs_k1.norm, rel=1e-10)
@@ -360,26 +357,23 @@ class TestVerifyRealization:
         k = OperatorKernelTable(ls, np.diag([1.0, 0.0]).reshape(1, 1, 2, 2))
         l = identity_kernel(ls, 2)
         sys_ = validate_system(k, k, l, l, np.eye(2))
-        real = construct_partial_isometry(sys_)
         with pytest.raises(NotInvertible):
-            verify_realization(real, sys_)
+            verify_realization(sys_)
 
     def test_verdict_at_the_largest_residual(self):
         # tol equal to the largest of the four residuals passes; one ulp below fails.
         sys_ = generate_valid_system(1, 2, 2)
-        real = construct_partial_isometry(sys_)
-        report = verify_realization(real, sys_)
+        report = verify_realization(sys_)
         assert report.transitive_action and report.rn_vs_transfer is None
         top = max(report.feature_map_residual, report.kernel_reconstruction_residual,
                   report.intertwining_residual, report.partial_isometry_defect)
-        assert verify_realization(real, sys_, tol=top).passed
-        assert not verify_realization(real, sys_, tol=np.nextafter(top, 0.0)).passed
+        assert verify_realization(sys_, tol=top).passed
+        assert not verify_realization(sys_, tol=np.nextafter(top, 0.0)).passed
 
     def test_verdict_at_rn_vs_transfer(self, monkeypatch):
         # sqrt(Phi) scaled by 1e6 lifts rn_vs_transfer far above every residual,
         # so it alone decides at tol equal to it and one ulp below.
         sys_ = generate_valid_system(1, 2, 2, dominated=True)
-        real = construct_partial_isometry(sys_)
         derivative = transfer._derivative
 
         def scaled(*args):
@@ -387,35 +381,32 @@ class TestVerifyRealization:
             return replace(rn, sqrt_phi=1e6 * rn.sqrt_phi)
 
         monkeypatch.setattr(transfer, "_derivative", scaled)
-        report = verify_realization(real, sys_)
+        report = verify_realization(sys_)
         assert report.transitive_action
         rn = report.rn_vs_transfer
         assert rn > 1e3 * max(report.feature_map_residual, report.kernel_reconstruction_residual,
                               report.intertwining_residual, report.partial_isometry_defect)
-        assert verify_realization(real, sys_, tol=rn).passed
-        assert not verify_realization(real, sys_, tol=np.nextafter(rn, 0.0)).passed
+        assert verify_realization(sys_, tol=rn).passed
+        assert not verify_realization(sys_, tol=np.nextafter(rn, 0.0)).passed
 
 
 class TestTransitiveAction:
     @pytest.mark.parametrize("args", [(4, 1, 4, 1), (1, 4, 1, 4)])
     def test_scalar_systems(self, args):
         sys_ = scalar_system(*args)
-        real = construct_partial_isometry(sys_)
-        assert verify_realization(real, sys_).transitive_action is True
+        assert verify_realization(sys_).transitive_action is True
 
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_systems(self, seed):
         sys_ = generate_valid_system(seed, 2, 2)
-        real = construct_partial_isometry(sys_)
-        assert verify_realization(real, sys_).transitive_action is True
+        assert verify_realization(sys_).transitive_action is True
 
     def test_rank_deficient_image_fails(self):
         # A = B = 0 makes T12 vanish, so the image vectors span nothing
         sys_ = generate_valid_system(0, 2, 2)
-        real = construct_partial_isometry(sys_)
-        w = real.w.copy()
+        w = sys_.w.copy()
         w[: sys_.features["k1"].dilation_dim] = 0  # the rows of A and B
-        assert verify_realization(replace(real, w=w), sys_).transitive_action is False
+        assert verify_realization(replace(sys_, w=w)).transitive_action is False
 
 
 class TestRadonNikodym:
@@ -594,24 +585,23 @@ class TestRadonNikodym:
 class TestRnTransferIdentity:
     def test_scalar_system_agreement(self):
         sys_ = scalar_system(1, 4, 1, 4)
-        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        report = verify_realization(sys_)
         assert report.rn_vs_transfer <= 1e-8
         assert report.rn_vs_transfer <= 1e-12
         # in the one-dimensional case both operators are directly comparable
         rn = radon_nikodym(sys_.k1, sys_.k2)
-        real = construct_partial_isometry(sys_)
-        t12 = transfer_function(real, sys_, "s1")
+        t12 = transfer_function(sys_, "s1")
         assert rn.sqrt_phi[0, 0] == pytest.approx(t12[0, 0], abs=1e-12)
 
     def test_not_dominated_system_is_rejected(self):
         sys_ = scalar_system(4, 1, 4, 1)  # K1 = 4 > 1 = K2
-        report = verify_realization(construct_partial_isometry(sys_), sys_)
+        report = verify_realization(sys_)
         assert report.dominated is False and report.rn_vs_transfer is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_dominated_systems(self, seed):
         sys_ = generate_valid_system(100 + seed, 2, 2, dominated=True)
-        report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
+        report = verify_realization(sys_, tol=1e-8)
         assert report.rn_vs_transfer <= 1e-8, report
 
 
@@ -635,7 +625,7 @@ class TestChangeOfBasis:
             *(OperatorKernelTable(t.label_set, u.conj().T @ t.blocks @ u) for t in sys_.tables().values()),
             u.conj().T @ sys_.t_op @ u,
         )
-        reports = [verify_realization(construct_partial_isometry(s), s, tol=1e-8) for s in (sys_, moved)]
+        reports = [verify_realization(s, tol=1e-8) for s in (sys_, moved)]
         assert {(r.dominated, r.transitive_action) for r in reports} == {(dominated, True)}, reports
         for report in reports:
             assert report.passed, report
@@ -660,7 +650,7 @@ class TestNullCone:
         *flats, t_op = null_cone_system(theta, 10.0**log_delta, w)
         sys_ = validate_system(*(OperatorKernelTable.from_flat(labels(1), 2, f) for f in flats), t_op)
         assert sys_.identity_residual <= 1e-10
-        report = verify_realization(construct_partial_isometry(sys_), sys_, tol=1e-8)
+        report = verify_realization(sys_, tol=1e-8)
         assert report.passed and report.dominated, report
 
 
@@ -681,11 +671,11 @@ class TestGenerator:
         first = generate_valid_system(3, 2, 1)
         original, calls = transfer.transfer_function, []
 
-        def refuse_first(real, sys_, s, tol=RANK_RTOL):
+        def refuse_first(sys_, s, tol=RANK_RTOL):
             calls.append(s)
             if len(calls) == 1:
                 raise NotInvertible(f"rank condition fails at label {s!r}", label=s)
-            return original(real, sys_, s, tol)
+            return original(sys_, s, tol)
 
         monkeypatch.setattr(transfer, "transfer_function", refuse_first)
         second = generate_valid_system(3, 2, 1)
@@ -693,7 +683,7 @@ class TestGenerator:
         assert second.k2.blocks.tobytes() != first.k2.blocks.tobytes()
 
     def test_exhausted_draws_raise(self, monkeypatch):
-        def refuse(real, sys_, s, tol=RANK_RTOL):
+        def refuse(sys_, s, tol=RANK_RTOL):
             raise NotInvertible(f"rank condition fails at label {s!r}", label=s)
 
         monkeypatch.setattr(transfer, "transfer_function", refuse)
