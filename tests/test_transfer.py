@@ -77,16 +77,18 @@ class TestValidateSystem:
         assert exc.value.residual == pytest.approx(3.0)
 
     @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["inside", "outside"])
-    def test_identity_gate_boundary(self, factor, monkeypatch):
+    def test_identity_gate_boundary(self, factor):
         # K1 - K2 - T^H (L1 - L2) T = delta exactly, against the scale ||L1|| = 1.
-        # With T = 0 the column G is 0 and F is not, so the Gram gate behind the identity is let pass.
+        # The Gram defect behind it is delta / (1 + delta), below 1e-9.
         delta = 1e-10 * factor
-        pass_gate(monkeypatch, GramMismatch)
         if factor < 1:
-            assert scalar_system(delta, 0, 1, 1, t=0).identity_residual == delta
+            assert scalar_system(delta, 0, 1, 1).identity_residual == delta
+            # With T = 0 the column G is 0 and F is not: the identity holds, the Gram gate refuses.
+            with pytest.raises(GramMismatch, match=r"relative 1\.000e\+00"):
+                scalar_system(delta, 0, 1, 1, t=0)
             return
         with pytest.raises(NotEquivalent, match=r"relative 1\.000e-10 > 1e-10") as exc:
-            scalar_system(delta, 0, 1, 1, t=0)
+            scalar_system(delta, 0, 1, 1)
         assert exc.value.relative == delta
 
     def test_nan_residual_is_refused(self, monkeypatch):
