@@ -26,6 +26,14 @@ to 0; ``condition`` reads its observed values from the spec's ``observed_l``.
 samples at a time, so neither holds the whole batch; if it may use two CPUs,
 ``sample`` forks one child that draws and formats the odd tiles, both
 processes at one BLAS thread, with unchanged bytes (README.md).
+A command whose Gram order is at most ``ONE_THREAD_MAX_ORDER`` = 150 runs
+its numerics at one BLAS thread, under the hold of ``sample``'s tiles, and
+writes the bytes of ``OPENBLAS_NUM_THREADS=1`` whatever the CPU count; a
+larger one keeps the default count.  The order is ``n * dim_h`` of the
+spec's tables (of K and L for a joint spec), or ``max(n * dim_h, m)`` for
+``krr-fit``'s m training rows; ``krr-predict`` makes no BLAS call.  On two
+vCPUs one thread was faster in total at orders 60 to 150, and no longer at
+180 (BENCH_36.json).
 The ``results`` of ``realize``, ``rn`` and ``mc-verify`` are the fields of
 their result objects (``realize``'s without ``passed``, its exit code).
 ``--out`` appears only when its command succeeds; on stdout, a reader that
@@ -40,7 +48,7 @@ import hashlib
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,6 +64,8 @@ from .specio import SpecError
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
+# The largest Gram order whose numerics run at one BLAS thread (BENCH_36.json).
+ONE_THREAD_MAX_ORDER = 150
 
 
 def _integer(low: int, high: float = math.inf):
@@ -80,6 +90,13 @@ def _tolerance(text: str) -> float:
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+def _blas_for(order: int):
+    """``gaussian``'s one-thread BLAS hold for a problem whose Gram has order
+    ``order`` at most ``ONE_THREAD_MAX_ORDER``, else no hold: the default
+    thread count."""
+    return gaussian._one_blas_thread() if order <= ONE_THREAD_MAX_ORDER else nullcontext()
 
 
 def _sha256(path: str) -> str:
@@ -153,7 +170,8 @@ def _emit_report(args, params: dict, results: dict, **extra_inputs: str) -> None
 
 def cmd_check_pd(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    report = is_positive_definite(table, args.tol)
+    with _blas_for(table.n * table.dim_h):
+        report = is_positive_definite(table, args.tol)
     results = {
         "pd": bool(report.pd),
         "min_eig": report.min_eig,
@@ -166,7 +184,8 @@ def cmd_check_pd(args) -> int:
 
 def cmd_factorize(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
-    fs = kolmogorov_factorize(table, args.tol)
+    with _blas_for(table.n * table.dim_h):
+        fs = kolmogorov_factorize(table, args.tol)
     _emit_report(args, {"tol": args.tol}, specio.feature_system_to_json(fs))
     return EXIT_OK
 
@@ -175,16 +194,15 @@ def cmd_realize(args) -> int:
     k1, k2, l1, l2, t_op = specio.system_from_spec(specio.load_json(args.spec))
     results: dict = {}
     try:
-        sys_ = transfer.validate_system(k1, k2, l1, l2, t_op)
+        with _blas_for(k1.n * k1.dim_h):
+            sys_ = transfer.validate_system(k1, k2, l1, l2, t_op)
+            results["system_identity_residual"] = sys_.identity_residual
+            report = transfer.verify_realization(sys_, args.tol)
     except NotEquivalent as exc:
         results["system_identity_residual"] = exc.relative
         results["condition"] = "not_equivalent"
         _emit_report(args, {"tol": args.tol}, results)
         return exc.exit_code
-    results["system_identity_residual"] = sys_.identity_residual
-
-    try:
-        report = transfer.verify_realization(sys_, args.tol)
     except NotInvertible as exc:
         if not math.isfinite(exc.sigma_min):  # a report cannot hold it: stderr alone
             raise
@@ -201,7 +219,8 @@ def cmd_realize(args) -> int:
 
 def cmd_rn(args) -> int:
     lo, hi = specio.pair_from_spec(specio.load_json(args.spec))
-    rn = transfer.radon_nikodym(lo, hi, args.tol)
+    with _blas_for(lo.n * lo.dim_h):
+        rn = transfer.radon_nikodym(lo, hi, args.tol)
     _emit_report(args, {"tol": args.tol}, vars(rn))
     return EXIT_OK
 
@@ -260,7 +279,8 @@ def _write_frames(pipe, out, count: int) -> int:
 def cmd_sample(args) -> int:
     table = specio.kernel_from_spec(specio.load_json(args.spec))
     _require_path_budget(args.samples, table.n * table.dim_h)
-    fs = kolmogorov_factorize(table)  # before the BLAS hold: its eigh runs at the default thread count
+    with _blas_for(table.n * table.dim_h):  # the tiles below are held at every order, the factorization if small
+        fs = kolmogorov_factorize(table)
     starts = range(0, args.samples, gaussian._TILE)
     # One child at most: more CPUs, or a CPU quota below the mask, were never measured.
     fork = len(starts) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -283,8 +303,9 @@ def cmd_sample(args) -> int:
 def cmd_mc_verify(args) -> int:
     k, l, coupling, _ = specio.joint_from_spec(specio.load_json(args.spec))
     _require_path_budget(args.samples, 2 * k.n * k.dim_h)
-    joint = gaussian.assemble_joint(k, l, coupling)
-    report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
+    with _blas_for(k.n * k.dim_h):
+        joint = gaussian.assemble_joint(k, l, coupling)
+        report = gaussian.mc_verify_conditional(joint, args.seed, args.samples, args.tol)
     _emit_report(args, {"seed": args.seed, "samples": args.samples}, vars(report))
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
@@ -293,13 +314,14 @@ def cmd_condition(args) -> int:
     k, l, coupling, observed = specio.joint_from_spec(specio.load_json(args.spec))
     if observed is None:
         raise SpecError("no observed values: the joint spec has no 'observed_l' field")
-    joint = gaussian.assemble_joint(k, l, coupling)
-    results = {
-        "posterior_mean": gaussian.condition(joint, observed, args.tol),
-        "mean_map": joint.mean_map,
-        "cond_cov_blocks": joint.schur.blocks,
-        "null_dim": 0,  # assemble_joint refuses a singular L
-    }
+    with _blas_for(k.n * k.dim_h):
+        joint = gaussian.assemble_joint(k, l, coupling)
+        results = {
+            "posterior_mean": gaussian.condition(joint, observed, args.tol),
+            "mean_map": joint.mean_map,
+            "cond_cov_blocks": joint.schur.blocks,
+            "null_dim": 0,  # assemble_joint refuses a singular L
+        }
     _emit_report(args, {"tol": args.tol}, results)
     return EXIT_OK
 
@@ -308,7 +330,8 @@ def cmd_krr_fit(args) -> int:
     kernel = specio.kernel_from_spec(specio.load_json(args.spec))
     noise = specio.kernel_from_spec(specio.load_json(args.noise_spec))
     train = _training_set(args.train)
-    fit = regression.krr_fit(kernel, noise, train)
+    with _blas_for(max(kernel.n * kernel.dim_h, train.size)):
+        fit = regression.krr_fit(kernel, noise, train)
     results = {
         "coefficients": fit.coefficients,
         "fitted": fit.fitted,

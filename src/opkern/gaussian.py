@@ -21,7 +21,8 @@ needed rows are sliced out afterwards.  Every GEMM therefore sees the same
 inputs with the same shape however the draws are batched, so a path is
 bitwise independent of batching for a fixed BLAS build and thread count.
 Changing the BLAS thread count (``OPENBLAS_NUM_THREADS``) may move the last
-ulp, as it can for every LAPACK-backed result.
+ulp, as it can for every LAPACK-backed result, except in the CLI where a
+problem's order is at most ``cli.ONE_THREAD_MAX_ORDER``: it runs at one thread.
 
 A path batch is ``draw_paths(kolmogorov_factorize(table), seed, start,
 count)``; there is no sampler state.  A coupled pair of processes is one

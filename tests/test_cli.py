@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +430,94 @@ class TestFaultInjection:
             if not ok:
                 wrong.append((name, k, value, code, err))
         assert wrong == []
+
+
+@pytest.mark.skipif(gaussian._openblas() is None, reason="numpy bundles no OpenBLAS to hold")
+class TestBlasThreadPolicy:
+    # A command whose Gram has order n * d, for krr-fit max(n * d, m), at most
+    # cli.ONE_THREAD_MAX_ORDER runs its numerics at one BLAS thread, and one
+    # above it at the default count.  The order of each TestCostGates input:
+    # 2 x 2 for the system and the pair, 3 x 2 for the rest, and for krr-fit
+    # its 4 training rows, or 8 others.  More rows than n * d make [L] + [K]
+    # singular, so those are refused (exit 3), after their decompositions.
+    ORDERS = {"check-pd": 6, "factorize": 6, "realize": 4, "rn": 4, "sample": 6, "mc-verify": 6,
+              "condition": 6, "krr-fit": 6, "krr-fit:m": 8}
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("case", list(ORDERS))
+    def test_decompositions_run_at_the_thread_count_of_the_order(self, case, above, cost_specs, tmp_path,
+                                                                  monkeypatch, blas_threads):
+        blas_threads(2)
+        get, seen = gaussian._openblas()[0], []
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve"):
+            def spy(*args, _original=getattr(np.linalg, name), **kwargs):
+                seen.append(get())
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # sample: no child
+        monkeypatch.setattr(cli, "ONE_THREAD_MAX_ORDER", self.ORDERS[case] - above)
+        argv = TestCostGates.COMMANDS[case.split(":")[0]][0](cost_specs)
+        if case == "krr-fit:m":
+            rng = np.random.default_rng(5)
+            triples = [(f"s{i % 3 + 1}", rng.standard_normal(2), rng.standard_normal()) for i in range(8)]
+            (tmp_path / "eight.csv").write_text(training_set_to_csv(TrainingSet.from_triples(triples)), encoding="utf-8")
+            argv[argv.index("--train") + 1] = str(tmp_path / "eight.csv")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == (3 if case == "krr-fit:m" else 0)
+        assert seen and set(seen) == {2 if above else 1}
+        assert get() == 2
+
+    def test_small_outputs_are_those_of_one_blas_thread(self, tmp_path):
+        # Every subcommand on inputs of order 120, the benchmark's sample kernel
+        # (n = 40, d = 3), writes the same bytes in a process at the default
+        # thread count as in one at OPENBLAS_NUM_THREADS=1.
+        n, d = 40, 3
+        ls = labels(n)
+        sys_ = generate_valid_system(1, n, d, dominated=True)
+        system = {name: kernel_to_spec(tab) for name, tab in sys_.tables().items()}
+        blocks = random_pd_kernel(2, n, 2 * d).blocks
+        rng = np.random.default_rng(3)
+        train = TrainingSet.from_triples(
+            [(s, rng.standard_normal(d) + 1j * rng.standard_normal(d), complex(*rng.standard_normal(2))) for s in ls.labels])
+        (tmp_path / "train.csv").write_text(training_set_to_csv(train), encoding="utf-8")
+        kernel = write_json(tmp_path / "kernel.json", {"labels": list(ls.labels), "dim_h": d, "kind": "builder",
+                                                       "builder": {"name": "random_pd", "params": {"seed": 1}}})
+        noise = write_json(tmp_path / "noise.json", kernel_to_spec(identity_kernel(ls, d)))
+        system_path = write_json(tmp_path / "system.json", {**system, "t": array_to_json(sys_.t_op)})
+        pair = write_json(tmp_path / "pair.json", {"l": system["k1"], "k": system["k2"]})
+        joint = write_json(tmp_path / "joint.json", {
+            "k": kernel_to_spec(OperatorKernelTable(ls, blocks[:, :, :d, :d])),
+            "l": kernel_to_spec(OperatorKernelTable(ls, blocks[:, :, d:, d:])),
+            "t_coupling": array_to_json(blocks[:, :, :d, d:]),
+            "observed_l": array_to_json(np.ones((n, d))),
+        })
+        query = write_json(tmp_path / "query.json", [{"label": "s7", "a": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]}])
+        krr = ["--spec", kernel, "--noise-spec", noise, "--train", str(tmp_path / "train.csv")]
+        fit = str(tmp_path / "fit.json")  # krr-predict's report records the fit's path: one for both processes
+        assert main(["krr-fit", *krr, "--out", fit]) == 0
+        commands = [
+            ["check-pd", "--spec", kernel], ["factorize", "--spec", kernel], ["realize", "--spec", system_path],
+            ["rn", "--spec", pair], ["sample", "--spec", kernel, "--samples", "600"],
+            ["mc-verify", "--spec", joint, "--samples", "2000"], ["condition", "--spec", joint], ["krr-fit", *krr],
+            ["krr-predict", *krr, "--fit", fit, "--query", query],
+        ]
+        script = (
+            "import json, sys\n"
+            "from opkern.cli import main\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    assert main([*argv, '--no-timestamp', '--out', f'{sys.argv[1]}/{argv[0]}']) == 0, argv\n"
+        )
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        procs = {}
+        for threads in ("default", "1"):
+            (tmp_path / threads).mkdir()
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path / threads), json.dumps(commands)], stderr=subprocess.PIPE,
+                env=env if threads == "default" else {**env, "OPENBLAS_NUM_THREADS": threads})
+        for proc in procs.values():
+            assert proc.communicate()[1] == b""
+        differ = [argv[0] for argv in commands
+                  if (tmp_path / "default" / argv[0]).read_bytes() != (tmp_path / "1" / argv[0]).read_bytes()]
+        assert differ == []
 
 
 def builder_spec(name, params, dim_h=1):
